@@ -17,7 +17,7 @@ echo "== repro bench --smoke =="
 BENCH_TMP="$(mktemp -d)"
 python -m repro bench --smoke --repeats 1 --out "$BENCH_TMP/BENCH_perf.json"
 
-echo "== pagestore smoke (SoA array driver vs recorded baseline) =="
+echo "== pagestore smoke (SoA array driver and traced multiclock vs recorded baselines) =="
 python - <<'PYEOF'
 import json
 from repro.machine import Machine
@@ -35,15 +35,29 @@ config = SimulationConfig(
 )
 workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
 stream = list(workload.numeric_batches())
-result = run_numeric_stream(workload, config, stream, "autonuma")
-got = {
-    "operations": result.operations, "accesses": result.accesses,
-    "elapsed_ns": result.elapsed_ns, "app_ns": result.app_ns,
-    "system_ns": result.system_ns, "ops_fallback": result.ops_fallback,
-    "counters": dict(sorted(result.counters.items())),
-}
-assert got == recorded["autonuma"], "SoA array driver diverged from baseline"
+
+
+def fingerprint(policy, traced=False):
+    machine = Machine(config, policy)
+    if traced:
+        machine.enable_tracing()
+    result = run_numeric_stream(workload, config, stream, machine=machine)
+    return {
+        "operations": result.operations, "accesses": result.accesses,
+        "elapsed_ns": result.elapsed_ns, "app_ns": result.app_ns,
+        "system_ns": result.system_ns, "ops_fallback": result.ops_fallback,
+        "counters": dict(sorted(result.counters.items())),
+    }
+
+
+assert fingerprint("autonuma") == recorded["autonuma"], \
+    "SoA array driver diverged from baseline"
 print("SoA array driver is bit-identical to the recorded autonuma baseline")
+# MULTI-CLOCK with tracing armed: kpromoted's sweeps and kswapd's hooked
+# deactivate emit every tracepoint, and must still steer nothing.
+assert fingerprint("multiclock", traced=True) == recorded["multiclock"], \
+    "traced multiclock diverged from baseline"
+print("traced multiclock is bit-identical to the recorded multiclock baseline")
 PYEOF
 
 echo "== bench guard (batched touch must not regress below the floor) =="
@@ -56,12 +70,6 @@ import sys
 # order of magnitude, so dipping below means the fast path fell off.
 FLOOR = 1_455_757
 
-# The columnar deactivate scan measures ~3.4M pages/s at smoke size
-# (scalar reference: ~135k); a floor 10x under that still sits well
-# above the scalar loop, so tripping it means the vector guard stopped
-# taking the fast path.
-DEACTIVATE_FLOOR = 300_000
-
 bench = json.load(open(sys.argv[1]))
 touch = bench["touch"]
 assert touch["identical"] is True, f"touch drivers diverged: {touch}"
@@ -70,17 +78,6 @@ assert rate >= FLOOR, (
     f"batched touch regressed: {rate:,.0f} ops/s < floor {FLOOR:,} ops/s"
 )
 print(f"batched touch {rate:,.0f} ops/s >= floor {FLOOR:,} ops/s")
-
-deact = bench["deactivate"]
-assert deact["identical"] is True, f"deactivate paths diverged: {deact}"
-drate = deact["vector_pages_per_sec"]
-assert drate >= DEACTIVATE_FLOOR, (
-    f"vector deactivate regressed: {drate:,.0f} pages/s"
-    f" < floor {DEACTIVATE_FLOOR:,} pages/s"
-)
-print(f"vector deactivate {drate:,.0f} pages/s >= floor {DEACTIVATE_FLOOR:,}"
-      f" pages/s (scalar {deact['scalar_pages_per_sec']:,.0f},"
-      f" speedup {deact['speedup']}x)")
 
 journal = bench["journal"]
 assert journal["identical"] is True, f"journal-armed sweep diverged: {journal}"

@@ -36,10 +36,6 @@ benchmarks, written to ``BENCH_perf.json``:
   overhead ratio, and an ``identical`` flag asserting the armed run's
   counters and virtual clocks match the metrics-off run bit for bit
   (the cost-free sampler / guarded-sites nop property, measured).
-* ``deactivate`` — the columnar ``deactivate_excess_active`` fast path
-  versus the page-at-a-time reference loop on identical list states.
-  Reports pages/sec for both, the speedup, and an ``identical`` flag
-  asserting both arms made the same scan decisions page for page.
 * ``journal`` — the control-plane span journal's cost: the same local
   pool sweep with the journal off versus armed.  Reports both wall
   times, the overhead ratio, the journal's event count, and an
@@ -68,7 +64,6 @@ from repro.workloads.synthetic import ZipfWorkload
 __all__ = [
     "bench_touch",
     "bench_kpromoted",
-    "bench_deactivate",
     "bench_ycsb_a",
     "bench_trace",
     "bench_sweep",
@@ -221,103 +216,6 @@ def bench_kpromoted(
         "pages_scanned": pages_scanned,
         "pages_per_sec": round(pages_scanned / elapsed) if elapsed > 0 else 0,
         "wall_seconds": round(elapsed, 4),
-    }
-
-
-def bench_deactivate(
-    *, pages: int = 4000, warm_ops: int = 50_000, rounds: int = 40,
-    budget: int = 2048, seed: int = 42,
-) -> dict[str, Any]:
-    """Columnar vs page-at-a-time ``deactivate_excess_active`` force scans.
-
-    Both arms drive the same rounds over identically warmed machines:
-    each round re-arms a deterministic slice of accessed bits (so the
-    scan keeps seeing the full four-way state mix instead of draining
-    the lists once and idling) and force-scans every active list.  The
-    vector arm goes through the public entry point, whose guard picks
-    the pagestore fast path; the scalar arm calls the reference loop
-    directly.  ``identical`` asserts both machines ended with the same
-    list membership, order and flag words — the vectorization must only
-    ever buy time, never change a scan decision.
-    """
-    from repro.mm import vmscan
-    from repro.mm.lruvec import ListKind
-
-    def build() -> Machine:
-        workload = ZipfWorkload(pages, warm_ops, seed=seed, write_ratio=0.2)
-        machine = Machine(_config(seed), "autonuma")
-        workload.setup(machine)
-        machine.touch_batch(workload.accesses())  # warm the lists
-        return machine
-
-    def drive(machine: Machine, scalar: bool) -> tuple[int, float]:
-        store = machine.system.pagestore
-        scanned = 0
-        elapsed = 0.0
-        with _gc_paused():
-            for round_no in range(rounds):
-                # Refill (untimed): put every inactive page back on its
-                # active list so each round scans full lists instead of
-                # draining them once and idling, then re-arm a
-                # deterministic, phase-shifted third of the accessed
-                # bits so the scan keeps seeing the full state mix.
-                for node in machine.system.nodes.values():
-                    for is_anon in (True, False):
-                        inactive = node.lruvec.list_for(ListKind.INACTIVE, is_anon)
-                        for page in inactive.iter_from_tail():
-                            vmscan._activate(node, page)
-                store.pte_accessed[round_no % 3 :: 3] = True
-                start = time.perf_counter()
-                for node in machine.system.nodes.values():
-                    for is_anon in (True, False):
-                        if scalar:
-                            result = vmscan.ScanResult()
-                            vmscan._deactivate_scalar(
-                                machine.system, node,
-                                node.lruvec.list_for(ListKind.ACTIVE, is_anon),
-                                is_anon, budget, None, None, True, None, result,
-                            )
-                        else:
-                            result = vmscan.deactivate_excess_active(
-                                machine.system, node, is_anon, budget, force=True
-                            )
-                        scanned += result.scanned
-                elapsed += time.perf_counter() - start
-        return scanned, elapsed
-
-    def digest(machine: Machine) -> list:
-        store = machine.system.pagestore
-        out = []
-        for node in machine.system.nodes.values():
-            for kind in (ListKind.ACTIVE, ListKind.INACTIVE):
-                for is_anon in (True, False):
-                    lst = node.lruvec.list_for(kind, is_anon)
-                    cursor, order = lst._tail, []
-                    while cursor >= 0:
-                        order.append(int(cursor))
-                        cursor = int(store.lru_prev[cursor])
-                    out.append((node.node_id, kind.name, is_anon, order,
-                                [int(store.flags[p]) for p in order]))
-        return out
-
-    vec_machine = build()
-    vec_scanned, vec_s = drive(vec_machine, scalar=False)
-    scalar_machine = build()
-    scalar_scanned, scalar_s = drive(scalar_machine, scalar=True)
-
-    vec_rate = vec_scanned / vec_s if vec_s > 0 else 0.0
-    scalar_rate = scalar_scanned / scalar_s if scalar_s > 0 else 0.0
-    return {
-        "rounds": rounds,
-        "budget": budget,
-        "pages_scanned": vec_scanned,
-        "scalar_pages_per_sec": round(scalar_rate),
-        "vector_pages_per_sec": round(vec_rate),
-        "speedup": round(vec_rate / scalar_rate, 2) if scalar_rate else 0.0,
-        "identical": (
-            vec_scanned == scalar_scanned
-            and digest(vec_machine) == digest(scalar_machine)
-        ),
     }
 
 
@@ -719,7 +617,6 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         remote = bench_remote(pages=400, ops=4_000)
         journal = bench_journal(pages=400, ops=4_000)
         metrics = bench_metrics(30_000, pages=2000, repeats=max(1, min(repeats, 2)))
-        deactivate = bench_deactivate(pages=1000, warm_ops=10_000, rounds=10)
     else:
         touch = bench_touch(repeats=repeats)
         kpromoted = bench_kpromoted()
@@ -729,7 +626,6 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         remote = bench_remote()
         journal = bench_journal()
         metrics = bench_metrics(repeats=repeats)
-        deactivate = bench_deactivate()
     return {
         "meta": {
             "mode": "smoke" if smoke else "full",
@@ -744,7 +640,6 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         "remote": remote,
         "journal": journal,
         "metrics": metrics,
-        "deactivate": deactivate,
     }
 
 
@@ -808,14 +703,6 @@ def render(results: dict[str, Any]) -> str:
             f"  overhead {journal['overhead']:.3f}x"
             f"  ({journal['journal_events']:,} events)"
             f"  identical={journal['identical']}"
-        )
-    deactivate = results.get("deactivate")
-    if deactivate is not None:
-        lines.append(
-            f"deactivate scalar {deactivate['scalar_pages_per_sec']:>10,} pages/s"
-            f"  vector {deactivate['vector_pages_per_sec']:>10,} pages/s"
-            f"  speedup {deactivate['speedup']:.2f}x"
-            f"  identical={deactivate['identical']}"
         )
     metrics = results.get("metrics")
     if metrics is not None:

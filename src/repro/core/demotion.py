@@ -2,9 +2,10 @@
 
 Section III-C, step by step: when a tier is under pressure, (1) promote-
 list pages are migrated up first (or moved to the active list when they
-cannot be), (2) the active:inactive ratio is rebalanced against the
-√(10·n):1 threshold, and (3) unreferenced inactive-tail pages are
-migrated to the lower tier — or, at the lowest tier, written back to
+cannot be), (2) the active list is rebalanced — unconditionally, since
+kswapd only runs under pressure, so the paper's √(10·n):1 active:inactive
+threshold never holds it back — and (3) unreferenced inactive-tail pages
+are migrated to the lower tier — or, at the lowest tier, written back to
 block storage before the OOM killer becomes the last resort.
 """
 
@@ -30,8 +31,9 @@ class DemotionDaemon:
 
     Policy-agnostic by duck typing: the policy must provide
     ``demotion_destination(node)`` and ``promote_page(page)``; a policy
-    with a ``second_reference_hook`` (MULTI-CLOCK) feeds its promote list
-    during the active-list rebalance, others run vanilla CLOCK.
+    with a ``promote_list_added`` accounting hook (MULTI-CLOCK) feeds its
+    promote list during the active-list rebalance, others run vanilla
+    CLOCK.
     """
 
     def __init__(self, policy: "TieringPolicy", node: NumaNode) -> None:
@@ -68,13 +70,8 @@ class DemotionDaemon:
                 break
             total.merge(
                 deactivate_excess_active(
-                    system,
-                    node,
-                    is_anon,
-                    budget,
-                    on_second_reference=getattr(self.policy, "second_reference_hook", None),
-                    ratio_cap=system.config.active_inactive_ratio_cap,
-                    force=True,
+                    system, node, is_anon, budget,
+                    on_promote_list_add=getattr(self.policy, "promote_list_added", None),
                 )
             )
             target = node.watermarks.reclaim_target(node.free_pages)

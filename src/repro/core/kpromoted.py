@@ -20,17 +20,15 @@ scan budget to 1024 pages):
    On a DRAM node there is no higher tier, so the whole promote list
    recycles to active.
 
-The two harvesting scans run as vectorized column sweeps over the
-struct-of-arrays page store: one pointer walk collects the budgeted tail
-segment, numpy masks decide every transition at once, and the list is
-rebuilt with a handful of fancy-index link writes.  A pass that runs out
-of list before budget keeps the CLOCK semantics of the scalar loop —
-already-rotated pages are re-visited as pure rotations, which the sweep
-reproduces as a rotation of the survivor block.  The scalar loops remain
-as the reference path, used whenever a tracer is attached (per-page
-tracepoints must fire in visit order) or the policy overrides
-``observe_scan`` (per-page observation order matters); the drain keeps
-its scalar form — every page it visits leaves the list through the
+The two harvesting scans run as column sweeps over the struct-of-arrays
+page store: one pointer walk collects the budgeted tail segment, numpy
+masks decide every transition at once, and the list is rebuilt with a
+handful of fancy-index link writes.  Tracepoints are emitted from the
+outcome masks in visit order, and a policy that overrides
+``observe_scan`` sees every visited page in that order.  A budget larger
+than the list keeps the hand turning: harvested bits are spent, so each
+further visit is a pure rotation of the survivors.  The drain is a
+page-at-a-time loop — every page it visits leaves the list through the
 migration machinery, which is where all the cost lives anyway.
 """
 
@@ -40,18 +38,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.state import move_to_promote, recycle_promote_to_active
+from repro.core.state import recycle_promote_to_active
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.pagestore import NO_PFN
-from repro.mm.vmscan import ScanResult, shrink_inactive_list
+# shrink_inactive_list is unused here but stays importable from this
+# module: figbench/layers.py patches every module's binding of it.
+from repro.mm.vmscan import ScanResult, shrink_inactive_list  # noqa: F401
 from repro.policies.base import TieringPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.multiclock import MultiClockPolicy
 
 __all__ = ["KPromoted"]
+
+_NO_PFNS = np.empty(0, dtype=np.int64)
 
 
 class KPromoted:
@@ -68,6 +70,8 @@ class KPromoted:
         self._c_to_promote_list = stats.counter("kpromoted.to_promote_list")
         self._c_promoted = stats.counter("kpromoted.promoted")
         self._c_deactivated = stats.counter("kpromoted.deactivated")
+        overridden = type(policy).observe_scan is not TieringPolicy.observe_scan
+        self._observe_scan = policy.observe_scan if overridden else None
 
     @property
     def name(self) -> str:
@@ -96,50 +100,27 @@ class KPromoted:
         self._c_deactivated.n += total.deactivated
         return total.system_ns
 
-    def _vector_scans_ok(self) -> bool:
-        """Whether the column-sweep scans preserve observable behaviour."""
-        return (
-            self.policy.system.trace is None
-            and type(self.policy).observe_scan is TieringPolicy.observe_scan
-        )
+    def _sweep(
+        self, kind: ListKind, is_anon: bool, budget: int
+    ) -> tuple[ScanResult, np.ndarray]:
+        """One budgeted CLOCK pass over a list; returns the climbing pfns.
 
-    @staticmethod
-    def _wrap_survivors(
-        survivors: np.ndarray, n: int, budget: int, result: ScanResult
-    ) -> np.ndarray:
-        """Account a scan that lapped the list (budget beyond one pass).
-
-        Once every page has been visited, harvested bits are spent, so
-        each further visit is a pure rotation of the current tail.  The
-        net effect of ``budget - n`` such rotations on the survivor block
-        is a rotation by ``(budget - n) mod m``; an emptied list stops
-        the scan at ``n``.
+        A page accessed while referenced climbs the ladder: it is
+        unlinked and returned in visit order for the caller to place.  A
+        page accessed once gains REFERENCED and rotates; an idle page
+        rotates.
         """
-        m = len(survivors)
-        if m == 0:
-            result.scanned = n
-            return survivors
-        result.scanned = budget
-        r = (budget - n) % m
-        if r:
-            survivors = np.concatenate([survivors[r:], survivors[:r]])
-        return survivors
-
-    def _scan_inactive(self, is_anon: bool, budget: int) -> ScanResult:
-        """Advance referenced inactive pages up the ladder (edges 1, 6)."""
-        if not self._vector_scans_ok():
-            return self._scan_inactive_scalar(is_anon, budget)
         result = ScanResult()
         system = self.policy.system
-        inactive = self.node.lruvec.list_for(ListKind.INACTIVE, is_anon)
-        n = len(inactive)
+        lst = self.node.lruvec.list_for(kind, is_anon)
+        n = len(lst)
         if n == 0 or budget <= 0:
             result.system_ns = system.hardware.scan_ns(0)
-            return result
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        store = inactive._store
-        k1 = min(budget, n)
-        visited = store.walk_tail(inactive, k1)
+            return result, _NO_PFNS
+        store = lst._store
+        k = min(budget, n)
+        visited = store.walk_tail(lst, k)
+        self._observe(visited)
         col_acc = store.pte_accessed
         col_flags = store.flags
         ref_bit = int(PageFlags.REFERENCED)
@@ -148,142 +129,76 @@ class KPromoted:
         if acc.any():
             col_acc[visited[acc]] = False
         ref = (col_flags[visited] & ref_bit) != 0
-        act_mask = acc & ref
+        climb = acc & ref
         new_ref = acc & ~ref
-        survivors = visited[~act_mask]
-        movers = visited[act_mask]
+        survivors = visited[~climb]
         n_ref = int(np.count_nonzero(new_ref))
         if n_ref:
             col_flags[visited[new_ref]] |= ref_bit
         if budget > n:
-            survivors = self._wrap_survivors(survivors, n, budget, result)
+            # The scan lapped the list.  Harvested bits are spent, so the
+            # hand keeps turning over the survivors in rotation order, one
+            # pure rotation per visit, until the budget is spent; an
+            # emptied list stops the scan at n.
+            laps = np.resize(survivors, budget - n) if len(survivors) else survivors
+            self._observe(laps)
+            result.scanned = n + len(laps)
+            survivors = np.roll(survivors, -len(laps))
             rest_tail = NO_PFN
         else:
-            result.scanned = k1
-            rest_tail = int(store.lru_prev[visited[-1]]) if k1 < n else NO_PFN
-        store.rebuild_after_scan(inactive, survivors, rest_tail, len(movers))
-        if len(movers):
-            col_flags[movers] = (col_flags[movers] & ~ref_bit) | int(PageFlags.ACTIVE)
-            store.prepend_head_block(active, movers, int(PageFlags.LRU))
-            result.activated = len(movers)
+            result.scanned = k
+            rest_tail = int(store.lru_prev[visited[-1]]) if k < n else NO_PFN
+        climbers = visited[climb]
+        store.rebuild_after_scan(lst, survivors, rest_tail, len(climbers))
         result.referenced = n_ref
         result.system_ns = system.hardware.scan_ns(result.scanned)
+        return result, climbers
+
+    def _observe(self, pfns: np.ndarray) -> None:
+        """Show each visited page, in visit order, to the policy's
+        ``observe_scan`` override (the base no-op is skipped)."""
+        if self._observe_scan is not None:
+            pages = self.policy.system.pagestore.pages
+            for pfn in pfns.tolist():
+                self._observe_scan(pages[pfn])
+
+    def _climb(
+        self, climbers: np.ndarray, kind: ListKind, is_anon: bool,
+        clear: PageFlags, gain: PageFlags,
+    ) -> None:
+        """Put unlinked climbers at the head of ``kind``, in visit order."""
+        store = self.policy.system.pagestore
+        store.flags[climbers] = (store.flags[climbers] & ~int(clear)) | int(gain)
+        lst = self.node.lruvec.list_for(kind, is_anon)
+        store.prepend_head_block(lst, climbers, int(PageFlags.LRU))
+
+    def _scan_inactive(self, is_anon: bool, budget: int) -> ScanResult:
+        """Advance referenced inactive pages up the ladder (edges 1, 6)."""
+        result, climbers = self._sweep(ListKind.INACTIVE, is_anon, budget)
+        self._climb(climbers, ListKind.ACTIVE, is_anon, PageFlags.REFERENCED, PageFlags.ACTIVE)
+        result.activated = len(climbers)
+        tr = self.policy.system.trace
+        if tr is not None:
+            for pfn in climbers.tolist():
+                tr.trace_mm_lru_activate(self.node.node_id, pfn, "kpromoted")
         return result
 
     def _scan_active(self, is_anon: bool, budget: int) -> ScanResult:
         """Move twice-referenced active pages to the promote list (edge 10)."""
-        if not self._vector_scans_ok():
-            return self._scan_active_scalar(is_anon, budget)
-        result = ScanResult()
+        result, climbers = self._sweep(ListKind.ACTIVE, is_anon, budget)
+        self._climb(
+            climbers, ListKind.PROMOTE, is_anon,
+            PageFlags.ACTIVE, PageFlags.PROMOTE | PageFlags.REFERENCED,
+        )
+        result.to_promote_list = len(climbers)
         system = self.policy.system
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        n = len(active)
-        if n == 0 or budget <= 0:
-            result.system_ns = system.hardware.scan_ns(0)
-            return result
-        promote = self.node.lruvec.list_for(ListKind.PROMOTE, is_anon)
-        store = active._store
-        k1 = min(budget, n)
-        visited = store.walk_tail(active, k1)
-        col_acc = store.pte_accessed
-        col_flags = store.flags
-        ref_bit = int(PageFlags.REFERENCED)
-        acc = col_acc[visited] & (store.mapcount[visited] > 0)
-        if acc.any():
-            col_acc[visited[acc]] = False
-        ref = (col_flags[visited] & ref_bit) != 0
-        mov_mask = acc & ref
-        new_ref = acc & ~ref
-        survivors = visited[~mov_mask]
-        movers = visited[mov_mask]
-        n_ref = int(np.count_nonzero(new_ref))
-        if n_ref:
-            col_flags[visited[new_ref]] |= ref_bit
-        if budget > n:
-            survivors = self._wrap_survivors(survivors, n, budget, result)
-            rest_tail = NO_PFN
-        else:
-            result.scanned = k1
-            rest_tail = int(store.lru_prev[visited[-1]]) if k1 < n else NO_PFN
-        store.rebuild_after_scan(active, survivors, rest_tail, len(movers))
-        if len(movers):
-            col_flags[movers] = (
-                col_flags[movers] & ~int(PageFlags.ACTIVE)
-            ) | (int(PageFlags.PROMOTE) | ref_bit)
-            store.prepend_head_block(promote, movers, int(PageFlags.LRU))
-            result.to_promote_list = len(movers)
-            if system.metrics is not None:
-                note_add = system.metrics.note_promote_list_add
-                now_ns = system.clock.now_ns
-                for pfn in movers.tolist():
-                    note_add(pfn, now_ns)
-        result.referenced = n_ref
-        result.system_ns = system.hardware.scan_ns(result.scanned)
-        return result
-
-    def _scan_inactive_scalar(self, is_anon: bool, budget: int) -> ScanResult:
-        """Reference implementation of the inactive sweep (traced runs)."""
-        result = ScanResult()
-        system = self.policy.system
-        inactive = self.node.lruvec.list_for(ListKind.INACTIVE, is_anon)
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        for page in inactive.iter_from_tail():
-            if result.scanned >= budget:
-                break
-            result.scanned += 1
-            self.policy.observe_scan(page)
-            if not page.harvest_accessed():
-                # Advance the CLOCK hand: rotate unaccessed pages so the
-                # next wakeup continues the sweep instead of re-scanning
-                # the same cold tail forever.
-                inactive.rotate_to_head(page)
-                continue
-            if page.test(PageFlags.REFERENCED):
-                inactive.remove(page)
-                page.clear(PageFlags.REFERENCED)
-                page.set(PageFlags.ACTIVE)
-                active.add_head(page)
-                result.activated += 1
-                if system.trace is not None:
-                    system.trace.trace_mm_lru_activate(
-                        self.node.node_id, page.pfn, "kpromoted"
-                    )
-            else:
-                page.set(PageFlags.REFERENCED)
-                inactive.rotate_to_head(page)
-                result.referenced += 1
-        result.system_ns = system.hardware.scan_ns(result.scanned)
-        return result
-
-    def _scan_active_scalar(self, is_anon: bool, budget: int) -> ScanResult:
-        """Reference implementation of the active sweep (traced runs)."""
-        result = ScanResult()
-        system = self.policy.system
-        active = self.node.lruvec.list_for(ListKind.ACTIVE, is_anon)
-        for page in active.iter_from_tail():
-            if result.scanned >= budget:
-                break
-            result.scanned += 1
-            self.policy.observe_scan(page)
-            if not page.harvest_accessed():
-                active.rotate_to_head(page)  # advance the CLOCK hand
-                continue
-            if page.test(PageFlags.REFERENCED):
-                move_to_promote(self.node, page)
-                result.to_promote_list += 1
-                if system.trace is not None:
-                    system.trace.trace_mm_promote_list_add(
-                        self.node.node_id, page.pfn, "kpromoted"
-                    )
-                if system.metrics is not None:
-                    system.metrics.note_promote_list_add(
-                        page.pfn, system.clock.now_ns
-                    )
-            else:
-                page.set(PageFlags.REFERENCED)
-                active.rotate_to_head(page)
-                result.referenced += 1
-        result.system_ns = system.hardware.scan_ns(result.scanned)
+        if system.trace is not None:
+            for pfn in climbers.tolist():
+                system.trace.trace_mm_promote_list_add(self.node.node_id, pfn, "kpromoted")
+        if system.metrics is not None:
+            now_ns = system.clock.now_ns
+            for pfn in climbers.tolist():
+                system.metrics.note_promote_list_add(pfn, now_ns)
         return result
 
     def _drain_promote(self, is_anon: bool, budget: int) -> ScanResult:

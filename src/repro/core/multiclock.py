@@ -53,13 +53,18 @@ class MultiClockPolicy(TieringPolicy):
     def second_reference_hook(self, node: NumaNode, page: Page) -> None:
         """Edge 10: re-referenced active page joins the promote list."""
         move_to_promote(node, page)
-        self._c_promote_list_adds.n += 1
         if self.system.trace is not None:
             self.system.trace.trace_mm_promote_list_add(node.node_id, page.pfn, "hook")
-        if self.system.metrics is not None:
-            self.system.metrics.note_promote_list_add(
-                page.pfn, self.system.clock.now_ns
-            )
+        self.promote_list_added([page.pfn])
+
+    def promote_list_added(self, pfns: list[int]) -> None:
+        """Account edge-10 joins: this hook's, and kswapd's rebalance."""
+        self._c_promote_list_adds.n += len(pfns)
+        metrics = self.system.metrics
+        if metrics is not None:
+            now_ns = self.system.clock.now_ns
+            for pfn in pfns:
+                metrics.note_promote_list_add(pfn, now_ns)
 
     def mark_page_accessed(self, page: Page) -> None:
         mark_page_accessed(self.system, page, on_second_reference=self.second_reference_hook)

@@ -236,15 +236,3 @@ class LruVec:
     def counts(self) -> dict[str, int]:
         """Per-list page counts keyed by list name (for /proc-style stats)."""
         return {lst.name: len(lst) for lst in self._lists.values()}
-
-    def active_inactive_ratio(self, is_anon: bool) -> float:
-        """active:inactive size ratio for one page family.
-
-        Section III-C rebalances when this exceeds a tunable threshold
-        (typically sqrt(10*n):1 for n GiB of tier memory).
-        """
-        active = len(self.list_for(ListKind.ACTIVE, is_anon))
-        inactive = len(self.list_for(ListKind.INACTIVE, is_anon))
-        if inactive == 0:
-            return float("inf") if active else 0.0
-        return active / inactive

@@ -12,7 +12,7 @@ on Linux memory cgroups:
   *targeted* (only its own pages evicted, Linux's ``try_charge`` →
   ``try_to_free_mem_cgroup_pages`` path), and its pages lose their CLOCK
   second chance in the shared scans via :meth:`MemcgController.scan_weight`
-  (proportional reclaim);
+  and :meth:`MemcgController.over_limit_mask` (proportional reclaim);
 * an OOM killer that selects a victim *group* by footprint (RSS + swap,
   the ``oom_badness`` analogue) and kills it — unmapping its pages so
   co-tenants keep running — instead of failing the whole machine.
@@ -27,6 +27,8 @@ unarmed runs (asserted by tests).
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
@@ -124,8 +126,8 @@ class MemcgController:
 
     @property
     def has_limits(self) -> bool:
-        """Whether any group carries a limit — the scans consult this to
-        keep armed-but-unlimited runs on their vectorized fast paths."""
+        """Whether any group carries a limit — ``shrink_inactive_list``
+        consults this to skip per-page weights when none can exceed 1."""
         return self._limited_count > 0
 
     # -- usage queries --------------------------------------------------------
@@ -242,6 +244,16 @@ class MemcgController:
         if group_id < 0:
             return 1
         return 2 if self.groups[group_id].over_limit() else 1
+
+    def over_limit_mask(self, pfns: np.ndarray) -> np.ndarray:
+        """Which of ``pfns`` weigh 2 under :meth:`scan_weight`, as a mask.
+
+        One gather of the ``memcg_id`` column through a per-group table;
+        the table's trailing False slot is what uncharged pages (id -1)
+        index, so they keep vanilla behaviour.
+        """
+        table = np.array([group.over_limit() for group in self.groups] + [False])
+        return table[self.system.pagestore.memcg_id[pfns]]
 
     # -- the OOM killer --------------------------------------------------------
 

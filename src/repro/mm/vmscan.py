@@ -7,20 +7,23 @@ Reclamation Algorithm (PFRA) ... to each memory tier separately"
 both MULTI-CLOCK and the baselines share:
 
 * ``mark_page_accessed`` — the supervised-access inline state update;
-* ``shrink_active_list``-style deactivation with the √(10·n):1
-  active:inactive ratio cap;
+* ``shrink_active_list``-style deactivation of the active tail;
 * ``shrink_inactive_list``-style reclaim scanning, with demotion to a
   lower tier or eviction to the backing store.
 
 The one MULTI-CLOCK-specific transition (active-referenced page accessed
-again → promote list, edge 10 of Figure 4) is injected as the
-``on_second_reference`` hook so this code stays policy-neutral.
+again → promote list, edge 10 of Figure 4) is injected — as the
+``on_second_reference`` hook of ``mark_page_accessed`` and the
+``on_promote_list_add`` accounting of ``deactivate_excess_active`` — so
+this code stays policy-neutral.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
@@ -28,43 +31,25 @@ from repro.mm.numa import NumaNode
 from repro.mm.page import Page
 from repro.mm.pagestore import NO_PFN
 from repro.mm.system import MemorySystem
-from repro.sim.config import PAGE_SIZE
 
 __all__ = [
-    "active_ratio_threshold",
     "mark_page_accessed",
     "deactivate_excess_active",
     "shrink_inactive_list",
+    "PromoteListFn",
     "ScanResult",
     "ScanWeightFn",
 ]
 
-from dataclasses import dataclass
-
 SecondReferenceHook = Callable[[NumaNode, Page], None]
+
+#: Edge-10 accounting for a deactivate pass: called with the pfns, in
+#: visit order, that the pass just moved to the promote list.
+PromoteListFn = Callable[[list[int]], None]
 
 #: Per-pfn reclaim pressure: 1 keeps vanilla CLOCK behaviour, anything
 #: higher strips the page's second chance (memcg proportional reclaim).
 ScanWeightFn = Callable[[int], int]
-
-_GIB = 1 << 30
-
-
-def active_ratio_threshold(node: NumaNode, cap: float | None = None) -> float:
-    """The PFRA active:inactive ratio limit for one node.
-
-    Section III-C: "typically sqrt(10*n):1, where n is the amount of
-    memory in GB available in the tier".  Clamped to at least 1 so tiny
-    simulated tiers still keep an inactive list.
-    """
-    if cap is not None:
-        return cap
-    # "memory in GB *available* in the tier": frames taken offline (a
-    # fault-injected capacity loss, or hot-remove) are not available, so
-    # a node shrunk under a fault window must also shrink its active
-    # list rather than keeping a ratio sized for frames it no longer has.
-    gib = (node.capacity_pages - node.offline_pages) * PAGE_SIZE / _GIB
-    return max(1.0, math.sqrt(10.0 * gib))
 
 
 @dataclass
@@ -127,143 +112,37 @@ def deactivate_excess_active(
     node: NumaNode,
     is_anon: bool,
     budget: int,
-    on_second_reference: SecondReferenceHook | None = None,
-    ratio_cap: float | None = None,
-    force: bool = False,
-    scan_weight: ScanWeightFn | None = None,
+    on_promote_list_add: PromoteListFn | None = None,
 ) -> ScanResult:
     """Rebalance one active list (the ``shrink_active_list`` analogue).
 
-    Runs only while the active:inactive ratio exceeds the PFRA threshold
-    (or unconditionally with ``force=True``, the under-pressure case).
-    Scanning from the tail: unreferenced pages are deactivated (edge 9);
-    referenced-once pages get their flag and a second chance; pages
-    referenced *again* go to the promote list via the hook (edge 10) or,
-    without a hook, rotate to the head (vanilla CLOCK).
+    Callers invoke it under pressure (kswapd, direct reclaim), so it
+    always scans; there is no active:inactive ratio test.  Scanning from
+    the tail: unreferenced pages are deactivated (edge 9); referenced-once
+    pages get their flag and a second chance; idle referenced pages lose
+    the flag and rotate; pages referenced *again* go to the promote list
+    (edge 10) when ``on_promote_list_add`` is given — MULTI-CLOCK's kswapd
+    passes its edge-10 accounting — or rotate to the head without it
+    (vanilla CLOCK).  Pages of an over-limit memcg lose every second
+    chance and deactivate on first sight (proportional reclaim).
 
-    ``scan_weight`` (auto-wired from an armed memcg controller carrying
-    limits) applies proportional reclaim: a page weighing more than 1
-    loses every second chance and deactivates on first sight.
-
-    The forced scan with no tracer, hook or weights — the direct-reclaim
-    escalation and every baseline kswapd pass — runs on pagestore columns
-    instead of per-page objects: a tail segment is classified with
-    boolean masks and the list is rebuilt with batch splices.  The
-    columnar walk restarts where a rotation would have wrapped, which
-    revisits pages in exactly the order the scalar wraparound does, so
-    the two paths are bit-identical (asserted by tests and the bench).
+    The scan runs on pagestore columns: each pass classifies a whole tail
+    segment with boolean masks, rotates the survivors in visit order with
+    one splice and moves each leaving block to its list head in one
+    splice.  Tracepoints are emitted from the outcome masks in visit
+    order.  A budget larger than the list re-enters the loop over the
+    rotated survivors, the way a tail-to-head walk that samples its next
+    hop before each visit carries on past the old head: every page leaves
+    within three visits, so the passes terminate.
     """
     result = ScanResult()
+    store = system.pagestore
     lruvec = node.lruvec
     active = lruvec.list_for(ListKind.ACTIVE, is_anon)
-    if scan_weight is None and system.memcg is not None and system.memcg.has_limits:
-        scan_weight = system.memcg.scan_weight
-    if (
-        force
-        and system.trace is None
-        and on_second_reference is None
-        and scan_weight is None
-        and len(active)
-    ):
-        _deactivate_vector(system, node, active, is_anon, budget, result)
-    else:
-        _deactivate_scalar(
-            system, node, active, is_anon, budget,
-            on_second_reference, ratio_cap, force, scan_weight, result,
-        )
-    result.system_ns = system.hardware.scan_ns(result.scanned)
-    if system.metrics is not None:
-        system.metrics.note_vmscan(
-            node.node_id, system.clock.now_ns,
-            scanned=result.scanned, stolen=0, deactivated=result.deactivated,
-        )
-    return result
-
-
-def _deactivate_scalar(
-    system: MemorySystem,
-    node: NumaNode,
-    active,
-    is_anon: bool,
-    budget: int,
-    on_second_reference: SecondReferenceHook | None,
-    ratio_cap: float | None,
-    force: bool,
-    scan_weight: ScanWeightFn | None,
-    result: ScanResult,
-) -> None:
-    """Page-at-a-time reference path: tracing, hooks, ratio checks, weights."""
-    lruvec = node.lruvec
     inactive = lruvec.list_for(ListKind.INACTIVE, is_anon)
-    threshold = active_ratio_threshold(node, ratio_cap)
+    promote = lruvec.list_for(ListKind.PROMOTE, is_anon)
+    memcg = system.memcg
     tr = system.trace
-    for page in active.iter_from_tail():
-        if result.scanned >= budget:
-            break
-        if not force and lruvec.active_inactive_ratio(is_anon) <= threshold:
-            break
-        result.scanned += 1
-        accessed = page.harvest_accessed()
-        if scan_weight is not None and scan_weight(page.pfn) > 1:
-            # Proportional reclaim: the over-limit group's page forfeits
-            # its recency ladder and deactivates immediately, arriving on
-            # the inactive list unreferenced so the shrinker can take it.
-            page.clear(PageFlags.ACTIVE)
-            page.clear(PageFlags.REFERENCED)
-            active.remove(page)
-            inactive.add_head(page)
-            result.deactivated += 1
-            if tr is not None:
-                tr.trace_mm_lru_deactivate(node.node_id, page.pfn, "memcg")
-            continue
-        if accessed and page.test(PageFlags.REFERENCED):
-            if on_second_reference is not None:
-                on_second_reference(node, page)
-                result.to_promote_list += 1
-            else:
-                active.rotate_to_head(page)
-                result.referenced += 1
-        elif accessed:
-            page.set(PageFlags.REFERENCED)
-            active.rotate_to_head(page)
-            result.referenced += 1
-        elif page.test(PageFlags.REFERENCED):
-            # CLOCK second chance: found idle once, drop the flag and let
-            # the hand come around again before deactivating (edge 9 is
-            # "not accessed for a long time", i.e. idle on two scans).
-            page.clear(PageFlags.REFERENCED)
-            active.rotate_to_head(page)
-        else:
-            page.clear(PageFlags.ACTIVE)
-            active.remove(page)
-            inactive.add_head(page)
-            result.deactivated += 1
-            if tr is not None:
-                tr.trace_mm_lru_deactivate(node.node_id, page.pfn, "vmscan")
-
-
-def _deactivate_vector(
-    system: MemorySystem,
-    node: NumaNode,
-    active,
-    is_anon: bool,
-    budget: int,
-    result: ScanResult,
-) -> None:
-    """Columnar force-scan over a whole tail segment per pass.
-
-    Each pass classifies ``min(budget left, list length)`` tail pages at
-    once: the accessed bit is harvested with one gather, referenced state
-    with another, and the four scalar outcomes collapse to two masks —
-    survivors rotate (via one :meth:`PageStore.rebuild_after_scan`
-    splice, preserving visit order) and the rest move to the inactive
-    head in one :meth:`PageStore.prepend_head_block`.  A budget larger
-    than the list re-enters the loop, matching the scalar iterator's
-    wraparound over freshly rotated pages: every page deactivates within
-    three visits, so the passes terminate.
-    """
-    store = system.pagestore
-    inactive = node.lruvec.list_for(ListKind.INACTIVE, is_anon)
     col_flags = store.flags
     col_acc = store.pte_accessed
     col_map = store.mapcount
@@ -283,31 +162,67 @@ def _deactivate_vector(
         if len(hit):
             col_acc[hit] = False
         ref = (col_flags[visited] & ref_bit) != 0
-        keep = acc | ref
-        survivors = visited[keep]
-        movers = visited[~keep]
-        gain_ref = visited[acc & ~ref]
+        heavy = np.zeros(k, dtype=bool) if memcg is None else memcg.over_limit_mask(visited)
+        if on_promote_list_add is None:
+            climb = np.zeros(k, dtype=bool)
+        else:
+            climb = acc & ref & ~heavy
+        keep = (acc | ref) & ~heavy & ~climb
+        drop = ~keep & ~climb
+        gain_ref = visited[keep & acc & ~ref]
         if len(gain_ref):
             col_flags[gain_ref] |= ref_bit
-        lose_ref = visited[~acc & ref]
+        lose_ref = visited[keep & ~acc]
         if len(lose_ref):
             col_flags[lose_ref] &= ~ref_bit
+        if tr is not None:
+            _trace_deactivate_pass(tr, node.node_id, visited, heavy, climb, drop)
         result.scanned += k
-        result.referenced += int(acc.sum())
+        result.referenced += int(np.count_nonzero(acc & keep))
+        survivors = visited[keep]
+        demoted = visited[drop]
+        climbers = visited[climb]
         # The unvisited remainder keeps its internal links; sample its
         # tail before the splice below rewrites the visited links.
         rest_tail = NO_PFN if k >= n else int(store.lru_prev[int(visited[-1])])
-        store.rebuild_after_scan(active, survivors, rest_tail, len(movers))
-        if len(movers):
-            col_flags[movers] &= ~active_bit
-            store.prepend_head_block(inactive, movers, lru_bit)
-            result.deactivated += len(movers)
+        store.rebuild_after_scan(active, survivors, rest_tail, k - len(survivors))
+        if len(demoted):
+            col_flags[demoted] &= ~(active_bit | ref_bit)
+            store.prepend_head_block(inactive, demoted, lru_bit)
+            result.deactivated += len(demoted)
+        if len(climbers):
+            col_flags[climbers] = (col_flags[climbers] & ~active_bit) | (
+                int(PageFlags.PROMOTE) | ref_bit
+            )
+            store.prepend_head_block(promote, climbers, lru_bit)
+            result.to_promote_list += len(climbers)
+            on_promote_list_add(climbers.tolist())
         if k >= n and not keep[:-1].any():
-            # The scalar iterator captures its next hop before each
-            # yield: visiting the original head it sees the first
-            # rotated survivor — or, when nothing rotated ahead of it,
-            # the end of the list, and stops with budget to spare.
+            # The walk samples its next hop before each visit: visiting
+            # the original head it sees the first rotated survivor — or,
+            # when nothing rotated ahead of it, the end of the list, and
+            # stops with budget to spare.
             break
+    result.system_ns = system.hardware.scan_ns(result.scanned)
+    if system.metrics is not None:
+        system.metrics.note_vmscan(
+            node.node_id, system.clock.now_ns,
+            scanned=result.scanned, stolen=0, deactivated=result.deactivated,
+        )
+    return result
+
+
+def _trace_deactivate_pass(
+    tr, node_id: int, visited: np.ndarray, heavy: np.ndarray,
+    climb: np.ndarray, drop: np.ndarray,
+) -> None:
+    """Emit one pass's tracepoints in visit order from its outcome masks."""
+    for i in np.flatnonzero(drop | climb).tolist():
+        pfn = int(visited[i])
+        if climb[i]:
+            tr.trace_mm_promote_list_add(node_id, pfn, "hook")
+        else:
+            tr.trace_mm_lru_deactivate(node_id, pfn, "memcg" if heavy[i] else "vmscan")
 
 
 def shrink_inactive_list(

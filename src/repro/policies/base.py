@@ -120,7 +120,7 @@ class TieringPolicy(abc.ABC):
         # Escalation: fill inactive lists from active, then force-evict.
         for node in reversed(self.system.allocator.fallback_order):
             for is_anon in (True, False):
-                deactivate_excess_active(self.system, node, is_anon, budget=256, force=True)
+                deactivate_excess_active(self.system, node, is_anon, budget=256)
             freed += self._force_evict(node, 32)
             if freed:
                 return freed

@@ -115,7 +115,6 @@ class SimulationConfig:
     daemons: DaemonConfig = field(default_factory=DaemonConfig)
     seed: int = 42
     stats_window_s: float = 20.0
-    active_inactive_ratio_cap: float | None = None
     swap_pages: int = 1 << 28
     sockets: int = 1
     """NUMA sockets.  Nodes are assigned round-robin within each tier, as

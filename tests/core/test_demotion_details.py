@@ -1,44 +1,16 @@
 """Detailed tests of the Section III-C demotion pipeline's ordering."""
 
-import math
-
 import pytest
 
 from repro.machine import Machine
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
-from repro.mm.vmscan import active_ratio_threshold
-from repro.sim.config import PAGE_SIZE, SimulationConfig
+from repro.sim.config import SimulationConfig
 
 
 @pytest.fixture
 def machine():
     return Machine(SimulationConfig(dram_pages=(64,), pm_pages=(512,)), "multiclock")
-
-
-def test_ratio_threshold_formula():
-    """Section III-C: "typically sqrt(10*n):1, where n is the amount of
-    memory in GB available in the tier"."""
-    machine = Machine(
-        SimulationConfig(dram_pages=(2 * (1 << 30) // PAGE_SIZE,), pm_pages=(1024,)),
-        "static",
-    )
-    node = machine.system.nodes[0]
-    assert active_ratio_threshold(node) == pytest.approx(math.sqrt(20.0))
-
-
-def test_ratio_threshold_floor_for_tiny_tiers(machine):
-    assert active_ratio_threshold(machine.system.nodes[0]) == 1.0
-
-
-def test_ratio_cap_override_through_config():
-    config = SimulationConfig(
-        dram_pages=(64,), pm_pages=(512,), active_inactive_ratio_cap=2.5
-    )
-    machine = Machine(config, "multiclock")
-    assert config.active_inactive_ratio_cap == 2.5
-    node = machine.system.nodes[0]
-    assert active_ratio_threshold(node, config.active_inactive_ratio_cap) == 2.5
 
 
 def test_balance_stops_at_high_watermark(machine):

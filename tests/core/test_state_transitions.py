@@ -143,7 +143,7 @@ def test_edge9_idle_active_page_deactivates(machine):
     machine.policy.mark_page_accessed(page)
     assert classify(page) is PageState.ACTIVE_UNREFERENCED
     page.harvest_accessed()  # the page then goes idle for a long time
-    deactivate_excess_active(machine.system, node, True, budget=64, force=True)
+    deactivate_excess_active(machine.system, node, True, budget=64)
     assert classify(page) is PageState.INACTIVE_UNREFERENCED
 
 

@@ -179,18 +179,3 @@ def test_lruvec_counts_and_evictable():
     vec.list_for(ListKind.UNEVICTABLE).add_head(pages[2])
     assert vec.counts()["anon_inactive"] == 1
     assert vec.evictable_pages() == 2
-
-
-def test_active_inactive_ratio():
-    vec = LruVec()
-    for __ in range(4):
-        vec.list_for(ListKind.ACTIVE, True).add_head(Page(0))
-    vec.list_for(ListKind.INACTIVE, True).add_head(Page(0))
-    assert vec.active_inactive_ratio(True) == pytest.approx(4.0)
-
-
-def test_active_inactive_ratio_empty_inactive():
-    vec = LruVec()
-    assert vec.active_inactive_ratio(True) == 0.0
-    vec.list_for(ListKind.ACTIVE, True).add_head(Page(0))
-    assert vec.active_inactive_ratio(True) == float("inf")

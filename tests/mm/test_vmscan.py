@@ -6,7 +6,6 @@ from repro.machine import Machine
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.vmscan import (
-    active_ratio_threshold,
     deactivate_excess_active,
     mark_page_accessed,
     shrink_inactive_list,
@@ -27,16 +26,6 @@ def resident_page(system, node, process, vpage, *, kind=ListKind.INACTIVE):
     if kind is ListKind.ACTIVE:
         page.set(PageFlags.ACTIVE)
     return page
-
-
-def test_active_ratio_threshold_at_least_one(system):
-    node = system.nodes[0]
-    assert active_ratio_threshold(node) >= 1.0
-
-
-def test_active_ratio_threshold_cap_override(system):
-    node = system.nodes[0]
-    assert active_ratio_threshold(node, cap=3.5) == 3.5
 
 
 def test_mark_accessed_inactive_ladder(system):
@@ -110,7 +99,7 @@ def test_deactivate_moves_unreferenced_to_inactive(system):
     process = system.create_process()
     process.mmap_anon(0, 16)
     pages = [resident_page(system, node, process, i, kind=ListKind.ACTIVE) for i in range(4)]
-    result = deactivate_excess_active(system, node, True, budget=16, force=True)
+    result = deactivate_excess_active(system, node, True, budget=16)
     assert result.deactivated == 4
     for page in pages:
         assert page.lru.kind is ListKind.INACTIVE
@@ -123,22 +112,10 @@ def test_deactivate_gives_accessed_pages_second_chance(system):
     process.mmap_anon(0, 16)
     page = resident_page(system, node, process, 0, kind=ListKind.ACTIVE)
     process.page_table.lookup(0).accessed = True
-    result = deactivate_excess_active(system, node, True, budget=16, force=True)
+    result = deactivate_excess_active(system, node, True, budget=16)
     assert result.referenced == 1
     assert page.lru.kind is ListKind.ACTIVE
     assert page.test(PageFlags.REFERENCED)
-
-
-def test_deactivate_respects_ratio_without_force(system):
-    node = system.nodes[0]
-    process = system.create_process()
-    process.mmap_anon(0, 64)
-    # 1 active : 10 inactive is far below any threshold -> no work.
-    resident_page(system, node, process, 0, kind=ListKind.ACTIVE)
-    for i in range(1, 11):
-        resident_page(system, node, process, i)
-    result = deactivate_excess_active(system, node, True, budget=64)
-    assert result.scanned == 0
 
 
 def test_deactivate_budget_respected(system):
@@ -147,7 +124,7 @@ def test_deactivate_budget_respected(system):
     process.mmap_anon(0, 64)
     for i in range(10):
         resident_page(system, node, process, i, kind=ListKind.ACTIVE)
-    result = deactivate_excess_active(system, node, True, budget=3, force=True)
+    result = deactivate_excess_active(system, node, True, budget=3)
     assert result.scanned == 3
 
 
@@ -259,95 +236,3 @@ def test_shrink_inactive_stops_at_target(system):
         resident_page(system, pm, process, i)
     result = shrink_inactive_list(system, pm, True, target_free=3, budget=16, demote_dest=None)
     assert result.evicted == 3
-
-
-def test_active_ratio_threshold_ignores_offline_frames():
-    """Section III-C sizes the ratio by memory *available* in the tier:
-    frames taken offline (capacity-loss fault, hot-remove) must shrink
-    the threshold, not keep it sized for frames the node no longer has."""
-    from repro.mm.hardware import MemoryTier
-    from repro.mm.numa import NumaNode
-
-    node = NumaNode.create(1, MemoryTier.PM, 1 << 20, 1 << 20)  # 4 GiB
-    full = active_ratio_threshold(node)
-    assert full > 1.0
-    node.take_offline(3 * (1 << 18))  # lose 3 GiB
-    assert active_ratio_threshold(node) < full
-    assert active_ratio_threshold(node) == pytest.approx(
-        active_ratio_threshold(NumaNode.create(1, MemoryTier.PM, 1 << 18, 1 << 18))
-    )
-    node.bring_online(3 * (1 << 18))
-    assert active_ratio_threshold(node) == pytest.approx(full)
-
-
-# -- columnar deactivate == scalar deactivate (bit-identity) -----------------
-
-
-def _warmed_machine():
-    """A machine with populated, perturbed active lists on every node."""
-    machine = Machine(
-        SimulationConfig(dram_pages=(128,), pm_pages=(512,)), "multiclock"
-    )
-    process = machine.create_process()
-    process.mmap_anon(0, 500)
-    for vpage in range(500):
-        machine.system.touch(process, vpage)
-    for vpage in range(500):
-        machine.system.touch(process, vpage)  # second touch activates
-    machine.clock.advance_app(int(5e8))
-    machine.drain_daemons()
-    # Deterministic perturbation: mixed accessed bits and REFERENCED
-    # flags so the scan exercises all four classification outcomes.
-    store = machine.system.pagestore
-    ref = int(PageFlags.REFERENCED)
-    store.pte_accessed[:] = False
-    store.pte_accessed[::3] = True
-    store.flags[::5] |= ref
-    store.flags[2::7] &= ~ref
-    return machine
-
-
-def _digest(machine):
-    store = machine.system.pagestore
-    state = []
-    for node in machine.system.nodes.values():
-        for lst in node.lruvec.all_lists():
-            order = [page.pfn for page in lst]
-            state.append((
-                lst.name,
-                order,
-                [int(store.flags[pfn]) for pfn in order],
-                [bool(store.pte_accessed[pfn]) for pfn in order],
-            ))
-    return state
-
-
-@pytest.mark.parametrize("budget", [7, 64, 300, 5000])
-def test_vector_deactivate_bit_identical_to_scalar(budget):
-    from repro.mm import vmscan
-
-    vec = _warmed_machine()
-    ref = _warmed_machine()
-    assert _digest(vec) == _digest(ref)  # identical starting states
-
-    for node_id in list(vec.system.nodes):
-        for is_anon in (True, False):
-            node_v = vec.system.nodes[node_id]
-            node_r = ref.system.nodes[node_id]
-            if not len(node_v.lruvec.list_for(ListKind.ACTIVE, is_anon)):
-                continue
-            # Vector arm: the public forced entry (no trace/hook/weights).
-            rv = deactivate_excess_active(
-                vec.system, node_v, is_anon, budget, force=True
-            )
-            # Scalar arm: the reference loop, called directly.
-            rr = vmscan.ScanResult()
-            vmscan._deactivate_scalar(
-                ref.system, node_r,
-                node_r.lruvec.list_for(ListKind.ACTIVE, is_anon),
-                is_anon, budget, None, None, True, None, rr,
-            )
-            assert (rv.scanned, rv.deactivated, rv.referenced) == (
-                rr.scanned, rr.deactivated, rr.referenced
-            )
-    assert _digest(vec) == _digest(ref)

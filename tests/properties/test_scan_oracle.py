@@ -1,0 +1,318 @@
+"""The CLOCK scans against a deliberately naive Figure-4 reference model.
+
+The simulator's list scans are column sweeps over the page store.  This
+module checks them against an independent model that keeps each list as
+a plain Python list of pfns (tail first) and each page as a plain
+record, and walks one page at a time with one branch per numbered
+Figure-4 edge.  Hypothesis generates the list states: lengths 0-300,
+budgets below, at and above the scanned list's length, mixed
+accessed/referenced/dirty/mapped bits, with and without the edge-10
+hook, with and without an over-limit memcg, and with and without an
+``observe_scan`` override.  On every state the model and the simulator
+must agree on list order, flag words, accessed and dirty bits, the
+``ScanResult`` fields, the tracepoint sequence and, for the override,
+the exact sequence of observed pages.
+
+Two walk shapes appear, as in the simulator:
+
+* kpromoted's hand takes the tail page ``budget`` times; once the list
+  is lapped every further visit rotates a survivor, until the budget is
+  spent or the list is empty;
+* the reclaim-side deactivation walks tail to head and samples its next
+  hop *before* each visit, so it stops when it passes the current head.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.multiclock import MultiClockPolicy
+from repro.core.rw_weighted import RWWeightedMultiClockPolicy
+from repro.mm.flags import PageFlags
+from repro.mm.lruvec import ListKind
+from repro.mm.memcg import MemcgController
+from repro.mm.system import MemorySystem
+from repro.mm.vmscan import deactivate_excess_active
+from repro.sim.config import SimulationConfig
+from repro.trace.tracer import Tracer
+
+KINDS = ("inactive", "active", "promote")
+LIST_KIND = {"inactive": ListKind.INACTIVE, "active": ListKind.ACTIVE,
+             "promote": ListKind.PROMOTE}
+NODE = 1  # the PM node: room for every generated page
+CONFIG = SimulationConfig(dram_pages=(64,), pm_pages=(1024,))
+
+
+class ObservingPolicy(RWWeightedMultiClockPolicy):
+    """multiclock-rw that also logs every page ``observe_scan`` sees."""
+
+    def __init__(self, system: MemorySystem) -> None:
+        self.observed: list[int] = []
+        super().__init__(system)
+
+    def observe_scan(self, page) -> None:
+        self.observed.append(page.pfn)
+        super().observe_scan(page)
+
+
+# -- the reference model ------------------------------------------------------
+
+
+@dataclass
+class Rec:
+    """One page: plain fields, no columns."""
+
+    pfn: int
+    accessed: bool
+    dirty: bool
+    mapped: bool
+    referenced: bool
+    active: bool
+    promote: bool
+    heavy: bool  # charged to an over-limit memcg
+    policy_data: object = None
+
+    def flag_word(self) -> int:
+        word = int(PageFlags.LRU)
+        if self.referenced:
+            word |= int(PageFlags.REFERENCED)
+        if self.active:
+            word |= int(PageFlags.ACTIVE)
+        if self.promote:
+            word |= int(PageFlags.PROMOTE)
+        return word
+
+
+@dataclass
+class Model:
+    pages: dict[int, Rec]
+    lists: dict[str, list[int]]  # tail first
+    events: list[tuple] = field(default_factory=list)
+    observed: list[int] = field(default_factory=list)
+    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("scanned", "activated", "deactivated", "referenced", "to_promote_list"), 0))
+
+    def harvest(self, rec: Rec) -> bool:
+        """Test and clear the accessed bit; only a mapped page counts."""
+        if rec.mapped and rec.accessed:
+            rec.accessed = False
+            return True
+        return False
+
+    def observe(self, rec: Rec) -> None:
+        """multiclock-rw's observation: harvest the dirty bit."""
+        self.observed.append(rec.pfn)
+        written = rec.mapped and rec.dirty
+        if written:
+            rec.dirty = False
+        rec.policy_data = written
+
+    def rotate(self, kind: str, pfn: int) -> None:
+        self.lists[kind].remove(pfn)
+        self.lists[kind].append(pfn)
+
+    def move(self, src: str, dst: str, pfn: int) -> None:
+        self.lists[src].remove(pfn)
+        self.lists[dst].append(pfn)
+
+    def kpromoted_scan(self, src: str, budget: int, observing: bool) -> None:
+        """kpromoted's inactive (edges 1, 6) or active (7/8, 10) scan."""
+        lst = self.lists[src]
+        while self.counts["scanned"] < budget and lst:
+            rec = self.pages[lst[0]]
+            self.counts["scanned"] += 1
+            if observing:
+                self.observe(rec)
+            accessed = self.harvest(rec)
+            if accessed and rec.referenced and src == "inactive":
+                # Edge 6: a second reference activates the page.
+                rec.referenced, rec.active = False, True
+                self.move("inactive", "active", rec.pfn)
+                self.counts["activated"] += 1
+                self.events.append(("mm_lru_activate", rec.pfn, "kpromoted"))
+            elif accessed and rec.referenced:
+                # Edge 10: an active page referenced again is promoted.
+                rec.active, rec.promote = False, True
+                self.move("active", "promote", rec.pfn)
+                self.counts["to_promote_list"] += 1
+                self.events.append(("mm_promote_list_add", rec.pfn, "kpromoted"))
+            elif accessed:
+                # Edges 1 (inactive) and 7/8 (active): first reference.
+                rec.referenced = True
+                self.rotate(src, rec.pfn)
+                self.counts["referenced"] += 1
+            else:
+                self.rotate(src, rec.pfn)
+
+    def deactivate(self, budget: int, hooked: bool) -> None:
+        """The reclaim-side active-list rebalance (edges 9, 10, memcg)."""
+        lst = self.lists["active"]
+        cursor = lst[0] if lst else None
+        while cursor is not None and self.counts["scanned"] < budget:
+            at = lst.index(cursor)
+            following = lst[at + 1] if at + 1 < len(lst) else None
+            rec = self.pages[cursor]
+            self.counts["scanned"] += 1
+            accessed = self.harvest(rec)
+            if rec.heavy:
+                # Memcg deactivation: an over-limit group's page loses
+                # its ladder and goes to the inactive list unreferenced.
+                rec.active, rec.referenced = False, False
+                self.move("active", "inactive", rec.pfn)
+                self.counts["deactivated"] += 1
+                self.events.append(("mm_lru_deactivate", rec.pfn, "memcg"))
+            elif accessed and rec.referenced and hooked:
+                # Edge 10 through MULTI-CLOCK's hook.
+                rec.active, rec.promote = False, True
+                self.move("active", "promote", rec.pfn)
+                self.counts["to_promote_list"] += 1
+                self.events.append(("mm_promote_list_add", rec.pfn, "hook"))
+            elif accessed:
+                # Edges 7/8 (or a vanilla CLOCK second reference).
+                rec.referenced = True
+                self.rotate("active", rec.pfn)
+                self.counts["referenced"] += 1
+            elif rec.referenced:
+                # Idle once: drop the flag, keep the second chance.
+                rec.referenced = False
+                self.rotate("active", rec.pfn)
+            else:
+                # Edge 9: idle twice, deactivate.
+                rec.active = False
+                self.move("active", "inactive", rec.pfn)
+                self.counts["deactivated"] += 1
+                self.events.append(("mm_lru_deactivate", rec.pfn, "vmscan"))
+            cursor = following
+
+
+# -- building both sides from one generated state -----------------------------
+
+GROUPS = ("uncharged", "light", "heavy")
+
+
+def page_record(byte: int) -> tuple:
+    """Decode one generated byte into (list, accessed, referenced, dirty,
+    mapped, memcg group); one byte per page keeps generation cheap."""
+    bits = byte // 3
+    return (KINDS[byte % 3], bool(bits & 1), bool(bits & 2), bool(bits & 4),
+            bool(bits & 8), GROUPS[(bits >> 4) % 3])
+
+
+def build(records, *, observing, memcg, traced):
+    system = MemorySystem(CONFIG)
+    policy = (ObservingPolicy if observing else MultiClockPolicy)(system)
+    if traced:
+        system.trace = Tracer(system.clock)
+    processes = {name: system.create_process(name) for name in ("light", "heavy")}
+    for process in processes.values():
+        process.mmap_anon(0, len(records) + 1)
+    if memcg:
+        system.memcg = MemcgController(system)
+        for name, limit in (("light", None), ("heavy", 0)):
+            system.memcg.attach(processes[name], system.memcg.create_group(name, limit))
+    node = system.nodes[NODE]
+    store = system.pagestore
+    pages: dict[int, Rec] = {}
+    lists: dict[str, list[int]] = {kind: [] for kind in KINDS}
+    for vpage, (kind, accessed, referenced, dirty, mapped, group) in enumerate(records):
+        page = node.allocate_page(is_anon=True)
+        process = processes["heavy" if group == "heavy" else "light"]
+        if mapped:
+            process.page_table.map(vpage, page)
+        if memcg and group != "uncharged":
+            system.memcg.commit_charge(page, process)
+        node.lruvec.list_for(LIST_KIND[kind], True).add_head(page)
+        rec = Rec(page.pfn, accessed, dirty, mapped, referenced,
+                  active=kind == "active", promote=kind == "promote",
+                  heavy=memcg and group == "heavy")
+        store.flags[page.pfn] = rec.flag_word()
+        store.pte_accessed[page.pfn] = accessed
+        store.pte_dirty[page.pfn] = dirty
+        pages[page.pfn] = rec
+        lists[kind].append(page.pfn)
+    return system, policy, Model(pages, lists)
+
+
+def real_state(system):
+    store = system.pagestore
+    lruvec = system.nodes[NODE].lruvec
+    lists = {kind: [page.pfn for page in lruvec.list_for(LIST_KIND[kind], True).iter_from_tail()]
+             for kind in KINDS}
+    pages = {
+        pfn: (int(store.flags[pfn]), bool(store.pte_accessed[pfn]),
+              bool(store.pte_dirty[pfn]), store.pages[pfn].policy_data)
+        for order in lists.values() for pfn in order
+    }
+    return lists, pages
+
+
+def model_state(model):
+    pages = {
+        pfn: (rec.flag_word(), rec.accessed, rec.dirty, rec.policy_data)
+        for pfn, rec in model.pages.items()
+    }
+    return model.lists, pages
+
+
+def real_events(system):
+    if system.trace is None:
+        return []
+    return [(event.name, event.pfn, event.fields.get("scanner", event.fields.get("source")))
+            for event in system.trace.buffers.get(NODE, ())]
+
+
+@st.composite
+def scan_cases(draw):
+    # Short lists half the time: the walk's end-of-list cases (a lone
+    # survivor, nothing rotated ahead of the old head) need them.
+    size = draw(st.one_of(st.integers(0, 6), st.integers(0, 300)))
+    records = [page_record(byte) for byte in draw(st.binary(min_size=size, max_size=size))]
+    scan = draw(st.sampled_from(("inactive", "active", "deactivate")))
+    n = sum(kind == ("active" if scan == "deactivate" else scan) for kind, *_ in records)
+    budget = draw(st.one_of(
+        st.integers(0, max(n - 1, 0)),      # below the length
+        st.just(n),                         # at it
+        st.integers(n + 1, 4 * n + 8),      # above it: the scan laps
+    ))
+    return records, scan, budget
+
+
+@settings(max_examples=300)
+@given(
+    case=scan_cases(),
+    observing=st.booleans(),
+    hooked=st.booleans(),
+    memcg=st.booleans(),
+    traced=st.booleans(),
+)
+def test_scans_match_the_reference_model(case, observing, hooked, memcg, traced):
+    records, scan, budget = case
+    system, policy, model = build(records, observing=observing, memcg=memcg, traced=traced)
+    kpromoted = policy._kpromoted[NODE]
+    if scan == "inactive":
+        result = kpromoted._scan_inactive(True, budget)
+        model.kpromoted_scan("inactive", budget, observing)
+    elif scan == "active":
+        result = kpromoted._scan_active(True, budget)
+        model.kpromoted_scan("active", budget, observing)
+    else:
+        result = deactivate_excess_active(
+            system, system.nodes[NODE], True, budget,
+            on_promote_list_add=policy.promote_list_added if hooked else None,
+        )
+        model.deactivate(budget, hooked)
+
+    assert real_state(system) == model_state(model)
+    assert {name: getattr(result, name) for name in model.counts} == model.counts
+    assert (result.promoted, result.demoted, result.evicted) == (0, 0, 0)
+    assert result.system_ns == system.hardware.scan_ns(model.counts["scanned"])
+    if traced:
+        assert real_events(system) == model.events
+    if observing:
+        assert policy.observed == model.observed
+    if scan == "deactivate":
+        # Edge-10 joins through the hook are the policy's to count.
+        assert system.stats.get("multiclock.promote_list_adds") == model.counts["to_promote_list"]

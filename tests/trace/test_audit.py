@@ -28,15 +28,27 @@ def run_traced(policy="multiclock", *, capacity=None, pages=400, ops=5000):
     return machine
 
 
+#: A memcg-limited MULTI-CLOCK colocation (see ``run_limited_colo``).
+LIMITED = "multiclock+memcg-limit"
+
+
+def traced_run(case, limited_colo, *, capacity=None):
+    if case == LIMITED:
+        return limited_colo(traced=True, capacity=capacity)
+    return run_traced(case, capacity=capacity)
+
+
 def test_audit_requires_a_tracer():
     machine = Machine(CONFIG, "static")
     with pytest.raises(RuntimeError):
         audit_machine(machine)
 
 
-@pytest.mark.parametrize("policy", ["multiclock", "static", "nimble", "autonuma"])
-def test_round_trip_audit_is_clean(policy):
-    machine = run_traced(policy)
+@pytest.mark.parametrize(
+    "case", ["multiclock", "multiclock-rw", LIMITED, "static", "nimble", "autonuma"]
+)
+def test_round_trip_audit_is_clean(case, limited_colo):
+    machine = traced_run(case, limited_colo)
     report = audit_machine(machine)
     assert report.ok, report.render()
     assert report.complete
@@ -64,8 +76,9 @@ def test_tampered_replay_counter_is_caught():
     assert any("migrate.demotions" in m for m in report.mismatches)
 
 
-def test_overwritten_rings_skip_replay_but_keep_counter_checks():
-    machine = run_traced("multiclock", capacity=32)
+@pytest.mark.parametrize("case", ["multiclock", LIMITED])
+def test_overwritten_rings_skip_replay_but_keep_counter_checks(case, limited_colo):
+    machine = traced_run(case, limited_colo, capacity=32)
     tracer = machine.system.trace
     assert not tracer.complete  # the tiny ring must have overwritten
     report = audit_machine(machine)
