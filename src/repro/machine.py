@@ -292,6 +292,7 @@ class Machine:
                 pt_dict = process.page_table._entries
                 home_socket = process.home_socket
                 reg_start = reg_end = 0
+                reg_supervised = False
             try:
                 pte = pt_dict[vpage]
             except KeyError:
@@ -321,7 +322,9 @@ class Machine:
                 col_node = store.node
                 col_await = store.awaiting_ns
                 continue
-            if not reg_start <= vpage < reg_end:
+            # Only supervision is read from the region, so a process with
+            # no supervised region skips the lookup altogether.
+            if not reg_start <= vpage < reg_end and process.supervised_regions:
                 region = process.region_for(vpage)
                 reg_start = region.start_vpage
                 reg_end = region.end_vpage

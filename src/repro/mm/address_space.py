@@ -62,6 +62,9 @@ class Process:
         self.page_table = PageTable(self.pid)
         self._regions: list[MemoryRegion] = []
         self._region_starts: list[int] = []
+        #: How many regions are supervised; while 0, an access never
+        #: needs its region looked up (only supervision is read there).
+        self.supervised_regions = 0
 
     @property
     def regions(self) -> list[MemoryRegion]:
@@ -78,6 +81,7 @@ class Process:
             raise ValueError(f"region {region} overlaps {after}")
         self._regions.insert(idx, region)
         self._region_starts.insert(idx, region.start_vpage)
+        self.supervised_regions += region.supervised
         return region
 
     def mmap_anon(

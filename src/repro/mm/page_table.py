@@ -10,9 +10,12 @@ software fault on next access).
 With the struct-of-arrays page store the accessed/dirty bits live as
 page-level columns (the OR across a page's mappings — exactly the signal
 ``harvest_accessed`` consumes); the PTE exposes them as properties.  The
-table additionally maintains a dense ``vpage → pfn`` translation column
-(:attr:`PageTable.v2p`) so the batched touch path can resolve whole
+table can additionally keep a dense ``vpage → pfn`` translation column
+(:attr:`PageTable.v2p`) so the array touch driver can resolve whole
 access vectors with one numpy gather instead of a dict probe per access.
+The column is built from the entries on that driver's first
+:meth:`PageTable.ensure_dense_capacity` call and kept current from then
+on; tables only ever driven access by access never allocate it.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ class PageTable:
     def __init__(self, process_id: int) -> None:
         self.process_id = process_id
         self._entries: dict[int, PageTableEntry] = {}
-        #: dense vpage → pfn translation (-1 unmapped); grown on demand.
-        self.v2p = np.full(64, -1, dtype=np.int64)
+        #: dense vpage → pfn translation (-1 unmapped); None until the
+        #: first ensure_dense_capacity(), grown on demand after it.
+        self.v2p: np.ndarray | None = None
         #: False once a vpage beyond the dense bound was mapped; the
         #: vector touch path requires a dense table.
         self.dense = True
@@ -125,10 +129,16 @@ class PageTable:
         return self._entries.get(vpage)
 
     def ensure_dense_capacity(self, size: int) -> bool:
-        """Grow ``v2p`` to cover ``size`` vpages; False if out of range."""
-        if size > _MAX_DENSE_VPAGE:
+        """Build or grow ``v2p`` to cover ``size`` vpages; False if out
+        of range or the table is no longer dense."""
+        if size > _MAX_DENSE_VPAGE or not self.dense:
             return False
-        if size > len(self.v2p):
+        if self.v2p is None:
+            vpages = np.fromiter(self._entries, dtype=np.int64, count=len(self))
+            top = int(vpages.max()) + 1 if len(vpages) else 0
+            self.v2p = np.full(max(64, size, top), -1, dtype=np.int64)
+            self.v2p[vpages] = [pte.page.pfn for pte in self._entries.values()]
+        elif size > len(self.v2p):
             grown = np.full(max(size, len(self.v2p) * 2), -1, dtype=np.int64)
             grown[: len(self.v2p)] = self.v2p
             self.v2p = grown
@@ -142,11 +152,10 @@ class PageTable:
         self._entries[vpage] = pte
         page.rmap.append(pte)
         page._store.mapcount[page.pfn] += 1
-        if self.dense:
-            if self.ensure_dense_capacity(vpage + 1):
-                self.v2p[vpage] = page.pfn
-            else:
-                self.dense = False
+        if vpage >= _MAX_DENSE_VPAGE:
+            self.dense = False
+        elif self.v2p is not None and self.ensure_dense_capacity(vpage + 1):
+            self.v2p[vpage] = page.pfn
         return pte
 
     def unmap(self, vpage: int) -> PageTableEntry:
@@ -165,7 +174,7 @@ class PageTable:
             store.pte_dirty[page.pfn] = False
         if pte.poisoned:
             pte.poisoned = False
-        if vpage < len(self.v2p):
+        if self.v2p is not None and vpage < len(self.v2p):
             self.v2p[vpage] = -1
         self._unmap_gen += 1
         return pte

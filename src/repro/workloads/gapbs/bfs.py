@@ -6,13 +6,19 @@ different sampled source, as the GAPBS harness does.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess
-from repro.workloads.gapbs.base import GraphKernelWorkload
+from repro.workloads.gapbs.base import (
+    NEIGH,
+    OFF,
+    GraphKernelWorkload,
+    decode_events,
+    prop,
+)
 
 __all__ = ["BFSWorkload"]
+
+_READ = prop(0)
+_WRITE = prop(0, is_write=True)
 
 
 class BFSWorkload(GraphKernelWorkload):
@@ -21,22 +27,24 @@ class BFSWorkload(GraphKernelWorkload):
     def n_property_arrays(self) -> int:
         return 1  # parent
 
-    def run_trial(self, trial: int) -> Iterator[PageAccess]:
+    def trial_events(self, trial: int):
         graph = self.graph
         rng = make_rng(self.seed, f"bfs-src-{trial}")
         source = int(rng.integers(0, graph.n))
         parent = {source: source}
-        yield from self.touch_prop(source, is_write=True)
+        events = [source << 4 | _WRITE]
+        emit = events.append
         frontier = [source]
         while frontier:
             next_frontier = []
             for u in frontier:
-                yield from self.touch_offsets(u)
-                yield from self.touch_neighbors(u)
+                emit(u << 4 | OFF)
+                emit(u << 4 | NEIGH)
                 for v in graph.neigh(u).tolist():
-                    yield from self.touch_prop(v)
+                    emit(v << 4 | _READ)
                     if v not in parent:
                         parent[v] = u
-                        yield from self.touch_prop(v, is_write=True)
+                        emit(v << 4 | _WRITE)
                         next_frontier.append(v)
             frontier = next_frontier
+        return (*decode_events(events), {})

@@ -7,10 +7,15 @@ sweep is the most sequential access pattern of the six kernels.
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
-from repro.workloads.base import PageAccess
-from repro.workloads.gapbs.base import GraphKernelWorkload
+from repro.workloads.gapbs.base import (
+    NEIGH,
+    OFF,
+    GraphKernelWorkload,
+    interleave,
+    prop,
+)
 from repro.workloads.gapbs.graph import Graph
 
 __all__ = ["ConnectedComponentsWorkload"]
@@ -18,6 +23,7 @@ __all__ = ["ConnectedComponentsWorkload"]
 
 class ConnectedComponentsWorkload(GraphKernelWorkload):
     kernel = "cc"
+    trial_invariant = True
 
     def __init__(
         self, graph: Graph, *, trials: int = 1, seed: int = 1, max_rounds: int = 12
@@ -31,24 +37,39 @@ class ConnectedComponentsWorkload(GraphKernelWorkload):
     def n_property_arrays(self) -> int:
         return 1  # component id
 
-    def run_trial(self, trial: int) -> Iterator[PageAccess]:
+    def kernel_params(self) -> tuple:
+        return (self.max_rounds,)
+
+    def trial_events(self, trial: int):
         graph = self.graph
-        comp = list(range(graph.n))
+        n = graph.n
+        degree = np.diff(graph.offsets)
+        vertices = np.arange(n)
+        adjacency = [graph.neigh(u).tolist() for u in range(n)]
+        comp = list(range(n))
+        rounds = []
         for __round in range(self.max_rounds):
-            changed = False
-            for u in range(graph.n):
-                yield from self.touch_offsets(u)
-                yield from self.touch_prop(u)
+            # Labels update in place, so a vertex sees the labels its
+            # lower-numbered neighbors adopted earlier in this round.
+            wrote = np.zeros(n, dtype=bool)
+            for u in range(n):
                 best = comp[u]
-                yield from self.touch_neighbors(u)
-                for v in graph.neigh(u).tolist():
-                    yield from self.touch_prop(v)
+                for v in adjacency[u]:
                     if comp[v] < best:
                         best = comp[v]
                 if best < comp[u]:
                     comp[u] = best
-                    yield from self.touch_prop(u, is_write=True)
-                    changed = True
-            if not changed:
+                    wrote[u] = True
+            # Per vertex: read offsets[u] and comp[u], its neighbor range
+            # and every neighbor's label, then write comp[u] if it fell.
+            rounds.append(interleave([
+                (np.ones(n), vertices, OFF),
+                (np.ones(n), vertices, prop(0)),
+                (np.ones(n), vertices, NEIGH),
+                (degree, graph.neighbors, prop(0)),
+                (wrote, vertices[wrote], prop(0, is_write=True)),
+            ]))
+            if not wrote.any():
                 break
-        self.final_components = comp
+        ev_v, ev_k = (np.concatenate(cols) for cols in zip(*rounds))
+        return ev_v, ev_k, {"final_components": comp}

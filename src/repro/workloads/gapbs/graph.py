@@ -50,6 +50,9 @@ class Graph:
         np.add.at(self.offsets, both[:, 0] + 1, 1)
         np.cumsum(self.offsets, out=self.offsets)
         self.neighbors = both[:, 1].astype(np.int32)
+        #: The GAPBS kernels' candidate touch columns for the latest kernel
+        #: configuration run over this graph, shared by every policy.
+        self.emission_memo: dict = {}
 
     @property
     def m_directed(self) -> int:

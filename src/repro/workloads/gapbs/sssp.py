@@ -9,16 +9,24 @@ relaxations — is the same, which is what the tiering policies see).
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
 
 import numpy as np
 
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess
-from repro.workloads.gapbs.base import GraphKernelWorkload
+from repro.workloads.gapbs.base import (
+    NEIGH,
+    OFF,
+    WEIGHT,
+    GraphKernelWorkload,
+    decode_events,
+    prop,
+)
 from repro.workloads.gapbs.graph import Graph
 
 __all__ = ["SSSPWorkload"]
+
+_READ = prop(0)
+_WRITE = prop(0, is_write=True)
 
 
 class SSSPWorkload(GraphKernelWorkload):
@@ -35,12 +43,15 @@ class SSSPWorkload(GraphKernelWorkload):
     def uses_weights(self) -> bool:
         return True
 
-    def run_trial(self, trial: int) -> Iterator[PageAccess]:
+    def trial_events(self, trial: int):
         graph = self.graph
         rng = make_rng(self.seed, f"sssp-src-{trial}")
         source = int(rng.integers(0, graph.n))
+        weights = self.weights.tolist()
+        offsets = graph.offsets.tolist()
         dist = {source: 0}
-        yield from self.touch_prop(source, is_write=True)
+        events = [source << 4 | _WRITE]
+        emit = events.append
         heap = [(0, source)]
         settled = set()
         while heap:
@@ -48,14 +59,15 @@ class SSSPWorkload(GraphKernelWorkload):
             if u in settled:
                 continue
             settled.add(u)
-            yield from self.touch_offsets(u)
-            yield from self.touch_neighbors(u)
-            yield from self.touch_weights(u)
-            lo = int(graph.offsets[u])
+            emit(u << 4 | OFF)
+            emit(u << 4 | NEIGH)
+            emit(u << 4 | WEIGHT)
+            lo = offsets[u]
             for k, v in enumerate(graph.neigh(u).tolist()):
-                nd = d + int(self.weights[lo + k])
-                yield from self.touch_prop(v)
+                nd = d + weights[lo + k]
+                emit(v << 4 | _READ)
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
-                    yield from self.touch_prop(v, is_write=True)
+                    emit(v << 4 | _WRITE)
                     heapq.heappush(heap, (nd, v))
+        return (*decode_events(events), {})

@@ -2,6 +2,7 @@
 plus the page-touch emission contract."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.machine import Machine
@@ -9,6 +10,7 @@ from repro.run import run_workload
 from repro.sim.config import PAGE_SIZE, SimulationConfig
 from repro.workloads.gapbs import KERNELS, Graph
 from repro.workloads.gapbs.base import (
+    NEIGH,
     NEIGHBORS_BASE,
     OFFSETS_BASE,
     PROP_BASE,
@@ -104,14 +106,12 @@ def test_touch_regions_are_disjoint(small_graph):
 
 def test_neighbor_touch_lines_reflect_range(small_graph):
     workload = KERNELS["bfs"](small_graph, trials=1, seed=1)
-    machine = Machine(CONFIG, "static")
-    workload.setup(machine)
     hub = max(range(small_graph.n), key=small_graph.degree)
-    touches = list(workload.touch_neighbors(hub))
-    total_lines = sum(t.lines for t in touches)
+    columns = workload.event_columns(np.array([hub]), np.array([NEIGH]), {})
+    lines = columns.lines[columns.vpage >= NEIGHBORS_BASE]  # drop the boundary
     byte_span = small_graph.degree(hub) * 4
-    assert total_lines >= byte_span // 64
-    assert all(t.lines <= PAGE_SIZE // 64 for t in touches)
+    assert int(lines.sum()) >= byte_span // 64
+    assert all(lines <= PAGE_SIZE // 64)
 
 
 def test_load_workload_separates_load_from_trials(small_graph):
