@@ -65,10 +65,14 @@ python - "$BENCH_TMP/BENCH_perf.json" <<'PYEOF'
 import json
 import sys
 
-# The committed full-run batched-touch throughput before the SoA
-# vectorized driver landed; even the smoke-sized run clears it by an
-# order of magnitude, so dipping below means the fast path fell off.
-FLOOR = 1_455_757
+# The floor follows the committed full-run BENCH_perf.json: a smoke run
+# falling below a tenth of the recorded array-driver rate means the
+# vectorized fast path fell off (host noise is tens of percent, not
+# 10x).  It never drops below the full-run rate from before the SoA
+# vectorized driver landed, which even a smoke run clears.
+MIN_FLOOR = 1_455_757
+committed = json.load(open("BENCH_perf.json"))["touch"]["batched_ops_per_sec"]
+FLOOR = max(MIN_FLOOR, int(committed) // 10)
 
 bench = json.load(open(sys.argv[1]))
 touch = bench["touch"]

@@ -9,19 +9,52 @@ buckets), and daemons fired at the same virtual times.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.machine import Machine
 from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.sim.events import Daemon
+from repro.workloads.base import PageAccess, Workload
 from repro.workloads.synthetic import ShiftingHotSetWorkload, ZipfWorkload
 
 POLICIES = ["multiclock", "static", "nimble", "memory-mode", "autonuma"]
+
+
+class MixedSupervisionWorkload(Workload):
+    """Two processes, one with a supervised and an unsupervised region and
+    one with no supervised region, their accesses interleaved: the driver
+    must look regions up for the first and may skip it for the second."""
+
+    name = "mixed-supervision"
+
+    def __init__(self, ops: int, seed: int) -> None:
+        self.ops = ops
+        self.rng = np.random.default_rng(seed)
+
+    def setup(self, machine: Machine) -> None:
+        self.mixed = machine.create_process("mixed")
+        self.mixed.mmap_anon(0, 300, supervised=True)
+        self.mixed.mmap_anon(1000, 300)
+        self.plain = machine.create_process("plain")
+        self.plain.mmap_anon(0, 300)
+
+    def accesses(self):
+        picks = self.rng.integers(0, 3, size=self.ops).tolist()
+        pages = self.rng.zipf(1.3, size=self.ops) % 300
+        writes = self.rng.random(self.ops) < 0.3
+        for pick, vpage, write in zip(picks, pages.tolist(), writes.tolist()):
+            process = self.plain if pick == 0 else self.mixed
+            vpage += 1000 if pick == 2 else 0
+            yield PageAccess(process, vpage, is_write=write, op_boundary=True)
+
+
 WORKLOADS = {
     "zipf": lambda: ZipfWorkload(600, 6000, seed=11, write_ratio=0.3),
     "shifting": lambda: ShiftingHotSetWorkload(
         600, 6000, seed=11, write_ratio=0.3, phase_ops=1500
     ),
+    "mixed-supervision": lambda: MixedSupervisionWorkload(6000, seed=11),
 }
 
 
