@@ -146,6 +146,14 @@ grep -q "0 worker(s) spawned" "$SWEEP_TMP/rerun.out"
 cmp "$SWEEP_TMP/par.json" "$SWEEP_TMP/par.first.json"
 echo "cached CLI re-run: byte-identical report, zero workers spawned"
 
+# Agents run in their own session and are torn down as a process group:
+# no sweep-agent process (agent or forked worker) may outlive the
+# distributed, kill-agent and observability smokes below.
+agent_count() {
+    ps -eo args= | grep -c "^[^ ]*python[^ ]* -m repro sweep-agent" || true
+}
+AGENTS_BEFORE="$(agent_count)"
+
 echo "== distributed sweep smoke (2 loopback agents == sequential) =="
 python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache \
     --hosts loopback,loopback --heartbeat-s 1 \
@@ -226,6 +234,18 @@ print(f"timeline has {len(lanes)} lanes; profile covers "
 PYEOF
 cmp "$OBS_TMP/stripped.json" "$SWEEP_TMP/seq.json"
 echo "journal-armed report minus timing/profile is byte-identical to journal-off"
+
+echo "== no sweep-agent process outlives the distributed smokes =="
+for _ in $(seq 50); do
+    [ "$(agent_count)" -le "$AGENTS_BEFORE" ] && break
+    sleep 0.1
+done
+AGENTS_AFTER="$(agent_count)"
+if [ "$AGENTS_AFTER" -gt "$AGENTS_BEFORE" ]; then
+    echo "leaked sweep-agent processes: $AGENTS_BEFORE before, $AGENTS_AFTER after" >&2
+    exit 1
+fi
+echo "sweep-agent processes: $AGENTS_BEFORE before the smokes, $AGENTS_AFTER after"
 
 echo "== trace smoke (run -> export -> audit) =="
 TRACE_TMP="$(mktemp -d)"

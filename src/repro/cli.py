@@ -539,7 +539,6 @@ DEFAULT_SWEEP_REPORT = "SWEEP_report.json"
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
-    import math
 
     from repro.run import RunResult
     from repro.sweep import (
@@ -555,33 +554,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    # Validate the distributed-mode flags up front: a bad host list or a
-    # nonsense interval is an operator mistake, reported before any cell
-    # (or agent) is started.
+    # A bad host list is an operator mistake, reported before any cell
+    # (or agent) is started; run_remote_sweep vets the tuning values.
     hosts = parse_hosts(args.hosts, default_workers=args.workers) \
         if args.hosts is not None else None
     if hosts is None and (args.heartbeat_s is not None
                           or args.straggler_factor is not None):
         raise ValueError(
             "--heartbeat-s/--straggler-factor only apply with --hosts"
-        )
-    heartbeat_s = (
-        DEFAULT_HEARTBEAT_S if args.heartbeat_s is None else args.heartbeat_s
-    )
-    if not (math.isfinite(heartbeat_s) and heartbeat_s > 0.0):
-        raise ValueError(
-            f"invalid --heartbeat-s {args.heartbeat_s!r}: must be a "
-            f"positive finite number of seconds"
-        )
-    straggler_factor = (
-        DEFAULT_STRAGGLER_FACTOR if args.straggler_factor is None
-        else args.straggler_factor
-    )
-    if straggler_factor and (
-            not math.isfinite(straggler_factor) or straggler_factor < 1.0):
-        raise ValueError(
-            f"invalid --straggler-factor {args.straggler_factor!r}: must be "
-            f">= 1 (or 0 to disable straggler re-dispatch)"
         )
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
@@ -661,8 +641,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 manifest_path=manifest,
                 resume=args.resume,
                 cache_dir=cache_dir,
-                heartbeat_s=heartbeat_s,
-                straggler_factor=straggler_factor,
+                heartbeat_s=(DEFAULT_HEARTBEAT_S if args.heartbeat_s is None
+                             else args.heartbeat_s),
+                straggler_factor=(DEFAULT_STRAGGLER_FACTOR
+                                  if args.straggler_factor is None
+                                  else args.straggler_factor),
                 connect_timeout_s=args.connect_timeout_s,
                 reconnect_attempts=args.reconnect_attempts,
                 local_workers=args.workers,

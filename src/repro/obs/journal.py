@@ -67,8 +67,8 @@ def new_trace_id() -> str:
 class Journal:
     """Append-only NDJSON span journal for one sweep run.
 
-    Thread-safe (the remote scheduler's reader threads never write, but
-    the lock keeps that a non-assumption).  Lines are flushed as they
+    Thread-safe (the sweep drivers are single-threaded, but the lock
+    keeps that a non-assumption).  Lines are flushed as they
     are written so `repro top`-adjacent tooling — and a post-mortem on
     a killed driver — always sees a prefix of the truth, never a torn
     line.

@@ -4,8 +4,9 @@
 **host agents** and treats every host as unreliable.  Each agent is a
 ``repro sweep-agent`` process — reached over a transport (a local
 subprocess for the loopback kind, an ssh subprocess for remote hosts) —
-that runs its own persistent worker pool and speaks a newline-delimited
-JSON protocol of :mod:`~repro.sweep.wire` envelopes:
+that runs its cells on the sweep's :class:`~repro.sweep.pool._WorkerPool`
+and speaks a newline-delimited JSON protocol of
+:mod:`~repro.sweep.wire` envelopes:
 
 ========== =========== ====================================================
 direction  kind        body
@@ -20,6 +21,11 @@ agent →    ``journal`` ``{events}`` — buffered spans, journal mode only
 driver →   ``cancel``  ``{lease}`` — kill that lease's worker
 driver →   ``shutdown``  drain and exit
 ========== =========== ====================================================
+
+Both ends are threadless: the driver waits on every agent's stdout, and
+the agent on its stdin plus its workers' pipes, in one
+``connection.wait`` each, framing lines with :class:`_Lines`.  No
+reader thread can be alive when the driver forks local workers.
 
 Fault model (driver side):
 
@@ -39,46 +45,43 @@ Fault model (driver side):
   finish on the local pool rather than aborting, and the per-host
   outcomes record what happened.
 
-Merged results stay byte-identical to a sequential sweep: outcomes are
-keyed by cell id, reported in spec order, and payloads round-trip
-through JSON on the agent exactly as they do in a local worker.  The
-manifest-resume > result-cache > live precedence is applied *before*
-any host is contacted, by the same pass the local pool uses.
+Every agent runs in its own session, so closing a transport signals the
+agent's whole process group — SIGTERM (the agent exits cleanly and shuts
+its pool down), a grace window, then SIGKILL — and no worker outlives
+its agent, not even one whose agent was SIGKILLed.
+
+Merged results stay byte-identical to a sequential sweep: every lease
+settles through the same :class:`~repro.sweep.pool._Ledger` the local
+pool uses, outcomes are keyed by cell id and reported in spec order,
+and payloads round-trip through JSON on the agent exactly as they do in
+a local worker.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
-import queue
+import signal
 import subprocess
 import sys
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from statistics import median
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sweep import pool as _pool
-from repro.sweep.manifest import Manifest, ResultCache
 from repro.sweep.pool import (
-    CellOutcome,
-    SweepInterrupted,
     SweepResult,
-    _default_obs,
-    _kill,
-    _prepare,
-    _run_pool,
+    _Ledger,
+    _run_fields,
+    _run_grid,
+    _run_local,
     _SignalGuard,
+    _WorkerPool,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports sweep)
-    from repro.obs import SweepObserver
-from repro.sweep.spec import SweepCell, SweepSpec, cell_fingerprint
+from repro.sweep.spec import SweepCell, SweepSpec
 from repro.sweep.wire import (
     WireError,
     decode_envelope,
@@ -86,6 +89,9 @@ from repro.sweep.wire import (
     encode_envelope,
     encode_spec,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports sweep)
+    from repro.obs import SweepObserver
 
 __all__ = [
     "HostSpec",
@@ -215,6 +221,47 @@ class HostOutcome:
 # --------------------------------------------------------------------------
 
 
+class _Lines:
+    """Non-blocking line framing over a raw fd.
+
+    Lets each end of the protocol multiplex its inputs in ONE
+    ``connection.wait`` instead of a reader thread.  On the agent, a
+    thread blocked in ``sys.stdin.readline()`` would hold the buffered
+    reader's lock across the pool's ``fork()``; the forked worker's
+    multiprocessing bootstrap then closes ``sys.stdin`` and deadlocks on
+    that never-to-be-released lock.  On the driver, a reader thread
+    could still be alive when the all-hosts-dead fallback forks local
+    workers.
+    """
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.buffer = b""
+        self.eof = False
+        os.set_blocking(fd, False)
+
+    def drain(self) -> list[str | None]:
+        """Complete lines available now; ``None`` marks EOF."""
+        lines: list[str | None] = []
+        while not self.eof:
+            try:
+                chunk = os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                break
+            except OSError:
+                chunk = b""
+            if not chunk:
+                self.eof = True
+                break
+            self.buffer += chunk
+        while b"\n" in self.buffer:
+            raw, self.buffer = self.buffer.split(b"\n", 1)
+            lines.append(raw.decode("utf-8", errors="replace"))
+        if self.eof:
+            lines.append(None)
+        return lines
+
+
 class _AgentTransport:
     """A live agent subprocess with line-oriented stdin/stdout.
 
@@ -226,7 +273,6 @@ class _AgentTransport:
     """
 
     def __init__(self, host: HostSpec) -> None:
-        self.host = host
         if host.kind == "loopback":
             repro_root = os.path.dirname(
                 os.path.dirname(os.path.abspath(__file__))
@@ -247,51 +293,50 @@ class _AgentTransport:
                 f"python3 -m repro sweep-agent --workers {host.workers}",
             ]
             env = None
-        # Agent chatter (tracebacks, ssh banners) goes to our stderr;
-        # stdout is the protocol channel and must stay clean.
+        # Agent chatter (tracebacks, ssh banners) is discarded; stdout is
+        # the protocol channel and must stay clean.  A new session makes
+        # the agent a process-group leader, so close() reaches every
+        # worker it forked.
         self.proc = subprocess.Popen(
             argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
+            start_new_session=True,
         )
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
+        self.lines = _Lines(self.proc.stdout.fileno())
 
     def send_line(self, line: str) -> None:
         assert self.proc.stdin is not None
-        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.write(line.encode("utf-8") + b"\n")
         self.proc.stdin.flush()
 
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
     def close(self, grace_s: float = 0.5) -> None:
-        # Close stdin only.  stdout belongs to the pump thread: closing
-        # it here would block on the buffered reader's lock while that
-        # thread sits in readline() — and a SIGKILLed agent's orphaned
-        # worker can hold the pipe's write end open long after the agent
-        # is gone.  The daemon pump thread drops the stream when its
-        # read finally returns (or the driver exits).
-        try:
-            if self.proc.stdin is not None:
-                self.proc.stdin.close()
-        except OSError:
-            pass
-        if self.proc.poll() is None:
-            self.proc.terminate()
+        """Stop the agent and everything it forked, as ``_kill`` stops a
+        worker: SIGTERM to the process group, a grace window, then
+        SIGKILL.  The group outlives a SIGKILLed agent for as long as
+        one of its workers does, so orphans are reached too."""
+        for stream in (self.proc.stdin, self.proc.stdout):
             try:
-                self.proc.wait(grace_s)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                try:
-                    self.proc.wait(5.0)
-                except subprocess.TimeoutExpired:
-                    pass
+                stream.close()
+            except OSError:
+                pass
+        group = self.proc.pid
+        try:
+            os.killpg(group, signal.SIGTERM)
+            deadline = time.monotonic() + grace_s
+            while time.monotonic() < deadline:
+                self.proc.poll()  # reap the agent: a zombie keeps the group
+                os.killpg(group, 0)  # raises once the group is empty
+                time.sleep(0.01)
+            os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        try:
+            self.proc.wait(5.0)
+        except subprocess.TimeoutExpired:
+            pass
 
 
 # --------------------------------------------------------------------------
@@ -337,61 +382,31 @@ def _jitter(host: str, attempt: int) -> float:
 
 
 class _RemoteScheduler:
-    """Drives a grid across unreliable hosts; see the module docstring."""
+    """Leases a ledger's cells across unreliable hosts; see the module
+    docstring.  Every attempt settles through the ledger."""
 
     def __init__(
         self,
         spec: SweepSpec,
         hosts: tuple[HostSpec, ...],
         *,
-        outcomes: dict[str, CellOutcome],
-        pending: deque[tuple[SweepCell, int]],
-        book: Manifest,
-        cache: ResultCache | None,
         timeout_s: float | None,
-        max_attempts: int,
         heartbeat_s: float,
         straggler_factor: float | None,
         connect_timeout_s: float,
         reconnect_attempts: int,
-        note: Callable[[str], None] | None = None,
-        obs: "SweepObserver | None" = None,
-        guard: _SignalGuard | None = None,
     ) -> None:
         self.spec = spec
-        self.outcomes = outcomes
-        self.pending = pending
-        self.book = book
-        self.cache = cache
         self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
         self.heartbeat_s = heartbeat_s
         self.straggler_factor = straggler_factor
         self.connect_timeout_s = connect_timeout_s
         self.reconnect_attempts = reconnect_attempts
-        self.obs = obs if obs is not None else _default_obs(note)
-        self.guard = guard
-        self.total = len(spec.cells)
         self.hosts = [_Host(spec=h) for h in hosts]
         self.active: dict[str, _Lease] = {}  # lease id -> lease
         self.durations: list[float] = []  # committed cell wall times
         self.spawned_agents = 0
-        self.cache_hits = 0  # cells settled from the result cache mid-run
-        # Entries carry the transport they were read from: after a
-        # reconnect, lines (and the EOF marker) from the *previous*
-        # transport's reader thread must not poison the new connection.
-        self.inbox: "queue.Queue[tuple[_Host, _AgentTransport, str | None]]" = (
-            queue.Queue()
-        )
         self._lease_seq = 0
-        # With a journal armed, the spec envelope asks every agent to
-        # buffer its own spans and ship them back as `journal` lines;
-        # journal-off sweeps send exactly the pre-observability bytes.
-        extras: dict[str, Any] = {"heartbeat_s": heartbeat_s}
-        if self.obs.journal is not None:
-            extras["journal"] = True
-            extras["trace"] = self.obs.trace_id
-        self._spec_line = encode_spec(spec, **extras)
 
     # -- host lifecycle ----------------------------------------------------
 
@@ -410,20 +425,6 @@ class _RemoteScheduler:
         host.state = "connecting"
         host.last_seen = time.monotonic()
         host.connect_deadline = host.last_seen + self.connect_timeout_s
-        threading.Thread(
-            target=self._pump, args=(host, host.transport), daemon=True,
-            name=f"sweep-reader-{host.spec.name}",
-        ).start()
-
-    def _pump(self, host: _Host, transport: _AgentTransport) -> None:
-        stream = transport.proc.stdout
-        assert stream is not None
-        try:
-            for line in stream:
-                self.inbox.put((host, transport, line.rstrip("\n")))
-        except (OSError, ValueError):
-            pass
-        self.inbox.put((host, transport, None))
 
     def _lose_host(self, host: _Host, reason: str) -> None:
         """Requeue the host's leases and schedule a reconnect (or declare
@@ -440,11 +441,10 @@ class _RemoteScheduler:
             self.active.pop(lease.id, None)
             self.obs.end(lease.sid, outcome="host-lost")
             lease.sid = None
-            if lease.cell.id in self.outcomes or self._has_sibling(lease):
+            if lease.cell.id in self.ledger.outcomes or self._has_sibling(lease):
                 continue
-            # The host failed, not the cell: requeue without charging an
-            # attempt, at the front so redispatch beats untried work.
-            self.pending.appendleft((lease.cell, lease.attempt))
+            # The host failed, not the cell: no attempt is charged.
+            self.ledger.requeue(lease.cell, lease.attempt)
             self.obs.emit("cell.redispatch", cell=lease.cell.id,
                           host=host.spec.name)
         if host.reconnects_used >= self.reconnect_attempts:
@@ -479,6 +479,21 @@ class _RemoteScheduler:
         )
 
     # -- protocol handling -------------------------------------------------
+
+    def _read(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for agent output; handle every line."""
+        readers = {h.transport.lines.fd: h for h in self.hosts
+                   if h.transport is not None}
+        for fd in connection.wait(list(readers), timeout=timeout):
+            host = readers[fd]
+            transport = host.transport
+            for line in transport.lines.drain():
+                if host.transport is not transport:
+                    break  # lost mid-batch: the rest died with the transport
+                if line is None:
+                    self._lose_host(host, "transport closed (EOF)")
+                else:
+                    self._on_line(host, line)
 
     def _on_line(self, host: _Host, line: str) -> None:
         host.last_seen = time.monotonic()
@@ -530,12 +545,10 @@ class _RemoteScheduler:
         # unknown kinds are ignored: forward-compatible within a version
 
     def _on_result(self, host: _Host, body: dict[str, Any]) -> None:
-        lease = self.active.pop(str(body.get("lease")), None)
-        host.leases.pop(str(body.get("lease")), None)
-        if lease is None or lease.cell.id in self.outcomes:
-            if lease is not None:
-                self.obs.end(lease.sid, outcome="duplicate")
-                lease.sid = None
+        lease_id = str(body.get("lease"))
+        lease = self.active.pop(lease_id, None)
+        host.leases.pop(lease_id, None)
+        if lease is None:  # a cancelled or timed-out lease answering late
             host.outcome.duplicates_discarded += 1
             self.obs.emit("cell.duplicate", cell=str(body.get("cell")),
                           host=host.spec.name)
@@ -545,51 +558,28 @@ class _RemoteScheduler:
                       if o.cell.id == lease.cell.id]:
             self._cancel(other)
         wall = time.monotonic() - lease.started
-        self.durations.append(wall)
         ok = bool(body.get("ok"))
-        payload = body.get("payload")
-        error = str(body.get("error", "agent reported failure"))
         self.obs.end(lease.sid, outcome="result", ok=ok)
         lease.sid = None
-        if ok:
-            host.outcome.done += 1
-        self._settle(lease.cell, lease.attempt, ok, payload, error, host,
-                     wall_s=wall)
+        if self._settle(lease, ok, body.get("payload"),
+                        str(body.get("error", "agent reported failure")),
+                        wall) != "duplicate":
+            self.durations.append(wall)
 
-    def _settle(self, cell: SweepCell, attempt: int, ok: bool,
-                payload: Any, error: str, host: _Host | None,
-                wall_s: float | None = None) -> None:
-        """At-most-once commit of one cell attempt — same retry policy as
-        the local pool's ``settle``."""
-        where = host.spec.name if host is not None else None
-        if ok:
-            self.outcomes[cell.id] = CellOutcome(cell, "done", attempt, payload)
-            self.book.record_done(cell.id, attempt, payload)
-            if self.cache is not None:
-                key = cell_fingerprint(cell)
-                if key is not None:
-                    self.cache.store(key, cell_id=cell.id, attempts=attempt,
-                                     payload=payload)
-            self.obs.emit("cell.done", cell=cell.id,
-                          done=len(self.outcomes), total=self.total,
-                          attempt=attempt, host=where, wall_s=wall_s)
-        elif attempt < self.max_attempts:
-            self.obs.emit("cell.retry", cell=cell.id, attempt=attempt,
-                          error=error, host=where, wall_s=wall_s)
-            self.pending.appendleft((cell, attempt + 1))
-        else:
-            self.outcomes[cell.id] = CellOutcome(cell, "failed", attempt,
-                                                 None, error)
-            self.book.record_failed(cell.id, attempt, error)
-            if host is not None:
-                host.outcome.failed += 1
-            self.obs.emit("cell.failed", cell=cell.id,
-                          done=len(self.outcomes), total=self.total,
-                          attempt=attempt, error=error, host=where,
-                          wall_s=wall_s)
-        self.obs.status_tick(pending=len(self.pending),
-                             leased=len(self.active),
-                             hosts=self._host_status())
+    def _settle(self, lease: _Lease, ok: bool, payload: Any, error: str,
+                wall_s: float) -> str:
+        """Settle one lease's attempt in the ledger; charge its host."""
+        outcome = lease.host.outcome
+        state = self.ledger.settle(lease.cell, lease.attempt, ok, payload,
+                                   error, wall_s=wall_s,
+                                   host=lease.host.spec.name)
+        if state == "done":
+            outcome.done += 1
+        elif state == "failed":
+            outcome.failed += 1
+        elif state == "duplicate":
+            outcome.duplicates_discarded += 1
+        return state
 
     def _cancel(self, lease: _Lease) -> None:
         self.active.pop(lease.id, None)
@@ -608,47 +598,9 @@ class _RemoteScheduler:
 
     def _dispatch(self) -> None:
         for host in self.hosts:
-            if host.state != "ready" or host.transport is None:
-                continue
-            while self.pending and len(host.leases) < host.capacity:
-                cell, attempt = self.pending.popleft()
-                if cell.id in self.outcomes:
-                    continue
-                if self._serve_from_cache(cell):
-                    continue
-                self._lease_to(host, cell, attempt)
-
-    def _serve_from_cache(self, cell: SweepCell) -> bool:
-        """Settle ``cell`` from the result cache if its payload landed
-        there after the sweep started.
-
-        ``_prepare`` only consults the cache once, before dispatch; a
-        cell requeued later — host lost mid-cell, or a retry — may by
-        then have its fingerprint in the cache because an identical
-        (runner, params) cell finished elsewhere in the meantime.
-        Without this check the driver re-executes work it already holds
-        the answer to.  Determinism makes the served payload identical
-        to what a re-run would produce.
-        """
-        if self.cache is None:
-            return False
-        key = cell_fingerprint(cell)
-        entry = self.cache.load(key) if key is not None else None
-        if entry is None:
-            return False
-        attempts = entry.get("attempts", 1)
-        if not isinstance(attempts, int) or attempts < 1:
-            attempts = 1
-        self.cache_hits += 1
-        self.outcomes[cell.id] = CellOutcome(
-            cell=cell, status="done", attempts=attempts,
-            payload=entry["payload"], cached=True,
-        )
-        self.book.record_done(cell.id, attempts, entry["payload"])
-        self.obs.emit("cell.cache_hit", cell=cell.id, key=key[:12],
-                      when="redispatch", done=len(self.outcomes),
-                      total=self.total)
-        return True
+            while (host.state == "ready" and len(host.leases) < host.capacity
+                   and (popped := self.ledger.pop()) is not None):
+                self._lease_to(host, *popped)
 
     def _lease_to(self, host: _Host, cell: SweepCell, attempt: int) -> None:
         self._lease_seq += 1
@@ -667,7 +619,7 @@ class _RemoteScheduler:
             )
         except OSError as exc:
             self.obs.end(dispatch_sid, ok=False)
-            self.pending.appendleft((cell, attempt))
+            self.ledger.requeue(cell, attempt)
             self._lose_host(host, f"send failed: {exc}")
             return
         self.obs.end(dispatch_sid, ok=True)
@@ -709,13 +661,14 @@ class _RemoteScheduler:
                 if now - lease.started < self.timeout_s:
                     continue
                 self._cancel(lease)
-                if self._has_sibling(lease) or lease.cell.id in self.outcomes:
+                if (self._has_sibling(lease)
+                        or lease.cell.id in self.ledger.outcomes):
                     continue
                 self._settle(
-                    lease.cell, lease.attempt, False, None,
+                    lease, False, None,
                     f"timeout: attempt {lease.attempt} cancelled after "
                     f"{now - lease.started:.2f}s wall (limit {self.timeout_s}s)",
-                    lease.host, wall_s=now - lease.started,
+                    now - lease.started,
                 )
         if self.straggler_factor and len(self.durations) >= 3:
             threshold = self.straggler_factor * median(self.durations)
@@ -725,7 +678,7 @@ class _RemoteScheduler:
                     self._redispatch_straggler(lease, now)
 
     def _next_wake(self, now: float) -> float:
-        """Seconds to sleep in the inbox wait before a deadline could fire."""
+        """Seconds to wait for agent output before a deadline could fire."""
         horizon = now + self.heartbeat_s
         for host in self.hosts:
             if host.state == "connecting":
@@ -744,60 +697,47 @@ class _RemoteScheduler:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self, ledger: _Ledger, guard: _SignalGuard) -> int:
+        """Run the ledger's pending cells until every cell settles or
+        every host is dead; returns the number of agents started."""
+        self.ledger = ledger
+        self.obs = ledger.obs
+        # With a journal armed, the spec envelope asks every agent to
+        # buffer its own spans and ship them back as `journal` lines;
+        # journal-off sweeps send exactly the pre-observability bytes.
+        extras: dict[str, Any] = {"heartbeat_s": self.heartbeat_s}
+        if self.obs.journal is not None:
+            extras["journal"] = True
+            extras["trace"] = self.obs.trace_id
+        self._spec_line = encode_spec(self.spec, **extras)
         for host in self.hosts:
             self._connect(host)
         try:
-            while len(self.outcomes) < self.total:
-                if self.guard is not None and self.guard.stop:
-                    self._interrupt()
+            while ledger.unsettled():
+                if guard.stop:
+                    for lease in self.active.values():
+                        self.obs.end(lease.sid, outcome="interrupted")
+                    ledger.interrupt((lease.cell, lease.attempt)
+                                     for lease in self.active.values())
                 if all(h.state == "dead" for h in self.hosts):
-                    return  # caller degrades to the local pool
+                    break  # the caller degrades to the local pool
                 self._dispatch()
-                now = time.monotonic()
-                try:
-                    host, transport, line = self.inbox.get(
-                        timeout=self._next_wake(now)
-                    )
-                except queue.Empty:
-                    pass
-                else:
-                    if transport is not host.transport:
-                        pass  # stale line from a pre-reconnect transport
-                    elif line is None:
-                        self._lose_host(host, "transport closed (EOF)")
-                    else:
-                        self._on_line(host, line)
+                self._read(self._next_wake(time.monotonic()))
                 self._check_deadlines(time.monotonic())
-                self.obs.status_tick(pending=len(self.pending),
+                self.obs.status_tick(pending=len(ledger.pending),
                                      leased=len(self.active),
                                      hosts=self._host_status())
         finally:
-            self._shutdown_hosts()
-
-    def _interrupt(self) -> None:
-        flushed: set[str] = set()
-        for lease in list(self.active.values()):
-            self.obs.end(lease.sid, outcome="interrupted")
-            lease.sid = None
-            if lease.cell.id not in self.outcomes and lease.cell.id not in flushed:
-                self.book.record_pending(lease.cell.id, lease.attempt)
-                flushed.add(lease.cell.id)
-                self.obs.emit("cell.interrupted", cell=lease.cell.id)
-        done = sum(1 for o in self.outcomes.values() if o.ok)
-        failed = len(self.outcomes) - done
-        raise SweepInterrupted(done, failed, self.total, self.book.path)
-
-    def _shutdown_hosts(self) -> None:
-        for host in self.hosts:
-            if host.transport is None:
-                continue
-            try:
-                host.transport.send_line(encode_envelope("shutdown", {}))
-            except OSError:
-                pass
-            host.transport.close()
-            host.transport = None
+            for host in self.hosts:
+                if host.transport is None:
+                    continue
+                try:
+                    host.transport.send_line(encode_envelope("shutdown", {}))
+                except OSError:
+                    pass
+                host.transport.close()
+                host.transport = None
+        return self.spawned_agents
 
     def _host_status(self) -> dict[str, dict[str, Any]]:
         """Live per-host rows for the status sidecar (`repro top`)."""
@@ -850,10 +790,10 @@ def run_remote_sweep(
     deterministic merge — plus the fault model described in the module
     docstring.  With every host dead, the remaining cells run on a local
     pool of ``local_workers``; the sweep never aborts because the fleet
-    did.
+    did.  Bad ``heartbeat_s``/``straggler_factor`` values are one-line
+    ``ValueError``\\ s naming the CLI flag, raised before any agent starts.
     """
     host_specs = parse_hosts(hosts, default_workers=workers_per_host)
-    max_attempts = max(1, int(max_attempts))
     if not (math.isfinite(heartbeat_s) and heartbeat_s > 0.0):
         raise ValueError(
             f"--heartbeat-s must be a positive finite number, got {heartbeat_s!r}"
@@ -865,72 +805,34 @@ def run_remote_sweep(
             f"--straggler-factor must be >= 1 (or 0 to disable), "
             f"got {straggler_factor!r}"
         )
-    if obs is None:
-        obs = _default_obs(progress)
-    total = len(spec.cells)
     # Fail fast on a non-portable grid — before any agent is started.
     encode_spec(spec)
+    scheduler = _RemoteScheduler(
+        spec, host_specs, timeout_s=timeout_s, heartbeat_s=heartbeat_s,
+        straggler_factor=straggler_factor,
+        connect_timeout_s=connect_timeout_s,
+        reconnect_attempts=reconnect_attempts,
+    )
 
-    sweep_sid = obs.begin("sweep", spec=spec.name, cells=total,
-                          hosts=len(host_specs))
-    try:
-        prep_sid = obs.begin("prepare")
-        outcomes, pending, book, cache = _prepare(
-            spec, manifest_path=manifest_path, resume=resume,
-            cache_dir=cache_dir, obs=obs,
-        )
-        obs.end(prep_sid, pending=len(pending), settled=len(outcomes))
-        obs.status_tick(pending=len(pending), leased=0, force=True)
+    def drive(ledger: _Ledger, guard: _SignalGuard) -> int:
+        spawned = scheduler.run(ledger, guard)
+        if ledger.unsettled():
+            # Graceful degradation: every host is gone, the grid is not.
+            # Anything still leased was already requeued by _lose_host,
+            # so the ledger's pending queue is exactly the unfinished set.
+            ledger.obs.emit("sweep.degraded", hosts=len(host_specs),
+                            cells=ledger.unsettled())
+            spawned += _run_local(spec, ledger, guard, workers=local_workers,
+                                  timeout_s=timeout_s)
+        return spawned
 
-        scheduler = None
-        spawned = 0
-        if pending:
-            with _SignalGuard(obs.note) as guard:
-                scheduler = _RemoteScheduler(
-                    spec, host_specs,
-                    outcomes=outcomes, pending=pending, book=book, cache=cache,
-                    timeout_s=timeout_s, max_attempts=max_attempts,
-                    heartbeat_s=heartbeat_s, straggler_factor=straggler_factor,
-                    connect_timeout_s=connect_timeout_s,
-                    reconnect_attempts=reconnect_attempts,
-                    obs=obs, guard=guard,
-                )
-                scheduler.run()
-                spawned = scheduler.spawned_agents
-                if len(outcomes) < total:
-                    # Graceful degradation: every host is gone, the grid is
-                    # not.  Anything still leased was already requeued by
-                    # _lose_host, so `pending` is exactly the unfinished set.
-                    obs.emit("sweep.degraded", hosts=len(host_specs),
-                             cells=total - len(outcomes))
-                    spawned += _run_pool(
-                        spec, pending, outcomes, book, cache,
-                        workers=local_workers, timeout_s=timeout_s,
-                        max_attempts=max_attempts, obs=obs, total=total,
-                        guard=guard,
-                    )
-
-        merge_sid = obs.begin("merge")
-        result = SweepResult(
-            spec=spec,
-            outcomes=tuple(outcomes[cell.id] for cell in spec.cells),
-            workers=sum(h.workers for h in host_specs),
-            spawned_workers=spawned,
-            host_outcomes=(
-                scheduler.host_outcomes() if scheduler is not None
-                else tuple(HostOutcome(host=h.name, state="unused")
-                           for h in host_specs)
-            ),
-            cache_hits=scheduler.cache_hits if scheduler is not None else 0,
-        )
-        obs.end(merge_sid, cells=len(result.outcomes))
-    except SweepInterrupted:
-        obs.end(sweep_sid, state="interrupted")
-        obs.status_tick(force=True)
-        raise
-    obs.end(sweep_sid, state="done" if result.ok else "failed")
-    obs.status_tick(pending=0, leased=0, force=True)
-    return result
+    return _run_grid(
+        spec, drive,
+        workers=sum(h.workers for h in host_specs),
+        span={"hosts": len(host_specs)}, hosts=scheduler.host_outcomes,
+        max_attempts=max_attempts, manifest_path=manifest_path,
+        resume=resume, cache_dir=cache_dir, progress=progress, obs=obs,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -938,158 +840,17 @@ def run_remote_sweep(
 # --------------------------------------------------------------------------
 
 
-class _AgentPool:
-    """The agent's persistent worker pool: lease in, result out.
-
-    Reuses the local pool's worker body (warm imports, JSON result
-    framing, crash isolation) but is *incremental* — the driver decides
-    what to lease next, the agent only executes.  Cells arrived over the
-    wire as JSON, so the pool is spawn-safe by construction.
-    """
-
-    def __init__(self, cells: tuple[SweepCell, ...], capacity: int) -> None:
-        self.ctx = _pool._context()
-        self.cells = cells
-        self.index_of = {cell.id: i for i, cell in enumerate(cells)}
-        self.capacity = max(1, capacity)
-        self.idle: list[Any] = []
-        self.busy: dict[str, Any] = {}  # lease id -> worker
-        self.done = 0
-
-    def _spawn(self) -> Any:
-        parent_conn, child_conn = self.ctx.Pipe()
-        proc = self.ctx.Process(
-            target=_pool._worker_main,
-            args=(self.cells, child_conn),
-            name=f"agent-worker-{len(self.idle) + len(self.busy)}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return _pool._Worker(proc, parent_conn)
-
-    def claim(self, cell_id: str) -> tuple[str | None, Any, int | None]:
-        """Reserve a worker for ``cell_id`` without starting the cell;
-        returns ``(error, worker, index)``.  Split from :meth:`start` so
-        the agent can journal the cell's ``begin`` span *before* the
-        worker could possibly run (and, in the kill-agent fault mode,
-        murder this process ahead of its own begin event)."""
-        index = self.index_of.get(cell_id)
-        if index is None:
-            return f"agent does not know cell {cell_id!r}", None, None
-        worker = self.idle.pop() if self.idle else self._spawn()
-        return None, worker, index
-
-    def start(self, lease_id: str, worker: Any, index: int) -> str | None:
-        """Send a claimed cell to its worker; returns an error or None.
-        A worker that died idle is replaced once (the begin span then
-        carries the stale pid — a cosmetic casualty of a rare path)."""
-        try:
-            worker.conn.send(index)
-        except (BrokenPipeError, OSError):
-            _kill(worker.proc, grace_s=0.1)
-            worker = self._spawn()
-            try:
-                worker.conn.send(index)
-            except (BrokenPipeError, OSError):
-                return "agent worker died before accepting the cell"
-        self.busy[lease_id] = worker
-        return None
-
-    def cancel(self, lease_id: str) -> None:
-        worker = self.busy.pop(lease_id, None)
-        if worker is not None:
-            _kill(worker.proc, grace_s=0.5)
-
-    def poll(self, timeout: float) -> list[tuple[str, dict[str, Any]]]:
-        """Results (and worker deaths) since the last poll."""
-        if not self.busy:
-            time.sleep(timeout)
-            return []
-        owner: dict[Any, str] = {}
-        for lease_id, worker in self.busy.items():
-            owner[worker.conn] = lease_id
-            owner[worker.proc.sentinel] = lease_id
-        ready = connection.wait(list(owner), timeout=timeout)
-        results: list[tuple[str, dict[str, Any]]] = []
-        for lease_id in {owner[r] for r in ready}:
-            worker = self.busy.pop(lease_id)
-            try:
-                blob = json.loads(worker.conn.recv_bytes().decode("utf-8"))
-                self.idle.append(worker)
-            except (EOFError, OSError, json.JSONDecodeError):
-                worker.proc.join(1.0)
-                blob = {"ok": False, "error": _pool._crash_error(worker.proc)}
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-            if blob.get("ok"):
-                self.done += 1
-            results.append((lease_id, blob))
-        return results
-
-    def shutdown(self) -> None:
-        for worker in self.idle:
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in list(self.busy.values()) + self.idle:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            _kill(worker.proc, grace_s=1.0)
-
-
-class _StdinLines:
-    """Non-blocking line framing over a raw fd.
-
-    The agent multiplexes driver commands and worker pipes in ONE
-    ``connection.wait`` — no stdin reader thread.  A thread blocked in
-    ``sys.stdin.readline()`` would hold the buffered reader's lock
-    across the pool's ``fork()``; the forked worker's multiprocessing
-    bootstrap then closes ``sys.stdin`` and deadlocks on that
-    never-to-be-released lock.
-    """
-
-    def __init__(self, fd: int) -> None:
-        self.fd = fd
-        self.buffer = b""
-        self.eof = False
-        os.set_blocking(fd, False)
-
-    def drain(self) -> list[str | None]:
-        """Complete lines available now; ``None`` marks driver EOF."""
-        lines: list[str | None] = []
-        while not self.eof:
-            try:
-                chunk = os.read(self.fd, 1 << 16)
-            except BlockingIOError:
-                break
-            except OSError:
-                chunk = b""
-            if not chunk:
-                self.eof = True
-                break
-            self.buffer += chunk
-        while b"\n" in self.buffer:
-            raw, self.buffer = self.buffer.split(b"\n", 1)
-            lines.append(raw.decode("utf-8", errors="replace"))
-        if self.eof:
-            lines.append(None)
-        return lines
-
-
 def agent_main(workers: int = 1) -> int:
     """``repro sweep-agent``: serve one driver over stdin/stdout.
 
-    Speaks the envelope protocol described in the module docstring.
-    Exits 0 on a clean ``shutdown`` (or driver EOF — an orphaned agent
-    must not outlive its sweep), 2 on a protocol error before the spec
-    was accepted.
+    Speaks the envelope protocol described in the module docstring and
+    runs cells on a :class:`~repro.sweep.pool._WorkerPool`; the driver
+    decides what to lease next, the agent only executes.  Exits 0 on a
+    clean ``shutdown``, on driver EOF (an orphaned agent must not
+    outlive its sweep) or on SIGTERM, each time shutting its pool down;
+    2 on a protocol error before the spec was accepted.
     """
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     out = sys.stdout
 
     def emit(kind: str, body: dict[str, Any]) -> None:
@@ -1115,8 +876,8 @@ def agent_main(workers: int = 1) -> int:
     # Workers inherit this and use it to tell "I run under an agent"
     # apart from the plain local pool (see the flaky kill-agent mode).
     os.environ["REPRO_SWEEP_AGENT"] = "1"
-    pool = _AgentPool(spec.cells, max(1, int(workers)))
-    stdin = _StdinLines(sys.stdin.fileno())
+    pool = _WorkerPool(spec.cells, "agent-worker")
+    stdin = _Lines(sys.stdin.fileno())
 
     # Journal mode (spec extras carry the driver's request): buffer
     # begin/end events for this agent's cell.run spans and ship them as
@@ -1128,14 +889,14 @@ def agent_main(workers: int = 1) -> int:
     open_spans: dict[str, tuple[str, str, str]] = {}  # lease -> (sid, actor, cell)
     span_seq = 0
 
-    def span_begin(lease_id: str, cell_id: str, pid: int | None,
+    def span_begin(lease_id: str, cell_id: str, pid: int,
                    attempt: Any) -> None:
         nonlocal span_seq
         if not journal_on:
             return
         span_seq += 1
         sid = f"a{span_seq}"
-        actor = f"worker/{pid}" if pid is not None else "agent"
+        actor = f"worker/{pid}"
         open_spans[lease_id] = (sid, actor, cell_id)
         event: dict[str, Any] = {
             "ev": "begin", "span": "cell.run", "sid": sid, "actor": actor,
@@ -1158,18 +919,20 @@ def agent_main(workers: int = 1) -> int:
             "fields": fields,
         })
 
+    def flush_journal() -> None:
+        if journal_events:
+            emit("journal", {"events": journal_events})
+            journal_events.clear()
+
     lease_cells: dict[str, str] = {}
+    done = 0
     # Heartbeats at half the driver's interval: one drop never kills us.
     beat_every = max(0.05, heartbeat_s / 2.0)
     next_beat = time.monotonic() + beat_every
     try:
         while True:
-            wait_on: list[Any] = [stdin.fd]
-            for worker in pool.busy.values():
-                wait_on.append(worker.conn)
-                wait_on.append(worker.proc.sentinel)
             timeout = max(0.0, min(beat_every, next_beat - time.monotonic()))
-            connection.wait(wait_on, timeout=timeout)
+            connection.wait([stdin.fd, *pool.waitables()], timeout=timeout)
             for command in stdin.drain():
                 if command is None:
                     return 0  # driver went away; die with it
@@ -1182,23 +945,24 @@ def agent_main(workers: int = 1) -> int:
                     # Flush any ends buffered in this drain batch (a
                     # cancel riding with the shutdown) before dying,
                     # or they would surface as synthetic aborted ends.
-                    if journal_events:
-                        emit("journal", {"events": journal_events})
+                    flush_journal()
                     return 0
                 if kind == "lease":
                     lease_id = str(body["lease"])
                     cell_id = str(body["cell"])
-                    error, worker, index = pool.claim(cell_id)
-                    if error is None:
+                    error = None
+                    if cell_id not in pool.index_of:
+                        error = f"agent does not know cell {cell_id!r}"
+                    else:
+                        worker = pool.claim()
                         # Begin span on the wire BEFORE the cell starts:
                         # a cell that SIGKILLs this agent must never
                         # outrace its own begin event to the driver.
                         span_begin(lease_id, cell_id, worker.proc.pid,
                                    body.get("attempt"))
-                        if journal_events:
-                            emit("journal", {"events": journal_events})
-                            journal_events = []
-                        error = pool.start(lease_id, worker, index)
+                        flush_journal()
+                        if not pool.start(lease_id, worker, cell_id):
+                            error = "agent worker died before accepting the cell"
                     if error is not None:
                         span_end(lease_id, ok=False, error=error)
                         emit("result", {
@@ -1213,18 +977,14 @@ def agent_main(workers: int = 1) -> int:
                     lease_cells.pop(lease_id, None)
                     span_end(lease_id, ok=False, cancelled=True)
             for lease_id, blob in pool.poll(timeout=0.0):
-                end_fields: dict[str, Any] = {"ok": bool(blob.get("ok"))}
-                if isinstance(blob.get("t0"), (int, float)) and \
-                        isinstance(blob.get("t1"), (int, float)):
-                    end_fields["compute_s"] = max(0.0, blob["t1"] - blob["t0"])
-                span_end(lease_id, **end_fields)
+                if blob.get("ok"):
+                    done += 1
+                span_end(lease_id, **_run_fields(blob))
                 # Journal before result: the driver may stop reading
                 # the moment the last result settles the sweep, and
                 # the pipe preserves order — so the span's real end
                 # always lands before the result that retires it.
-                if journal_events:
-                    emit("journal", {"events": journal_events})
-                    journal_events = []
+                flush_journal()
                 emit("result", {
                     "lease": lease_id,
                     "cell": lease_cells.pop(lease_id, "?"),
@@ -1232,14 +992,10 @@ def agent_main(workers: int = 1) -> int:
                     "payload": blob.get("payload"),
                     "error": blob.get("error", ""),
                 })
-            if journal_events:
-                emit("journal", {"events": journal_events})
-                journal_events = []
+            flush_journal()
             now = time.monotonic()
             if now >= next_beat:
-                emit("heartbeat", {
-                    "busy": sorted(pool.busy), "done": pool.done,
-                })
+                emit("heartbeat", {"busy": sorted(pool.busy), "done": done})
                 next_beat = now + beat_every
     except (BrokenPipeError, OSError):
         return 0  # driver pipe gone mid-write

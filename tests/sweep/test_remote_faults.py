@@ -1,19 +1,21 @@
 """Failure paths of the distributed sweep: hosts dying mid-cell,
 duplicate results, full-fleet loss, and operator mistakes."""
 
-from collections import deque
+import os
+import sys
+import time
 
 import pytest
 
+from repro.obs import SweepObserver
 from repro.sweep import (
-    Manifest,
     SweepCell,
     SweepSpec,
     parse_hosts,
     run_remote_sweep,
     run_sweep,
 )
-from repro.sweep.remote import _Lease, _RemoteScheduler
+from repro.sweep.pool import _Ledger
 
 
 def sleepy_cells(n, prefix="c", sleep_s=0.05):
@@ -64,6 +66,51 @@ def test_heartbeat_loss_requeues_and_reconnects(tmp_path):
     assert sum(h.reconnects for h in remote.host_outcomes) >= 1
 
 
+def _agent_processes():
+    """Pids of live ``repro sweep-agent`` processes: agents and the
+    workers they fork (which share the agent's command line)."""
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                argv = fh.read().split(b"\0")
+        except OSError:
+            continue
+        if b"sweep-agent" in argv and b"repro" in argv:
+            pids.add(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="lists processes through /proc")
+def test_no_agent_process_outlives_the_sweep(tmp_path):
+    """The worker a SIGKILLed agent leaves behind, and the worker of a
+    hung cell that timeout_s cancels, are both gone within seconds of
+    the sweep returning."""
+    before = _agent_processes()
+    cells = sleepy_cells(4)
+    cells.insert(1, SweepCell("killer", "flaky",
+                              {"mode": "kill-agent",
+                               "marker": str(tmp_path / "killed.marker"),
+                               "payload": "recovered"}))
+    cells.insert(3, SweepCell("sleeper", "flaky",
+                              {"mode": "hang",
+                               "marker": str(tmp_path / "hung.marker"),
+                               "payload": "woke"}))
+    spec = SweepSpec("leak", tuple(cells))
+    remote = run_remote_sweep(spec, "loopback,loopback", heartbeat_s=0.3,
+                              reconnect_attempts=2, straggler_factor=0,
+                              timeout_s=1.0)
+    assert remote.ok
+    assert remote.payloads() == run_sweep(spec, workers=1).payloads()
+    deadline = time.monotonic() + 5.0
+    while _agent_processes() - before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _agent_processes() - before
+
+
 def test_all_hosts_dead_degrades_to_local_pool():
     """A kill-agent cell with no marker murders every agent that leases
     it; with reconnects exhausted the sweep must finish on the local
@@ -83,68 +130,51 @@ def test_all_hosts_dead_degrades_to_local_pool():
     assert any("degrading to the local pool" in n for n in notes)
 
 
-def test_duplicate_result_discarded_at_most_once(tmp_path):
+def _ledger(spec, notes, cache_dir=None):
+    return _Ledger(spec, max_attempts=3, manifest_path=None, resume=False,
+                   cache_dir=cache_dir,
+                   obs=SweepObserver(progress=notes.append))
+
+
+def test_duplicate_result_discarded_at_most_once():
     """Unit-level at-most-once: the first result commits, the straggler
-    sibling's late result is discarded and counted against its host."""
+    sibling's late result is discarded and named against its host."""
     cell = SweepCell("dup", "flaky", {"mode": "sleep", "payload": "x"})
-    spec = SweepSpec("dups", (cell,))
-    scheduler = _RemoteScheduler(
-        spec, parse_hosts("loopback,loopback"),
-        outcomes={}, pending=deque(), book=Manifest(None, spec), cache=None,
-        timeout_s=None, max_attempts=3, heartbeat_s=1.0,
-        straggler_factor=None, connect_timeout_s=5.0, reconnect_attempts=0,
-        note=lambda _msg: None,
-    )
-    first, second = scheduler.hosts
-    for host, lease_id in ((first, "L1"), (second, "L2")):
-        lease = _Lease(id=lease_id, cell=cell, attempt=1, host=host,
-                       started=0.0)
-        scheduler.active[lease_id] = lease
-        host.leases[lease_id] = lease
-    scheduler._on_result(first, {"lease": "L1", "cell": "dup",
-                                 "ok": True, "payload": "committed"})
-    scheduler._on_result(second, {"lease": "L2", "cell": "dup",
-                                  "ok": True, "payload": "too late"})
-    assert scheduler.outcomes["dup"].payload == "committed"
-    assert second.outcome.duplicates_discarded == 1
-    assert not scheduler.active
+    notes = []
+    ledger = _ledger(SweepSpec("dups", (cell,)), notes)
+    assert ledger.pop() == (cell, 1)
+    assert ledger.settle(cell, 1, True, "committed",
+                         host="loopback#0") == "done"
+    assert ledger.settle(cell, 1, True, "too late",
+                         host="loopback#1") == "duplicate"
+    assert ledger.outcomes["dup"].payload == "committed"
+    assert ledger.pop() is None
+    assert ledger.obs.extra["duplicates"] == 1
+    assert any("late/duplicate result from loopback#1 discarded" in n
+               for n in notes)
 
 
 def test_redispatch_consults_result_cache(tmp_path):
     """A cell requeued after dispatch began is served from the result
     cache when a fingerprint-identical cell has completed in the
     meantime, instead of being re-executed on a host."""
-    from repro.sweep.manifest import ResultCache
-    from repro.sweep.spec import cell_fingerprint
-
     params = {"mode": "ok", "payload": "shared"}
     first = SweepCell("first", "flaky", params)
     second = SweepCell("second", "flaky", params)  # same fingerprint
-    spec = SweepSpec("cache-consult", (first, second))
-    cache = ResultCache(str(tmp_path / "cache"))
-    # "first" finished elsewhere while "second" sat requeued after a
-    # host loss: its payload is cached under the shared fingerprint.
-    cache.store(cell_fingerprint(first), cell_id="first", attempts=1,
-                payload={"value": 41})
-
     notes = []
-    outcomes = {}
-    pending = deque([(second, 1)])
-    scheduler = _RemoteScheduler(
-        spec, parse_hosts("loopback"),
-        outcomes=outcomes, pending=pending, book=Manifest(None, spec),
-        cache=cache, timeout_s=None, max_attempts=3, heartbeat_s=1.0,
-        straggler_factor=None, connect_timeout_s=5.0, reconnect_attempts=0,
-        note=notes.append,
-    )
-    host = scheduler.hosts[0]
-    host.state = "ready"
-    host.transport = object()  # must never be used: the cache serves it
-    scheduler._dispatch()
-    assert scheduler.cache_hits == 1
-    assert not pending and not scheduler.active
-    assert outcomes["second"].ok and outcomes["second"].cached
-    assert outcomes["second"].payload == {"value": 41}
+    ledger = _ledger(SweepSpec("cache-consult", (first, second)), notes,
+                     cache_dir=str(tmp_path / "cache"))
+    assert ledger.pop() == (first, 1)  # nothing cached yet: both run
+    assert ledger.pop() == (second, 1)
+    # "first" commits (and is cached) while "second" sits requeued after
+    # its host was lost.
+    assert ledger.settle(first, 1, True, {"value": 41}) == "done"
+    ledger.requeue(second, 1)
+    assert ledger.pop() is None  # served, not handed to a host
+    assert ledger.cache_hits == 1
+    outcome = ledger.outcomes["second"]
+    assert outcome.ok and outcome.cached
+    assert outcome.payload == {"value": 41}
     assert any("served from result cache" in n for n in notes)
 
 

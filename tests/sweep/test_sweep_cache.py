@@ -57,6 +57,22 @@ def test_cache_hit_serves_payload_without_spawning_workers(tmp_path):
     assert warm.payloads() == cold.payloads()
 
 
+def test_sibling_committed_mid_run_is_served_from_cache(tmp_path):
+    """A cell whose fingerprint-identical sibling committed after dispatch
+    began is served from the cache, not re-run, under the local pool too."""
+    log = str(tmp_path / "invocations.log")
+    params = {"log": log, "value": 7}
+    spec = SweepSpec("siblings", (SweepCell("first", "test-cache-log", params),
+                                  SweepCell("second", "test-cache-log", params)))
+    result = run_sweep(spec, workers=1, cache_dir=str(tmp_path / "cache"))
+    assert result.ok
+    assert result.cache_hits == 1
+    first, second = result.outcomes
+    assert not first.cached and second.cached
+    assert second.payload == first.payload == {"value": 7}
+    assert _log_lines(log) == ["7"]  # executed once
+
+
 def test_cache_is_shared_across_grid_names_and_cell_ids(tmp_path):
     # The fingerprint digests runner + params only, so a renamed grid
     # with renumbered cell ids still hits the same entries.
