@@ -317,4 +317,18 @@ python -m repro report --snapshot "$COLO_TMP/colo_snap.json" \
 grep -q "tenant_tenant0_latency_ns" "$COLO_TMP/colo.html"
 grep -q "<svg" "$COLO_TMP/colo.html"
 
+echo "== figure-path smoke (fig5-ycsb and colo-memcg match figbench/reference.json) =="
+# The two figbench workloads that drive the KV stores: every run's digest
+# must match the recorded reference, and no run may fail.
+for workload in fig5-ycsb colo-memcg; do
+    LAST="$(python3 figbench/run.py --workload "$workload" --seed 0 --seconds 1 | tail -n 1)"
+    python - "$workload" "$LAST" <<'PYEOF'
+import json, sys
+
+workload, out = sys.argv[1], json.loads(sys.argv[2])
+assert out["correct"] is True and out["failed"] == 0, (workload, out)
+print(f"{workload}: {out['attempted']} runs match the reference, 0 failed")
+PYEOF
+done
+
 echo "CI OK"

@@ -133,8 +133,8 @@ def bench_touch(
 
     # Timing runs: fresh machine per repeat so every repeat warms up the
     # same way and the drivers all see the same starting point.  The
-    # baseline loop body mirrors run_workload(batch=False) — the
-    # original per-access driver — exactly, down to the operation count.
+    # baseline is the per-access driver: one Machine.touch call per
+    # access, counting op boundaries as the batched drivers do.
     per_access_best = float("inf")
     for _ in range(max(1, repeats)):
         machine, workload = materialize()

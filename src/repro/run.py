@@ -141,19 +141,13 @@ def run_workload(
     policy: str = "multiclock",
     *,
     machine: Machine | None = None,
-    batch: bool = True,
 ) -> RunResult:
     """Simulate ``workload`` on a machine running ``policy``.
 
     A pre-built ``machine`` may be supplied to run several workload phases
     back to back on warm state (the YCSB prescribed execution sequence);
-    otherwise a fresh machine is built from ``config``.
-
-    The access stream is driven through :meth:`Machine.touch_batch` by
-    default; ``batch=False`` selects the original one-call-per-access
-    loop.  The two drivers produce identical results (the perf tests
-    assert it) — the per-access loop exists as the baseline the
-    ``repro bench`` touch microbenchmark compares against.
+    otherwise a fresh machine is built from ``config``.  The access stream
+    is driven through :meth:`Machine.touch_batch`.
     """
     if machine is None:
         machine = Machine(config, policy)
@@ -162,26 +156,11 @@ def run_workload(
     start_app = machine.clock.app_ns
     start_system = machine.clock.system_ns
     start_counters = machine.stats.snapshot()
-    # "Saw any op boundary" is tracked explicitly rather than inferred
-    # from operations truthiness, and a workload may declare that it
-    # marks boundaries: a marked phase that happens to complete zero
-    # operations must not be mislabelled as a fallback run.
-    if batch:
-        accesses, operations = machine.touch_batch(workload.accesses())
-        saw_op_boundary = operations > 0
-    else:
-        operations = 0
-        accesses = 0
-        saw_op_boundary = False
-        for access in workload.accesses():
-            machine.touch(
-                access.process, access.vpage, is_write=access.is_write, lines=access.lines
-            )
-            accesses += 1
-            if access.op_boundary:
-                operations += 1
-                saw_op_boundary = True
-    marked = saw_op_boundary or workload.marks_op_boundaries
+    accesses, operations = machine.touch_batch(workload.accesses())
+    # A workload may declare that it marks op boundaries: a marked phase
+    # that happens to complete zero operations must not be mislabelled as
+    # a fallback run.
+    marked = operations > 0 or workload.marks_op_boundaries
     end_counters = machine.stats.snapshot()
     deltas = {
         key: end_counters.get(key, 0) - start_counters.get(key, 0)

@@ -12,19 +12,28 @@ pattern*, which is shaped by two things we model faithfully:
 * **the hash table** — every operation first probes a bucket page, giving
   each request a second, uniformly distributed page touch.
 
-Operations translate keys to page touches; the YCSB driver turns those
-into :class:`~repro.workloads.base.PageAccess` records.
+Operations translate keys to page touches.  The layout itself — which
+bucket page and which slab page a key lives on — is written once, in
+:meth:`SlabKVStore.hash_vpage` and :meth:`SlabKVStore.data_vpage`, as
+arithmetic that takes Python ints (the per-operation methods below) or
+numpy arrays (the YCSB emitter, which lays out a whole batch of
+operations at a time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.sim.config import PAGE_SIZE
 
 __all__ = ["PageTouch", "SlabKVStore", "CACHE_LINE"]
 
 CACHE_LINE = 64
+
+_BUCKETS_PER_PAGE = PAGE_SIZE // 8
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,9 @@ class SlabKVStore:
     dense id keeps the model deterministic).
     """
 
+    #: Index pages an operation probes before its record: the bucket page.
+    probes = 1
+
     def __init__(
         self,
         *,
@@ -67,6 +79,7 @@ class SlabKVStore:
         self.value_size = value_size
         self.chunk_size = chunk
         self.items_per_page = PAGE_SIZE // chunk
+        self.value_lines = max(1, chunk // CACHE_LINE)
         self.hash_base = hash_base
         self.data_base = data_base
         self._locations: dict[int, int] = {}
@@ -86,8 +99,7 @@ class SlabKVStore:
     def hash_pages(self, n_records: int) -> int:
         """Bucket-array pages for ``n_records`` keys (8-byte pointers,
         one bucket per record, memcached's default load factor ~1)."""
-        buckets_per_page = PAGE_SIZE // 8
-        return max(1, (n_records - 1) // buckets_per_page + 1)
+        return max(1, (n_records - 1) // _BUCKETS_PER_PAGE + 1)
 
     def footprint_pages(self, n_records: int) -> int:
         """Pages the store will occupy once ``n_records`` are loaded."""
@@ -98,16 +110,35 @@ class SlabKVStore:
         """The slab slot holding ``key``, or None if absent."""
         return self._locations.get(key)
 
-    def _data_vpage(self, slot: int) -> int:
+    def locations(self, keys: np.ndarray) -> np.ndarray:
+        """Slab slots of ``keys``, every one of which is present."""
+        slot = self._locations
+        return np.array([slot[key] for key in keys.tolist()], dtype=np.int64)
+
+    def add_keys(self, keys: Iterable[int]) -> None:
+        """Give absent ``keys`` the next slab slots, in order."""
+        keys = list(keys)
+        first = self._next_slot
+        self._locations.update(zip(keys, range(first, first + len(keys))))
+        self._next_slot = first + len(keys)
+
+    def data_vpage(self, slot):
+        """Slab page of ``slot`` (an int or an array of them)."""
         return self.data_base + slot // self.items_per_page
 
-    def _hash_vpage(self, key: int) -> int:
-        # Dense keys hash uniformly over buckets; bucket index = key works
-        # as a deterministic stand-in for a uniform hash.
-        buckets_per_page = PAGE_SIZE // 8
-        return self.hash_base + (key * 2654435761 % (1 << 32)) % max(
-            1, self.n_records or 1
-        ) // buckets_per_page
+    def hash_vpage(self, key, n_records):
+        """Bucket page of ``key`` in a table of ``n_records`` buckets
+        (ints, or arrays of matching shape)."""
+        # Dense keys hash uniformly over buckets; a multiplicative hash of
+        # the key works as a deterministic stand-in for a uniform hash.
+        return (
+            self.hash_base
+            + (key * 2654435761 % (1 << 32)) % n_records // _BUCKETS_PER_PAGE
+        )
+
+    def probe_vpages(self, key, n_records) -> tuple:
+        """The index pages an operation on ``key`` probes, in order."""
+        return (self.hash_vpage(key, n_records),)
 
     # -- operations -----------------------------------------------------------
 
@@ -116,36 +147,31 @@ class SlabKVStore:
         if key in self._locations:
             return self.update(key)
         slot = self._next_slot
-        self._next_slot += 1
-        self._locations[key] = slot
-        value_lines = self._value_lines()
+        self.add_keys((key,))
         return [
-            PageTouch(self._hash_vpage(key), is_write=True, lines=1),
-            PageTouch(self._data_vpage(slot), is_write=True, lines=value_lines),
+            PageTouch(self.hash_vpage(key, len(self._locations)), is_write=True, lines=1),
+            PageTouch(self.data_vpage(slot), is_write=True, lines=self.value_lines),
         ]
 
     def read(self, key: int) -> list[PageTouch]:
         """GET: probe the bucket, read the record."""
         slot = self._require(key)
         return [
-            PageTouch(self._hash_vpage(key), is_write=False, lines=1),
-            PageTouch(self._data_vpage(slot), is_write=False, lines=self._value_lines()),
+            PageTouch(self.hash_vpage(key, len(self._locations)), is_write=False, lines=1),
+            PageTouch(self.data_vpage(slot), is_write=False, lines=self.value_lines),
         ]
 
     def update(self, key: int) -> list[PageTouch]:
         """SET of an existing key: probe, then overwrite in place."""
         slot = self._require(key)
         return [
-            PageTouch(self._hash_vpage(key), is_write=False, lines=1),
-            PageTouch(self._data_vpage(slot), is_write=True, lines=self._value_lines()),
+            PageTouch(self.hash_vpage(key, len(self._locations)), is_write=False, lines=1),
+            PageTouch(self.data_vpage(slot), is_write=True, lines=self.value_lines),
         ]
 
     def read_modify_write(self, key: int) -> list[PageTouch]:
         """YCSB workload F's composite operation."""
         return self.read(key) + self.update(key)
-
-    def _value_lines(self) -> int:
-        return max(1, self.chunk_size // CACHE_LINE)
 
     def _require(self, key: int) -> int:
         slot = self._locations.get(key)

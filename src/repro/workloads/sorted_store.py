@@ -14,10 +14,16 @@ the access pattern tiering policies handle worst.
 
 The page-touch interface mirrors :class:`SlabKVStore`; operations first
 probe the index (root + leaf, the two levels a few-thousand-key tree
-needs), then touch the clustered data pages.
+needs), then touch the clustered data pages.  As there, the layout is
+written once (:meth:`SortedKVStore.probe_vpages`,
+:meth:`SortedKVStore.data_vpage`) for ints and numpy arrays alike.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
 
 from repro.sim.config import PAGE_SIZE
 from repro.workloads.kvstore import CACHE_LINE, PageTouch
@@ -29,6 +35,9 @@ _KEYS_PER_INDEX_PAGE = PAGE_SIZE // 16  # key + child pointer per entry
 
 class SortedKVStore:
     """Records clustered by key; SCAN walks consecutive pages."""
+
+    #: Index pages an operation probes before its record: root, then leaf.
+    probes = 2
 
     def __init__(
         self,
@@ -46,10 +55,13 @@ class SortedKVStore:
         self.value_size = value_size
         self.chunk_size = chunk
         self.items_per_page = PAGE_SIZE // chunk
+        self.value_lines = max(1, chunk // CACHE_LINE)
+        #: Lines a scan reads from each data page it walks.
+        self.scan_lines = min(self.items_per_page * self.value_lines, 64)
         self.index_base = index_base
         self.data_base = data_base
         self._keys: set[int] = set()
-        self._max_key = -1
+        self.max_key = -1
 
     # -- layout ------------------------------------------------------------
 
@@ -76,19 +88,31 @@ class SortedKVStore:
         """Clustered position: dense keys sit at their own rank."""
         return key if key in self._keys else None
 
-    def _data_vpage(self, key: int) -> int:
+    def locations(self, keys: np.ndarray) -> np.ndarray:
+        """Clustered positions of ``keys``, every one of which is present."""
+        return keys
+
+    def add_keys(self, keys: Iterable[int]) -> None:
+        """Record absent ``keys``."""
+        keys = list(keys)
+        self._keys.update(keys)
+        self.max_key = max([self.max_key, *keys])
+
+    def data_vpage(self, key):
+        """Data page of ``key`` (an int or an array of them)."""
         return self.data_base + key // self.items_per_page
 
-    def _index_touches(self, key: int, *, is_write: bool = False) -> list[PageTouch]:
-        """Root then leaf probe of the two-level index."""
-        leaf = 1 + key // _KEYS_PER_INDEX_PAGE
-        return [
-            PageTouch(self.index_base, is_write=False, lines=1),
-            PageTouch(self.index_base + leaf, is_write=is_write, lines=1),
-        ]
+    def probe_vpages(self, key, n_records) -> tuple:
+        """Root then leaf page of the two-level index descent to ``key``
+        (``n_records`` is unused: the tree's shape follows the keys)."""
+        return (self.index_base, self.index_base + 1 + key // _KEYS_PER_INDEX_PAGE)
 
-    def _value_lines(self) -> int:
-        return max(1, self.chunk_size // CACHE_LINE)
+    def _index_touches(self, key: int, *, is_write: bool = False) -> list[PageTouch]:
+        root, leaf = self.probe_vpages(key, None)
+        return [
+            PageTouch(root, is_write=False, lines=1),
+            PageTouch(leaf, is_write=is_write, lines=1),
+        ]
 
     def _require(self, key: int) -> int:
         if key not in self._keys:
@@ -101,22 +125,21 @@ class SortedKVStore:
         """Clustered insert; YCSB inserts are append-ordered (new max keys)."""
         if key in self._keys:
             return self.update(key)
-        self._keys.add(key)
-        self._max_key = max(self._max_key, key)
+        self.add_keys((key,))
         return self._index_touches(key, is_write=True) + [
-            PageTouch(self._data_vpage(key), is_write=True, lines=self._value_lines())
+            PageTouch(self.data_vpage(key), is_write=True, lines=self.value_lines)
         ]
 
     def read(self, key: int) -> list[PageTouch]:
         self._require(key)
         return self._index_touches(key) + [
-            PageTouch(self._data_vpage(key), is_write=False, lines=self._value_lines())
+            PageTouch(self.data_vpage(key), is_write=False, lines=self.value_lines)
         ]
 
     def update(self, key: int) -> list[PageTouch]:
         self._require(key)
         return self._index_touches(key) + [
-            PageTouch(self._data_vpage(key), is_write=True, lines=self._value_lines())
+            PageTouch(self.data_vpage(key), is_write=True, lines=self.value_lines)
         ]
 
     def read_modify_write(self, key: int) -> list[PageTouch]:
@@ -131,13 +154,8 @@ class SortedKVStore:
         if count <= 0:
             raise ValueError("scan count must be positive")
         self._require(start_key)
-        end_key = min(start_key + count - 1, self._max_key)
+        end_key = min(start_key + count - 1, self.max_key)
         touches = self._index_touches(start_key)
-        first_page = self._data_vpage(start_key)
-        last_page = self._data_vpage(end_key)
-        per_page_lines = self.items_per_page * self._value_lines()
-        for vpage in range(first_page, last_page + 1):
-            touches.append(
-                PageTouch(vpage, is_write=False, lines=min(per_page_lines, 64))
-            )
+        for vpage in range(self.data_vpage(start_key), self.data_vpage(end_key) + 1):
+            touches.append(PageTouch(vpage, is_write=False, lines=self.scan_lines))
         return touches

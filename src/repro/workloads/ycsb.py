@@ -18,6 +18,10 @@ The prescribed execution sequence (Section V-B) is Load, A, B, C, F, W,
 then D last because D grows the record count; :class:`YCSBSession`
 manages the shared store and process across phases so the sequence runs
 against warm machine state, as on the paper's testbed.
+
+Phases emit a batch of operations at a time: op kinds, keys and the
+stores' page layout are computed as numpy columns, drawing random
+numbers in the order an op-at-a-time emitter would.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ ZIPFIAN_CONSTANT = 0.99
 """YCSB's default request-distribution skew."""
 
 _BATCH = 2048
+"""Operations per emitted batch of touch columns."""
+
+# Operation kinds, in the order of a mix's cumulative thresholds.
+_READ, _UPDATE, _INSERT, _RMW, _SCAN = range(5)
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,10 @@ class YCSBSession:
             raise ValueError("n_records must be positive")
         if not 0.0 <= hash_cache_hit_rate <= 1.0:
             raise ValueError("hash_cache_hit_rate must lie in [0, 1]")
+        if not insert_headroom >= 0.0:
+            raise ValueError(
+                f"insert_headroom must be non-negative, got {insert_headroom}"
+            )
         self.n_records = n_records
         self.seed = seed
         self.hash_cache_hit_rate = hash_cache_hit_rate
@@ -122,7 +134,7 @@ class YCSBSession:
         # Scrambling: popularity rank -> key, fixed for the whole session.
         rng = make_rng(seed, "ycsb-scramble")
         self._key_of_rank = rng.permutation(self.max_records)
-        self.zeta = IncrementalZeta(ZIPFIAN_CONSTANT)
+        self.zipf = Zipfian(ZIPFIAN_CONSTANT)
 
     # -- machine wiring -------------------------------------------------------
 
@@ -141,14 +153,86 @@ class YCSBSession:
 
     # -- key selection ----------------------------------------------------------
 
-    def zipf_weights(self, n: int) -> np.ndarray:
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        weights = ranks ** (-ZIPFIAN_CONSTANT)
-        return weights / weights.sum()
+    def scrambled_keys(self, rank: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Map popularity ranks onto the loaded keyspaces of ``n`` records."""
+        return self._key_of_rank[rank] % n
 
-    def scrambled_key(self, rank: int, n: int) -> int:
-        """Map a popularity rank onto the loaded keyspace."""
-        return int(self._key_of_rank[rank] % n)
+    # -- touch layout -----------------------------------------------------------
+
+    def _touch_columns(
+        self, kind: np.ndarray, key: np.ndarray, scan_lengths: np.ndarray | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """Lay a batch of operations out as page-touch columns.
+
+        ``kind`` holds an operation code per op (``_INSERT`` inserts
+        ``key``), ``key`` the key each op works on and ``scan_lengths``
+        the record count of each scan, in order.  The touches are the
+        stores' per-operation ones: the index probes, then the record;
+        an RMW is a read then an update; a scan is the probes then its
+        page range.  Inserting a present key updates it, as the stores'
+        ``insert`` does, and new keys are added to the store.
+
+        Returns ``(vpage, write, lines, op_boundary, probe)``, where
+        ``probe`` marks the index probes the CPU cache may absorb.
+        """
+        store = self.store
+        levels = store.probes
+        kind = kind.copy()
+        inserts = np.flatnonzero(kind == _INSERT)
+        insert_keys = key[inserts].tolist()
+        present = np.array([store.location(k) is not None for k in insert_keys], bool)
+        kind[inserts[present]] = _UPDATE
+        new = kind == _INSERT
+        length = np.array([levels + 1] * 3 + [2 * levels + 2, levels])[kind]
+        scans = np.flatnonzero(kind == _SCAN)
+        if len(scans):
+            # A scan stops at the largest key inserted before it.
+            newest = np.maximum.accumulate(np.where(new, key, store.max_key))
+            last_key = np.minimum(key[scans] + scan_lengths - 1, newest[scans])
+            first = store.data_vpage(key[scans])
+            pages = store.data_vpage(last_key) - first + 1
+            length[scans] += pages
+        # The slab hashes over its record count as each op runs.
+        n_records = store.n_records + np.cumsum(new)
+        store.add_keys(k for k, p in zip(insert_keys, present.tolist()) if not p)
+
+        probes = [
+            np.broadcast_to(col, key.shape) for col in store.probe_vpages(key, n_records)
+        ]
+        record = store.data_vpage(store.locations(key))
+        end = np.cumsum(length)
+        start = end - length
+        total = int(end[-1])
+        vpage = np.empty(total, np.int64)
+        write = np.zeros(total, bool)
+        lines = np.ones(total, np.int64)
+        probe = np.zeros(total, bool)
+        boundary = np.zeros(total, bool)
+        boundary[end - 1] = True
+
+        def probe_at(ops: np.ndarray, at: int) -> None:
+            for level, col in enumerate(probes):
+                vpage[start[ops] + at + level] = col[ops]
+                probe[start[ops] + at + level] = True
+
+        def record_at(ops: np.ndarray, at: int, is_write) -> None:
+            vpage[start[ops] + at] = record[ops]
+            write[start[ops] + at] = is_write
+            lines[start[ops] + at] = store.value_lines
+
+        probe_at(np.arange(len(kind)), 0)
+        single = np.flatnonzero(kind != _SCAN)
+        record_at(single, levels, (kind[single] == _UPDATE) | (kind[single] == _INSERT))
+        write[start[new] + levels - 1] = True  # an insert writes its bucket/leaf
+        rmw = np.flatnonzero(kind == _RMW)
+        probe_at(rmw, levels + 1)
+        record_at(rmw, 2 * levels + 1, True)
+        if len(scans):
+            offset = np.arange(pages.sum()) - np.repeat(np.cumsum(pages) - pages, pages)
+            at = np.repeat(start[scans] + levels, pages) + offset
+            vpage[at] = np.repeat(first, pages) + offset
+            lines[at] = store.scan_lines
+        return vpage, write, lines, boundary, probe
 
     # -- phases --------------------------------------------------------------
 
@@ -187,18 +271,12 @@ class YCSBLoadPhase(Workload):
         session = self.session
         process = session.process
         assert process is not None
-        for key in range(session.n_records):
-            touches = session.store.insert(key)
-            session.next_key = key + 1
-            last = len(touches) - 1
-            for i, touch in enumerate(touches):
-                yield PageAccess(
-                    process,
-                    touch.vpage,
-                    is_write=touch.is_write,
-                    lines=touch.lines,
-                    op_boundary=(i == last),
-                )
+        shared: dict[int, PageAccess] = {}
+        for first in range(0, session.n_records, _BATCH):
+            key = np.arange(first, min(first + _BATCH, session.n_records))
+            columns = session._touch_columns(np.full(len(key), _INSERT), key)
+            session.next_key = int(key[-1]) + 1
+            yield from _page_accesses(process, shared, *columns[:4])
 
 
 class YCSBPhase(Workload):
@@ -225,96 +303,153 @@ class YCSBPhase(Workload):
 
     def accesses(self) -> Iterator[PageAccess]:
         session = self.session
-        store = session.store
         process = session.process
         assert process is not None
         rng = make_rng(session.seed, f"ycsb-{self.label}")
         mix = self.mix
         thresholds = np.cumsum([mix.read, mix.update, mix.insert, mix.rmw, mix.scan])
+        levels = session.store.probes
+        shared: dict[int, PageAccess] = {}
         emitted = 0
         while emitted < self.ops:
             batch = min(_BATCH, self.ops - emitted)
             op_draw = rng.random(batch)
             rank_draw = rng.random(batch)
-            hit_rate = session.hash_cache_hit_rate
-            data_base = store.data_base
-            for i in range(batch):
-                touches = self._one_op(rng, op_draw[i], rank_draw[i], thresholds)
-                last = len(touches) - 1
-                for j, touch in enumerate(touches):
-                    is_hash_probe = touch.vpage < data_base
-                    if is_hash_probe and j != last and rng.random() < hit_rate:
-                        continue  # bucket served from the CPU cache
-                    yield PageAccess(
-                        process,
-                        touch.vpage,
-                        is_write=touch.is_write,
-                        lines=touch.lines,
-                        op_boundary=(j == last),
-                    )
+            kind = np.minimum(np.searchsorted(thresholds, op_draw, side="right"), _SCAN)
+            key = self._keys(kind, rank_draw)
+            probes = np.where(kind == _RMW, 2 * levels, levels)
+            cache_draw, scan_lengths = _probe_and_scan_draws(rng, kind, probes)
+            vpage, write, lines, boundary, probe = session._touch_columns(
+                kind, key, scan_lengths
+            )
+            # A probe is served from the CPU cache with the hit rate.
+            keep = ~probe
+            keep[probe] = cache_draw >= session.hash_cache_hit_rate
+            yield from _page_accesses(
+                process, shared, vpage[keep], write[keep], lines[keep], boundary[keep]
+            )
             emitted += batch
 
-    def _one_op(self, rng, op_p: float, rank_p: float, thresholds) -> list:
+    def _keys(self, kind: np.ndarray, rank_p: np.ndarray) -> np.ndarray:
+        """The key of each op.  An insert takes ``session.next_key`` while
+        the headroom lasts; after that it degrades to an update of the
+        newest key (``kind`` is rewritten in place)."""
         session = self.session
-        store = session.store
-        if op_p < thresholds[0]:
-            return store.read(self._pick_key(rng, rank_p))
-        if op_p < thresholds[1]:
-            return store.update(self._pick_key(rng, rank_p))
-        if op_p < thresholds[2]:
-            key = session.next_key
-            if key >= session.max_records:
-                # Headroom exhausted: degrade to an update of the newest key.
-                return store.update(session.next_key - 1)
-            session.next_key = key + 1
-            return store.insert(key)
-        if op_p < thresholds[3]:
-            return store.read_modify_write(self._pick_key(rng, rank_p))
-        length = int(rng.integers(1, MAX_SCAN_LENGTH + 1))
-        return store.scan(self._pick_key(rng, rank_p), length)
-
-    def _pick_key(self, rng, rank_p: float) -> int:
-        session = self.session
-        n = session.next_key
-        rank = self._zipf_rank(rank_p, n)
+        inserts = kind == _INSERT
+        earlier = np.cumsum(inserts) - inserts
+        room = session.max_records - session.next_key
+        # session.next_key as each op starts.
+        n = session.next_key + np.minimum(earlier, room)
+        degraded = inserts & (earlier >= room)
+        kind[degraded] = _UPDATE
+        key = n - degraded
+        picks = ~inserts
+        rank = session.zipf.ranks(rank_p[picks], n[picks])
         if self.mix.distribution == "latest":
             # Recency skew: rank 0 = newest insert.
-            return n - 1 - rank
-        return session.scrambled_key(rank, n)
-
-    def _zipf_rank(self, p: float, n: int) -> int:
-        """Inverse-CDF zipfian rank via YCSB's ZipfianGenerator closed
-        form, avoiding an O(n) weight table per draw."""
-        theta = ZIPFIAN_CONSTANT
-        zetan = self.session.zeta.upto(n)
-        zeta2 = 1.0 + 0.5 ** theta
-        if n <= 2:
-            return 0 if p * zetan < 1.0 else min(1, n - 1)
-        alpha = 1.0 / (1.0 - theta)
-        eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - zeta2 / zetan)
-        uz = p * zetan
-        if uz < 1.0:
-            return 0
-        if uz < zeta2:
-            return 1
-        return int(n * (eta * p - eta + 1) ** alpha) % n
+            key[picks] = n[picks] - 1 - rank
+        else:
+            key[picks] = session.scrambled_keys(rank, n[picks])
+        session.next_key += min(int(inserts.sum()), room)
+        return key
 
 
-class IncrementalZeta:
-    """Generalized harmonic number sum_{i=1..n} i^-theta, grown in O(1)
-    amortized as workload D's inserts extend the keyspace."""
+def _probe_and_scan_draws(
+    rng: np.random.Generator, kind: np.ndarray, probes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One uniform draw per index probe, in stream order, and each scan's
+    length.
+
+    A scan draws its length before its probes draw.  ``integers`` hands
+    out half-words buffered inside the bit generator, so its draws cannot
+    be batched apart from the probe draws: a batch with scans draws the
+    probes between two scans at a time.
+    """
+    total = int(probes.sum())
+    scans = np.flatnonzero(kind == _SCAN)
+    if not len(scans):
+        return rng.random(total), None
+    parts = []
+    lengths = []
+    drawn = 0
+    for before in (np.cumsum(probes) - probes)[scans].tolist():
+        parts.append(rng.random(before - drawn))
+        drawn = before
+        lengths.append(int(rng.integers(1, MAX_SCAN_LENGTH + 1)))
+    parts.append(rng.random(total - drawn))
+    return np.concatenate(parts), np.array(lengths, dtype=np.int64)
+
+
+def _page_accesses(
+    process: Process,
+    shared: dict[int, PageAccess],
+    vpage: np.ndarray,
+    write: np.ndarray,
+    lines: np.ndarray,
+    boundary: np.ndarray,
+) -> list[PageAccess]:
+    """The touches as :class:`PageAccess` objects.  They are frozen, so
+    a phase builds one per distinct touch and shares it (``shared`` maps
+    a touch's packed code to its object)."""
+    # Packed as GAPBS's TouchColumns packs them: lines <= 64 fits 7 bits.
+    codes = (((vpage * 2 + write) * 2 + boundary) * 128 + lines).tolist()
+    for code in set(codes).difference(shared):
+        shared[code] = PageAccess(
+            process, code >> 9, bool(code >> 8 & 1), bool(code >> 7 & 1), code & 127
+        )
+    return list(map(shared.__getitem__, codes))
+
+
+class Zipfian:
+    """YCSB's ZipfianGenerator over a keyspace that grows with inserts.
+
+    A rank comes from the generator's inverse-CDF closed form, which
+    needs ``zeta(n) = sum_{i=1..n} i^-theta`` and ``eta(n)`` for the
+    record count ``n`` an op sees.  Both are tables indexed by ``n``,
+    grown by sequential Python-float additions as workload D's inserts
+    extend the keyspace, so a batch of ops gathers them.
+    """
 
     def __init__(self, theta: float) -> None:
         self.theta = theta
-        self._n = 0
-        self._value = 0.0
+        self.alpha = 1.0 / (1.0 - theta)
+        self.zeta2 = 1.0 + 0.5 ** theta
+        self._zeta = [0.0]
+        self._eta = [0.0]
+        self._tables = (np.zeros(1), np.zeros(1))
 
-    def upto(self, n: int) -> float:
-        if n < self._n:
-            # Shrinking never happens in YCSB; recompute defensively.
-            self._n = 0
-            self._value = 0.0
-        while self._n < n:
-            self._n += 1
-            self._value += self._n ** (-self.theta)
-        return self._value
+    def zeta(self, n: int) -> float:
+        self._grow(n)
+        return self._zeta[n]
+
+    def _grow(self, n: int) -> None:
+        zeta = self._zeta
+        if n < len(zeta):
+            return
+        theta = self.theta
+        value = zeta[-1]
+        for i in range(len(zeta), n + 1):
+            value += i ** (-theta)
+            zeta.append(value)
+            # eta is used only above n = 2, where zeta(n) exceeds zeta2.
+            self._eta.append(
+                (1 - (2.0 / i) ** (1 - theta)) / (1 - self.zeta2 / value) if i > 2 else 0.0
+            )
+        self._tables = (np.array(zeta), np.array(self._eta))
+
+    def ranks(self, p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The popularity rank in ``[0, n)`` of each uniform draw ``p``."""
+        if not len(p):
+            return np.zeros(0, np.int64)
+        self._grow(int(n.max()))
+        zeta, eta = (table[n] for table in self._tables)
+        uz = p * zeta
+        rank = (uz >= 1.0).astype(np.int64)
+        tail = np.flatnonzero((uz >= self.zeta2) & (n > 2))
+        eta = eta[tail]
+        # The power stays in Python floats: numpy's vectorised pow can
+        # differ in the last bit, and int(n * x) flips on such a bit.
+        alpha = self.alpha
+        scaled = [x ** alpha for x in (eta * p[tail] - eta + 1).tolist()]
+        rank[tail] = (n[tail] * np.array(scaled)).astype(np.int64) % n[tail]
+        return rank

@@ -59,22 +59,20 @@ class _NoBoundaryWorkload(UniformWorkload):
             )
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_ops_fallback_is_explicit(batch):
+def test_ops_fallback_is_explicit():
     """When a stream carries no operation markers, RunResult falls back
     to the access count — and says so, instead of silently conflating
     operations with accesses."""
     result = run_workload(
-        _NoBoundaryWorkload(pages=100, ops=300), CONFIG, policy="static", batch=batch
+        _NoBoundaryWorkload(pages=100, ops=300), CONFIG, policy="static"
     )
     assert result.ops_fallback
     assert result.operations == result.accesses == 300
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_ops_fallback_false_for_marked_streams(batch):
+def test_ops_fallback_false_for_marked_streams():
     result = run_workload(
-        ZipfWorkload(pages=100, ops=300), CONFIG, policy="static", batch=batch
+        ZipfWorkload(pages=100, ops=300), CONFIG, policy="static"
     )
     assert not result.ops_fallback
     assert result.operations == 300
@@ -93,13 +91,12 @@ class _ZeroOpWorkload(UniformWorkload):
             )
 
 
-@pytest.mark.parametrize("batch", [True, False])
-def test_zero_op_phase_of_marked_workload_is_not_a_fallback(batch):
+def test_zero_op_phase_of_marked_workload_is_not_a_fallback():
     """A boundary-marking workload with zero completed operations must
     report operations == 0, not silently switch to accesses/s."""
     assert _ZeroOpWorkload.marks_op_boundaries  # inherited declaration
     result = run_workload(
-        _ZeroOpWorkload(pages=100, ops=300), CONFIG, policy="static", batch=batch
+        _ZeroOpWorkload(pages=100, ops=300), CONFIG, policy="static"
     )
     assert not result.ops_fallback
     assert result.operations == 0

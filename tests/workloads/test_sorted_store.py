@@ -44,7 +44,7 @@ def test_scan_touches_consecutive_pages(store):
 def test_scan_clamps_at_max_key(store):
     touches = store.scan(95, 100)
     data_pages = [t.vpage for t in touches if t.vpage >= store.data_base]
-    assert data_pages[-1] == store._data_vpage(99)
+    assert data_pages[-1] == store.data_vpage(99)
 
 
 def test_scan_validation(store):

@@ -43,6 +43,23 @@ def test_workload_e_is_non_operational():
         session.phase("E", ops=10)
 
 
+@pytest.mark.parametrize("headroom", [-0.5, -1e-9, float("nan")])
+def test_negative_insert_headroom_rejected(headroom):
+    """Regions sized for fewer records than the load inserts would leave
+    the load touching unmapped pages."""
+    with pytest.raises(ValueError, match="insert_headroom"):
+        YCSBSession(300, insert_headroom=headroom)
+
+
+def test_zero_insert_headroom_degrades_every_insert():
+    session = YCSBSession(300, value_size=512, seed=9, insert_headroom=0.0)
+    machine = Machine(CONFIG, "static")
+    run_workload(session.load_phase(), CONFIG, machine=machine)
+    result = run_workload(session.phase("D", ops=500), CONFIG, machine=machine)
+    assert result.operations == 500
+    assert session.next_key == session.max_records == 300
+
+
 def test_unknown_workload_rejected():
     session = YCSBSession(100)
     with pytest.raises(KeyError):
