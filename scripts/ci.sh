@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+echo "== tier-1 tests (total and ten slowest) =="
+python -m pytest -x --durations=10
 
 echo "== bench harness smoke test =="
 python -m pytest benchmarks/perf -q
@@ -146,70 +146,9 @@ grep -q "0 worker(s) spawned" "$SWEEP_TMP/rerun.out"
 cmp "$SWEEP_TMP/par.json" "$SWEEP_TMP/par.first.json"
 echo "cached CLI re-run: byte-identical report, zero workers spawned"
 
-# Agents run in their own session and are torn down as a process group:
-# no sweep-agent process (agent or forked worker) may outlive the
-# distributed, kill-agent and observability smokes below.
-agent_count() {
-    ps -eo args= | grep -c "^[^ ]*python[^ ]* -m repro sweep-agent" || true
-}
-AGENTS_BEFORE="$(agent_count)"
-
-echo "== distributed sweep smoke (2 loopback agents == sequential) =="
-python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache \
-    --hosts loopback,loopback --heartbeat-s 1 \
-    --out "$SWEEP_TMP/remote.json" >/dev/null 2>&1
-cmp "$SWEEP_TMP/remote.json" "$SWEEP_TMP/seq.json"
-test -s "$SWEEP_TMP/remote.json.hosts.json"
-echo "2-host loopback sweep: byte-identical report, host sidecar written"
-
-echo "== distributed sweep fault smoke (agent killed mid-run heals, journal armed) =="
-python - "$(mktemp -d)" <<'PYEOF'
-import sys
-from repro.obs import (Journal, SweepObserver, pair_spans, read_journal,
-                       timeline_records)
-from repro.sweep import SweepCell, SweepSpec, run_remote_sweep, run_sweep
-
-tmp = sys.argv[1]
-marker = tmp + "/killed.marker"
-cells = [
-    SweepCell(f"c{i}", "flaky",
-              {"mode": "sleep", "sleep_s": 0.05, "payload": f"p{i}"})
-    for i in range(8)
-]
-cells.insert(3, SweepCell("killer", "flaky",
-                          {"mode": "kill-agent", "marker": marker,
-                           "payload": "recovered"}))
-spec = SweepSpec(name="ci-kill-agent", cells=tuple(cells))
-sequential = run_sweep(spec, workers=1)
-journal_path = tmp + "/sweep.journal.ndjson"
-obs = SweepObserver(journal=Journal(journal_path))
-remote = run_remote_sweep(spec, "loopback,loopback", heartbeat_s=0.5,
-                          reconnect_attempts=2, obs=obs)
-obs.close("done")
-assert remote.ok, [o.error for o in remote.outcomes if not o.ok]
-assert remote.payloads() == sequential.payloads(), "results diverged"
-
-# The journal must tell the same story: the killed host's cell.run span
-# and its re-run elsewhere share the cell id, the cell commits once,
-# and the merged timeline shows the whole fleet (driver + 2 hosts).
-events = read_journal(journal_path)
-runs = [s for s in pair_spans(events)
-        if s.span == "cell.run" and s.cell == "killer"]
-assert len(runs) >= 2 and any(s.aborted for s in runs), runs
-commits = [e for e in events if e["ev"] == "point"
-           and e["span"] == "commit" and e.get("cell") == "killer"]
-assert len(commits) == 1, commits
-_, lanes = timeline_records(events)
-assert lanes >= 3, f"expected >=3 timeline lanes, got {lanes}"
-print("agent SIGKILLed mid-sweep: every cell re-dispatched and completed, "
-      "results identical to sequential; journal shows the re-run "
-      f"({len(runs)} cell.run spans, 1 commit, {lanes} timeline lanes)")
-PYEOF
-
 echo "== observability smoke (journal -> top -> timeline -> byte-identity) =="
 OBS_TMP="$(mktemp -d)"
-python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache \
-    --hosts loopback,loopback --heartbeat-s 1 --journal \
+python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache --workers 2 --journal \
     --out "$OBS_TMP/armed.json" >/dev/null 2>&1
 python -m repro top "$OBS_TMP/armed.json" --once | grep -q "done 2"
 python -m repro timeline "$OBS_TMP/armed.json" \
@@ -219,8 +158,9 @@ import json, sys
 
 tmp = sys.argv[1]
 trace = json.load(open(tmp + "/trace.json"))  # perfetto export is JSON
-lanes = {r["pid"] for r in trace["traceEvents"]}
-assert len(lanes) >= 3, f"expected >=3 lanes, got {len(lanes)}"
+lanes = {r["args"]["name"] for r in trace["traceEvents"]
+         if r["name"] == "process_name"}
+assert lanes == {"driver", "local pool"}, f"unexpected lanes: {lanes}"
 report = json.load(open(tmp + "/armed.json"))
 profile = report.pop("profile")
 timing = report.pop("timing")
@@ -234,18 +174,6 @@ print(f"timeline has {len(lanes)} lanes; profile covers "
 PYEOF
 cmp "$OBS_TMP/stripped.json" "$SWEEP_TMP/seq.json"
 echo "journal-armed report minus timing/profile is byte-identical to journal-off"
-
-echo "== no sweep-agent process outlives the distributed smokes =="
-for _ in $(seq 50); do
-    [ "$(agent_count)" -le "$AGENTS_BEFORE" ] && break
-    sleep 0.1
-done
-AGENTS_AFTER="$(agent_count)"
-if [ "$AGENTS_AFTER" -gt "$AGENTS_BEFORE" ]; then
-    echo "leaked sweep-agent processes: $AGENTS_BEFORE before, $AGENTS_AFTER after" >&2
-    exit 1
-fi
-echo "sweep-agent processes: $AGENTS_BEFORE before the smokes, $AGENTS_AFTER after"
 
 echo "== trace smoke (run -> export -> audit) =="
 TRACE_TMP="$(mktemp -d)"

@@ -67,7 +67,6 @@ __all__ = [
     "bench_ycsb_a",
     "bench_trace",
     "bench_sweep",
-    "bench_remote",
     "bench_journal",
     "bench_metrics",
     "run_suite",
@@ -464,69 +463,6 @@ def bench_sweep(
     }
 
 
-def bench_remote(
-    *,
-    pages: int = 800,
-    ops: int = 8_000,
-    policies: tuple[str, ...] = ("static", "multiclock"),
-    workers: int = 2,
-    seed: int = 42,
-) -> dict[str, Any]:
-    """Local pool vs one loopback host agent over the wire protocol.
-
-    Both arms run the same declarative grid with the same worker count;
-    the remote arm adds agent startup, JSON envelopes, leases and
-    heartbeats on top.  ``overhead_s`` is that fixed protocol tax —
-    what shipping a cell to another machine costs before the network is
-    even involved.  ``identical`` pins the determinism gate: the wire
-    must never change results.
-    """
-    from repro.sweep import SweepCell, SweepSpec, run_remote_sweep, run_sweep
-
-    spec = SweepSpec(
-        name="bench-remote",
-        cells=tuple(
-            SweepCell(
-                id=policy,
-                runner="run-workload",
-                params={
-                    "policy": policy,
-                    "workload": {
-                        "kind": "zipf", "pages": pages, "ops": ops,
-                        "seed": seed, "write_ratio": 0.2,
-                    },
-                    "config": {"dram_pages": 1024, "pm_pages": 8192,
-                               "seed": seed},
-                },
-            )
-            for policy in policies
-        ),
-    )
-
-    gc.collect()
-    with _gc_paused():
-        start = time.perf_counter()
-        local = run_sweep(spec, workers=workers)
-        local_s = time.perf_counter() - start
-
-    gc.collect()
-    with _gc_paused():
-        start = time.perf_counter()
-        remote = run_remote_sweep(spec, f"loopback:{workers}")
-        remote_s = time.perf_counter() - start
-
-    return {
-        "cells": len(policies),
-        "ops_per_cell": ops,
-        "workers": workers,
-        "local_pool_s": round(local_s, 3),
-        "loopback_host_s": round(remote_s, 3),
-        "overhead_s": round(remote_s - local_s, 3),
-        "identical": local.ok and remote.ok
-        and remote.payloads() == local.payloads(),
-    }
-
-
 def bench_journal(
     *,
     pages: int = 800,
@@ -614,7 +550,6 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         # a busy single-core host was a coin flip (0.94x-1.45x measured
         # over repeated runs); at this sizing it holds 1.3x+.
         sweep = bench_sweep(pages=1500, ops=20_000)
-        remote = bench_remote(pages=400, ops=4_000)
         journal = bench_journal(pages=400, ops=4_000)
         metrics = bench_metrics(30_000, pages=2000, repeats=max(1, min(repeats, 2)))
     else:
@@ -623,7 +558,6 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         ycsb = bench_ycsb_a()
         trace = bench_trace(repeats=repeats)
         sweep = bench_sweep()
-        remote = bench_remote()
         journal = bench_journal()
         metrics = bench_metrics(repeats=repeats)
     return {
@@ -637,7 +571,6 @@ def run_suite(*, smoke: bool = False, repeats: int = 3) -> dict[str, Any]:
         "ycsb_a": ycsb,
         "trace": trace,
         "sweep": sweep,
-        "remote": remote,
         "journal": journal,
         "metrics": metrics,
     }
@@ -685,15 +618,6 @@ def render(results: dict[str, Any]) -> str:
             f" ({sweep['cached_rerun_workers']} spawned)"
             f"  ({sweep['cpu_count']} core(s))"
             f"  identical={sweep['identical']}"
-        )
-    remote = results.get("remote")
-    if remote is not None:
-        lines.append(
-            f"remote     {remote['cells']} cells local pool"
-            f" {remote['local_pool_s']}s"
-            f"  loopback host {remote['loopback_host_s']}s"
-            f"  protocol tax {remote['overhead_s']}s"
-            f"  identical={remote['identical']}"
         )
     journal = results.get("journal")
     if journal is not None:

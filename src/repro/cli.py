@@ -28,18 +28,14 @@ Commands:
   isolated worker processes (``--workers``), with per-cell retry,
   ``--timeout-s`` kills, and a resumable manifest (``--resume``);
   writes a deterministic ``SWEEP_report.json`` whose bytes do not
-  depend on the worker count.  With ``--hosts``, cells shard across
-  remote ``sweep-agent`` processes with heartbeats, lease re-dispatch,
-  and graceful degradation to the local pool.  ``--journal`` arms the
-  control-plane span journal (drives ``top``/``timeline`` and the
-  report's timing/profile sections).
-* ``sweep-agent`` — the host-side half of ``sweep --hosts``: serves
-  cells to a driver over stdin/stdout (started via ssh, not by hand).
+  depend on the worker count.  ``--journal`` arms the control-plane
+  span journal (drives ``top``/``timeline`` and the report's
+  timing/profile sections).
 * ``top`` — live progress view of a running ``sweep --journal``: polls
   the atomically-rewritten ``<out>.status.json`` (``--once`` for one
   frame, ``--prometheus`` for scrapers).
 * ``timeline`` — export a sweep's span journal as Chrome trace-event
-  JSON with one lane per driver/host/worker; loads directly in
+  JSON with a driver lane and a worker-pool lane; loads directly in
   https://ui.perfetto.dev.
 * ``stat`` — run a workload with the metrics registry armed and print a
   one-shot snapshot: ``/proc/vmstat``-style ``name value`` lines by
@@ -260,23 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result cache directory (default: <out>.cache)")
     sweep_p.add_argument("--out", default=None,
                          help="report path (default SWEEP_report.json)")
-    sweep_p.add_argument("--hosts", default=None,
-                         help="comma-separated sweep-agent hosts "
-                              "(loopback or [user@]host[:workers]); shards "
-                              "cells across machines with heartbeats, "
-                              "re-dispatch, and local-pool fallback")
-    sweep_p.add_argument("--heartbeat-s", type=float, default=None,
-                         help="agent heartbeat interval in host seconds "
-                              "(default 5; a host silent for 3 intervals is "
-                              "lost and its cells re-dispatched)")
-    sweep_p.add_argument("--straggler-factor", type=float, default=None,
-                         help="re-dispatch a leased cell running longer than "
-                              "this multiple of the median cell time "
-                              "(default 4; 0 disables)")
-    sweep_p.add_argument("--connect-timeout-s", type=float, default=10.0,
-                         help="seconds to wait for an agent's hello")
-    sweep_p.add_argument("--reconnect-attempts", type=int, default=1,
-                         help="reconnects per lost host before it is dead")
     sweep_p.add_argument("--journal", nargs="?", const="", default=None,
                          metavar="PATH",
                          help="arm the span journal: write control-plane "
@@ -284,14 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "<out>.journal.ndjson), keep a live "
                               "<out>.status.json for `repro top`, and add "
                               "timing/profile sections to the report")
-
-    agent_p = sub.add_parser(
-        "sweep-agent",
-        help="serve sweep cells to a remote driver over stdin/stdout "
-             "(started by `repro sweep --hosts`, rarely by hand)",
-    )
-    agent_p.add_argument("--workers", type=int, default=1,
-                         help="size of this agent's local worker pool")
 
     top_p = sub.add_parser(
         "top",
@@ -538,31 +509,15 @@ DEFAULT_SWEEP_REPORT = "SWEEP_report.json"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
     from repro.run import RunResult
     from repro.sweep import (
-        DEFAULT_HEARTBEAT_S,
-        DEFAULT_STRAGGLER_FACTOR,
         SweepCell,
         SweepInterrupted,
         SweepSpec,
         build_report,
-        parse_hosts,
-        run_remote_sweep,
         run_sweep,
         write_report,
     )
-
-    # A bad host list is an operator mistake, reported before any cell
-    # (or agent) is started; run_remote_sweep vets the tuning values.
-    hosts = parse_hosts(args.hosts, default_workers=args.workers) \
-        if args.hosts is not None else None
-    if hosts is None and (args.heartbeat_s is not None
-                          or args.straggler_factor is not None):
-        raise ValueError(
-            "--heartbeat-s/--straggler-factor only apply with --hosts"
-        )
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     workload_names = (
@@ -632,45 +587,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                spec=spec.name, trace=journal.trace_id),
         )
     try:
-        if hosts is not None:
-            result = run_remote_sweep(
-                spec,
-                hosts,
-                timeout_s=args.timeout_s,
-                max_attempts=args.max_attempts,
-                manifest_path=manifest,
-                resume=args.resume,
-                cache_dir=cache_dir,
-                heartbeat_s=(DEFAULT_HEARTBEAT_S if args.heartbeat_s is None
-                             else args.heartbeat_s),
-                straggler_factor=(DEFAULT_STRAGGLER_FACTOR
-                                  if args.straggler_factor is None
-                                  else args.straggler_factor),
-                connect_timeout_s=args.connect_timeout_s,
-                reconnect_attempts=args.reconnect_attempts,
-                local_workers=args.workers,
-                workers_per_host=args.workers,
-                progress=note,
-                obs=obs,
-            )
-        else:
-            result = run_sweep(
-                spec,
-                workers=args.workers,
-                timeout_s=args.timeout_s,
-                max_attempts=args.max_attempts,
-                manifest_path=manifest,
-                resume=args.resume,
-                cache_dir=cache_dir,
-                progress=note,
-                obs=obs,
-            )
-    except (SweepInterrupted, KeyboardInterrupt):
+        result = run_sweep(
+            spec,
+            workers=args.workers,
+            timeout_s=args.timeout_s,
+            max_attempts=args.max_attempts,
+            manifest_path=manifest,
+            resume=args.resume,
+            cache_dir=cache_dir,
+            progress=note,
+            obs=obs,
+        )
+    except BaseException as exc:
         # The journal gets its synthetic aborted ends and the status
-        # file its terminal state even on Ctrl-C — a consumer must
-        # never see a journal whose begins lack ends.
+        # file its terminal state even on Ctrl-C or a rejected argument
+        # — a consumer must never see a journal whose begins lack ends,
+        # or a status file stuck at "running".
         if obs is not None:
-            obs.close("interrupted")
+            interrupted = isinstance(exc, (SweepInterrupted, KeyboardInterrupt))
+            obs.close("interrupted" if interrupted else "failed")
         raise
 
     timing = profile = None
@@ -692,33 +627,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         profile=profile,
     )
     write_report(report, out)
-
-    if hosts is not None:
-        # Per-host outcomes go to a sidecar, never into the report: the
-        # report's bytes must stay identical to a sequential sweep's.
-        with open(f"{out}.hosts.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "cache_hits": result.cache_hits,
-                    "hosts": [h.to_dict() for h in result.host_outcomes],
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        for h in result.host_outcomes:
-            extras = []
-            if h.reconnects:
-                extras.append(f"{h.reconnects} reconnect(s)")
-            if h.duplicates_discarded:
-                extras.append(f"{h.duplicates_discarded} duplicate(s) discarded")
-            if h.error:
-                extras.append(h.error)
-            detail = f" ({'; '.join(extras)})" if extras else ""
-            print(f"  host {h.host}: {h.state}, {h.done} cell(s) done{detail}",
-                  file=sys.stderr)
-        if all(h.state == "dead" for h in result.host_outcomes):
-            print("warning: every sweep host was lost; the sweep finished "
-                  "on the local pool", file=sys.stderr)
 
     for o in result.outcomes:
         if o.ok:
@@ -1024,10 +932,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_chaos(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "sweep-agent":
-        from repro.sweep.remote import agent_main
-
-        return agent_main(workers=args.workers)
     if args.command == "top":
         return _cmd_top(args)
     if args.command == "timeline":
@@ -1051,8 +955,8 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except SweepInterrupted as exc:
         # First signal: the sweep already stopped dispatching, flushed
-        # the manifest and tore its workers/agents down — one summary
-        # line, no traceback.
+        # the manifest and tore its workers down — one summary line, no
+        # traceback.
         print(f"interrupted: {exc}", file=sys.stderr)
         return 130
     except KeyboardInterrupt:

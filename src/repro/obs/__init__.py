@@ -1,8 +1,8 @@
 """Control-plane observability: journal, live status, timeline, profiler.
 
-The schedulers (:mod:`repro.sweep.pool`, :mod:`repro.sweep.remote`)
-talk to exactly one object — :class:`SweepObserver` — which fans each
-structured event out to up to three sinks:
+The sweep pool (:mod:`repro.sweep.pool`) talks to exactly one object —
+:class:`SweepObserver` — which fans each structured event out to up to
+three sinks:
 
 * the **progress callback** (the pre-PR-10 ``note`` lines, rendered
   from the event's fields by :mod:`repro.obs.events`),
@@ -12,13 +12,12 @@ structured event out to up to three sinks:
 
 All three sinks are optional; a bare ``SweepObserver()`` is a correct
 null observer, which is how journal-off sweeps stay byte-identical —
-the schedulers always emit, the observer decides whether anything
-listens.
+the pool always emits, the observer decides whether anything listens.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs.events import EVENT_FORMATTERS, render_event
 from repro.obs.journal import (
@@ -59,7 +58,7 @@ __all__ = [
 
 #: Events that settle a cell for good — each journals one ``commit``
 #: point, which is the invariant the fault tests pin: a cell that ran
-#: twice (host killed mid-flight, re-dispatched) still commits once.
+#: twice (a failed attempt, then its retry) still commits once.
 _TERMINAL_EVENTS = {"cell.done", "cell.failed", "cell.cache_hit",
                     "cell.resumed"}
 
@@ -71,12 +70,6 @@ _COUNTED = {
     "cell.retry": "retries",
 }
 
-_EXTRA_COUNTED = {
-    "cell.cache_hit": "cache_hits",
-    "cell.straggler": "stragglers",
-    "cell.duplicate": "duplicates",
-}
-
 _TIMED_OUTCOMES = {
     "cell.done": "done",
     "cell.failed": "failed",
@@ -85,10 +78,10 @@ _TIMED_OUTCOMES = {
 
 
 class SweepObserver:
-    """Fan-out for scheduler events; every sink is optional.
+    """Fan-out for sweep events; every sink is optional.
 
-    The schedulers never format prose and never check whether a journal
-    is armed — they call :meth:`emit`/:meth:`begin`/:meth:`end` and this
+    The pool never formats prose and never checks whether a journal is
+    armed — it calls :meth:`emit`/:meth:`begin`/:meth:`end` and this
     object routes to whichever sinks exist.
     """
 
@@ -101,9 +94,6 @@ class SweepObserver:
         self.counts: dict[str, int] = {
             "done": 0, "failed": 0, "cached": 0, "resumed": 0, "retries": 0,
         }
-        self.extra: dict[str, int] = {
-            "cache_hits": 0, "stragglers": 0, "duplicates": 0,
-        }
         self._timing: list[dict[str, Any]] = []
         self._closed = False
 
@@ -114,17 +104,14 @@ class SweepObserver:
     # -- structured events -----------------------------------------------------
 
     def emit(self, event: str, *, cell: str | None = None,
-             lease: str | None = None, **fields: Any) -> None:
-        """One structured scheduler event: journal it, count it, narrate
-        it, and commit it if it settles a cell."""
+             **fields: Any) -> None:
+        """One structured sweep event: journal it, count it, narrate it,
+        and commit it if it settles a cell."""
         counted = _COUNTED.get(event)
         if counted:
             self.counts[counted] += 1
-        extra = _EXTRA_COUNTED.get(event)
-        if extra:
-            self.extra[extra] += 1
         if self.journal is not None:
-            self.journal.point(event, cell=cell, lease=lease, **fields)
+            self.journal.point(event, cell=cell, **fields)
             if event in _TERMINAL_EVENTS:
                 self.journal.point("commit", cell=cell,
                                    ok=event != "cell.failed")
@@ -135,7 +122,6 @@ class SweepObserver:
                 "attempt": fields.get("attempt", 1),
                 "outcome": outcome,
                 "wall_s": round(float(fields["wall_s"]), 6),
-                "where": fields.get("host") or "local",
             })
         if self.progress is not None:
             render_fields = dict(fields)
@@ -156,38 +142,22 @@ class SweepObserver:
     # -- spans -------------------------------------------------------------
 
     def begin(self, span: str, *, actor: str = "driver",
-              cell: str | None = None, lease: str | None = None,
-              **fields: Any) -> str | None:
+              cell: str | None = None, **fields: Any) -> str | None:
         if self.journal is None:
             return None
-        return self.journal.begin(span, actor=actor, cell=cell,
-                                  lease=lease, **fields)
+        return self.journal.begin(span, actor=actor, cell=cell, **fields)
 
     def end(self, sid: str | None, **fields: Any) -> None:
         if self.journal is not None and sid is not None:
             self.journal.end(sid, **fields)
 
-    def point(self, span: str, *, actor: str = "driver",
-              cell: str | None = None, lease: str | None = None,
-              **fields: Any) -> None:
-        if self.journal is not None:
-            self.journal.point(span, actor=actor, cell=cell,
-                               lease=lease, **fields)
-
-    def record_remote(self, host: str, events: Iterable[Any]) -> None:
-        if self.journal is not None:
-            self.journal.record_remote(host, events)
-
     # -- live status -------------------------------------------------------
 
     def status_tick(self, *, pending: int | None = None,
-                    leased: int | None = None,
-                    hosts: dict[str, dict[str, Any]] | None = None,
-                    force: bool = False) -> None:
+                    leased: int | None = None, force: bool = False) -> None:
         if self.status is not None:
             self.status.update(pending=pending, leased=leased,
-                               counts=self.counts, hosts=hosts,
-                               extra=self.extra, force=force)
+                               counts=self.counts, force=force)
 
     # -- report hand-off -----------------------------------------------------
 

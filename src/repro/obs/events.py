@@ -1,15 +1,15 @@
 """The control-plane event catalog and its human-readable formatters.
 
-Before PR 10 the schedulers narrated themselves with pre-formatted
+Before PR 10 the sweep narrated itself with pre-formatted
 ``note("...")`` strings — readable, but dead on arrival for tooling.
-Every one of those lines is now a *structured event*: the schedulers
-emit ``obs.emit("cell.done", cell=..., attempt=..., ...)`` and this
-module owns turning the fields back into the exact strings operators
-(and the fault-path tests) already grep for.  The journal records the
-fields; the string is a *rendering*, produced on demand.
+Every one of those lines is now a *structured event*: the pool emits
+``obs.emit("cell.done", cell=..., attempt=..., ...)`` and this module
+owns turning the fields back into the exact strings operators (and the
+fault-path tests) already grep for.  The journal records the fields;
+the string is a *rendering*, produced on demand.
 
-Adding an event means adding one formatter here — the schedulers never
-format prose again.
+Adding an event means adding one formatter here — the pool never
+formats prose.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 __all__ = ["render_event", "EVENT_FORMATTERS"]
-
-
-def _where(fields: dict[str, Any]) -> str:
-    host = fields.get("host")
-    return f" on {host}" if host else ""
 
 
 def _cell_resumed(f: dict[str, Any]) -> str:
@@ -38,11 +33,11 @@ def _cell_cache_hit(f: dict[str, Any]) -> str:
 
 def _cell_done(f: dict[str, Any]) -> str:
     return (f"[{f['done']}/{f['total']}] {f['cell']}: "
-            f"done{_where(f)} (attempt {f['attempt']})")
+            f"done (attempt {f['attempt']})")
 
 
 def _cell_retry(f: dict[str, Any]) -> str:
-    return (f"{f['cell']}: attempt {f['attempt']} failed{_where(f)} "
+    return (f"{f['cell']}: attempt {f['attempt']} failed "
             f"({f['error']}); retrying")
 
 
@@ -55,37 +50,6 @@ def _cell_interrupted(f: dict[str, Any]) -> str:
     return f"{f['cell']}: interrupted in flight; recorded as pending"
 
 
-def _cell_redispatch(f: dict[str, Any]) -> str:
-    return f"{f['cell']}: host {f['host']} lost mid-cell; re-dispatching"
-
-
-def _cell_duplicate(f: dict[str, Any]) -> str:
-    return f"{f['cell']}: late/duplicate result from {f['host']} discarded"
-
-
-def _cell_straggler(f: dict[str, Any]) -> str:
-    return (f"{f['cell']}: straggling on {f['host']} "
-            f"({f['elapsed_s']:.2f}s); duplicating to {f['to']}")
-
-
-def _host_ready(f: dict[str, Any]) -> str:
-    return f"host {f['host']}: ready ({f['workers']} worker(s))"
-
-
-def _host_lost(f: dict[str, Any]) -> str:
-    return (f"host {f['host']}: lost ({f['reason']}); reconnect "
-            f"{f['attempt']}/{f['limit']} in {f['delay_s']:.2f}s")
-
-
-def _host_dead(f: dict[str, Any]) -> str:
-    return f"host {f['host']}: dead ({f['reason']})"
-
-
-def _sweep_degraded(f: dict[str, Any]) -> str:
-    return (f"all {f['hosts']} host(s) lost; degrading to the "
-            f"local pool for {f['cells']} cell(s)")
-
-
 EVENT_FORMATTERS: dict[str, Callable[[dict[str, Any]], str]] = {
     "cell.resumed": _cell_resumed,
     "cell.cache_hit": _cell_cache_hit,
@@ -93,13 +57,6 @@ EVENT_FORMATTERS: dict[str, Callable[[dict[str, Any]], str]] = {
     "cell.retry": _cell_retry,
     "cell.failed": _cell_failed,
     "cell.interrupted": _cell_interrupted,
-    "cell.redispatch": _cell_redispatch,
-    "cell.duplicate": _cell_duplicate,
-    "cell.straggler": _cell_straggler,
-    "host.ready": _host_ready,
-    "host.lost": _host_lost,
-    "host.dead": _host_dead,
-    "sweep.degraded": _sweep_degraded,
 }
 
 

@@ -1,43 +1,35 @@
 """Span-based structured event journal for the sweep control plane.
 
 The *simulated machine* already has tracepoints (:mod:`repro.trace`);
-this module gives the **orchestration layer** — the driver, its host
-agents, and their pool workers — the same property: every interesting
-state change is one structured NDJSON line, cheap enough to leave on,
-and the file folds into a merged timeline (:mod:`repro.obs.timeline`)
-and a wall-time attribution table (:mod:`repro.obs.profile`).
+this module gives the **orchestration layer** — the sweep driver and
+its pool workers — the same property: every interesting state change is
+one structured NDJSON line, cheap enough to leave on, and the file
+folds into a timeline (:mod:`repro.obs.timeline`) and a wall-time
+attribution table (:mod:`repro.obs.profile`).
 
 One event per line::
 
     {"trace": "9f2c…", "seq": 17, "t": 1723100000.421,
      "ev": "begin" | "end" | "point",
-     "span": "lease", "sid": "d12",
-     "actor": "driver" | "host/loopback#0" | "worker/loopback#0/4711",
-     "cell": "multiclock/zipf/s42", "lease": "L3",
+     "span": "cell.run", "sid": "d12",
+     "actor": "driver" | "worker/local/4711",
+     "cell": "multiclock/zipf/s42",
      "fields": {...}}
 
-* ``trace`` is the sweep-wide trace id; every process that touches the
-  sweep stamps it, so journals never mix runs.
+* ``trace`` is the sweep-wide trace id, so journals never mix runs.
 * ``sid`` identifies one span: a ``begin`` opens it, the matching
-  ``end`` closes it, ``point`` events have no duration.  Agent-side
-  sids are namespaced by host on receipt (``loopback#0/a3``), so two
-  agents' counters can never collide.
+  ``end`` closes it, ``point`` events have no duration.
 * ``cell`` is the per-cell **correlation id** (the sweep cell id is
-  unique within a spec): a re-dispatched cell's two ``cell.run`` spans
-  on two different hosts share it, which is what lets a timeline show
-  the re-run.
+  unique within a spec): a retried cell's two ``cell.run`` spans share
+  it, which is what lets a timeline show the re-run.
 * Timestamps are **host wall-clock seconds** (``time.time()``) — the
-  control plane is real processes on real machines, unlike the
-  simulator's virtual nanoseconds.  Loopback agents share the driver's
-  clock exactly; ssh agents are as aligned as their NTP is, which the
-  viewer tolerates and the profiler never needs (it only differences
-  same-process timestamps).
+  control plane is real processes, unlike the simulator's virtual
+  nanoseconds.
 
 The writer guarantees **every begin gets an end**: :meth:`Journal.close`
 synthesises ``end`` events (``fields.aborted = true``) for spans still
-open — a SIGKILLed agent's in-flight ``cell.run``, a SIGINT'd sweep's
-``sweep`` span — so consumers can always pair spans without special
-cases.
+open — a SIGINT'd sweep's in-flight ``cell.run`` and ``sweep`` span —
+so consumers can always pair spans without special cases.
 """
 
 from __future__ import annotations
@@ -120,8 +112,7 @@ class Journal:
 
     def end(self, sid: str | None, *, t: float | None = None,
             **fields: Any) -> None:
-        """Close the span ``sid``; unknown/already-closed sids are a no-op
-        (a lease can be settled by a result *and* reaped by host loss)."""
+        """Close the span ``sid``; unknown/already-closed sids are a no-op."""
         if sid is None:
             return
         with self._lock:
@@ -148,7 +139,7 @@ class Journal:
     def point(self, span: str, *, actor: str = "driver",
               cell: str | None = None, lease: str | None = None,
               t: float | None = None, **fields: Any) -> None:
-        """A durationless event (heartbeat received, cache hit, note)."""
+        """A durationless event (commit, cache hit, note)."""
         with self._lock:
             record: dict[str, Any] = {
                 "ev": "point", "span": span, "sid": "", "actor": actor,
@@ -162,49 +153,12 @@ class Journal:
                 record["fields"] = fields
             self._write(record)
 
-    def record_remote(self, host: str, events: Iterable[Any]) -> None:
-        """Stitch agent-shipped events onto this journal.
-
-        The agent only knows its own pid-local view; the driver knows
-        which host the transport belongs to, so actor names and sids are
-        namespaced here: ``worker/4711`` becomes
-        ``worker/<host>/4711``, every other actor becomes
-        ``host/<host>``, and sids become ``<host>/<sid>``.  Begin/end
-        pairing is tracked for these spans too, so an agent that dies
-        mid-span still gets its synthetic ``aborted`` end at close time.
-        """
-        with self._lock:
-            for event in events:
-                if not isinstance(event, dict) or event.get("ev") not in (
-                        "begin", "end", "point"):
-                    continue
-                record = dict(event)
-                actor = str(record.get("actor", ""))
-                if actor.startswith("worker/"):
-                    record["actor"] = f"worker/{host}/{actor[len('worker/'):]}"
-                else:
-                    record["actor"] = f"host/{host}"
-                sid = str(record.get("sid", ""))
-                if sid:
-                    record["sid"] = f"{host}/{sid}"
-                record.setdefault("t", time.time())
-                if record["ev"] == "begin":
-                    self._open[record["sid"]] = {
-                        "span": record.get("span", ""),
-                        "actor": record["actor"],
-                        "cell": record.get("cell"),
-                        "lease": record.get("lease"),
-                    }
-                elif record["ev"] == "end":
-                    self._open.pop(record.get("sid", ""), None)
-                self._write(record)
-
     def close(self, **fields: Any) -> None:
         """Synthesise ends for every still-open span, then close the file.
 
         Idempotent.  The synthetic ends carry ``aborted: true`` — the
-        honest record of a span whose real end never happened (killed
-        agent, interrupted sweep)."""
+        honest record of a span whose real end never happened
+        (interrupted sweep)."""
         with self._lock:
             if self.closed:
                 return

@@ -3,23 +3,17 @@
 Two complementary views of the same run:
 
 * **phases** — an exact partition of the sweep's wall clock into
-  ``prepare`` (manifest/cache pass), ``connect`` (agents starting, spec
-  handshake — zero for a warm local pool), ``execute`` (first lease or
-  cell dispatched → last one settled) and ``merge`` (result assembly +
-  shutdown).  The four slices are cut from the sweep span's own
-  endpoints, so they sum to the measured wall time by construction;
+  ``prepare`` (manifest/cache pass), ``connect`` (prewarm and worker
+  start-up: prepare end → first ``cell.run`` begins), ``execute``
+  (first cell dispatched → last one settled) and ``merge`` (result
+  assembly + shutdown).  The four slices are cut from the sweep span's
+  own endpoints, so they sum to the measured wall time by construction;
   ``coverage`` reports that sum over the wall and is the honesty check
   the acceptance criteria pin at ≥ 0.95.
 
 * **attribution** — *busy* seconds summed across actors, which may
   legitimately exceed wall on a parallel sweep: worker compute (the
-  cells themselves), the envelope/ssh tax (lease wall time minus the
-  matched worker's compute — serialization, pipes, scheduling),
-  dispatch writes, ssh/agent connects, and driver-side merge.
-
-Everything here differences timestamps recorded by the *same* process
-(driver spans against driver spans, worker spans against worker spans),
-so cross-host clock skew never corrupts the table.
+  cells themselves) and driver-side merge.
 """
 
 from __future__ import annotations
@@ -55,13 +49,11 @@ def fold_profile(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     prep_end = min(max(prepare.t1 or prepare.t0, t0), t1) \
         if prepare is not None else t0
 
-    # Work = anything that runs a cell: driver leases, plus cell.run
-    # spans (the only work markers a pure local-pool journal has).
-    work = by_kind.get("lease", []) + by_kind.get("cell.run", [])
-    if work:
-        first_work = min(max(s.t0, prep_end) for s in work)
+    runs = by_kind.get("cell.run", [])
+    if runs:
+        first_work = min(max(s.t0, prep_end) for s in runs)
         last_work = max(min(s.t1 if s.t1 is not None else s.t0, t1)
-                        for s in work)
+                        for s in runs)
         first_work = min(max(first_work, prep_end), t1)
         last_work = min(max(last_work, first_work), t1)
     else:
@@ -76,28 +68,9 @@ def fold_profile(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     covered = sum(phases.values())
     coverage = covered / wall if wall > 0 else 1.0
 
-    runs = by_kind.get("cell.run", [])
     completed_runs = [s for s in runs if s.complete and not s.aborted]
     aborted_runs = [s for s in runs if not s.complete or s.aborted]
     compute = sum(s.duration for s in completed_runs)
-
-    # Envelope/ssh tax: for every driver lease whose worker-side run we
-    # can match (same lease id), the lease outlives the compute by the
-    # wire round trip + agent scheduling.  Same-process differences on
-    # each side, so skew cancels.
-    run_by_lease = {s.lease: s for s in completed_runs if s.lease}
-    envelope_tax = 0.0
-    matched = 0
-    for lease in by_kind.get("lease", []):
-        run = run_by_lease.get(lease.lease)
-        if run is None or not lease.complete:
-            continue
-        matched += 1
-        envelope_tax += max(0.0, lease.duration - run.duration)
-
-    dispatch = sum(s.duration for s in by_kind.get("dispatch", []))
-    connect = sum(s.duration for s in by_kind.get("ssh.connect", [])
-                  if s.complete)
     merge = sum(s.duration for s in by_kind.get("merge", []))
 
     points: dict[str, int] = {}
@@ -112,21 +85,13 @@ def fold_profile(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "phases": phases,
         "attribution": {
             "worker_compute_s": _round(compute),
-            "envelope_tax_s": _round(envelope_tax),
-            "dispatch_s": _round(dispatch),
-            "ssh_connect_s": _round(connect),
             "merge_s": _round(merge),
         },
         "counts": {
             "cell_runs": len(runs),
             "cell_runs_aborted": len(aborted_runs),
-            "leases": len(by_kind.get("lease", [])),
-            "leases_matched": matched,
             "commits": points.get("commit", 0),
             "cache_hits": points.get("cell.cache_hit", 0),
-            "heartbeats": points.get("heartbeat", 0),
-            "reconnects": len(by_kind.get("reconnect", [])),
-            "stragglers": points.get("cell.straggler", 0),
         },
     }
 
@@ -148,15 +113,12 @@ def render_profile(profile: dict[str, Any]) -> str:
             f"  {key[:-2]:<15} {value:>8.3f}  {100 * value / wall:>5.1f}%"
         )
     lines.append("  attribution (busy seconds, may exceed wall):")
-    for key in ("worker_compute_s", "envelope_tax_s", "dispatch_s",
-                "ssh_connect_s", "merge_s"):
+    for key in ("worker_compute_s", "merge_s"):
         lines.append(f"  {key[:-2]:<15} {attribution.get(key, 0.0):>8.3f}")
     lines.append(
         f"  {counts.get('commits', 0)} commit(s), "
         f"{counts.get('cell_runs', 0)} cell run(s) "
         f"({counts.get('cell_runs_aborted', 0)} aborted), "
-        f"{counts.get('cache_hits', 0)} cache hit(s), "
-        f"{counts.get('heartbeats', 0)} heartbeat(s), "
-        f"{counts.get('reconnects', 0)} reconnect(s)"
+        f"{counts.get('cache_hits', 0)} cache hit(s)"
     )
     return "\n".join(lines)

@@ -15,11 +15,9 @@ The file is self-describing::
      "started_unix": ..., "updated_unix": ...,
      "cells": {"pending": 7, "leased": 4, "done": 12, "failed": 2,
                "cached": 3, "resumed": 0, "retries": 1},
-     "cache_hits": 1, "stragglers": 0, "duplicates": 0,
-     "rate_cells_per_s": 1.8, "eta_s": 6.1,
-     "hosts": {"loopback#0": {"state": "ready", "busy": 2, "done": 6,
-                              "failed": 0, "reconnects": 0,
-                              "heartbeat_age_s": 0.4, "workers": 2}}}
+     "rate_cells_per_s": 1.8, "eta_s": 6.1}
+
+``leased`` counts the cells in flight on a worker.
 
 ``state`` moves ``running`` → ``done`` | ``failed`` | ``interrupted``;
 ``repro top`` (without ``--once``) exits when it leaves ``running``.
@@ -60,16 +58,12 @@ class StatusBoard:
         self.state = "running"
         self._last_write = 0.0
         self._counts: dict[str, int] = {}
-        self._hosts: dict[str, dict[str, Any]] = {}
         self._pending = total
         self._leased = 0
-        self._extra: dict[str, int] = {}
         self.update(force=True)
 
     def update(self, *, pending: int | None = None, leased: int | None = None,
                counts: dict[str, int] | None = None,
-               hosts: dict[str, dict[str, Any]] | None = None,
-               extra: dict[str, int] | None = None,
                force: bool = False) -> None:
         """Fold new numbers in and rewrite the file (throttled)."""
         if pending is not None:
@@ -78,10 +72,6 @@ class StatusBoard:
             self._leased = leased
         if counts is not None:
             self._counts = dict(counts)
-        if hosts is not None:
-            self._hosts = hosts
-        if extra is not None:
-            self._extra = dict(extra)
         now = time.time()
         if not force and now - self._last_write < MIN_REWRITE_INTERVAL_S:
             return
@@ -122,12 +112,8 @@ class StatusBoard:
                 "resumed": self._counts.get("resumed", 0),
                 "retries": self._counts.get("retries", 0),
             },
-            "cache_hits": self._extra.get("cache_hits", 0),
-            "stragglers": self._extra.get("stragglers", 0),
-            "duplicates": self._extra.get("duplicates", 0),
             "rate_cells_per_s": round(rate, 3),
             "eta_s": round(eta, 1),
-            "hosts": self._hosts,
         }
 
 
@@ -176,26 +162,9 @@ def render_top(status: dict[str, Any]) -> str:
         f"  cached {cells.get('cached', 0)}"
         f"  resumed {cells.get('resumed', 0)}"
         f"  retries {cells.get('retries', 0)}",
-        f"  cache hits {status.get('cache_hits', 0)}"
-        f"  stragglers {status.get('stragglers', 0)}"
-        f"  duplicates {status.get('duplicates', 0)}"
         f"  rate {status.get('rate_cells_per_s', 0.0):.2f} cells/s"
         f"  eta {status.get('eta_s', 0.0):.0f}s",
     ]
-    hosts = status.get("hosts") or {}
-    if hosts:
-        lines.append("  host               state        busy  done  fail"
-                     "  reconn  hb age")
-        for name in sorted(hosts):
-            h = hosts[name]
-            beat = h.get("heartbeat_age_s")
-            beat_s = f"{beat:.1f}s" if isinstance(beat, (int, float)) else "-"
-            lines.append(
-                f"  {name:<18} {h.get('state', '?'):<12}"
-                f" {h.get('busy', 0):>4}  {h.get('done', 0):>4}"
-                f"  {h.get('failed', 0):>4}  {h.get('reconnects', 0):>6}"
-                f"  {beat_s:>6}"
-            )
     return "\n".join(lines)
 
 
@@ -219,14 +188,4 @@ def render_prometheus(status: dict[str, Any]) -> str:
     out.append(
         f"repro_sweep_rate_cells_per_s {status.get('rate_cells_per_s', 0.0)}"
     )
-    for name in sorted(status.get("hosts") or {}):
-        h = status["hosts"][name]
-        beat = h.get("heartbeat_age_s")
-        if isinstance(beat, (int, float)):
-            out.append(
-                f'repro_sweep_host_heartbeat_age_s{{host="{name}"}} {beat}'
-            )
-        out.append(
-            f'repro_sweep_host_busy{{host="{name}"}} {h.get("busy", 0)}'
-        )
     return "\n".join(out) + "\n"

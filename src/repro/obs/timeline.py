@@ -1,23 +1,16 @@
 """Journal → Chrome trace-event records: the ``repro timeline`` export.
 
-One *process lane* (pid) per control-plane actor group — the driver,
-each host agent, and the degraded-mode local pool — with worker
-processes as threads (tid) inside their host's lane.  A 2-host
-kill-agent sweep therefore renders as ≥ 3 lanes, and a re-dispatched
-cell is visible as two ``cell.run`` slices with the same cell id: one
-aborted on the killed host, one completed on the survivor.
+Two *process lanes* (pid): the driver, and the local pool with each
+worker process as a thread (tid).  A retried cell is visible as two
+``cell.run`` slices with the same cell id.
 
 Span mapping:
 
-* driver spans (``sweep``, ``prepare``, ``dispatch``, ``merge``) —
-  complete ``"X"`` slices on the driver lane; they nest by construction.
-* ``lease`` spans — async ``"b"``/``"e"`` pairs keyed by lease sid,
-  because leases overlap freely on the driver and synchronous slices
-  on one thread must nest.
-* ``ssh.connect`` / ``reconnect`` — ``"X"`` slices on the host's lane.
+* driver spans (``sweep``, ``prepare``, ``merge``) — complete ``"X"``
+  slices on the driver lane; they nest by construction.
 * ``cell.run`` — ``"X"`` slices on the owning worker's thread.
-* points (``heartbeat``, ``commit``, ``cell.*`` notes) — ``"i"``
-  instants on their actor's lane.
+* points (``commit``, ``cell.*`` notes) — ``"i"`` instants on their
+  actor's lane.
 
 Timestamps are journal wall-clock seconds rebased to the first event
 and scaled to microseconds (the trace-event unit).  The writer itself
@@ -36,9 +29,6 @@ __all__ = ["timeline_records", "DRIVER_LANE"]
 DRIVER_LANE = "driver"
 _US = 1_000_000.0
 
-#: Driver-lane spans rendered as async pairs because they overlap.
-_ASYNC_SPANS = {"lease"}
-
 
 class _Lanes:
     """Stable actor → (pid, tid) assignment, first-seen order."""
@@ -50,14 +40,8 @@ class _Lanes:
 
     def _group(self, actor: str) -> tuple[str, str]:
         """(process key, thread key) for one actor string."""
-        if actor.startswith("host/"):
-            return actor, "agent"
         if actor.startswith("worker/"):
-            rest = actor[len("worker/"):]
-            host, _, pid = rest.rpartition("/")
-            if host == "local":
-                return "local pool", f"worker {pid}"
-            return f"host/{host}", f"worker {pid}"
+            return "local pool", f"worker {actor.rpartition('/')[2]}"
         return DRIVER_LANE, "driver"
 
     def locate(self, actor: str) -> tuple[int, int]:
@@ -108,18 +92,12 @@ def timeline_records(
         t0_us = (span.t0 - epoch) * _US
         t1_us = ((span.t1 if span.t1 is not None else span.t0) - epoch) * _US
         name = f"{span.span} {span.cell}" if span.cell else span.span
-        args = args_for(span.cell, span.lease, span.fields)
-        if span.span in _ASYNC_SPANS:
-            common = {"name": name, "cat": span.span, "id": span.sid,
-                      "pid": pid, "tid": tid, "args": args}
-            records.append({**common, "ph": "b", "ts": t0_us})
-            records.append({**common, "ph": "e", "ts": t1_us})
-        else:
-            records.append({
-                "name": name, "ph": "X", "ts": t0_us,
-                "dur": max(0.0, t1_us - t0_us),
-                "pid": pid, "tid": tid, "args": args,
-            })
+        records.append({
+            "name": name, "ph": "X", "ts": t0_us,
+            "dur": max(0.0, t1_us - t0_us),
+            "pid": pid, "tid": tid,
+            "args": args_for(span.cell, span.lease, span.fields),
+        })
 
     for event in events:
         if event.get("ev") != "point":

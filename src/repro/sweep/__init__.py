@@ -6,14 +6,7 @@ deterministically: cell ids key the merge, spec order keys the output,
 and payloads round-trip through JSON in the workers, so a parallel
 sweep over deterministic cells is byte-identical to the sequential run.
 A content-addressed result cache (keyed by per-cell fingerprint) makes
-re-runs of unchanged cells free.
-
-Declarative grids also shard across *machines*: ``run_remote_sweep``
-fans cells out to ``repro sweep-agent`` host agents over a versioned
-JSON wire format (:mod:`repro.sweep.wire`), supervises them with
-leases and heartbeats, re-dispatches work from lost hosts, and — if
-every host dies — finishes the sweep on the local pool.  See
-DESIGN.md §7.
+re-runs of unchanged cells free.  See DESIGN.md §7.
 """
 
 from repro.sweep.manifest import Manifest, ResultCache, atomic_write_json
@@ -25,29 +18,12 @@ from repro.sweep.pool import (
     run_sweep,
 )
 from repro.sweep.report import build_report, write_report
-from repro.sweep.remote import (
-    DEFAULT_HEARTBEAT_S,
-    DEFAULT_STRAGGLER_FACTOR,
-    HostOutcome,
-    HostSpec,
-    parse_hosts,
-    run_remote_sweep,
-)
 from repro.sweep.spec import (
     SweepCell,
     SweepSpec,
     cell_fingerprint,
-    is_portable,
     register_runner,
     resolve_runner,
-)
-from repro.sweep.wire import (
-    WIRE_VERSION,
-    WireError,
-    decode_envelope,
-    decode_spec,
-    encode_envelope,
-    encode_spec,
 )
 
 __all__ = [
@@ -62,21 +38,8 @@ __all__ = [
     "build_report",
     "write_report",
     "run_sweep",
-    "run_remote_sweep",
-    "HostSpec",
-    "HostOutcome",
-    "parse_hosts",
     "register_runner",
     "resolve_runner",
     "cell_fingerprint",
-    "is_portable",
-    "encode_envelope",
-    "decode_envelope",
-    "encode_spec",
-    "decode_spec",
-    "WireError",
-    "WIRE_VERSION",
     "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_STRAGGLER_FACTOR",
 ]

@@ -38,16 +38,12 @@ without spawning any work, so an unchanged grid re-runs with *zero*
 child processes.  Manifest resume takes precedence over the cache — the
 manifest records what *this* sweep already established, including
 attempt counts — and a corrupted cache entry degrades to a live run.
-
-The same two pieces serve the distributed sweep
-(:mod:`repro.sweep.remote`): its driver settles every lease through
-:class:`_Ledger`, and each host agent runs its cells on a
-:class:`_WorkerPool`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -85,7 +81,7 @@ class SweepInterrupted(RuntimeError):
 
     The sweep shut down *gracefully* before raising: dispatch stopped,
     in-flight cells were flushed to the manifest as pending, and every
-    worker (or host agent) was terminated with an escalating
+    worker was terminated with an escalating
     SIGTERM-grace-SIGKILL.  ``str(exc)`` is a one-line summary suitable
     for the CLI.
     """
@@ -176,13 +172,8 @@ class SweepResult:
     outcomes: tuple[CellOutcome, ...]
     workers: int
     #: Worker processes actually forked — 0 when every cell was resumed
-    #: from the manifest or served from the result cache.  For a
-    #: distributed sweep this counts agent processes plus any local
-    #: fallback workers.
+    #: from the manifest or served from the result cache.
     spawned_workers: int = 0
-    #: Per-host outcomes (:class:`repro.sweep.remote.HostOutcome`) when
-    #: the sweep ran through ``run_remote_sweep``; empty for local runs.
-    host_outcomes: tuple = ()
     #: Cells settled from the result cache *after* dispatch began (a
     #: requeued cell whose fingerprint-identical sibling finished first).
     #: Start-of-run cache hits show as ``CellOutcome.cached`` instead.
@@ -209,15 +200,10 @@ class _Ledger:
     """Pending cells, settled outcomes, the manifest and the result cache.
 
     The only code that commits, retries, fails, requeues, serves a cell
-    from the cache and flushes in-flight cells on interrupt.  Every
-    driver — the local pool, the remote scheduler, and the local pool
-    again after a fleet loss — pops attempts from :meth:`pop` and hands
-    each finished one to :meth:`settle`, so they cannot disagree on
-    retry policy or commit semantics.
-
-    Construction applies the manifest-resume > result-cache > live
-    precedence, so "what has already been established" means the same
-    thing no matter where the remaining cells end up running.
+    from the cache and flushes in-flight cells on interrupt.  The pool
+    loop pops attempts from :meth:`pop` and hands each finished one to
+    :meth:`settle`.  Construction applies the manifest-resume >
+    result-cache > live precedence.
     """
 
     def __init__(self, spec: SweepSpec, *, max_attempts: int,
@@ -284,11 +270,11 @@ class _Ledger:
     def pop(self) -> tuple[SweepCell, int] | None:
         """The next ``(cell, attempt)`` to run, or None if none is pending.
 
-        A popped cell may have its payload in the cache by now: a retry,
-        or a requeue after a host loss, whose fingerprint-identical
-        sibling finished in the meantime.  It is served from there rather
-        than re-executed; determinism makes the cached payload identical
-        to what a re-run would produce.
+        A popped cell may have its payload in the cache by now: a retry
+        or a requeue whose fingerprint-identical sibling finished in the
+        meantime.  It is served from there rather than re-executed;
+        determinism makes the cached payload identical to what a re-run
+        would produce.
         """
         while self.pending:
             cell, attempt = self.pending.popleft()
@@ -300,19 +286,17 @@ class _Ledger:
         return None
 
     def requeue(self, cell: SweepCell, attempt: int) -> None:
-        """Put back an attempt that never ran, or whose host failed rather
-        than the cell: at the front, and without charging an attempt."""
+        """Put back an attempt that never ran: at the front, and without
+        charging an attempt."""
         self.pending.appendleft((cell, attempt))
 
     def settle(self, cell: SweepCell, attempt: int, ok: bool,
                payload: Any = None, error: str = "", *,
-               wall_s: float | None = None, **where: Any) -> str:
+               wall_s: float | None = None) -> str:
         """Commit, retry or fail one finished attempt; returns which
         (``"done"``, ``"retry"``, ``"failed"``), or ``"duplicate"`` for a
-        cell that already settled — commits are at most once per cell id.
-        ``where`` (``host=...``) rides along on the emitted event."""
+        cell that already settled — commits are at most once per cell id."""
         if cell.id in self.outcomes:
-            self.obs.emit("cell.duplicate", cell=cell.id, **where)
             return "duplicate"
         if ok:
             self.outcomes[cell.id] = CellOutcome(cell, "done", attempt, payload)
@@ -322,12 +306,11 @@ class _Ledger:
                 self.cache.store(key, cell_id=cell.id, attempts=attempt,
                                  payload=payload)
             self.obs.emit("cell.done", cell=cell.id, done=len(self.outcomes),
-                          total=self.total, attempt=attempt, wall_s=wall_s,
-                          **where)
+                          total=self.total, attempt=attempt, wall_s=wall_s)
             return "done"
         if attempt < self.max_attempts:
             self.obs.emit("cell.retry", cell=cell.id, attempt=attempt,
-                          error=error, wall_s=wall_s, **where)
+                          error=error, wall_s=wall_s)
             # Front of the queue: on a wide sweep the retry must not wait
             # behind every untried cell and become the run's straggler.
             self.pending.appendleft((cell, attempt + 1))
@@ -336,14 +319,14 @@ class _Ledger:
         self.book.record_failed(cell.id, attempt, error)
         self.obs.emit("cell.failed", cell=cell.id, done=len(self.outcomes),
                       total=self.total, attempt=attempt, error=error,
-                      wall_s=wall_s, **where)
+                      wall_s=wall_s)
         return "failed"
 
     def interrupt(self, in_flight: Iterable[tuple[SweepCell, int]]) -> NoReturn:
         """First-signal stop: record the unsettled in-flight cells as
         pending in the manifest (they re-run on ``--resume``) and raise
         :class:`SweepInterrupted`.  The caller's ``finally`` stops the
-        workers or agents."""
+        workers."""
         flushed: set[str] = set()
         for cell, attempt in in_flight:
             if cell.id in self.outcomes or cell.id in flushed:
@@ -354,70 +337,6 @@ class _Ledger:
         done = sum(1 for o in self.outcomes.values() if o.ok)
         raise SweepInterrupted(done, len(self.outcomes) - done, self.total,
                                self.book.path)
-
-
-def _run_grid(
-    spec: SweepSpec,
-    drive: Callable[[_Ledger, _SignalGuard], int],
-    *,
-    workers: int,
-    span: dict[str, Any],
-    max_attempts: int,
-    manifest_path: str | None,
-    resume: bool,
-    cache_dir: str | None,
-    progress: Callable[[str], None] | None,
-    obs: "SweepObserver | None",
-    hosts: Callable[[], tuple] = tuple,
-) -> SweepResult:
-    """The frame shared by ``run_sweep`` and ``run_remote_sweep``.
-
-    Opens the ``sweep``/``prepare``/``merge`` spans, builds the ledger,
-    lets ``drive(ledger, guard)`` run whatever is pending under the
-    signal guard (it returns how many processes it spawned), and merges
-    the outcomes in spec order.  ``hosts()`` supplies the per-host
-    outcomes.  With ``obs`` None, a null observer narrating only to
-    ``progress`` is used and outputs are byte-identical to
-    pre-observability runs.
-    """
-    if obs is None:
-        # Imported here: repro.obs imports back into the sweep package.
-        from repro.obs import SweepObserver
-
-        obs = SweepObserver(progress=progress)
-    sweep_sid = obs.begin("sweep", spec=spec.name, cells=len(spec.cells),
-                          **span)
-    try:
-        prep_sid = obs.begin("prepare")
-        ledger = _Ledger(spec, max_attempts=max(1, int(max_attempts)),
-                         manifest_path=manifest_path, resume=resume,
-                         cache_dir=cache_dir, obs=obs)
-        obs.end(prep_sid, pending=len(ledger.pending),
-                settled=len(ledger.outcomes))
-        obs.status_tick(pending=len(ledger.pending), leased=0, force=True)
-
-        spawned = 0
-        if ledger.pending:
-            with _SignalGuard(obs.note) as guard:
-                spawned = drive(ledger, guard)
-
-        merge_sid = obs.begin("merge")
-        result = SweepResult(
-            spec=spec,
-            outcomes=tuple(ledger.outcomes[cell.id] for cell in spec.cells),
-            workers=workers,
-            spawned_workers=spawned,
-            host_outcomes=hosts(),
-            cache_hits=ledger.cache_hits,
-        )
-        obs.end(merge_sid, cells=len(result.outcomes))
-    except SweepInterrupted:
-        obs.end(sweep_sid, state="interrupted")
-        obs.status_tick(force=True)
-        raise
-    obs.end(sweep_sid, state="done" if result.ok else "failed")
-    obs.status_tick(pending=0, leased=0, force=True)
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -435,9 +354,8 @@ def _worker_main(cells: tuple[SweepCell, ...], conn: Any) -> None:
     at EOF, which the parent reads as a crash.
     """
     # Signals belong to the parent.  A handler inherited through fork
-    # (the sweep's signal guard, the agent's SIGTERM exit) would turn
-    # the parent's SIGTERM into a reported error or a journal line from
-    # the wrong process; SIGINT is the parent's graceful stop to run.
+    # (the sweep's signal guard) would turn the parent's SIGTERM into a
+    # reported error; SIGINT is the parent's graceful stop to run.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Warm the runner registry (and everything the builtin runners pull
@@ -517,7 +435,7 @@ def _context(start_method: str | None = None) -> Any:
     workers by inheritance and may hold arbitrary objects (factories,
     configs).  Under spawn — fork-less hosts, or an explicit
     ``REPRO_SWEEP_START_METHOD=spawn`` override — the spec must be
-    picklable, which every declarative (wire-portable) grid is; prewarm
+    picklable, which every declarative (JSON-param) grid is; prewarm
     hooks simply stop paying off and workers rebuild shared state on
     demand.
     """
@@ -542,9 +460,8 @@ def _crash_error(proc: Any) -> str:
 
 
 class _WorkerPool:
-    """Persistent workers for one grid, each run tracked by a caller key.
+    """Persistent workers for one grid, each run tracked by its cell id.
 
-    The local loop keys runs by cell id, a host agent by lease id.
     Workers are forked on demand and reused once idle; results and
     deaths arrive through one ``connection.wait`` over pipe ends and
     process sentinels, so a result, a crash and a deadline are all one
@@ -580,62 +497,58 @@ class _WorkerPool:
             pass
         _kill(worker.proc)
 
-    def claim(self) -> _Worker:
-        """A live idle worker, or a freshly forked one.  Split from
-        :meth:`start` so an agent can journal the run's begin span (which
-        names the worker) before the cell can possibly start."""
+    def start(self, cell_id: str) -> _Worker | None:
+        """Send ``cell_id`` to a live idle worker, or a freshly forked
+        one; None if the worker died first (the cell never ran)."""
         while self.idle:
             worker = self.idle.pop()
             if worker.proc.is_alive():
-                return worker
+                break
             self._drop(worker)
-        return self._spawn()
-
-    def start(self, key: str, worker: _Worker, cell_id: str) -> bool:
-        """Send ``cell_id`` to a claimed worker and track the run as
-        ``key``; False if the worker died first (the cell never ran)."""
+        else:
+            worker = self._spawn()
         try:
             worker.conn.send(self.index_of[cell_id])
         except (BrokenPipeError, OSError):
             self._drop(worker)
-            return False
-        self.busy[key] = worker
-        return True
+            return None
+        self.busy[cell_id] = worker
+        return worker
 
     def waitables(self) -> list[Any]:
         return [h for w in self.busy.values() for h in (w.conn, w.proc.sentinel)]
 
     def poll(self, timeout: float | None) -> list[tuple[str, dict[str, Any]]]:
-        """Runs that finished within ``timeout``, as ``(key, blob)``.  A
-        worker that died without a result is dropped and its run reports
+        """Runs that finished within ``timeout``, as ``(cell id, blob)``.
+        A worker that died without a result is dropped and its run reports
         ``{ok: False, error}``."""
         if not self.busy:
             return []
         ready = set(connection.wait(self.waitables(), timeout=timeout))
         finished: list[tuple[str, dict[str, Any]]] = []
-        for key, worker in list(self.busy.items()):
+        for cell_id, worker in list(self.busy.items()):
             if worker.conn not in ready and worker.proc.sentinel not in ready:
                 continue
-            del self.busy[key]
+            del self.busy[cell_id]
             try:
                 # Only read what is there: a sentinel-only wake with an
                 # empty pipe is a death, not a result still in flight.
                 if worker.conn.poll():
                     blob = json.loads(worker.conn.recv_bytes().decode("utf-8"))
                     self.idle.append(worker)
-                    finished.append((key, blob))
+                    finished.append((cell_id, blob))
                     continue
             except (EOFError, OSError, json.JSONDecodeError):
                 pass
             worker.proc.join(1.0)
-            finished.append((key, {"ok": False,
-                                   "error": _crash_error(worker.proc)}))
+            finished.append((cell_id, {"ok": False,
+                                       "error": _crash_error(worker.proc)}))
             self._drop(worker)
         return finished
 
-    def cancel(self, key: str) -> None:
-        """Kill the worker running ``key``; its result is never read."""
-        worker = self.busy.pop(key, None)
+    def cancel(self, cell_id: str) -> None:
+        """Kill the worker running ``cell_id``; its result is never read."""
+        worker = self.busy.pop(cell_id, None)
         if worker is not None:
             self._drop(worker)
 
@@ -655,7 +568,7 @@ class _WorkerPool:
 
 
 # --------------------------------------------------------------------------
-# The local sweep
+# The sweep
 # --------------------------------------------------------------------------
 
 
@@ -675,7 +588,9 @@ def run_sweep(
 
     Always completes: per-cell failures (exceptions, hard crashes,
     timeouts) are retried up to ``max_attempts`` and then recorded as
-    failed outcomes.  With ``manifest_path`` set, every final cell state
+    failed outcomes.  ``timeout_s`` must be None or a positive, finite
+    number of seconds; anything else is a ``ValueError`` raised before
+    any worker forks.  With ``manifest_path`` set, every final cell state
     is checkpointed; ``resume=True`` loads the manifest and skips cells
     already done (failed cells run again), carrying their recorded
     attempt counts through to the outcomes.  With ``cache_dir`` set,
@@ -686,15 +601,48 @@ def run_sweep(
     None, a null observer narrating only to ``progress`` is used and
     the sweep's outputs are byte-identical to pre-observability runs.
     """
+    if timeout_s is not None and not 0 < timeout_s < math.inf:
+        raise ValueError(f"--timeout-s must be a positive, finite number "
+                         f"of seconds, not {timeout_s!r}")
     workers = max(1, int(workers))
-    return _run_grid(
-        spec,
-        lambda ledger, guard: _run_local(spec, ledger, guard, workers=workers,
-                                         timeout_s=timeout_s),
-        workers=workers, span={"workers": workers},
-        max_attempts=max_attempts, manifest_path=manifest_path,
-        resume=resume, cache_dir=cache_dir, progress=progress, obs=obs,
-    )
+    if obs is None:
+        # Imported here: repro.obs imports back into the sweep package.
+        from repro.obs import SweepObserver
+
+        obs = SweepObserver(progress=progress)
+    sweep_sid = obs.begin("sweep", spec=spec.name, cells=len(spec.cells),
+                          workers=workers)
+    try:
+        prep_sid = obs.begin("prepare")
+        ledger = _Ledger(spec, max_attempts=max(1, int(max_attempts)),
+                         manifest_path=manifest_path, resume=resume,
+                         cache_dir=cache_dir, obs=obs)
+        obs.end(prep_sid, pending=len(ledger.pending),
+                settled=len(ledger.outcomes))
+        obs.status_tick(pending=len(ledger.pending), leased=0, force=True)
+
+        spawned = 0
+        if ledger.pending:
+            with _SignalGuard(obs.note) as guard:
+                spawned = _run_pool(spec, ledger, guard, workers=workers,
+                                    timeout_s=timeout_s)
+
+        merge_sid = obs.begin("merge")
+        result = SweepResult(
+            spec=spec,
+            outcomes=tuple(ledger.outcomes[cell.id] for cell in spec.cells),
+            workers=workers,
+            spawned_workers=spawned,
+            cache_hits=ledger.cache_hits,
+        )
+        obs.end(merge_sid, cells=len(result.outcomes))
+    except SweepInterrupted:
+        obs.end(sweep_sid, state="interrupted")
+        obs.status_tick(force=True)
+        raise
+    obs.end(sweep_sid, state="done" if result.ok else "failed")
+    obs.status_tick(pending=0, leased=0, force=True)
+    return result
 
 
 def _prewarm(cells: Iterable[SweepCell]) -> None:
@@ -717,9 +665,9 @@ def _prewarm(cells: Iterable[SweepCell]) -> None:
             pass
 
 
-def _run_local(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
-               workers: int, timeout_s: float | None) -> int:
-    """Drive the ledger's pending cells through ``workers`` local workers;
+def _run_pool(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
+              workers: int, timeout_s: float | None) -> int:
+    """Drive the ledger's pending cells through ``workers`` workers;
     returns the number of worker processes spawned."""
     _prewarm(cell for cell, _ in ledger.pending)
     obs = ledger.obs
@@ -734,8 +682,8 @@ def _run_local(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
                 ledger.interrupt((c, a) for c, a, _, _ in flight.values())
             while len(flight) < workers and (popped := ledger.pop()) is not None:
                 cell, attempt = popped
-                worker = pool.claim()
-                if not pool.start(cell.id, worker, cell.id):
+                worker = pool.start(cell.id)
+                if worker is None:
                     ledger.requeue(cell, attempt)
                     break
                 flight[cell.id] = (cell, attempt, time.monotonic(), obs.begin(
@@ -749,8 +697,8 @@ def _run_local(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
             if timeout_s is not None:
                 first = min(started for _, _, started, _ in flight.values())
                 wait_s = max(0.0, first + timeout_s - time.monotonic())
-            for key, blob in pool.poll(wait_s):
-                cell, attempt, started, sid = flight.pop(key)
+            for cell_id, blob in pool.poll(wait_s):
+                cell, attempt, started, sid = flight.pop(cell_id)
                 obs.end(sid, **_run_fields(blob))
                 ledger.settle(
                     cell, attempt, bool(blob.get("ok")), blob.get("payload"),
@@ -758,11 +706,11 @@ def _run_local(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
                     wall_s=time.monotonic() - started,
                 )
             now = time.monotonic()
-            for key, (cell, attempt, started, sid) in list(flight.items()):
+            for cell_id, (cell, attempt, started, sid) in list(flight.items()):
                 if timeout_s is None or now - started < timeout_s:
                     continue
-                del flight[key]
-                pool.cancel(key)
+                del flight[cell_id]
+                pool.cancel(cell_id)
                 error = (f"timeout: attempt {attempt} killed after "
                          f"{now - started:.2f}s wall (limit {timeout_s}s)")
                 obs.end(sid, ok=False, error=error)

@@ -218,32 +218,14 @@ def flaky_cell(params: dict[str, Any]) -> Any:
     until the pool's timeout kills it), creating the marker first so the
     *next* attempt succeeds.  With no marker it fails every attempt.
 
-    Two modes serve the distributed layer: ``sleep`` succeeds after a
-    short nap (a cell with measurable width, so something can be killed
-    *mid-run*), and ``kill-agent`` SIGKILLs the **sweep agent** this
-    worker belongs to — the deterministic stand-in for a remote host
-    dying.  ``kill-agent`` only fires inside an agent process tree
-    (guarded by the ``REPRO_SWEEP_AGENT`` env the agent sets before
-    forking workers); under the plain local pool it simply succeeds, so
-    a degraded-to-local sweep completes instead of shooting its driver.
+    ``sleep`` succeeds after a short nap: a cell with measurable width,
+    so a sweep can be interrupted or observed *mid-run*.
     """
     marker = params.get("marker")
     mode = params.get("mode", "exit")
     if mode == "sleep":
         time.sleep(params.get("sleep_s", 0.2))
         return params.get("payload", "slept")
-    if mode == "kill-agent":
-        import signal
-
-        if os.environ.get("REPRO_SWEEP_AGENT") != "1":
-            return params.get("payload", "recovered")
-        if marker is None or not os.path.exists(marker):
-            if marker is not None:
-                with open(marker, "w", encoding="utf-8"):
-                    pass
-            os.kill(os.getppid(), signal.SIGKILL)
-            time.sleep(60.0)  # die with the agent, never return a result
-        return params.get("payload", "recovered")
     if marker is not None and os.path.exists(marker):
         return params.get("payload", "recovered")
     if marker is not None:

@@ -31,7 +31,6 @@ __all__ = [
     "resolve_runner",
     "resolve_prewarm",
     "cell_fingerprint",
-    "is_portable",
 ]
 
 _REGISTRY: dict[str, Callable[[dict], Any]] = {}
@@ -135,21 +134,6 @@ class SweepSpec:
                 blob = "<non-portable-params>"
             parts.append(f"{cell.id}\x00{cell.runner}\x00{blob}")
         return hashlib.sha256("\x01".join(parts).encode("utf-8")).hexdigest()[:16]
-
-
-def is_portable(cell: SweepCell) -> bool:
-    """Whether the cell's params survive a process boundary as JSON.
-
-    Portable cells can be fingerprinted for the result cache, carried in
-    a resumable manifest, and shipped over the wire to a remote agent or
-    a spawn-start-method worker; factory-based cells (live objects in
-    ``params``) can only travel by fork inheritance.
-    """
-    try:
-        json.dumps(cell.params, sort_keys=True)
-    except (TypeError, ValueError):
-        return False
-    return True
 
 
 def cell_fingerprint(cell: SweepCell) -> str | None:

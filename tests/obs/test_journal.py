@@ -1,5 +1,5 @@
-"""Unit tests for the span journal: pairing, synthetic ends, remote
-event stitching, and the tolerant reader."""
+"""Unit tests for the span journal: pairing, synthetic ends, and the
+tolerant reader."""
 
 import json
 
@@ -61,45 +61,6 @@ def test_end_is_noop_for_unknown_or_settled_sids(tmp_path):
 
     events = read_journal(path)
     assert sum(1 for e in events if e["ev"] == "end") == 1
-
-
-def test_record_remote_namespaces_actors_and_sids(tmp_path):
-    path = str(tmp_path / "j.ndjson")
-    journal = Journal(path)
-    journal.record_remote("loopback#0", [
-        {"ev": "begin", "span": "cell.run", "sid": "a1",
-         "actor": "worker/4711", "cell": "c1", "t": 1.0},
-        {"ev": "end", "span": "cell.run", "sid": "a1",
-         "actor": "worker/4711", "cell": "c1", "t": 2.0},
-        {"ev": "point", "span": "note", "sid": "", "actor": "agent",
-         "t": 2.5},
-        "not-an-event", {"ev": "bogus"},  # ignored, never a crash
-    ])
-    journal.close()
-
-    events = read_journal(path)
-    assert len(events) == 3
-    begin, end, point = events
-    assert begin["actor"] == end["actor"] == "worker/loopback#0/4711"
-    assert begin["sid"] == end["sid"] == "loopback#0/a1"
-    assert point["actor"] == "host/loopback#0"
-
-
-def test_remote_begin_without_end_gets_synthetic_abort(tmp_path):
-    """A SIGKILLed agent ships its begin but never the end; the driver's
-    close must still leave a pairable journal."""
-    path = str(tmp_path / "j.ndjson")
-    journal = Journal(path)
-    journal.record_remote("h1", [
-        {"ev": "begin", "span": "cell.run", "sid": "a1",
-         "actor": "worker/99", "cell": "killer", "t": 1.0},
-    ])
-    journal.close()
-
-    spans = pair_spans(read_journal(path))
-    assert len(spans) == 1
-    assert spans[0].complete and spans[0].aborted
-    assert spans[0].cell == "killer"
 
 
 def test_read_journal_tolerates_missing_and_torn_files(tmp_path):

@@ -4,17 +4,6 @@ pre-journal schedulers printed — operators and fault tests grep them."""
 from repro.obs import EVENT_FORMATTERS, render_event
 
 
-def test_redispatch_renders_the_grepped_line():
-    line = render_event("cell.redispatch", {"cell": "c3", "host": "loop#1"})
-    assert line == "c3: host loop#1 lost mid-cell; re-dispatching"
-
-
-def test_degraded_renders_the_grepped_line():
-    line = render_event("sweep.degraded", {"hosts": 2, "cells": 5})
-    assert line == ("all 2 host(s) lost; degrading to the local pool "
-                    "for 5 cell(s)")
-
-
 def test_cache_hit_has_both_prose_forms():
     assert render_event(
         "cell.cache_hit",
@@ -26,23 +15,9 @@ def test_cache_hit_has_both_prose_forms():
     ) == "c1: cache hit (abc123)"
 
 
-def test_done_renders_with_and_without_host():
+def test_done_renders_the_grepped_line():
     fields = {"cell": "c1", "done": 2, "total": 4, "attempt": 1}
     assert render_event("cell.done", fields) == "[2/4] c1: done (attempt 1)"
-    assert render_event("cell.done", {**fields, "host": "h0"}) == \
-        "[2/4] c1: done on h0 (attempt 1)"
-
-
-def test_host_lifecycle_lines():
-    assert render_event("host.ready", {"host": "h0", "workers": 2}) == \
-        "host h0: ready (2 worker(s))"
-    assert render_event(
-        "host.lost",
-        {"host": "h0", "reason": "heartbeat silence", "attempt": 1,
-         "limit": 2, "delay_s": 0.5},
-    ) == "host h0: lost (heartbeat silence); reconnect 1/2 in 0.50s"
-    assert render_event("host.dead", {"host": "h0", "reason": "eof"}) == \
-        "host h0: dead (eof)"
 
 
 def test_unknown_event_renders_to_none():
@@ -56,7 +31,7 @@ def test_malformed_fields_degrade_to_repr_not_a_crash():
 
 def test_every_formatter_is_total_over_its_event():
     """Smoke: each formatter accepts a plausible field dict (the emit
-    sites in pool.py/remote.py are the source of truth for shapes)."""
+    sites in pool.py are the source of truth for shapes)."""
     samples = {
         "cell.resumed": {"cell": "c", "attempts": 1},
         "cell.cache_hit": {"cell": "c", "key": "k"},
@@ -65,15 +40,6 @@ def test_every_formatter_is_total_over_its_event():
         "cell.failed": {"cell": "c", "done": 1, "total": 2, "attempt": 3,
                         "error": "boom"},
         "cell.interrupted": {"cell": "c"},
-        "cell.redispatch": {"cell": "c", "host": "h"},
-        "cell.duplicate": {"cell": "c", "host": "h"},
-        "cell.straggler": {"cell": "c", "host": "h", "elapsed_s": 1.0,
-                           "to": "h2"},
-        "host.ready": {"host": "h", "workers": 1},
-        "host.lost": {"host": "h", "reason": "r", "attempt": 1, "limit": 1,
-                      "delay_s": 0.1},
-        "host.dead": {"host": "h", "reason": "r"},
-        "sweep.degraded": {"hosts": 1, "cells": 1},
     }
     assert set(samples) == set(EVENT_FORMATTERS)
     for event, fields in samples.items():

@@ -1,6 +1,6 @@
-"""End-to-end observability under faults: span stitching across a
-SIGKILLed agent, the begin-has-end guarantee under SIGINT, and the
-journal-off byte-identity contract of SWEEP_report.json."""
+"""End-to-end observability under faults: one commit per retried cell,
+the begin-has-end guarantee under SIGINT, and the journal-off
+byte-identity contract of SWEEP_report.json."""
 
 import json
 import os
@@ -22,7 +22,6 @@ from repro.sweep import (
     SweepCell,
     SweepInterrupted,
     SweepSpec,
-    run_remote_sweep,
     run_sweep,
 )
 
@@ -40,59 +39,34 @@ def armed_observer(tmp_path):
     return SweepObserver(journal=journal), journal.path
 
 
-def test_killed_agent_spans_stitch_onto_one_timeline(tmp_path):
-    """SIGKILL one agent mid-cell: the journal must hold two cell.run
-    spans sharing the cell's correlation id (the aborted one on the dead
-    host, the completed re-run elsewhere) and exactly one commit."""
-    marker = str(tmp_path / "killed.marker")
-    cells = sleepy_cells(8)
-    cells.insert(3, SweepCell("killer", "flaky",
-                              {"mode": "kill-agent", "marker": marker,
-                               "payload": "recovered"}))
-    spec = SweepSpec("stitch", tuple(cells))
-    obs, journal_path = armed_observer(tmp_path)
-    remote = run_remote_sweep(spec, "loopback,loopback", heartbeat_s=0.3,
-                              reconnect_attempts=2, obs=obs)
-    obs.close("done")
-    assert remote.ok
-
-    events = read_journal(journal_path)
-    runs = [s for s in pair_spans(events)
-            if s.span == "cell.run" and s.cell == "killer"]
-    assert len(runs) >= 2
-    assert all(s.complete for s in runs)  # close() pairs even the lost one
-    assert any(s.aborted for s in runs)
-    assert any(not s.aborted for s in runs)
-    commits = [e for e in events
-               if e["ev"] == "point" and e["span"] == "commit"
-               and e.get("cell") == "killer"]
-    assert len(commits) == 1
-
-    # The merged timeline shows the whole fleet: driver + both hosts.
-    _records, lanes = timeline_records(events)
-    assert lanes >= 3
-
-
-def test_one_commit_per_cell_even_with_duplicates(tmp_path):
-    """At-most-once, observed: every cell commits exactly once no matter
-    how many times straggler duplication or host loss re-ran it."""
-    marker = str(tmp_path / "killed.marker")
+def test_one_commit_per_cell_even_with_retries(tmp_path):
+    """At-most-once, observed: a cell whose worker crashed and was
+    retried has two cell.run spans sharing its correlation id, and
+    every cell commits exactly once."""
     cells = sleepy_cells(6)
-    cells.insert(2, SweepCell("killer", "flaky",
-                              {"mode": "kill-agent", "marker": marker,
+    cells.insert(2, SweepCell("crasher", "flaky",
+                              {"mode": "exit",
+                               "marker": str(tmp_path / "crash.marker"),
                                "payload": "recovered"}))
     spec = SweepSpec("once", tuple(cells))
     obs, journal_path = armed_observer(tmp_path)
-    remote = run_remote_sweep(spec, "loopback,loopback", heartbeat_s=0.3,
-                              reconnect_attempts=2, obs=obs)
+    result = run_sweep(spec, workers=2, obs=obs)
     obs.close("done")
-    assert remote.ok
+    assert result.ok
 
+    events = read_journal(journal_path)
+    runs = [s for s in pair_spans(events)
+            if s.span == "cell.run" and s.cell == "crasher"]
+    assert [s.fields["ok"] for s in runs] == [False, True]
     commits = {}
-    for event in read_journal(journal_path):
+    for event in events:
         if event["ev"] == "point" and event["span"] == "commit":
             commits[event["cell"]] = commits.get(event["cell"], 0) + 1
     assert commits == {cell.id: 1 for cell in spec.cells}
+
+    # The timeline shows the driver and the local pool.
+    _records, lanes = timeline_records(events)
+    assert lanes == 2
 
 
 def test_every_begin_has_an_end_even_on_sigint(tmp_path):

@@ -13,29 +13,22 @@ from repro.obs import (
 
 
 def synthetic_sweep_journal(path):
-    """A hand-timed two-host sweep: exact phase boundaries, one cache
-    hit, one remote cell, one local cell."""
+    """A hand-timed two-worker sweep: exact phase boundaries, one cache
+    hit, and one cell on each of two local workers."""
     journal = Journal(path)
-    sweep = journal.begin("sweep", t=100.0, cells=2)
+    sweep = journal.begin("sweep", t=100.0, cells=3)
     prep = journal.begin("prepare", t=100.0)
     journal.end(prep, t=100.5)
-    connect = journal.begin("ssh.connect", t=100.5, host="h1")
-    journal.end(connect, t=101.0, ok=True)
-    dispatch = journal.begin("dispatch", t=101.0, host="h1", cell="c1")
-    journal.end(dispatch, t=101.1, ok=True)
-    lease = journal.begin("lease", t=101.0, host="h1", cell="c1", lease="L1")
-    journal.record_remote("h1", [
-        {"ev": "begin", "span": "cell.run", "sid": "a1",
-         "actor": "worker/42", "cell": "c1", "lease": "L1", "t": 101.2},
-        {"ev": "end", "span": "cell.run", "sid": "a1",
-         "actor": "worker/42", "cell": "c1", "lease": "L1", "t": 102.2,
-         "fields": {"ok": True}},
-    ])
-    journal.end(lease, t=102.5, outcome="result", ok=True)
+    run1 = journal.begin("cell.run", t=101.0, actor="worker/local/42",
+                         cell="c1")
+    run3 = journal.begin("cell.run", t=101.5, actor="worker/local/43",
+                         cell="c3")
+    journal.end(run1, t=102.0, ok=True)
+    journal.end(run3, t=102.5, ok=True)
     journal.point("cell.cache_hit", t=102.5, cell="c2", key="k")
     journal.point("commit", t=102.5, cell="c2", ok=True)
     journal.point("commit", t=102.5, cell="c1", ok=True)
-    journal.point("heartbeat", t=102.0, actor="driver", host="h1")
+    journal.point("commit", t=102.5, cell="c3", ok=True)
     merge = journal.begin("merge", t=102.5)
     journal.end(merge, t=103.0)
     journal.end(sweep, t=103.0, state="done")
@@ -53,8 +46,8 @@ def test_fold_profile_partitions_the_wall_exactly(tmp_path):
     assert math.isclose(sum(phases.values()), profile["wall_s"],
                         rel_tol=1e-9)
     assert math.isclose(phases["prepare_s"], 0.5)
-    assert math.isclose(phases["connect_s"], 0.5)  # prep end → first lease
-    assert math.isclose(phases["execute_s"], 1.5)  # lease window
+    assert math.isclose(phases["connect_s"], 0.5)  # prep end → first run
+    assert math.isclose(phases["execute_s"], 1.5)  # first run → last run
     assert math.isclose(phases["merge_s"], 0.5)
 
 
@@ -63,19 +56,14 @@ def test_fold_profile_attribution_and_counts(tmp_path):
     profile = fold_profile(events)
 
     attribution = profile["attribution"]
-    assert math.isclose(attribution["worker_compute_s"], 1.0)
-    # Lease held 1.5s, worker computed 1.0s: 0.5s of wire/scheduling tax.
-    assert math.isclose(attribution["envelope_tax_s"], 0.5)
-    assert math.isclose(attribution["ssh_connect_s"], 0.5)
-    assert math.isclose(attribution["dispatch_s"], 0.1)
+    # Busy time across both workers: 1.0s each.
+    assert math.isclose(attribution["worker_compute_s"], 2.0)
     assert math.isclose(attribution["merge_s"], 0.5)
 
     counts = profile["counts"]
-    assert counts["cell_runs"] == 1 and counts["cell_runs_aborted"] == 0
-    assert counts["leases"] == 1 and counts["leases_matched"] == 1
-    assert counts["commits"] == 2
+    assert counts["cell_runs"] == 2 and counts["cell_runs_aborted"] == 0
+    assert counts["commits"] == 3
     assert counts["cache_hits"] == 1
-    assert counts["heartbeats"] == 1
 
 
 def test_fold_profile_survives_an_empty_journal():
@@ -89,21 +77,21 @@ def test_render_profile_is_a_text_table(tmp_path):
     text = render_profile(fold_profile(events))
     assert "sweep wall time 3.000s" in text
     assert "worker_compute" in text
-    assert "2 commit(s)" in text
+    assert "3 commit(s)" in text
 
 
 def test_timeline_lanes_group_actors_by_process(tmp_path):
     events = synthetic_sweep_journal(str(tmp_path / "j.ndjson"))
     records, lanes = timeline_records(events)
 
-    assert lanes == 2  # driver + host/h1 (worker rides as a thread)
+    assert lanes == 2  # driver + local pool (workers ride as threads)
     meta = [r for r in records if r["ph"] == "M"]
     process_names = {r["args"]["name"] for r in meta
                      if r["name"] == "process_name"}
-    assert process_names == {"driver", "host/h1"}
+    assert process_names == {"driver", "local pool"}
     thread_names = {r["args"]["name"] for r in meta
                     if r["name"] == "thread_name"}
-    assert "worker 42" in thread_names
+    assert {"worker 42", "worker 43"} <= thread_names
 
 
 def test_timeline_span_phases_and_rebased_timestamps(tmp_path):
@@ -112,10 +100,7 @@ def test_timeline_span_phases_and_rebased_timestamps(tmp_path):
 
     slices = [r for r in records if r["ph"] == "X"]
     assert {r["name"].split()[0] for r in slices} >= {
-        "sweep", "prepare", "ssh.connect", "cell.run", "merge"}
-    # Leases overlap on the driver lane, so they export as async pairs.
-    async_phs = {r["ph"] for r in records if r.get("cat") == "lease"}
-    assert async_phs == {"b", "e"}
+        "sweep", "prepare", "cell.run", "merge"}
     instants = [r for r in records if r["ph"] == "i"]
     assert any(r["name"].startswith("commit") for r in instants)
     # Rebased to the first event and scaled to microseconds.

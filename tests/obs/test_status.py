@@ -72,33 +72,21 @@ def test_read_status_operator_errors_are_one_line(tmp_path, prepare, fragment):
     assert fragment in message and "\n" not in message
 
 
-def test_render_top_shows_bar_counts_and_hosts(tmp_path):
+def test_render_top_shows_bar_and_counts(tmp_path):
     path = str(tmp_path / "s.status.json")
     board = StatusBoard(path, total=8, spec="repro-sweep")
-    board.update(
-        pending=2, leased=2, counts={"done": 3, "failed": 1},
-        hosts={"loop#0": {"state": "ready", "busy": 2, "done": 3,
-                          "failed": 1, "reconnects": 0,
-                          "heartbeat_age_s": 0.4, "workers": 2}},
-        force=True,
-    )
+    board.update(pending=2, leased=2, counts={"done": 3, "failed": 1},
+                 force=True)
     text = render_top(read_status(path))
     assert "4/8" in text
     assert "#" in text and "x" in text  # done and failed bar segments
-    assert "loop#0" in text and "0.4s" in text
+    assert "leased 2" in text and "pending 2" in text
 
 
-def test_render_prometheus_exposes_cells_and_host_heartbeat(tmp_path):
+def test_render_prometheus_exposes_cells(tmp_path):
     path = str(tmp_path / "s.status.json")
     board = StatusBoard(path, total=8, spec="repro-sweep")
-    board.update(
-        counts={"done": 3},
-        hosts={"loop#0": {"state": "ready", "busy": 1, "done": 3,
-                          "failed": 0, "reconnects": 0,
-                          "heartbeat_age_s": 0.25, "workers": 2}},
-        force=True,
-    )
+    board.update(counts={"done": 3}, force=True)
     text = render_prometheus(read_status(path))
     assert 'repro_sweep_cells{state="done"} 3' in text
     assert "repro_sweep_total 8" in text
-    assert 'repro_sweep_host_heartbeat_age_s{host="loop#0"} 0.25' in text

@@ -3,6 +3,7 @@ corruption degrades to a live run, and failures never poison the cache."""
 
 import os
 
+from repro.obs import SweepObserver
 from repro.sweep import (
     ResultCache,
     SweepCell,
@@ -11,6 +12,7 @@ from repro.sweep import (
     register_runner,
     run_sweep,
 )
+from repro.sweep.pool import _Ledger
 
 
 @register_runner("test-cache-log")
@@ -216,3 +218,45 @@ def test_only_successes_are_cached_failures_always_rerun(tmp_path):
     # Cached attempts reflect what the original run actually consumed.
     assert warm.payloads()["heals"] == "recovered"
     assert [o.attempts for o in warm.outcomes] == [2, 1]
+
+
+def _ledger(spec, notes, cache_dir=None):
+    return _Ledger(spec, max_attempts=3, manifest_path=None, resume=False,
+                   cache_dir=cache_dir,
+                   obs=SweepObserver(progress=notes.append))
+
+
+def test_duplicate_result_discarded_at_most_once():
+    """Unit-level at-most-once: the first result commits, a late second
+    result for the same cell is discarded."""
+    cell = SweepCell("dup", "flaky", {"mode": "sleep", "payload": "x"})
+    notes = []
+    ledger = _ledger(SweepSpec("dups", (cell,)), notes)
+    assert ledger.pop() == (cell, 1)
+    assert ledger.settle(cell, 1, True, "committed") == "done"
+    assert ledger.settle(cell, 1, True, "too late") == "duplicate"
+    assert ledger.outcomes["dup"].payload == "committed"
+    assert ledger.pop() is None
+
+
+def test_redispatch_consults_result_cache(tmp_path):
+    """A cell requeued after dispatch began is served from the result
+    cache when a fingerprint-identical cell has completed in the
+    meantime, instead of being re-executed."""
+    params = {"mode": "ok", "payload": "shared"}
+    first = SweepCell("first", "flaky", params)
+    second = SweepCell("second", "flaky", params)  # same fingerprint
+    notes = []
+    ledger = _ledger(SweepSpec("cache-consult", (first, second)), notes,
+                     cache_dir=str(tmp_path / "cache"))
+    assert ledger.pop() == (first, 1)  # nothing cached yet: both run
+    assert ledger.pop() == (second, 1)
+    # "first" commits (and is cached) while "second" sits requeued.
+    assert ledger.settle(first, 1, True, {"value": 41}) == "done"
+    ledger.requeue(second, 1)
+    assert ledger.pop() is None  # served, not handed to a worker
+    assert ledger.cache_hits == 1
+    outcome = ledger.outcomes["second"]
+    assert outcome.ok and outcome.cached
+    assert outcome.payload == {"value": 41}
+    assert any("served from result cache" in n for n in notes)

@@ -14,6 +14,7 @@ from repro.sweep import (
     register_runner,
     run_sweep,
 )
+from repro.sweep.pool import _context
 
 
 def declarative_cells(policies, ops=2000, pages=300, seed=42):
@@ -114,6 +115,18 @@ def test_timeout_error_reports_elapsed_wall_time_and_attempt():
     assert int(match.group(1)) == 1
     # The reported time is what actually elapsed, not the nominal limit.
     assert float(match.group(2)) >= 0.3
+
+
+@pytest.mark.parametrize("timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_timeout_is_a_one_line_error_before_any_fork(tmp_path, timeout_s):
+    marker = tmp_path / "ran.marker"
+    spec = SweepSpec("bad-timeout", (SweepCell(
+        "boom", "flaky", {"marker": str(marker), "mode": "exit"}),))
+    with pytest.raises(ValueError) as excinfo:
+        run_sweep(spec, workers=2, timeout_s=timeout_s)
+    message = str(excinfo.value)
+    assert "--timeout-s" in message and "\n" not in message
+    assert not marker.exists()  # no worker ever ran the cell
 
 
 @register_runner("test-log-order")
@@ -252,3 +265,22 @@ def test_manifest_roundtrip(tmp_path):
     book.record_done("static/zipf/s42", 1, {"throughput": 1})
     loaded = Manifest.load(manifest, spec)
     assert loaded.completed == {"static/zipf/s42": {"throughput": 1}}
+
+
+def test_spawn_start_method_matches_fork(monkeypatch):
+    cells = tuple(
+        SweepCell(f"c{i}", "flaky",
+                  {"mode": "sleep", "sleep_s": 0.01, "payload": f"p{i}"})
+        for i in range(4)
+    )
+    spec = SweepSpec("spawnable", cells)
+    fork = run_sweep(spec, workers=2)
+    monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "spawn")
+    spawned = run_sweep(spec, workers=2)
+    assert spawned.ok
+    assert spawned.payloads() == fork.payloads()
+
+
+def test_unsupported_start_method_is_one_line_error():
+    with pytest.raises(ValueError, match="unsupported sweep start method"):
+        _context("not-a-method")
