@@ -247,15 +247,18 @@ grep -q "<svg" "$COLO_TMP/colo.html"
 
 echo "== figure-path smoke (fig5-ycsb and colo-memcg match figbench/reference.json) =="
 # The two figbench workloads that drive the KV stores: every run's digest
-# must match the recorded reference, and no run may fail.
-for workload in fig5-ycsb colo-memcg; do
-    LAST="$(python3 figbench/run.py --workload "$workload" --seed 0 --seconds 1 | tail -n 1)"
-    python - "$workload" "$LAST" <<'PYEOF'
+# must match the recorded reference, and no run may fail.  colo-memcg,
+# where every access takes the per-access path, is checked at three seeds.
+for run in fig5-ycsb:0 colo-memcg:0 colo-memcg:3 colo-memcg:7; do
+    workload="${run%%:*}"
+    seed="${run##*:}"
+    LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 | tail -n 1)"
+    python - "$workload" "$seed" "$LAST" <<'PYEOF'
 import json, sys
 
-workload, out = sys.argv[1], json.loads(sys.argv[2])
-assert out["correct"] is True and out["failed"] == 0, (workload, out)
-print(f"{workload}: {out['attempted']} runs match the reference, 0 failed")
+workload, seed, out = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+assert out["correct"] is True and out["failed"] == 0, (workload, seed, out)
+print(f"{workload} seed {seed}: {out['attempted']} runs match the reference, 0 failed")
 PYEOF
 done
 

@@ -11,10 +11,10 @@ stream through an inlined copy of the hot path — same semantics, same
 counters, same virtual times, but an order of magnitude less Python
 call overhead.  :meth:`Machine.touch_batch_array` goes further for
 numeric single-process streams: when the stream hits the common case
-(resident pages, no poisons, one unsupervised region, default policy
-callbacks) whole access vectors are resolved and charged with a handful
-of numpy gathers against the struct-of-arrays page store, dropping to
-the scalar loop only around faults, daemon deadlines and policy
+(resident pages, no poisons, one unsupervised region, the default
+``charge_access``) whole access vectors are resolved and charged with a
+handful of numpy gathers against the struct-of-arrays page store,
+dropping to the scalar loop only around faults, daemon deadlines and policy
 overrides.  ``tests/perf/test_touch_batch_equivalence.py`` holds all
 paths bit-identical.
 """
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.mm.address_space import Process
 from repro.mm.flags import PageFlags
-from repro.mm.hardware import MemoryTier
 from repro.mm.system import MemorySystem
 from repro.policies.base import TieringPolicy, create_policy
 from repro.sim.config import SimulationConfig
@@ -191,8 +190,11 @@ class Machine:
         self, process: Process, vpage: int, *, is_write: bool = False, lines: int = 1
     ) -> int:
         """One memory reference plus any daemon work that came due."""
-        charged = self.system.touch(process, vpage, is_write=is_write, lines=lines)
-        self.scheduler.run_due()
+        system = self.system
+        charged = system.touch(process, vpage, is_write=is_write, lines=lines)
+        scheduler = self.scheduler
+        if scheduler.next_deadline_ns <= system.clock._now_ns:
+            scheduler.run_due()
         return charged
 
     def touch_batch(self, accesses: "Iterable[PageAccess]") -> tuple[int, int]:
@@ -211,7 +213,6 @@ class Machine:
         scheduler = self.scheduler
         clock = system.clock
         stats = system.stats
-        nodes = system.nodes
         policy = system.policy
         run_due = scheduler.run_due
         slow_touch = system.touch
@@ -224,29 +225,23 @@ class Machine:
             metrics.reaccess_delay.record if metrics is not None else None
         )
         mark_accessed = policy.mark_page_accessed
-        on_access = policy.on_access
-        # Policies that keep the base-class defaults get the cheap forms:
-        # the default charge_access is pure latency-table math (inlined
-        # below) and the default on_access is a no-op (skipped).
-        policy_cls = type(policy)
-        inline_charge = policy_cls.charge_access is TieringPolicy.charge_access
-        skip_on_access = policy_cls.on_access is TieringPolicy.on_access
+        # A policy that keeps the default charge_access (pure latency-table
+        # math) gets it inlined below.
+        inline_charge = system.inline_charge
         charge_access = policy.charge_access
         read_ns, write_ns = system.hardware.access_tables()
         remote_mult = system.config.latency.remote_socket_multiplier
         multi_socket = system.config.sockets > 1
-        # Node ids are assigned densely from 0, and a node's tier and
-        # socket never change, so per-node facts fold into flat vectors
-        # indexed by the page's node column.
-        node_list = [nodes[nid] for nid in range(len(nodes))]
-        node_read_ns = [read_ns[n.tier] for n in node_list]
-        node_write_ns = [write_ns[n.tier] for n in node_list]
+        # Per-node facts are flat vectors indexed by the page's node column.
+        node_tier = system._node_tier
+        node_read_ns = [read_ns[tier] for tier in node_tier]
+        node_write_ns = [write_ns[tier] for tier in node_tier]
         # With a fault plan armed, daemon wakeups may rescale tier latency
         # (PmSlowdown windows), so the hoisted per-node tables must be
         # rebuilt after every run_due(); without faults they are constant.
         faults_live = system.faults is not None
-        node_is_dram = [n.tier is MemoryTier.DRAM for n in node_list]
-        node_socket = [n.socket for n in node_list]
+        node_is_dram = system._node_is_dram
+        node_socket = system._node_socket
         # Page-store columns, hoisted.  Store growth (a fault allocating
         # past capacity) reallocates every column, so these are re-hoisted
         # after any excursion that can allocate — slow_touch and run_due —
@@ -314,8 +309,8 @@ class Machine:
                     now = clock._now_ns
                     next_deadline = scheduler.next_deadline_ns
                     if faults_live:
-                        node_read_ns = [read_ns[n.tier] for n in node_list]
-                        node_write_ns = [write_ns[n.tier] for n in node_list]
+                        node_read_ns = [read_ns[tier] for tier in node_tier]
+                        node_write_ns = [write_ns[tier] for tier in node_tier]
                 col_acc = store.pte_accessed
                 col_dirty = store.pte_dirty
                 col_flags = store.flags
@@ -370,16 +365,6 @@ class Machine:
                     if now - promoted_at <= reaccess_horizon:
                         c_reaccessed.n += 1
                         record_reaccess(promoted_at)
-            if not skip_on_access:
-                clock._now_ns = now
-                clock._app_ns += app_accum
-                c_total.n += acc_total
-                c_dram.n += acc_dram
-                c_pm.n += acc_pm
-                c_remote.n += acc_remote
-                app_accum = acc_total = acc_dram = acc_pm = acc_remote = 0
-                on_access(pte, is_write)
-                now = clock._now_ns
             if next_deadline <= now:
                 clock._now_ns = now
                 clock._app_ns += app_accum
@@ -392,8 +377,8 @@ class Machine:
                 now = clock._now_ns
                 next_deadline = scheduler.next_deadline_ns
                 if faults_live:
-                    node_read_ns = [read_ns[n.tier] for n in node_list]
-                    node_write_ns = [write_ns[n.tier] for n in node_list]
+                    node_read_ns = [read_ns[tier] for tier in node_tier]
+                    node_write_ns = [write_ns[tier] for tier in node_tier]
                 col_acc = store.pte_accessed
                 col_dirty = store.pte_dirty
                 col_flags = store.flags
@@ -427,7 +412,7 @@ class Machine:
         When the common case holds — every page of the batch resident in
         a dense page table with no poisoned PTEs, one unsupervised region
         covering the batch, and a policy keeping the default
-        ``charge_access``/``on_access`` — whole batches are processed as
+        ``charge_access`` — whole batches are processed as
         column sweeps: one ``v2p`` gather resolves the translations, the
         accessed/dirty bits land with fancy-index stores, the latency
         charge is a vectorized table gather with a ``cumsum`` locating
@@ -440,7 +425,6 @@ class Machine:
         scheduler = self.scheduler
         clock = system.clock
         stats = system.stats
-        nodes = system.nodes
         policy = system.policy
         run_due = scheduler.run_due
         slow_touch = system.touch
@@ -453,20 +437,17 @@ class Machine:
             metrics.reaccess_delay.record if metrics is not None else None
         )
         mark_accessed = policy.mark_page_accessed
-        on_access = policy.on_access
-        policy_cls = type(policy)
-        inline_charge = policy_cls.charge_access is TieringPolicy.charge_access
-        skip_on_access = policy_cls.on_access is TieringPolicy.on_access
+        inline_charge = system.inline_charge
         charge_access = policy.charge_access
         read_ns, write_ns = system.hardware.access_tables()
         remote_mult = system.config.latency.remote_socket_multiplier
         multi_socket = system.config.sockets > 1
-        node_list = [nodes[nid] for nid in range(len(nodes))]
-        node_read_ns = [read_ns[n.tier] for n in node_list]
-        node_write_ns = [write_ns[n.tier] for n in node_list]
+        node_tier = system._node_tier
+        node_read_ns = [read_ns[tier] for tier in node_tier]
+        node_write_ns = [write_ns[tier] for tier in node_tier]
         faults_live = system.faults is not None
-        node_is_dram = [n.tier is MemoryTier.DRAM for n in node_list]
-        node_socket = [n.socket for n in node_list]
+        node_is_dram = system._node_is_dram
+        node_socket = system._node_socket
         # Vector-path tables: per-node latency/socket/tier as numpy rows.
         np_read = np.asarray(node_read_ns, dtype=np.int64)
         np_write = np.asarray(node_write_ns, dtype=np.int64)
@@ -494,7 +475,6 @@ class Machine:
         home_socket = process.home_socket
         reg_start = reg_end = 0  # empty range: first access misses the cache
         reg_supervised = False
-        vector_ok = inline_charge and skip_on_access
         for vpages, writes in batches:
             vp = np.asarray(vpages, dtype=np.int64)
             wr = np.asarray(writes, dtype=bool)
@@ -503,7 +483,7 @@ class Machine:
                 continue
             n_accesses += n
             pos = 0
-            vectorable = vector_ok
+            vectorable = inline_charge
             if vectorable:
                 # The whole batch must sit in one unsupervised region;
                 # otherwise (or if the range is simply unmapped — the
@@ -586,8 +566,8 @@ class Machine:
                         now = clock._now_ns
                         next_deadline = scheduler.next_deadline_ns
                         if faults_live:
-                            node_read_ns = [read_ns[n_.tier] for n_ in node_list]
-                            node_write_ns = [write_ns[n_.tier] for n_ in node_list]
+                            node_read_ns = [read_ns[tier] for tier in node_tier]
+                            node_write_ns = [write_ns[tier] for tier in node_tier]
                             np_read = np.asarray(node_read_ns, dtype=np.int64)
                             np_write = np.asarray(node_write_ns, dtype=np.int64)
                     col_acc = store.pte_accessed
@@ -649,8 +629,8 @@ class Machine:
                             now = clock._now_ns
                             next_deadline = scheduler.next_deadline_ns
                             if faults_live:
-                                node_read_ns = [read_ns[n_.tier] for n_ in node_list]
-                                node_write_ns = [write_ns[n_.tier] for n_ in node_list]
+                                node_read_ns = [read_ns[tier] for tier in node_tier]
+                                node_write_ns = [write_ns[tier] for tier in node_tier]
                                 np_read = np.asarray(node_read_ns, dtype=np.int64)
                                 np_write = np.asarray(node_write_ns, dtype=np.int64)
                             col_acc = store.pte_accessed
@@ -743,8 +723,8 @@ class Machine:
                     now = clock._now_ns
                     next_deadline = scheduler.next_deadline_ns
                     if faults_live:
-                        node_read_ns = [read_ns[n_.tier] for n_ in node_list]
-                        node_write_ns = [write_ns[n_.tier] for n_ in node_list]
+                        node_read_ns = [read_ns[tier] for tier in node_tier]
+                        node_write_ns = [write_ns[tier] for tier in node_tier]
                         np_read = np.asarray(node_read_ns, dtype=np.int64)
                         np_write = np.asarray(node_write_ns, dtype=np.int64)
                     col_acc = store.pte_accessed
@@ -777,8 +757,8 @@ class Machine:
                         now = clock._now_ns
                         next_deadline = scheduler.next_deadline_ns
                         if faults_live:
-                            node_read_ns = [read_ns[n_.tier] for n_ in node_list]
-                            node_write_ns = [write_ns[n_.tier] for n_ in node_list]
+                            node_read_ns = [read_ns[tier] for tier in node_tier]
+                            node_write_ns = [write_ns[tier] for tier in node_tier]
                             np_read = np.asarray(node_read_ns, dtype=np.int64)
                             np_write = np.asarray(node_write_ns, dtype=np.int64)
                     col_acc = store.pte_accessed
@@ -832,16 +812,6 @@ class Machine:
                         if now - promoted_at <= reaccess_horizon:
                             c_reaccessed.n += 1
                             record_reaccess(promoted_at)
-                if not skip_on_access:
-                    clock._now_ns = now
-                    clock._app_ns += app_accum
-                    c_total.n += acc_total
-                    c_dram.n += acc_dram
-                    c_pm.n += acc_pm
-                    c_remote.n += acc_remote
-                    app_accum = acc_total = acc_dram = acc_pm = acc_remote = 0
-                    on_access(pte, is_write)
-                    now = clock._now_ns
                 if next_deadline <= now:
                     clock._now_ns = now
                     clock._app_ns += app_accum
@@ -854,8 +824,8 @@ class Machine:
                     now = clock._now_ns
                     next_deadline = scheduler.next_deadline_ns
                     if faults_live:
-                        node_read_ns = [read_ns[n_.tier] for n_ in node_list]
-                        node_write_ns = [write_ns[n_.tier] for n_ in node_list]
+                        node_read_ns = [read_ns[tier] for tier in node_tier]
+                        node_write_ns = [write_ns[tier] for tier in node_tier]
                         np_read = np.asarray(node_read_ns, dtype=np.int64)
                         np_write = np.asarray(node_write_ns, dtype=np.int64)
                     col_acc = store.pte_accessed

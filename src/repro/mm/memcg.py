@@ -45,6 +45,9 @@ __all__ = ["MemCgroup", "MemcgController", "ProcessKilledError"]
 #: walk on every fault.
 RECLAIM_SCAN_CAP = 512
 
+#: Pfns :meth:`MemcgController.reclaim_group` reads off a list per chunk.
+RECLAIM_CHUNK = 128
+
 
 class ProcessKilledError(RuntimeError):
     """An access by a process whose group the OOM killer already killed.
@@ -211,26 +214,42 @@ class MemcgController:
         Walks list tails picking only pages charged to ``group``; pinned
         pages are skipped, a full swap ends the pass (the machine-level
         OOM path deals with that).  Returns the number of pages freed.
+
+        Each list is walked in chunks of :data:`RECLAIM_CHUNK` pfns; one
+        ``memcg_id``/``flags`` mask picks the group's unpinned pages of a
+        chunk, evicted in walk order.  Pages visited count toward
+        :data:`RECLAIM_SCAN_CAP` exactly as a page-at-a-time walk would,
+        so the pass evicts the same pages and stops at the same point; it
+        only reads at most one chunk past the page that met ``target``.
         """
-        store = self.system.pagestore
-        memcg_col = store.memcg_id
-        flags_col = store.flags
+        system = self.system
+        store = system.pagestore
         pinned = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
         freed = 0
         scanned = 0
         for lst in self._lists_tail_first():
-            for page in lst.iter_from_tail():
-                if freed >= target or scanned >= RECLAIM_SCAN_CAP:
-                    return freed
-                scanned += 1
-                pfn = page.pfn
-                if memcg_col[pfn] != group.id or flags_col[pfn] & pinned:
-                    continue
-                try:
-                    self.system.unmap_and_evict(page)
-                except MemoryError:
-                    return freed
-                freed += 1
+            cursor = lst._tail
+            left = len(lst)
+            while left and freed < target and scanned < RECLAIM_SCAN_CAP:
+                count = min(RECLAIM_CHUNK, left, RECLAIM_SCAN_CAP - scanned)
+                chunk = store.walk_tail(lst, count, start=cursor)
+                # The next chunk starts past this one; read the link now,
+                # before evicting the chunk's last page unlinks it.
+                cursor = store.lru_prev.item(int(chunk[-1]))
+                left -= count
+                scanned += count
+                mine = chunk[
+                    (store.memcg_id[chunk] == group.id)
+                    & ((store.flags[chunk] & pinned) == 0)
+                ]
+                for pfn in mine.tolist():
+                    if freed >= target:
+                        return freed
+                    try:
+                        system.unmap_and_evict(store.pages[pfn])
+                    except MemoryError:
+                        return freed
+                    freed += 1
         return freed
 
     def scan_weight(self, pfn: int) -> int:

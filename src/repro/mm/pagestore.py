@@ -139,15 +139,19 @@ class PageStore:
 
     # -- vectorized list surgery --------------------------------------------
 
-    def walk_tail(self, lst: "LruList", count: int) -> np.ndarray:
-        """The first ``count`` pfns of ``lst`` in tail→head scan order."""
-        out = np.empty(count, dtype=np.int64)
-        prev = self.lru_prev
-        cursor = lst._tail
+    def walk_tail(
+        self, lst: "LruList", count: int, start: int | None = None
+    ) -> np.ndarray:
+        """``count`` pfns of ``lst`` in tail→head scan order, from
+        ``start`` (default: the tail).  The caller keeps ``count`` within
+        the entries left between ``start`` and the head."""
+        out = [0] * count
+        prev = self.lru_prev.item
+        cursor = lst._tail if start is None else start
         for i in range(count):
             out[i] = cursor
-            cursor = int(prev[cursor])
-        return out
+            cursor = prev(cursor)
+        return np.array(out, dtype=np.int64)
 
     def relink_chain(self, order: np.ndarray) -> None:
         """Rewrite the prev/next links so ``order`` (tail→head) is a chain."""

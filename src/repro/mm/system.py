@@ -44,6 +44,10 @@ fires — the analogue of ``__alloc_pages_slowpath`` looping while reclaim
 keeps making progress."""
 
 
+#: Bound once: the access path sets it on every write.
+_DIRTY = int(PageFlags.DIRTY)
+
+
 class OutOfMemoryError(RuntimeError):
     """Raised when reclaim cannot free a frame — the OOM killer fired."""
 
@@ -56,6 +60,10 @@ class MemorySystem:
         self.clock = VirtualClock()
         self.stats = StatsBook()
         self.hardware = HardwareModel(config.latency)
+        # The live per-tier latency tables: fault-plan windows rescale
+        # them in place, so holding the dicts sees every rescale.
+        self._read_ns, self._write_ns = self.hardware.access_tables()
+        self._remote_mult = self.config.latency.remote_socket_multiplier
         # The struct-of-arrays page store: every page this machine ever
         # allocates lives here, with a dense per-machine pfn.
         self.pagestore = PageStore()
@@ -74,11 +82,20 @@ class MemorySystem:
                 socket=i % config.sockets, store=self.pagestore,
             )
             node_id += 1
+        # Node ids are dense from 0 and a node's tier and socket never
+        # change, so the access path reads them from flat lists indexed
+        # by the page's node column.
+        self._node_tier = [node.tier for node in self.nodes.values()]
+        self._node_socket = [node.socket for node in self.nodes.values()]
+        self._node_is_dram = [tier is MemoryTier.DRAM for tier in self._node_tier]
         self.allocator = PageAllocator(list(self.nodes.values()))
         self.migrator = MigrationEngine(self.nodes, self.hardware, self.clock, self.stats)
         self.backing = BackingStore(config.swap_pages)
         self.processes: dict[int, Process] = {}
         self._policy: TieringPolicy | None = None
+        #: Whether the attached policy keeps the default ``charge_access``
+        #: (pure latency-table math), which the access paths then inline.
+        self.inline_charge = True
         # Fig 8/9 instrumentation: promotions per window and whether each
         # promoted page gets re-accessed from DRAM afterwards.
         self.stats.make_series("promotions_window", config.stats_window_s)
@@ -134,7 +151,12 @@ class MemorySystem:
     def attach_policy(self, policy: "TieringPolicy") -> None:
         if self._policy is not None:
             raise RuntimeError("a policy is already attached")
+        from repro.policies.base import TieringPolicy
+
         self._policy = policy
+        self.inline_charge = (
+            type(policy).charge_access is TieringPolicy.charge_access
+        )
 
     def create_process(self, name: str = "", home_socket: int = 0) -> Process:
         if home_socket >= self.config.sockets:
@@ -175,38 +197,57 @@ class MemorySystem:
         (scaled by ``lines``, the cache lines the operation touches in
         this page), and — for supervised regions — the inline
         ``mark_page_accessed()`` call of Section III-A.
+
+        This is the one definition of an access; the batch drivers of
+        :class:`~repro.machine.Machine` detour through it for every
+        access their column sweeps cannot take.  A resident, unpoisoned
+        page in a process with no supervised region never looks up its
+        region: the work is a handful of page-store column updates.
         """
-        region = process.region_for(vpage)
-        pte = process.page_table.lookup(vpage)
+        pte = process.page_table._entries.get(vpage)
         charged = 0
-        if pte is None:
-            pte, fault_ns = self._page_fault(process, region, vpage)
-            charged += fault_ns
-        if pte.poisoned:
-            pte.poisoned = False
-            self.clock.advance_app(self.hardware.hint_fault_ns())
-            charged += self.hardware.hint_fault_ns()
-            self._c_faults_hint.n += 1
-            self.policy.on_hint_fault(pte)
-        pte.touch(is_write)
+        supervised = False
+        if pte is None or pte._poisoned or process.supervised_regions:
+            region = process.region_for(vpage)
+            supervised = region.supervised
+            if pte is None:
+                pte, charged = self._page_fault(process, region, vpage)
+            if pte._poisoned:
+                pte.poisoned = False
+                hint_ns = self.hardware.hint_fault_ns()
+                self.clock.advance_app(hint_ns)
+                charged += hint_ns
+                self._c_faults_hint.n += 1
+                self._policy.on_hint_fault(pte)
         page = pte.page
+        pfn = page.pfn
+        store = self.pagestore
+        store.pte_accessed[pfn] = True
         if is_write:
-            page.set(PageFlags.DIRTY)
-        access_ns = self.policy.charge_access(page, is_write, lines)
-        if self.nodes[page.node_id].socket != process.home_socket:
-            access_ns = int(access_ns * self.config.latency.remote_socket_multiplier)
+            store.pte_dirty[pfn] = True
+            store.flags[pfn] |= _DIRTY
+        nid = store.node.item(pfn)
+        if self.inline_charge:
+            table = self._write_ns if is_write else self._read_ns
+            access_ns = lines * table[self._node_tier[nid]]
+        else:
+            access_ns = self._policy.charge_access(page, is_write, lines)
+        if self._node_socket[nid] != process.home_socket:
+            access_ns = int(access_ns * self._remote_mult)
             self._c_accesses_remote.n += 1
-        self.clock.advance_app(access_ns)
+        clock = self.clock
+        clock._now_ns += access_ns
+        clock._app_ns += access_ns
         charged += access_ns
         self._c_accesses_total.n += 1
-        if self.tier_of(page) is MemoryTier.DRAM:
+        if self._node_is_dram[nid]:
             self._c_accesses_dram.n += 1
         else:
             self._c_accesses_pm.n += 1
-        if region.supervised:
-            self.policy.mark_page_accessed(page)
-        self._note_reaccess(page)
-        self.policy.on_access(pte, is_write)
+        if supervised:
+            self._policy.mark_page_accessed(page)
+        if self._awaiting_count:
+            self._note_reaccess(page)
         return charged
 
     def _note_promotion(self, page: Page) -> None:
@@ -219,9 +260,8 @@ class MemorySystem:
 
     def _note_reaccess(self, page: Page) -> None:
         """First access after a promotion counts toward Fig 9's numerator,
-        but only if it arrives within the re-access horizon."""
-        if self._awaiting_count == 0:
-            return
+        but only if it arrives within the re-access horizon.  Callers
+        skip it while nothing awaits a re-access."""
         column = self.pagestore.awaiting_ns
         promoted_at = int(column[page.pfn])
         if promoted_at < 0:

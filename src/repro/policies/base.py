@@ -77,9 +77,6 @@ class TieringPolicy(abc.ABC):
         """Supervised-access state update; default: vanilla CLOCK ladder."""
         mark_page_accessed(self.system, page)
 
-    def on_access(self, pte: PageTableEntry, is_write: bool) -> None:
-        """Called on every access, after latency is charged."""
-
     def observe_scan(self, page: Page) -> None:
         """Called for every page a kpromoted scan examines.
 

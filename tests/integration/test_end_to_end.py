@@ -51,7 +51,7 @@ def test_gapbs_trials_warm_up_across_repetitions():
     assert result.promotions > 0
 
 
-def test_policies_agree_on_access_counts():
+def test_policies_see_identical_access_counts():
     """Every policy sees the identical access stream for one workload."""
     workload_args = dict(pages=400, ops=3000, seed=8)
     config = SimulationConfig(dram_pages=(128,), pm_pages=(1024,))

@@ -1,0 +1,169 @@
+"""Targeted memcg reclaim against the page-at-a-time walk it replaced.
+
+``MemcgController.reclaim_group`` walks list tails in chunks and picks
+the group's unpinned pages with one column mask.  The oracle below is
+the walk it replaced, kept here verbatim as a test-only reference: one
+page at a time off ``iter_from_tail``, one ``memcg_id``/``flags`` probe
+per page, the scan cap and the target checked before every visit.
+
+Hypothesis generates the list states.  Pages land on two nodes and all
+four reclaimable lists (inactive/active x anon/file), charged to one of
+up to four interleaved groups or to none, some LOCKED or UNEVICTABLE,
+in long runs so a list can outgrow ``RECLAIM_SCAN_CAP``.  Targets range
+from zero to far above the group's eligible pages, and swap can be too
+small to hold them, so the pass meets a full swap part-way.  Both walks
+run on identically built machines and must return the same count,
+evict the same pfns in the same order, and leave the same clock, swap
+slots, group books, charge column and list order behind.
+"""
+
+from __future__ import annotations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.mm.flags import PageFlags
+from repro.mm.lruvec import ListKind
+from repro.mm.memcg import RECLAIM_SCAN_CAP, MemcgController
+from repro.mm.system import MemorySystem
+from repro.sim.config import SimulationConfig
+
+CONFIG = SimulationConfig(dram_pages=(1536,), pm_pages=(1536,))
+KINDS = (ListKind.INACTIVE, ListKind.ACTIVE)
+PINS = (0, 0, int(PageFlags.LOCKED), int(PageFlags.UNEVICTABLE))
+
+
+def oracle_reclaim_group(controller: MemcgController, group, target: int) -> int:
+    """The page-at-a-time targeted reclaim walk."""
+    store = controller.system.pagestore
+    memcg_col = store.memcg_id
+    flags_col = store.flags
+    pinned = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
+    freed = 0
+    scanned = 0
+    for lst in controller._lists_tail_first():
+        for page in lst.iter_from_tail():
+            if freed >= target or scanned >= RECLAIM_SCAN_CAP:
+                return freed
+            scanned += 1
+            pfn = page.pfn
+            if memcg_col[pfn] != group.id or flags_col[pfn] & pinned:
+                continue
+            try:
+                controller.system.unmap_and_evict(page)
+            except MemoryError:
+                return freed
+            freed += 1
+    return freed
+
+
+def decode(byte: int, n_groups: int) -> tuple[int, ListKind, bool, int, bool, int]:
+    """One pattern byte -> (node, list kind, anon, pin flags, dirty, group).
+
+    Group 0 is "uncharged"; pin slot 1 marks a dirty unpinned page.
+    """
+    pin = (byte >> 3) & 3
+    return (byte & 1, KINDS[(byte >> 1) & 1], bool(byte & 4), PINS[pin],
+            pin == 1, (byte >> 5) % (n_groups + 1))
+
+
+def build(runs, n_groups: int, swap_pages: int):
+    """A machine whose lists hold ``runs``: each ``(count, pattern)``
+    adds ``count`` pages, cycling through the pattern's bytes."""
+    system = MemorySystem(CONFIG.with_overrides(swap_pages=swap_pages))
+    memcg = system.memcg = MemcgController(system)
+    owners = [system.create_process("uncharged")]
+    groups = []
+    for i in range(n_groups):
+        process = system.create_process(f"g{i}")
+        group = memcg.create_group(process.name)
+        memcg.attach(process, group)
+        owners.append(process)
+        groups.append(group)
+    next_vpage = [0] * len(owners)
+    for count, pattern in runs:
+        for i in range(count):
+            node_id, kind, anon, pin, dirty, owner = decode(
+                pattern[i % len(pattern)], n_groups
+            )
+            node = system.nodes[node_id]
+            page = node.allocate_page(is_anon=anon)
+            process = owners[owner]
+            process.page_table.map(next_vpage[owner], page)
+            next_vpage[owner] += 1
+            if owner:
+                memcg.commit_charge(page, process)
+            node.lruvec.list_for(kind, anon).add_head(page)
+            if pin:
+                page.set(PageFlags(pin))
+            if dirty:
+                page.set(PageFlags.DIRTY)
+    evicted: list[int] = []
+    evict = system.unmap_and_evict
+
+    def logged_evict(page):
+        charged = evict(page)
+        evicted.append(page.pfn)
+        return charged
+
+    system.unmap_and_evict = logged_evict
+    return system, groups, evicted
+
+
+def books(system: MemorySystem):
+    """Everything a reclaim pass may change, in comparable form."""
+    clock = system.clock
+    store = system.pagestore
+    lists = [
+        [page.pfn for page in node.lruvec.list_for(kind, anon).iter_from_tail()]
+        for node in system.nodes.values()
+        for kind in KINDS
+        for anon in (True, False)
+    ]
+    # Pids come from a global counter; name processes by creation order.
+    order = {pid: i for i, pid in enumerate(system.processes)}
+    return {
+        "clock": (clock.now_ns, clock.app_ns, clock.system_ns),
+        "swap": sorted((order[pid], vpage) for pid, vpage in system.backing._swapped),
+        "groups": [(g.rss_total, dict(g.rss)) for g in system.memcg.groups],
+        "memcg_id": store.memcg_id[: len(store)].tolist(),
+        "lists": lists,
+        "used": [node.used_pages for node in system.nodes.values()],
+    }
+
+
+runs_strategy = st.lists(
+    st.tuples(st.integers(1, 300), st.binary(min_size=1, max_size=6)),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=runs_strategy,
+    n_groups=st.integers(1, 4),
+    victim=st.integers(0, 3),
+    target=st.one_of(st.integers(0, 8), st.integers(0, 900)),
+    swap_pages=st.one_of(st.integers(1, 40), st.just(1 << 20)),
+)
+# One group's pages sit past the scan cap behind a long uncharged run.
+@example(runs=[(600, b"\x00"), (50, b"\x20")], n_groups=1, victim=0,
+         target=10, swap_pages=1 << 20)
+# The victim's file pages sit on PM, walked first; its anon pages on
+# DRAM outnumber the swap slots, so the pass stops at the first anon
+# page that no longer fits.
+@example(runs=[(200, b"\x24\x21\x00")], n_groups=1, victim=0,
+         target=500, swap_pages=17)
+def test_chunked_reclaim_matches_page_at_a_time_walk(
+    runs, n_groups, victim, target, swap_pages
+):
+    old_system, old_groups, old_evicted = build(runs, n_groups, swap_pages)
+    new_system, new_groups, new_evicted = build(runs, n_groups, swap_pages)
+    assert books(old_system) == books(new_system)
+    victim %= n_groups
+    old_freed = oracle_reclaim_group(old_system.memcg, old_groups[victim], target)
+    new_freed = new_system.memcg.reclaim_group(new_groups[victim], target)
+    assert new_freed == old_freed
+    assert new_evicted == old_evicted
+    assert len(new_evicted) == new_freed
+    assert books(new_system) == books(old_system)

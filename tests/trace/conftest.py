@@ -49,3 +49,10 @@ def run_limited_colo(*, traced: bool = False, capacity: int | None = None) -> Ma
 def limited_colo():
     """:func:`run_limited_colo`, for tests that need a memcg limit."""
     return run_limited_colo
+
+
+@pytest.fixture(scope="session")
+def traced_limited_colo() -> Machine:
+    """The traced, uncapped :func:`run_limited_colo`, run once per
+    session.  Its users only read it: counters, clock and trace rings."""
+    return run_limited_colo(traced=True)

@@ -72,10 +72,12 @@ def colo_fingerprint(machine):
     return machine.stats.snapshot(), clock.now_ns, clock.app_ns, clock.system_ns
 
 
-def test_tracing_on_changes_nothing_under_a_memcg_limit(limited_colo):
+def test_tracing_on_changes_nothing_under_a_memcg_limit(
+    limited_colo, traced_limited_colo
+):
     """The same property where kswapd's rebalance meets over-limit pages
     and MULTI-CLOCK's edge-10 joins in one scan."""
-    traced = limited_colo(traced=True)
+    traced = traced_limited_colo
     plain = limited_colo()
     assert colo_fingerprint(traced) == colo_fingerprint(plain)
     sources = {
