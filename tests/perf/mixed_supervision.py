@@ -1,0 +1,37 @@
+"""A two-process workload whose accesses interleave across processes
+and across supervised and unsupervised regions."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.machine import Machine
+from repro.workloads.base import PageAccess, Workload
+
+
+class MixedSupervisionWorkload(Workload):
+    """Two processes, one with a supervised and an unsupervised region and
+    one with no supervised region, their accesses interleaved: the driver
+    must look regions up for the first and may skip it for the second."""
+
+    name = "mixed-supervision"
+
+    def __init__(self, ops: int, seed: int) -> None:
+        self.ops = ops
+        self.rng = np.random.default_rng(seed)
+
+    def setup(self, machine: Machine) -> None:
+        self.mixed = machine.create_process("mixed")
+        self.mixed.mmap_anon(0, 300, supervised=True)
+        self.mixed.mmap_anon(1000, 300)
+        self.plain = machine.create_process("plain")
+        self.plain.mmap_anon(0, 300)
+
+    def accesses(self):
+        picks = self.rng.integers(0, 3, size=self.ops).tolist()
+        pages = self.rng.zipf(1.3, size=self.ops) % 300
+        writes = self.rng.random(self.ops) < 0.3
+        for pick, vpage, write in zip(picks, pages.tolist(), writes.tolist()):
+            process = self.plain if pick == 0 else self.mixed
+            vpage += 1000 if pick == 2 else 0
+            yield PageAccess(process, vpage, is_write=write, op_boundary=True)
