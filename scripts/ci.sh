@@ -245,11 +245,12 @@ python -m repro report --snapshot "$COLO_TMP/colo_snap.json" \
 grep -q "tenant_tenant0_latency_ns" "$COLO_TMP/colo.html"
 grep -q "<svg" "$COLO_TMP/colo.html"
 
-echo "== figure-path smoke (fig5-ycsb and colo-memcg match figbench/reference.json) =="
-# The two figbench workloads that drive the KV stores: every run's digest
-# must match the recorded reference, and no run may fail.  colo-memcg,
-# where every access takes the per-access path, is checked at three seeds.
-for run in fig5-ycsb:0 colo-memcg:0 colo-memcg:3 colo-memcg:7; do
+echo "== figure-path smoke (fig6-gapbs, fig5-ycsb and colo-memcg match figbench/reference.json) =="
+# The figbench workloads that drive GAPBS and the KV stores: every run's
+# digest must match the recorded reference, and no run may fail.
+# colo-memcg, where every access takes the per-access path, is checked
+# at three seeds.
+for run in fig6-gapbs:0 fig5-ycsb:0 colo-memcg:0 colo-memcg:3 colo-memcg:7; do
     workload="${run%%:*}"
     seed="${run##*:}"
     LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 | tail -n 1)"

@@ -6,13 +6,13 @@ simulator itself fast enough to run the paper's full workloads.  Three
 benchmarks, written to ``BENCH_perf.json``:
 
 * ``touch`` — the per-access :meth:`~repro.machine.Machine.touch` loop
-  versus :meth:`~repro.machine.Machine.touch_batch` (object stream) and
-  :meth:`~repro.machine.Machine.touch_batch_array` (numeric arrays, the
-  sweep pool's replay path) on the same fixed-seed Zipf stream, under
-  the ``static`` policy so no daemon work dilutes the pure access path.
-  Reports ops/sec for all three drivers (``batched_ops_per_sec`` is the
-  array driver), the speedup, and an ``identical`` flag asserting the
-  runs ended with bit-identical counters and virtual clocks.
+  versus the one driver :meth:`~repro.machine.Machine.touch_batch`, fed
+  numeric arrays through :meth:`~repro.machine.Machine.touch_batch_array`
+  (the sweep pool's replay path), on the same fixed-seed Zipf stream,
+  under the ``static`` policy so no daemon work dilutes the pure access
+  path.  Reports ops/sec for both (``batched_ops_per_sec`` is the
+  driver), the speedup, and an ``identical`` flag asserting the runs
+  ended with bit-identical counters and virtual clocks.
 * ``kpromoted`` — scan throughput of the MULTI-CLOCK promotion daemon,
   in pages scanned per host second.
 * ``ycsb_a`` — end-to-end host wall time of a YCSB Load + Workload A
@@ -101,23 +101,22 @@ def _machine_state(machine: Machine) -> tuple[dict[str, int], int, int, int]:
 def bench_touch(
     ops: int = 200_000, *, pages: int = 4000, repeats: int = 3, seed: int = 42
 ) -> dict[str, Any]:
-    """Per-access loop vs the two batched drivers on one access stream.
+    """The per-access loop vs the one driver on one access stream.
 
-    Three arms over the same fixed-seed Zipf stream: the per-access
-    :meth:`~repro.machine.Machine.touch` loop, the object-stream
-    :meth:`~repro.machine.Machine.touch_batch`, and the numeric array
-    driver :meth:`~repro.machine.Machine.touch_batch_array` (the sweep
-    pool's replay path, and the headline ``batched_ops_per_sec``).
+    Two arms over the same fixed-seed Zipf stream: the per-access
+    :meth:`~repro.machine.Machine.touch` loop, the definition of an
+    access, and :meth:`~repro.machine.Machine.touch_batch` fed numeric
+    arrays through :meth:`~repro.machine.Machine.touch_batch_array` (the
+    sweep pool's replay path, and the headline ``batched_ops_per_sec``).
 
-    Each arm drives the stream through a fresh machine twice with its
-    own driver: the first pass populates the pages (a cold-fault storm
-    whose cost is the slow fault path, not the access path) and the
-    second, timed pass measures the steady-state throughput the paper's
-    long workloads actually see — the same warm-up discipline
-    ``bench_kpromoted`` uses.  The array arm's cold first pass is also
-    timed and reported as ``cold_batched_ops_per_sec``.  ``identical``
-    asserts all three arms ended both passes with bit-identical counters
-    and virtual clocks.
+    Each arm drives the stream through a fresh machine twice: the first
+    pass populates the pages (a cold-fault storm whose cost is the slow
+    fault path, not the access path) and the second, timed pass
+    measures the steady-state throughput the paper's long workloads
+    actually see — the same warm-up discipline ``bench_kpromoted`` uses.
+    The driver's cold first pass is also timed and reported as
+    ``cold_batched_ops_per_sec``.  ``identical`` asserts both arms
+    ended both passes with bit-identical counters and virtual clocks.
     """
 
     def materialize() -> tuple[Machine, ZipfWorkload]:
@@ -131,9 +130,8 @@ def bench_touch(
     batches = list(ZipfWorkload(pages, ops, seed=seed, write_ratio=0.2).numeric_batches())
 
     # Timing runs: fresh machine per repeat so every repeat warms up the
-    # same way and the drivers all see the same starting point.  The
-    # baseline is the per-access driver: one Machine.touch call per
-    # access, counting op boundaries as the batched drivers do.
+    # same way and both arms see the same starting point.  The baseline
+    # is one Machine.touch call per access.
     per_access_best = float("inf")
     for _ in range(max(1, repeats)):
         machine, workload = materialize()
@@ -154,17 +152,6 @@ def bench_touch(
             per_access_best = min(per_access_best, time.perf_counter() - start)
     per_state = _machine_state(machine)
 
-    object_best = float("inf")
-    for _ in range(max(1, repeats)):
-        machine, workload = materialize()
-        stream = list(workload.accesses())
-        machine.touch_batch(stream)  # warm pass
-        with _gc_paused():
-            start = time.perf_counter()
-            machine.touch_batch(stream)
-            object_best = min(object_best, time.perf_counter() - start)
-    object_state = _machine_state(machine)
-
     array_best = cold_best = float("inf")
     for _ in range(max(1, repeats)):
         machine, workload = materialize()
@@ -178,18 +165,16 @@ def bench_touch(
     array_state = _machine_state(machine)
 
     per_ops = ops / per_access_best
-    object_ops = ops / object_best
     array_ops = ops / array_best
     return {
         "ops": ops,
         "pages": pages,
         "repeats": repeats,
         "per_access_ops_per_sec": round(per_ops),
-        "object_batched_ops_per_sec": round(object_ops),
         "cold_batched_ops_per_sec": round(ops / cold_best),
         "batched_ops_per_sec": round(array_ops),
         "speedup": round(array_ops / per_ops, 2),
-        "identical": per_state == object_state == array_state,
+        "identical": per_state == array_state,
     }
 
 
@@ -200,7 +185,7 @@ def bench_kpromoted(
     workload = ZipfWorkload(pages, warm_ops, seed=seed, write_ratio=0.2)
     machine = Machine(_config(seed), "multiclock")
     workload.setup(machine)
-    machine.touch_batch(workload.accesses())  # warm the lists
+    machine.touch_batch(workload.blocks())  # warm the lists
     daemons = machine.system.policy._kpromoted  # type: ignore[attr-defined]
     scanned = machine.stats.counter("kpromoted.pages_scanned")
     before = scanned.n
@@ -265,7 +250,7 @@ def bench_trace(
         if traced:
             machine.enable_tracing()
         workload.setup(machine)
-        stream = list(workload.accesses())
+        stream = list(workload.blocks())
         with _gc_paused():
             start = time.perf_counter()
             machine.touch_batch(stream)
@@ -317,7 +302,7 @@ def bench_metrics(
             machine.enable_metrics(sample_interval_s=0.001) if armed else None
         )
         workload.setup(machine)
-        stream = list(workload.accesses())
+        stream = list(workload.blocks())
         with _gc_paused():
             start = time.perf_counter()
             machine.touch_batch(stream)
@@ -362,7 +347,7 @@ def bench_sweep(
     a warm-cache re-run.
 
     The sequential arm is the naive grid loop: each cell builds its own
-    workload and drives the per-access object stream, exactly what a
+    workload and runs it through ``run_workload``, exactly what a
     plain ``for cell in grid`` runner costs.  The pool arm runs the same
     declarative cells cold (empty result cache) through
     :func:`~repro.sweep.pool.run_sweep`: persistent workers, one shared
@@ -589,8 +574,7 @@ def render(results: dict[str, Any]) -> str:
     ycsb = results["ycsb_a"]
     lines = [
         f"touch      per-access {touch['per_access_ops_per_sec']:>10,} ops/s"
-        f"  object {touch['object_batched_ops_per_sec']:>10,} ops/s"
-        f"  array {touch['batched_ops_per_sec']:>10,} ops/s"
+        f"  driver {touch['batched_ops_per_sec']:>10,} ops/s"
         f"  speedup {touch['speedup']:.2f}x"
         f"  identical={touch['identical']}",
         f"kpromoted  {kpromoted['pages_per_sec']:>10,} pages/s"

@@ -82,6 +82,7 @@ class Process:
         self._regions.insert(idx, region)
         self._region_starts.insert(idx, region.start_vpage)
         self.supervised_regions += region.supervised
+        self.page_table.add_region(region.start_vpage, region.n_pages, region.supervised)
         return region
 
     def mmap_anon(

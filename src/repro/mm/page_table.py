@@ -9,26 +9,32 @@ software fault on next access).
 
 With the struct-of-arrays page store the accessed/dirty bits live as
 page-level columns (the OR across a page's mappings — exactly the signal
-``harvest_accessed`` consumes); the PTE exposes them as properties.  The
-table can additionally keep a dense ``vpage → pfn`` translation column
-(:attr:`PageTable.v2p`) so the array touch driver can resolve whole
-access vectors with one numpy gather instead of a dict probe per access.
-The column is built from the entries on that driver's first
-:meth:`PageTable.ensure_dense_capacity` call and kept current from then
-on; tables only ever driven access by access never allocate it.
+``harvest_accessed`` consumes); the PTE exposes them as properties.
+
+The table also keeps a translation column, :attr:`PageTable.v2p`, so the
+access driver resolves a whole block of vpages with one ``searchsorted``
+over the region starts and one gather.  The column is *region-packed*:
+every region registered with :meth:`PageTable.add_region` owns a slice
+of it, so its size is the mapped footprint, not the highest vpage.  An
+entry holds the page's pfn, :data:`UNMAPPED`, or ``-2 - pfn`` for a
+poisoned PTE, so one gather tells the driver which positions need the
+full access path (any negative entry).  The column's last entry is a
+permanent :data:`UNMAPPED` sentinel that every vpage outside all regions
+resolves to.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
 from repro.mm.page import Page
 
-__all__ = ["PageTableEntry", "PageTable"]
+__all__ = ["PageTableEntry", "PageTable", "UNMAPPED"]
 
-#: Above this vpage the dense translation column would be unreasonably
-#: large; the table drops to dict-only mode and the vector path skips it.
-_MAX_DENSE_VPAGE = 1 << 26
+#: A ``v2p`` entry with no translation (and the sentinel slot).
+UNMAPPED = -1
 
 
 class PageTableEntry:
@@ -81,7 +87,7 @@ class PageTableEntry:
         self._poisoned = value
         table = self.table
         if table is not None:
-            table._poison_count += 1 if value else -1
+            table._set_poisoned(self, value)
 
     def touch(self, is_write: bool) -> None:
         """What the MMU does on an ordinary access."""
@@ -106,18 +112,24 @@ class PageTable:
     def __init__(self, process_id: int) -> None:
         self.process_id = process_id
         self._entries: dict[int, PageTableEntry] = {}
-        #: dense vpage → pfn translation (-1 unmapped); None until the
-        #: first ensure_dense_capacity(), grown on demand after it.
-        self.v2p: np.ndarray | None = None
-        #: False once a vpage beyond the dense bound was mapped; the
-        #: vector touch path requires a dense table.
-        self.dense = True
-        #: live poisoned PTEs; the vector touch path requires zero.
-        self._poison_count = 0
-        #: bumped on every unmap; the vector touch path caches gathered
-        #: translations and only re-gathers when this moves (a *new*
-        #: mapping can never invalidate a cached hit, an unmap can).
+        #: region-packed translation column (see the module docstring).
+        self.v2p = np.full(1, UNMAPPED, dtype=np.int64)
+        # Regions sorted by start: Python lists for scalar bisects, numpy
+        # rows for block resolution.  A region's slice of v2p begins at
+        # its base.
+        self._start_list: list[int] = []
+        self._end_list: list[int] = []
+        self._base_list: list[int] = []
+        self._starts = np.empty(0, dtype=np.int64)
+        self._ends = np.empty(0, dtype=np.int64)
+        self._bases = np.empty(0, dtype=np.int64)
+        self._supervised = np.empty(0, dtype=bool)
+        #: bumped on every unmap: a translation the driver resolved may
+        #: have gone away, and GAPBS cache absorption may change.
         self._unmap_gen = 0
+        #: bumped on every poisoning: a resolved translation may have
+        #: turned slow.
+        self._poison_gen = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,21 +140,65 @@ class PageTable:
     def lookup(self, vpage: int) -> PageTableEntry | None:
         return self._entries.get(vpage)
 
-    def ensure_dense_capacity(self, size: int) -> bool:
-        """Build or grow ``v2p`` to cover ``size`` vpages; False if out
-        of range or the table is no longer dense."""
-        if size > _MAX_DENSE_VPAGE or not self.dense:
-            return False
-        if self.v2p is None:
-            vpages = np.fromiter(self._entries, dtype=np.int64, count=len(self))
-            top = int(vpages.max()) + 1 if len(vpages) else 0
-            self.v2p = np.full(max(64, size, top), -1, dtype=np.int64)
-            self.v2p[vpages] = [pte.page.pfn for pte in self._entries.values()]
-        elif size > len(self.v2p):
-            grown = np.full(max(size, len(self.v2p) * 2), -1, dtype=np.int64)
-            grown[: len(self.v2p)] = self.v2p
-            self.v2p = grown
-        return True
+    def add_region(self, start: int, n_pages: int, supervised: bool = False) -> None:
+        """Give the region ``[start, start + n_pages)`` a slice of ``v2p``.
+
+        Regions never overlap (``Process.mmap`` checks) and are never
+        removed.  The slice is appended before the sentinel, so slots
+        resolved earlier stay valid.
+        """
+        idx = bisect.bisect_left(self._start_list, start)
+        base = len(self.v2p) - 1
+        column = np.full(base + n_pages + 1, UNMAPPED, dtype=np.int64)
+        column[:base] = self.v2p[:base]
+        self.v2p = column
+        self._start_list.insert(idx, start)
+        self._end_list.insert(idx, start + n_pages)
+        self._base_list.insert(idx, base)
+        self._starts = np.array(self._start_list, dtype=np.int64)
+        self._ends = np.array(self._end_list, dtype=np.int64)
+        self._bases = np.array(self._base_list, dtype=np.int64)
+        self._supervised = np.insert(self._supervised, idx, supervised)
+        for vpage, pte in self._entries.items():
+            if start <= vpage < start + n_pages:
+                self._store(vpage, pte)
+
+    def _slot(self, vpage: int) -> int:
+        """``vpage``'s index in ``v2p``; the sentinel's if in no region."""
+        idx = bisect.bisect_right(self._start_list, vpage) - 1
+        if idx >= 0 and vpage < self._end_list[idx]:
+            return self._base_list[idx] + vpage - self._start_list[idx]
+        return -1
+
+    def _store(self, vpage: int, pte: PageTableEntry) -> None:
+        slot = self._slot(vpage)
+        if slot >= 0:
+            pfn = pte.page.pfn
+            self.v2p[slot] = -2 - pfn if pte._poisoned else pfn
+
+    def _set_poisoned(self, pte: PageTableEntry, value: bool) -> None:
+        if self._entries.get(pte.vpage) is not pte:
+            return
+        self._store(pte.vpage, pte)
+        if value:
+            self._poison_gen += 1
+
+    def resolve(self, vpages: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Each vpage's ``v2p`` slot, and which lie in supervised regions.
+
+        A vpage outside every region gets slot -1, the sentinel.  The
+        supervised mask is None when no region is supervised.
+        """
+        starts = self._starts
+        if not len(starts):
+            return np.full(len(vpages), -1, dtype=np.int64), None
+        idx = np.searchsorted(starts, vpages, side="right") - 1
+        inside = (idx >= 0) & (vpages < self._ends[idx])
+        slots = np.where(inside, self._bases[idx] + (vpages - starts[idx]), -1)
+        supervised = None
+        if self._supervised.any():
+            supervised = inside & self._supervised[idx]
+        return slots, supervised
 
     def map(self, vpage: int, page: Page) -> PageTableEntry:
         """Install a translation and register it in the page's rmap."""
@@ -152,10 +208,7 @@ class PageTable:
         self._entries[vpage] = pte
         page.rmap.append(pte)
         page._store.mapcount[page.pfn] += 1
-        if vpage >= _MAX_DENSE_VPAGE:
-            self.dense = False
-        elif self.v2p is not None and self.ensure_dense_capacity(vpage + 1):
-            self.v2p[vpage] = page.pfn
+        self._store(vpage, pte)
         return pte
 
     def unmap(self, vpage: int) -> PageTableEntry:
@@ -172,10 +225,10 @@ class PageTable:
             # it: an unmapped page never reads as accessed or dirty.
             store.pte_accessed[page.pfn] = False
             store.pte_dirty[page.pfn] = False
-        if pte.poisoned:
-            pte.poisoned = False
-        if self.v2p is not None and vpage < len(self.v2p):
-            self.v2p[vpage] = -1
+        pte._poisoned = False
+        slot = self._slot(vpage)
+        if slot >= 0:
+            self.v2p[slot] = UNMAPPED
         self._unmap_gen += 1
         return pte
 

@@ -147,7 +147,7 @@ def run_workload(
     A pre-built ``machine`` may be supplied to run several workload phases
     back to back on warm state (the YCSB prescribed execution sequence);
     otherwise a fresh machine is built from ``config``.  The access stream
-    is driven through :meth:`Machine.touch_batch`.
+    is driven as column blocks through :meth:`Machine.touch_batch`.
     """
     if machine is None:
         machine = Machine(config, policy)
@@ -156,7 +156,7 @@ def run_workload(
     start_app = machine.clock.app_ns
     start_system = machine.clock.system_ns
     start_counters = machine.stats.snapshot()
-    accesses, operations = machine.touch_batch(workload.accesses())
+    accesses, operations = machine.touch_batch(workload.blocks())
     # A workload may declare that it marks op boundaries: a marked phase
     # that happens to complete zero operations must not be mislabelled as
     # a fallback run.

@@ -21,7 +21,8 @@ against warm machine state, as on the paper's testbed.
 
 Phases emit a batch of operations at a time: op kinds, keys and the
 stores' page layout are computed as numpy columns, drawing random
-numbers in the order an op-at-a-time emitter would.
+numbers in the order an op-at-a-time emitter would, and each batch is
+one :class:`~repro.machine.AccessBlock` for the driver.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import AccessBlock, Workload
 from repro.workloads.kvstore import SlabKVStore
 
 __all__ = ["YCSBSession", "YCSBPhase", "YCSBLoadPhase", "WORKLOAD_MIXES", "EXECUTION_SEQUENCE"]
@@ -267,16 +268,15 @@ class YCSBLoadPhase(Workload):
     def footprint_pages(self) -> int:
         return self.session.footprint_pages()
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def blocks(self) -> Iterator[AccessBlock]:
         session = self.session
         process = session.process
         assert process is not None
-        shared: dict[int, PageAccess] = {}
         for first in range(0, session.n_records, _BATCH):
             key = np.arange(first, min(first + _BATCH, session.n_records))
             columns = session._touch_columns(np.full(len(key), _INSERT), key)
             session.next_key = int(key[-1]) + 1
-            yield from _page_accesses(process, shared, *columns[:4])
+            yield AccessBlock(process, *columns[:4])
 
 
 class YCSBPhase(Workload):
@@ -301,7 +301,7 @@ class YCSBPhase(Workload):
     def footprint_pages(self) -> int:
         return self.session.footprint_pages()
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def blocks(self) -> Iterator[AccessBlock]:
         session = self.session
         process = session.process
         assert process is not None
@@ -309,7 +309,6 @@ class YCSBPhase(Workload):
         mix = self.mix
         thresholds = np.cumsum([mix.read, mix.update, mix.insert, mix.rmw, mix.scan])
         levels = session.store.probes
-        shared: dict[int, PageAccess] = {}
         emitted = 0
         while emitted < self.ops:
             batch = min(_BATCH, self.ops - emitted)
@@ -325,8 +324,8 @@ class YCSBPhase(Workload):
             # A probe is served from the CPU cache with the hit rate.
             keep = ~probe
             keep[probe] = cache_draw >= session.hash_cache_hit_rate
-            yield from _page_accesses(
-                process, shared, vpage[keep], write[keep], lines[keep], boundary[keep]
+            yield AccessBlock(
+                process, vpage[keep], write[keep], lines[keep], boundary[keep]
             )
             emitted += batch
 
@@ -378,26 +377,6 @@ def _probe_and_scan_draws(
         lengths.append(int(rng.integers(1, MAX_SCAN_LENGTH + 1)))
     parts.append(rng.random(total - drawn))
     return np.concatenate(parts), np.array(lengths, dtype=np.int64)
-
-
-def _page_accesses(
-    process: Process,
-    shared: dict[int, PageAccess],
-    vpage: np.ndarray,
-    write: np.ndarray,
-    lines: np.ndarray,
-    boundary: np.ndarray,
-) -> list[PageAccess]:
-    """The touches as :class:`PageAccess` objects.  They are frozen, so
-    a phase builds one per distinct touch and shares it (``shared`` maps
-    a touch's packed code to its object)."""
-    # Packed as GAPBS's TouchColumns packs them: lines <= 64 fits 7 bits.
-    codes = (((vpage * 2 + write) * 2 + boundary) * 128 + lines).tolist()
-    for code in set(codes).difference(shared):
-        shared[code] = PageAccess(
-            process, code >> 9, bool(code >> 8 & 1), bool(code >> 7 & 1), code & 127
-        )
-    return list(map(shared.__getitem__, codes))
 
 
 class Zipfian:

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.sim.config import PAGE_SIZE
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import PageAccess
 from repro.workloads.gapbs.base import (
     NEIGHBOR_BYTES,
     NEIGHBORS_BASE,
@@ -266,37 +266,3 @@ class LazyEmitter:
                 total += len(np.intersect1d(higher, neigh_v[neigh_v > v]))
             yield from self.prop(u, is_write=True)
         self.triangles = total
-
-
-class _Recorded:
-    """Iterates a stream, logging each access as the driver pulls it."""
-
-    def __init__(self, stream, log):
-        self._next = iter(stream).__next__
-        self._log = log
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        access = self._next()
-        self._log.append(
-            (access.vpage, access.is_write, access.lines, access.op_boundary)
-        )
-        return access
-
-
-class StreamShim(Workload):
-    """Runs a stream under a kernel's name and process, logging it."""
-
-    def __init__(self, kernel: GraphKernelWorkload, name: str, stream_fn) -> None:
-        self.kernel = kernel
-        self.name = name
-        self.stream_fn = stream_fn
-        self.log: list[tuple[int, bool, int, bool]] = []
-
-    def setup(self, machine) -> None:
-        self.kernel.setup(machine)
-
-    def accesses(self):
-        return _Recorded(self.stream_fn(), self.log)

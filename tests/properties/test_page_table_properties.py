@@ -1,10 +1,14 @@
-"""The lazily built ``v2p`` translation column against an eager one.
+"""The region-packed ``v2p`` translation column against the entries.
 
-``PageTable.v2p`` is built from the entries on the first
-``ensure_dense_capacity`` call and maintained by ``map``/``unmap`` from
-then on.  For any sequence of maps and unmaps, a column built at the
-end, or part-way through, must equal one maintained from the start, and
-both must agree with the entries themselves.
+``PageTable.v2p`` gives every region registered with ``add_region`` a
+slice of one column, holding each vpage's pfn, ``UNMAPPED``, or
+``-2 - pfn`` when the PTE is poisoned, plus a trailing sentinel that
+vpages outside every region resolve to.  For any interleaving of region
+registrations, maps, unmaps, poisonings and unpoisonings — vpages
+outside every region included, regions registered after their vpages
+were mapped included — the column, read through ``resolve``, must agree
+with ``_entries`` at every vpage, and its size must be the mapped
+footprint, not the highest vpage.
 """
 
 from __future__ import annotations
@@ -14,56 +18,93 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mm.page import Page
-from repro.mm.page_table import PageTable
+from repro.mm.page_table import UNMAPPED, PageTable
+
+#: Candidate regions: (start, n_pages, supervised).  Far-apart starts,
+#: GAPBS-style, make a dense column huge; the packed one stays small.
+REGIONS = ((0, 40, False), (100, 7, True), (1 << 22, 30, False), (7 << 20, 5, True))
+VPAGES = [
+    vpage for start, n, __ in REGIONS for vpage in (start, start + 1, start + n - 1)
+] + [60, 99, 107, 1 << 20, (7 << 20) + 5, 1 << 26]
 
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(("map", "unmap")),
-        st.one_of(st.integers(0, 200), st.integers(0, 70_000)),
+        st.sampled_from(("map", "unmap", "poison", "unpoison", "region")),
+        st.integers(0, len(VPAGES) - 1),
     ),
-    max_size=120,
+    max_size=150,
 )
 
 
-def _replay(table: PageTable, ops, pages, build_at: int | None) -> None:
-    for i, (op, vpage) in enumerate(ops):
-        if i == build_at:
-            assert table.ensure_dense_capacity(1)
-        if op == "map" and vpage not in table:
-            table.map(vpage, pages[i])
-        elif op == "unmap" and vpage in table:
-            table.unmap(vpage)
+def _expected(table: PageTable, vpage: int) -> int:
+    pte = table.lookup(vpage)
+    if pte is None:
+        return UNMAPPED
+    return -2 - pte.page.pfn if pte.poisoned else pte.page.pfn
 
 
-def _padded(column: np.ndarray, size: int) -> np.ndarray:
-    out = np.full(size, -1, dtype=np.int64)
-    out[: len(column)] = column
-    return out
+def _check(table: PageTable, registered: list) -> None:
+    vpages = np.array(VPAGES, dtype=np.int64)
+    slots, supervised = table.resolve(vpages)
+    values = table.v2p[slots]
+    for i, vpage in enumerate(VPAGES):
+        region = next(
+            (r for r in registered if r[0] <= vpage < r[0] + r[1]), None
+        )
+        if region is None:
+            assert slots[i] == -1 and values[i] == UNMAPPED, vpage
+        else:
+            assert values[i] == _expected(table, vpage), vpage
+        want_supervised = region is not None and region[2]
+        assert (supervised is not None and bool(supervised[i])) == want_supervised
+    assert table.v2p[-1] == UNMAPPED, "the sentinel slot was written"
+    assert len(table.v2p) == sum(n for __, n, __s in registered) + 1
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=ops_strategy, build_at=st.integers(0, 130))
-def test_late_built_v2p_equals_eager(ops, build_at):
-    # The i-th op maps the same page (so the same pfn) in every table.
-    pages = [Page(0) for __ in ops]
-    eager, midway, late = PageTable(1), PageTable(1), PageTable(1)
-    assert eager.ensure_dense_capacity(1)
-    _replay(eager, ops, pages, None)
-    _replay(midway, ops, pages, build_at)
-    _replay(late, ops, pages, None)
-    assert late.v2p is None, "v2p was allocated without being asked for"
-    assert midway.ensure_dense_capacity(1) and late.ensure_dense_capacity(1)
-    size = max(len(t.v2p) for t in (eager, midway, late))
-    expected = np.full(size, -1, dtype=np.int64)
-    for pte in eager.entries():
-        expected[pte.vpage] = pte.page.pfn
-    for table in (eager, midway, late):
-        assert np.array_equal(_padded(table.v2p, size), expected)
-
-
-def test_vpage_beyond_dense_bound_disables_v2p():
+@given(ops=ops_strategy)
+def test_region_packed_column_matches_entries(ops):
     table = PageTable(1)
-    table.map(1 << 26, Page(0))
-    assert not table.dense
-    assert not table.ensure_dense_capacity(1)
-    assert table.v2p is None
+    registered: list = []
+    for op, index in ops:
+        vpage = VPAGES[index]
+        pte = table.lookup(vpage)
+        if op == "region":
+            candidates = [r for r in REGIONS if r not in registered]
+            if candidates:
+                region = candidates[index % len(candidates)]
+                table.add_region(*region)
+                registered.append(region)
+        elif op == "map" and pte is None:
+            table.map(vpage, Page(0))
+        elif op == "unmap" and pte is not None:
+            table.unmap(vpage)
+        elif op in ("poison", "unpoison") and pte is not None:
+            pte.poisoned = op == "poison"
+        _check(table, registered)
+
+
+def test_generations_move_on_unmap_and_poison_only():
+    table = PageTable(1)
+    table.add_region(0, 8)
+    pte = table.map(3, Page(0))
+    assert (table._unmap_gen, table._poison_gen) == (0, 0)
+    pte.poisoned = True
+    assert (table._unmap_gen, table._poison_gen) == (0, 1)
+    pte.poisoned = False
+    assert (table._unmap_gen, table._poison_gen) == (0, 1)
+    table.unmap(3)
+    assert (table._unmap_gen, table._poison_gen) == (1, 1)
+    assert not pte.poisoned and table.v2p[3] == UNMAPPED
+
+
+def test_far_regions_cost_their_footprint_not_their_address():
+    """BC's last property array ends near vpage 7.3M; its translation
+    column is the size of what is mapped."""
+    table = PageTable(1)
+    table.add_region(0, 10)
+    table.add_region(7 << 20, 5)
+    pte = table.map((7 << 20) + 4, Page(0))
+    assert len(table.v2p) == 16
+    slots, __ = table.resolve(np.array([(7 << 20) + 4], dtype=np.int64))
+    assert table.v2p[slots[0]] == pte.page.pfn

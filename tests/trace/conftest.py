@@ -41,7 +41,7 @@ def run_limited_colo(*, traced: bool = False, capacity: int | None = None) -> Ma
     workload.setup(machine)
     for tenant, limit in zip(tenants, (None, 200)):
         memcg.attach(tenant.process, memcg.create_group(tenant.name, limit))
-    machine.touch_batch(workload.accesses())
+    machine.touch_batch(workload.blocks())
     return machine
 
 
