@@ -198,9 +198,9 @@ class MemorySystem:
         this page), and — for supervised regions — the inline
         ``mark_page_accessed()`` call of Section III-A.
 
-        This is the one definition of an access; the batch drivers of
-        :class:`~repro.machine.Machine` detour through it for every
-        access their column sweeps cannot take.  A resident, unpoisoned
+        This is the one definition of an access; the driver
+        :meth:`~repro.machine.Machine.touch_batch` detours through it
+        for every position its column sweep does not take.  A resident, unpoisoned
         page in a process with no supervised region never looks up its
         region: the work is a handful of page-store column updates.
         """
