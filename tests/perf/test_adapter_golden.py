@@ -1,13 +1,14 @@
-"""Run results of the ``PageAccess`` producers, pinned bit-for-bit.
+"""Run results of the block producers beside GAPBS and YCSB, pinned
+bit-for-bit.
 
 ``tests/data/adapter_runresults.json`` holds ``RunResult.to_dict()``
-for the producers that reach the access driver as ``PageAccess``
-objects rather than columns — trace replay, the motivation workload,
-a multi-tenant mix and the two-process supervised/unsupervised
-workload — plus a ``shifting-hotset`` numeric stream through
+for trace replay, the motivation workload, two multi-tenant mixes (one
+of KV tenants and a Zipf tenant whose turns cut the children's blocks),
+a diurnal KV tenant and the two-process supervised/unsupervised
+workload, plus a ``shifting-hotset`` numeric stream through
 ``run_numeric_stream`` under four policies (the recorded baselines
-cover only Zipf).  Any change to how those streams are packed for the
-driver, or to what the driver does with them, shows up here.
+cover only Zipf).  Any change to how those streams are laid out as
+blocks, or to what the driver does with them, shows up here.
 
 Re-record (only for an intended behaviour change) with::
 
@@ -27,7 +28,7 @@ from mixed_supervision import MixedSupervisionWorkload
 from repro.run import run_numeric_stream, run_workload
 from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.workloads.motivation import MotivationWorkload
-from repro.workloads.multitenant import MultiTenantWorkload
+from repro.workloads.multitenant import KVTenantWorkload, MultiTenantWorkload
 from repro.workloads.synthetic import (
     ShiftingHotSetWorkload,
     UniformWorkload,
@@ -103,6 +104,29 @@ def _multitenant(policy: str) -> dict:
     return run_workload(workload, CONFIG, policy).to_dict()
 
 
+def _kv_tenant(name: str, records: int, seed: int) -> KVTenantWorkload:
+    return KVTenantWorkload(
+        name, records, 3 * records, alpha=1.1, read_ratio=0.8,
+        phases=(1.0, 0.3, 1.0), seed=seed,
+    )
+
+
+def _kv(policy: str) -> dict:
+    return run_workload(_kv_tenant("kv", 600, 5), CONFIG, policy).to_dict()
+
+
+def _kv_multitenant(policy: str) -> dict:
+    workload = MultiTenantWorkload(
+        [
+            _kv_tenant("kv0", 300, 6),
+            ZipfWorkload(200, 1200, seed=8, write_ratio=0.2),
+            _kv_tenant("kv1", 300, 7),
+        ],
+        batch=7,
+    )
+    return run_workload(workload, CONFIG, policy).to_dict()
+
+
 def _mixed(policy: str) -> dict:
     return run_workload(MixedSupervisionWorkload(3000, seed=11), CONFIG, policy).to_dict()
 
@@ -120,6 +144,9 @@ CASES = {
     "trace/multiclock": lambda: _trace("multiclock"),
     "motivation/multiclock": lambda: _motivation("multiclock"),
     "multitenant/autotiering-cpm": lambda: _multitenant("autotiering-cpm"),
+    "kv-tenant/multiclock": lambda: _kv("multiclock"),
+    "kv-multitenant/multiclock": lambda: _kv_multitenant("multiclock"),
+    "kv-multitenant/autotiering-cpm": lambda: _kv_multitenant("autotiering-cpm"),
     "mixed-supervision/multiclock": lambda: _mixed("multiclock"),
     **{
         f"shifting-hotset/{policy}": (lambda p=policy: _shifting(p))
