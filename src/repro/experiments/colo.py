@@ -170,10 +170,9 @@ def run_colo(
                         finished.append(tenant)
                         break
                     op_ns = 0
-                    for touch in op:
+                    for vpage, is_write, lines in op:
                         op_ns += machine.touch(
-                            process, touch.vpage,
-                            is_write=touch.is_write, lines=touch.lines,
+                            process, vpage, is_write=is_write, lines=lines
                         )
                     hist.record(op_ns)
                     ops_done[tenant.name] += 1

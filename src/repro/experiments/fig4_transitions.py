@@ -29,11 +29,16 @@ def run_fig4(*, ops: int | None = None) -> dict[str, object]:
     )
     workload.setup(machine)
     observed: Counter = Counter()
-    for i, access in enumerate(workload.accesses()):
-        machine.touch(access.process, access.vpage, is_write=access.is_write,
-                      lines=access.lines)
+    process = workload.process
+    rows = (
+        row
+        for vpages, writes in workload.numeric_batches()
+        for row in zip(vpages.tolist(), writes.tolist())
+    )
+    for i, (vpage, is_write) in enumerate(rows):
+        machine.touch(process, vpage, is_write=is_write, lines=workload.lines)
         if i % 2000 == 0:
-            for pte in workload.process.page_table.entries():
+            for pte in process.page_table.entries():
                 observed[classify(pte.page)] += 1
     counters = machine.stats.snapshot()
     return {

@@ -10,6 +10,7 @@ virtual second, execution time) together with the full stats snapshot
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.machine import Machine
 from repro.sim.config import SimulationConfig
@@ -149,33 +150,9 @@ def run_workload(
     otherwise a fresh machine is built from ``config``.  The access stream
     is driven as column blocks through :meth:`Machine.touch_batch`.
     """
-    if machine is None:
-        machine = Machine(config, policy)
-    workload.setup(machine)
-    start_ns = machine.clock.now_ns
-    start_app = machine.clock.app_ns
-    start_system = machine.clock.system_ns
-    start_counters = machine.stats.snapshot()
-    accesses, operations = machine.touch_batch(workload.blocks())
-    # A workload may declare that it marks op boundaries: a marked phase
-    # that happens to complete zero operations must not be mislabelled as
-    # a fallback run.
-    marked = operations > 0 or workload.marks_op_boundaries
-    end_counters = machine.stats.snapshot()
-    deltas = {
-        key: end_counters.get(key, 0) - start_counters.get(key, 0)
-        for key in end_counters
-    }
-    return RunResult(
-        workload=workload.name,
-        policy=machine.policy.name,
-        operations=operations if marked else accesses,
-        accesses=accesses,
-        elapsed_ns=machine.clock.now_ns - start_ns,
-        app_ns=machine.clock.app_ns - start_app,
-        system_ns=machine.clock.system_ns - start_system,
-        counters=deltas,
-        ops_fallback=not marked,
+    return _measured(
+        workload, config, policy, machine,
+        lambda machine: machine.touch_batch(workload.blocks()),
     )
 
 
@@ -196,38 +173,55 @@ def run_numeric_stream(
     per cell.  ``workload`` still provides ``setup`` (process and region
     creation against the fresh machine), its name, and the per-access
     ``lines`` width; the result is bit-identical to
-    ``run_workload(workload, config, policy)`` because ``accesses()`` is
-    by definition the emission of exactly these batches.
+    ``run_workload(workload, config, policy)`` because ``blocks()`` are
+    by definition exactly these batches.
 
     A pre-built ``machine`` may be supplied (mirroring
     :func:`run_workload`) so callers can arm tracing or metrics before
     the stream runs.
     """
+    return _measured(
+        workload, config, policy, machine,
+        lambda machine: machine.touch_batch_array(
+            workload.process, stream, lines=workload.lines  # type: ignore[attr-defined]
+        ),
+    )
+
+
+def _measured(
+    workload: Workload,
+    config: SimulationConfig,
+    policy: str,
+    machine: Machine | None,
+    drive: Callable[[Machine], tuple[int, int]],
+) -> RunResult:
+    """Set ``workload`` up, ``drive`` its stream and measure the deltas.
+
+    ``drive`` returns the driver's ``(accesses, operations)``.
+    """
     if machine is None:
         machine = Machine(config, policy)
     workload.setup(machine)
-    process = workload.process  # type: ignore[attr-defined]
-    start_ns = machine.clock.now_ns
-    start_app = machine.clock.app_ns
-    start_system = machine.clock.system_ns
+    clock = machine.clock
+    start_ns, start_app, start_system = clock.now_ns, clock.app_ns, clock.system_ns
     start_counters = machine.stats.snapshot()
-    accesses, operations = machine.touch_batch_array(
-        process, stream, lines=workload.lines  # type: ignore[attr-defined]
-    )
+    accesses, operations = drive(machine)
+    # A workload may declare that it marks op boundaries: a marked phase
+    # that happens to complete zero operations must not be mislabelled as
+    # a fallback run.
     marked = operations > 0 or workload.marks_op_boundaries
     end_counters = machine.stats.snapshot()
-    deltas = {
-        key: end_counters.get(key, 0) - start_counters.get(key, 0)
-        for key in end_counters
-    }
     return RunResult(
         workload=workload.name,
         policy=machine.policy.name,
         operations=operations if marked else accesses,
         accesses=accesses,
-        elapsed_ns=machine.clock.now_ns - start_ns,
-        app_ns=machine.clock.app_ns - start_app,
-        system_ns=machine.clock.system_ns - start_system,
-        counters=deltas,
+        elapsed_ns=clock.now_ns - start_ns,
+        app_ns=clock.app_ns - start_app,
+        system_ns=clock.system_ns - start_system,
+        counters={
+            key: end_counters.get(key, 0) - start_counters.get(key, 0)
+            for key in end_counters
+        },
         ops_fallback=not marked,
     )

@@ -19,7 +19,7 @@ numeric access stream for each distinct workload spec is generated once
 — in the parent via the runner's prewarm hook, so forked workers
 inherit it copy-on-write — and replayed per cell through
 :meth:`~repro.machine.Machine.touch_batch_array`.  Replay is
-bit-identical to driving ``accesses()`` (the stream *is* the definition
+bit-identical to driving ``blocks()`` (the stream *is* the definition
 of the workload), so sharing changes wall time, never results.
 
 ``flaky`` exists for the test suite and the CI smoke: a deterministic
@@ -132,7 +132,7 @@ def run_workload_cell(params: dict[str, Any]) -> dict[str, Any]:
     """Declarative cell: fresh machine, one workload, one policy.
 
     The access stream is replayed from the shared numeric-stream cache
-    (bit-identical to driving ``workload.accesses()`` — the perf suite
+    (bit-identical to driving ``workload.blocks()`` — the perf suite
     pins it), so N cells over one workload pay for its construction
     once."""
     config = build_config(params["config"])

@@ -1,5 +1,5 @@
 """Workload substrate: every benchmark driver used in the evaluation."""
 
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import Workload
 
-__all__ = ["PageAccess", "Workload"]
+__all__ = ["Workload"]

@@ -12,37 +12,36 @@ pattern*, which is shaped by two things we model faithfully:
 * **the hash table** — every operation first probes a bucket page, giving
   each request a second, uniformly distributed page touch.
 
-Operations translate keys to page touches.  The layout itself — which
-bucket page and which slab page a key lives on — is written once, in
+Operations translate keys to page touches.  The layout — which bucket
+page and which slab page a key lives on — is written once, in
 :meth:`SlabKVStore.hash_vpage` and :meth:`SlabKVStore.data_vpage`, as
-arithmetic that takes Python ints (the per-operation methods below) or
-numpy arrays (the YCSB emitter, which lays out a whole batch of
-operations at a time).
+arithmetic over numpy arrays; what each operation touches, in order, is
+written once too, in :func:`touch_columns`, which lays out a batch of
+operations on this store or the scan-capable
+:class:`~repro.workloads.sorted_store.SortedKVStore` as page-touch
+columns for the YCSB phases and the colocation tenants alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from repro.sim.config import PAGE_SIZE
 
-__all__ = ["PageTouch", "SlabKVStore", "CACHE_LINE"]
+__all__ = [
+    "SlabKVStore", "CACHE_LINE", "touch_columns",
+    "READ", "UPDATE", "INSERT", "RMW", "SCAN",
+]
 
 CACHE_LINE = 64
 
 _BUCKETS_PER_PAGE = PAGE_SIZE // 8
 
-
-@dataclass(frozen=True)
-class PageTouch:
-    """One page-granular touch an operation performs."""
-
-    vpage: int
-    is_write: bool
-    lines: int
+# Operation codes of :func:`touch_columns`, in the order of a YCSB mix's
+# cumulative thresholds.
+READ, UPDATE, INSERT, RMW, SCAN = range(5)
 
 
 class SlabKVStore:
@@ -59,6 +58,8 @@ class SlabKVStore:
 
     #: Index pages an operation probes before its record: the bucket page.
     probes = 1
+    #: Memcached implements no SCAN.
+    supports_scan = False
 
     def __init__(
         self,
@@ -140,41 +141,81 @@ class SlabKVStore:
         """The index pages an operation on ``key`` probes, in order."""
         return (self.hash_vpage(key, n_records),)
 
-    # -- operations -----------------------------------------------------------
 
-    def insert(self, key: int) -> list[PageTouch]:
-        """SET of a new key: probe the hash bucket, write the record."""
-        if key in self._locations:
-            return self.update(key)
-        slot = self._next_slot
-        self.add_keys((key,))
-        return [
-            PageTouch(self.hash_vpage(key, len(self._locations)), is_write=True, lines=1),
-            PageTouch(self.data_vpage(slot), is_write=True, lines=self.value_lines),
-        ]
+def touch_columns(
+    store, kind: np.ndarray, key: np.ndarray, scan_lengths: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Lay a batch of operations on ``store`` out as page-touch columns.
 
-    def read(self, key: int) -> list[PageTouch]:
-        """GET: probe the bucket, read the record."""
-        slot = self._require(key)
-        return [
-            PageTouch(self.hash_vpage(key, len(self._locations)), is_write=False, lines=1),
-            PageTouch(self.data_vpage(slot), is_write=False, lines=self.value_lines),
-        ]
+    ``kind`` holds an operation code per op (``INSERT`` inserts
+    ``key``), ``key`` the key each op works on and ``scan_lengths`` the
+    record count of each scan, in order.  Every op probes the index
+    pages (probes read, except that an insert writes its last probe),
+    then touches its record with the value's lines: a read reads it, an
+    update or insert writes it.  An RMW is a read then an update; a
+    scan is the probes then its page range with the store's
+    ``scan_lines``, stopping at the largest key inserted before it.
+    Inserting a present key updates it, and new keys are added to the
+    store, in order; the keys a batch inserts must be distinct, and
+    every other op's key must be present.
 
-    def update(self, key: int) -> list[PageTouch]:
-        """SET of an existing key: probe, then overwrite in place."""
-        slot = self._require(key)
-        return [
-            PageTouch(self.hash_vpage(key, len(self._locations)), is_write=False, lines=1),
-            PageTouch(self.data_vpage(slot), is_write=True, lines=self.value_lines),
-        ]
+    Returns ``(vpage, write, lines, op_boundary, probe)``, where
+    ``probe`` marks the index probes the CPU cache may absorb.
+    """
+    levels = store.probes
+    kind = kind.copy()
+    inserts = np.flatnonzero(kind == INSERT)
+    insert_keys = key[inserts].tolist()
+    present = np.array([store.location(k) is not None for k in insert_keys], bool)
+    kind[inserts[present]] = UPDATE
+    new = kind == INSERT
+    length = np.array([levels + 1] * 3 + [2 * levels + 2, levels])[kind]
+    scans = np.flatnonzero(kind == SCAN)
+    if len(scans):
+        # A scan stops at the largest key inserted before it.
+        newest = np.maximum.accumulate(np.where(new, key, store.max_key))
+        last_key = np.minimum(key[scans] + scan_lengths - 1, newest[scans])
+        first = store.data_vpage(key[scans])
+        pages = store.data_vpage(last_key) - first + 1
+        length[scans] += pages
+    # The slab hashes over its record count as each op runs.
+    n_records = store.n_records + np.cumsum(new)
+    store.add_keys(k for k, p in zip(insert_keys, present.tolist()) if not p)
 
-    def read_modify_write(self, key: int) -> list[PageTouch]:
-        """YCSB workload F's composite operation."""
-        return self.read(key) + self.update(key)
+    probes = [
+        np.broadcast_to(col, key.shape) for col in store.probe_vpages(key, n_records)
+    ]
+    record = store.data_vpage(store.locations(key))
+    end = np.cumsum(length)
+    start = end - length
+    total = int(end[-1])
+    vpage = np.empty(total, np.int64)
+    write = np.zeros(total, bool)
+    lines = np.ones(total, np.int64)
+    probe = np.zeros(total, bool)
+    boundary = np.zeros(total, bool)
+    boundary[end - 1] = True
 
-    def _require(self, key: int) -> int:
-        slot = self._locations.get(key)
-        if slot is None:
-            raise KeyError(f"key {key} was never inserted")
-        return slot
+    def probe_at(ops: np.ndarray, at: int) -> None:
+        for level, col in enumerate(probes):
+            vpage[start[ops] + at + level] = col[ops]
+            probe[start[ops] + at + level] = True
+
+    def record_at(ops: np.ndarray, at: int, is_write) -> None:
+        vpage[start[ops] + at] = record[ops]
+        write[start[ops] + at] = is_write
+        lines[start[ops] + at] = store.value_lines
+
+    probe_at(np.arange(len(kind)), 0)
+    single = np.flatnonzero(kind != SCAN)
+    record_at(single, levels, (kind[single] == UPDATE) | (kind[single] == INSERT))
+    write[start[new] + levels - 1] = True  # an insert writes its bucket/leaf
+    rmw = np.flatnonzero(kind == RMW)
+    probe_at(rmw, levels + 1)
+    record_at(rmw, 2 * levels + 1, True)
+    if len(scans):
+        offset = np.arange(pages.sum()) - np.repeat(np.cumsum(pages) - pages, pages)
+        at = np.repeat(start[scans] + levels, pages) + offset
+        vpage[at] = np.repeat(first, pages) + offset
+        lines[at] = store.scan_lines
+    return vpage, write, lines, boundary, probe

@@ -26,10 +26,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.machine import Machine
+from repro.machine import AccessBlock, Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import Workload
 
 __all__ = ["MotivationProfile", "MotivationWorkload", "PROFILES"]
 
@@ -125,17 +125,21 @@ class MotivationWorkload(Workload):
         weights[self.tier_friendly[~bursting]] = profile.rare_rate
         return weights / weights.sum()
 
-    def trace(self) -> Iterator[tuple[int, int]]:
-        """Machine-free ``(segment, vpage)`` stream for pure analysis."""
+    def _segment_picks(self) -> Iterator[np.ndarray]:
+        """Each segment's accessed pages, in order."""
         rng = make_rng(self.seed, f"motivation-{self.profile.name}-trace")
         for segment in range(self.segments):
             weights = self._segment_weights(rng, segment)
-            picks = rng.choice(self.pages, size=self.ops_per_segment, p=weights)
+            yield rng.choice(self.pages, size=self.ops_per_segment, p=weights)
+
+    def trace(self) -> Iterator[tuple[int, int]]:
+        """Machine-free ``(segment, vpage)`` stream for pure analysis."""
+        for segment, picks in enumerate(self._segment_picks()):
             for vpage in picks.tolist():
                 yield segment, vpage
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def blocks(self) -> Iterator[AccessBlock]:
         process = self.process
-        assert process is not None, "setup() must run before accesses()"
-        for __segment, vpage in self.trace():
-            yield PageAccess(process, vpage, op_boundary=True, lines=self.lines)
+        assert process is not None, "setup() must run before blocks()"
+        for picks in self._segment_picks():
+            yield AccessBlock.numeric(process, picks, np.zeros(len(picks), bool), self.lines)

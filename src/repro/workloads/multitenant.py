@@ -15,13 +15,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.machine import Machine
+from repro.machine import AccessBlock, Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
-from repro.workloads.kvstore import PageTouch, SlabKVStore
+from repro.workloads.base import Workload
+from repro.workloads.kvstore import INSERT, READ, UPDATE, SlabKVStore, touch_columns
 
 __all__ = ["MultiTenantWorkload", "KVTenantWorkload"]
+
+#: Operations a KV tenant lays out as one block.
+_CHUNK = 512
 
 
 class MultiTenantWorkload(Workload):
@@ -65,27 +68,53 @@ class MultiTenantWorkload(Workload):
     def footprint_pages(self) -> int:
         return sum(tenant.footprint_pages() for tenant in self.tenants)
 
-    def accesses(self) -> Iterator[PageAccess]:
-        """Interleave tenants in batches until every stream is drained.
+    def blocks(self) -> Iterator[AccessBlock]:
+        """Interleave tenants in turns of ``batch`` positions until every
+        stream is drained.
 
         Batched round-robin mimics scheduler timeslices: each tenant runs
         a short burst, so their access patterns interleave at a realistic
-        granularity rather than per-single-access.
+        granularity rather than per-single-access.  A turn cuts a child's
+        block where it ends, so the driver's ``done`` reaches the cut
+        piece, not the child: a child's stream must not depend on live
+        machine state (GAPBS cache absorption does).
         """
-        streams = [tenant.accesses() for tenant in self.tenants]
-        live = list(range(len(streams)))
-        while live:
-            finished = []
-            for index in live:
-                stream = streams[index]
-                for __ in range(self.batch):
-                    access = next(stream, None)
-                    if access is None:
-                        finished.append(index)
-                        break
-                    yield access
-            for index in finished:
-                live.remove(index)
+        turns = [_turns(tenant.blocks(), self.batch) for tenant in self.tenants]
+        while turns:
+            for stream in list(turns):
+                turn = next(stream, None)
+                if turn is None:
+                    turns.remove(stream)
+                else:
+                    yield from turn
+
+
+def _turns(blocks: Iterator[AccessBlock], batch: int) -> Iterator[list[AccessBlock]]:
+    """``blocks`` regrouped into turns of ``batch`` positions (the last
+    may be short), each a list of block pieces; a block is read only
+    when the turn needs it."""
+    turn: list[AccessBlock] = []
+    room = batch
+    for block in blocks:
+        at, n = 0, len(block)
+        while at < n:
+            take = min(room, n - at)
+            turn.append(block if take == n else _piece(block, at, at + take))
+            at += take
+            room -= take
+            if not room:
+                yield turn
+                turn, room = [], batch
+    if turn:
+        yield turn
+
+
+def _piece(block: AccessBlock, start: int, stop: int) -> AccessBlock:
+    cut = slice(start, stop)
+    return AccessBlock(
+        block.process, block.vpage[cut], block.write[cut],
+        block.lines[cut], block.op_boundary[cut],
+    )
 
 
 class KVTenantWorkload(Workload):
@@ -162,10 +191,13 @@ class KVTenantWorkload(Workload):
         counts[-1] += self.ops - int(bounds[-1])
         return counts.tolist()
 
-    def operations(self) -> Iterator[list[PageTouch]]:
-        """Per-operation touch lists: the load phase, then the traffic."""
-        for key in range(self.n_records):
-            yield self.store.insert(key)
+    def _chunks(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """Touch columns ``(vpage, write, lines, op_boundary)`` of up to
+        512 operations at a time: the load phase, then the traffic."""
+        store = self.store
+        for first in range(0, self.n_records, _CHUNK):
+            key = np.arange(first, min(first + _CHUNK, self.n_records))
+            yield touch_columns(store, np.full(len(key), INSERT), key)[:4]
         rng = make_rng(
             self.seed, f"kv-{self.name}-{self.n_records}-{self.alpha}"
         )
@@ -177,24 +209,25 @@ class KVTenantWorkload(Workload):
             key_of_rank = rng.permutation(self.n_records)
             emitted = 0
             while emitted < count:
-                n = min(512, count - emitted)
+                n = min(_CHUNK, count - emitted)
                 picks = rng.choice(self.n_records, size=n, p=weights)
-                keys = key_of_rank[picks]
                 reads = rng.random(n) < self.read_ratio
-                for key, is_read in zip(keys.tolist(), reads.tolist()):
-                    yield (
-                        self.store.read(key) if is_read
-                        else self.store.update(key)
-                    )
+                kind = np.where(reads, READ, UPDATE)
+                yield touch_columns(store, kind, key_of_rank[picks])[:4]
                 emitted += n
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def blocks(self) -> Iterator[AccessBlock]:
         process = self.process
-        assert process is not None, "setup() must run before accesses()"
-        for touches in self.operations():
-            last = len(touches) - 1
-            for i, touch in enumerate(touches):
-                yield PageAccess(
-                    process, touch.vpage, is_write=touch.is_write,
-                    op_boundary=(i == last), lines=touch.lines,
-                )
+        assert process is not None, "setup() must run before blocks()"
+        for columns in self._chunks():
+            yield AccessBlock(process, *columns)
+
+    def operations(self) -> Iterator[list[tuple[int, bool, int]]]:
+        """Per-operation ``(vpage, is_write, lines)`` touch lists, sliced
+        from the same columns as :meth:`blocks`."""
+        for vpage, write, lines, boundary in self._chunks():
+            rows = list(zip(vpage.tolist(), write.tolist(), lines.tolist()))
+            start = 0
+            for end in (np.flatnonzero(boundary) + 1).tolist():
+                yield rows[start:end]
+                start = end

@@ -12,11 +12,13 @@ it into :class:`~repro.workloads.ycsb.YCSBSession` makes workload E
 operational — sequential range reads over a footprint larger than DRAM,
 the access pattern tiering policies handle worst.
 
-The page-touch interface mirrors :class:`SlabKVStore`; operations first
-probe the index (root + leaf, the two levels a few-thousand-key tree
-needs), then touch the clustered data pages.  As there, the layout is
-written once (:meth:`SortedKVStore.probe_vpages`,
-:meth:`SortedKVStore.data_vpage`) for ints and numpy arrays alike.
+The layout interface mirrors :class:`SlabKVStore`, so
+:func:`~repro.workloads.kvstore.touch_columns` lays out operations on
+either store: an operation first probes the index (root + leaf, the two
+levels a few-thousand-key tree needs), then touches the clustered data
+pages.  As there, the layout is written once
+(:meth:`SortedKVStore.probe_vpages`, :meth:`SortedKVStore.data_vpage`)
+for ints and numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.sim.config import PAGE_SIZE
-from repro.workloads.kvstore import CACHE_LINE, PageTouch
+from repro.workloads.kvstore import CACHE_LINE
 
 __all__ = ["SortedKVStore"]
 
@@ -38,6 +40,8 @@ class SortedKVStore:
 
     #: Index pages an operation probes before its record: root, then leaf.
     probes = 2
+    #: SCAN walks the clustered data pages.
+    supports_scan = True
 
     def __init__(
         self,
@@ -106,56 +110,3 @@ class SortedKVStore:
         """Root then leaf page of the two-level index descent to ``key``
         (``n_records`` is unused: the tree's shape follows the keys)."""
         return (self.index_base, self.index_base + 1 + key // _KEYS_PER_INDEX_PAGE)
-
-    def _index_touches(self, key: int, *, is_write: bool = False) -> list[PageTouch]:
-        root, leaf = self.probe_vpages(key, None)
-        return [
-            PageTouch(root, is_write=False, lines=1),
-            PageTouch(leaf, is_write=is_write, lines=1),
-        ]
-
-    def _require(self, key: int) -> int:
-        if key not in self._keys:
-            raise KeyError(f"key {key} was never inserted")
-        return key
-
-    # -- operations -----------------------------------------------------------
-
-    def insert(self, key: int) -> list[PageTouch]:
-        """Clustered insert; YCSB inserts are append-ordered (new max keys)."""
-        if key in self._keys:
-            return self.update(key)
-        self.add_keys((key,))
-        return self._index_touches(key, is_write=True) + [
-            PageTouch(self.data_vpage(key), is_write=True, lines=self.value_lines)
-        ]
-
-    def read(self, key: int) -> list[PageTouch]:
-        self._require(key)
-        return self._index_touches(key) + [
-            PageTouch(self.data_vpage(key), is_write=False, lines=self.value_lines)
-        ]
-
-    def update(self, key: int) -> list[PageTouch]:
-        self._require(key)
-        return self._index_touches(key) + [
-            PageTouch(self.data_vpage(key), is_write=True, lines=self.value_lines)
-        ]
-
-    def read_modify_write(self, key: int) -> list[PageTouch]:
-        return self.read(key) + self.update(key)
-
-    def scan(self, start_key: int, count: int) -> list[PageTouch]:
-        """Range read of ``count`` records from ``start_key`` onward.
-
-        One index descent, then a sequential walk over the clustered data
-        pages — each page read once with the lines its records cover.
-        """
-        if count <= 0:
-            raise ValueError("scan count must be positive")
-        self._require(start_key)
-        end_key = min(start_key + count - 1, self.max_key)
-        touches = self._index_touches(start_key)
-        for vpage in range(self.data_vpage(start_key), self.data_vpage(end_key) + 1):
-            touches.append(PageTouch(vpage, is_write=False, lines=self.scan_lines))
-        return touches

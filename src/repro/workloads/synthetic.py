@@ -13,10 +13,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.machine import Machine
+from repro.machine import AccessBlock, Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import Workload
 
 __all__ = [
     "ZipfWorkload",
@@ -31,7 +31,7 @@ _BATCH = 4096
 class _SingleProcessWorkload(Workload):
     """Common setup: one process with one anonymous region."""
 
-    # _emit marks every access as an operation completion.
+    # Every access is one operation.
     marks_op_boundaries = True
 
     def __init__(
@@ -63,13 +63,6 @@ class _SingleProcessWorkload(Workload):
     def footprint_pages(self) -> int:
         return self.pages
 
-    def _emit(self, vpages: np.ndarray, writes: np.ndarray) -> Iterator[PageAccess]:
-        process = self.process
-        assert process is not None, "setup() must run before accesses()"
-        lines = self.lines
-        for vpage, is_write in zip(vpages.tolist(), writes.tolist()):
-            yield PageAccess(process, vpage, is_write=is_write, op_boundary=True, lines=lines)
-
     def numeric_batches(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The machine-independent stream: ``(vpages, writes)`` arrays.
 
@@ -77,14 +70,16 @@ class _SingleProcessWorkload(Workload):
         machine state — which is what lets the sweep pool generate the
         stream once and replay it across many cells
         (:meth:`~repro.machine.Machine.touch_batch_array`).
-        ``accesses()`` is defined as the emission of exactly these
-        batches, so the two drivers see identical reference sequences.
+        :meth:`blocks` are exactly these batches, so both paths see
+        identical reference sequences.
         """
         raise NotImplementedError
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def blocks(self) -> Iterator[AccessBlock]:
+        process = self.process
+        assert process is not None, "setup() must run before blocks()"
         for vpages, writes in self.numeric_batches():
-            yield from self._emit(vpages, writes)
+            yield AccessBlock.numeric(process, vpages, writes, self.lines)
 
 
 class ZipfWorkload(_SingleProcessWorkload):

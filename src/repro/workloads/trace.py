@@ -22,15 +22,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from repro.machine import Machine
 from repro.mm.address_space import MemoryRegion, Process
-from repro.workloads.base import AccessBlock, PageAccess, Workload
+from repro.workloads.base import AccessBlock, Workload
 
 __all__ = ["TraceRecorder", "TraceReplayWorkload", "TRACE_VERSION"]
 
 TRACE_VERSION = 1
+
+#: Most positions a replayed block holds.
+_BLOCK = 4096
+
+_RW = {"r": False, "w": True}
+_BOUNDARY = {"-": False, "o": True}
 
 
 def _region_spec(region: MemoryRegion) -> list:
@@ -140,21 +148,41 @@ class TraceReplayWorkload(Workload):
             for __, n_pages, __a, __s in spec["regions"]
         )
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def blocks(self) -> Iterator[AccessBlock]:
+        """The trace's lines as per-process blocks of at most 4096
+        positions, cut wherever the process changes."""
         with self.path.open() as fh:
             fh.readline()  # header
+            index = None
+            rows: list[tuple[int, bool, int, bool]] = []
             for line_no, line in enumerate(fh, start=2):
-                yield self._parse(line, line_no)
+                row_index, *row = self._parse(line, line_no)
+                if row_index != index or len(rows) == _BLOCK:
+                    if rows:
+                        yield self._block(index, rows)
+                    index, rows = row_index, []
+                rows.append(row)
+            if rows:
+                yield self._block(index, rows)
 
-    def _parse(self, line: str, line_no: int) -> PageAccess:
+    def _block(self, index: int, rows: list) -> AccessBlock:
+        vpage, write, lines, boundary = zip(*rows)
+        return AccessBlock(
+            self._processes[index],
+            np.array(vpage, dtype=np.int64),
+            np.array(write, dtype=bool),
+            np.array(lines, dtype=np.int64),
+            np.array(boundary, dtype=bool),
+        )
+
+    def _parse(self, line: str, line_no: int) -> tuple[int, int, bool, int, bool]:
+        """``(process index, vpage, write, lines, boundary)`` of one line;
+        a field out of its domain is malformed."""
         try:
             index, vpage, rw, lines, boundary = line.split()
-            return PageAccess(
-                self._processes[int(index)],
-                int(vpage),
-                is_write=(rw == "w"),
-                lines=int(lines),
-                op_boundary=(boundary == "o"),
-            )
-        except (ValueError, IndexError) as exc:
+            index, lines = int(index), int(lines)
+            if not 0 <= index < len(self._processes) or lines <= 0:
+                raise ValueError(line)
+            return index, int(vpage), _RW[rw], lines, _BOUNDARY[boundary]
+        except (ValueError, KeyError) as exc:
             raise ValueError(f"{self.path}:{line_no}: malformed trace line") from exc

@@ -36,7 +36,14 @@ from repro.machine import Machine
 from repro.mm.address_space import Process
 from repro.sim.rng import make_rng
 from repro.workloads.base import AccessBlock, Workload
-from repro.workloads.kvstore import SlabKVStore
+from repro.workloads.kvstore import (
+    INSERT,
+    RMW,
+    SCAN,
+    UPDATE,
+    SlabKVStore,
+    touch_columns,
+)
 
 __all__ = ["YCSBSession", "YCSBPhase", "YCSBLoadPhase", "WORKLOAD_MIXES", "EXECUTION_SEQUENCE"]
 
@@ -45,10 +52,6 @@ ZIPFIAN_CONSTANT = 0.99
 
 _BATCH = 2048
 """Operations per emitted batch of touch columns."""
-
-# Operation kinds, in the order of a mix's cumulative thresholds.
-_READ, _UPDATE, _INSERT, _RMW, _SCAN = range(5)
-
 
 @dataclass(frozen=True)
 class _Mix:
@@ -158,83 +161,6 @@ class YCSBSession:
         """Map popularity ranks onto the loaded keyspaces of ``n`` records."""
         return self._key_of_rank[rank] % n
 
-    # -- touch layout -----------------------------------------------------------
-
-    def _touch_columns(
-        self, kind: np.ndarray, key: np.ndarray, scan_lengths: np.ndarray | None = None
-    ) -> tuple[np.ndarray, ...]:
-        """Lay a batch of operations out as page-touch columns.
-
-        ``kind`` holds an operation code per op (``_INSERT`` inserts
-        ``key``), ``key`` the key each op works on and ``scan_lengths``
-        the record count of each scan, in order.  The touches are the
-        stores' per-operation ones: the index probes, then the record;
-        an RMW is a read then an update; a scan is the probes then its
-        page range.  Inserting a present key updates it, as the stores'
-        ``insert`` does, and new keys are added to the store.
-
-        Returns ``(vpage, write, lines, op_boundary, probe)``, where
-        ``probe`` marks the index probes the CPU cache may absorb.
-        """
-        store = self.store
-        levels = store.probes
-        kind = kind.copy()
-        inserts = np.flatnonzero(kind == _INSERT)
-        insert_keys = key[inserts].tolist()
-        present = np.array([store.location(k) is not None for k in insert_keys], bool)
-        kind[inserts[present]] = _UPDATE
-        new = kind == _INSERT
-        length = np.array([levels + 1] * 3 + [2 * levels + 2, levels])[kind]
-        scans = np.flatnonzero(kind == _SCAN)
-        if len(scans):
-            # A scan stops at the largest key inserted before it.
-            newest = np.maximum.accumulate(np.where(new, key, store.max_key))
-            last_key = np.minimum(key[scans] + scan_lengths - 1, newest[scans])
-            first = store.data_vpage(key[scans])
-            pages = store.data_vpage(last_key) - first + 1
-            length[scans] += pages
-        # The slab hashes over its record count as each op runs.
-        n_records = store.n_records + np.cumsum(new)
-        store.add_keys(k for k, p in zip(insert_keys, present.tolist()) if not p)
-
-        probes = [
-            np.broadcast_to(col, key.shape) for col in store.probe_vpages(key, n_records)
-        ]
-        record = store.data_vpage(store.locations(key))
-        end = np.cumsum(length)
-        start = end - length
-        total = int(end[-1])
-        vpage = np.empty(total, np.int64)
-        write = np.zeros(total, bool)
-        lines = np.ones(total, np.int64)
-        probe = np.zeros(total, bool)
-        boundary = np.zeros(total, bool)
-        boundary[end - 1] = True
-
-        def probe_at(ops: np.ndarray, at: int) -> None:
-            for level, col in enumerate(probes):
-                vpage[start[ops] + at + level] = col[ops]
-                probe[start[ops] + at + level] = True
-
-        def record_at(ops: np.ndarray, at: int, is_write) -> None:
-            vpage[start[ops] + at] = record[ops]
-            write[start[ops] + at] = is_write
-            lines[start[ops] + at] = store.value_lines
-
-        probe_at(np.arange(len(kind)), 0)
-        single = np.flatnonzero(kind != _SCAN)
-        record_at(single, levels, (kind[single] == _UPDATE) | (kind[single] == _INSERT))
-        write[start[new] + levels - 1] = True  # an insert writes its bucket/leaf
-        rmw = np.flatnonzero(kind == _RMW)
-        probe_at(rmw, levels + 1)
-        record_at(rmw, 2 * levels + 1, True)
-        if len(scans):
-            offset = np.arange(pages.sum()) - np.repeat(np.cumsum(pages) - pages, pages)
-            at = np.repeat(start[scans] + levels, pages) + offset
-            vpage[at] = np.repeat(first, pages) + offset
-            lines[at] = store.scan_lines
-        return vpage, write, lines, boundary, probe
-
     # -- phases --------------------------------------------------------------
 
     def load_phase(self) -> "YCSBLoadPhase":
@@ -242,7 +168,7 @@ class YCSBSession:
 
     def phase(self, name: str, ops: int) -> "YCSBPhase":
         name = name.upper()
-        if name == "E" and not hasattr(self.store, "scan"):
+        if name == "E" and not self.store.supports_scan:
             raise ValueError(
                 "workload E issues SCAN operations, which Memcached does not "
                 "implement — non-operational, as reported in the paper "
@@ -274,7 +200,7 @@ class YCSBLoadPhase(Workload):
         assert process is not None
         for first in range(0, session.n_records, _BATCH):
             key = np.arange(first, min(first + _BATCH, session.n_records))
-            columns = session._touch_columns(np.full(len(key), _INSERT), key)
+            columns = touch_columns(session.store, np.full(len(key), INSERT), key)
             session.next_key = int(key[-1]) + 1
             yield AccessBlock(process, *columns[:4])
 
@@ -314,12 +240,12 @@ class YCSBPhase(Workload):
             batch = min(_BATCH, self.ops - emitted)
             op_draw = rng.random(batch)
             rank_draw = rng.random(batch)
-            kind = np.minimum(np.searchsorted(thresholds, op_draw, side="right"), _SCAN)
+            kind = np.minimum(np.searchsorted(thresholds, op_draw, side="right"), SCAN)
             key = self._keys(kind, rank_draw)
-            probes = np.where(kind == _RMW, 2 * levels, levels)
+            probes = np.where(kind == RMW, 2 * levels, levels)
             cache_draw, scan_lengths = _probe_and_scan_draws(rng, kind, probes)
-            vpage, write, lines, boundary, probe = session._touch_columns(
-                kind, key, scan_lengths
+            vpage, write, lines, boundary, probe = touch_columns(
+                session.store, kind, key, scan_lengths
             )
             # A probe is served from the CPU cache with the hit rate.
             keep = ~probe
@@ -334,13 +260,13 @@ class YCSBPhase(Workload):
         the headroom lasts; after that it degrades to an update of the
         newest key (``kind`` is rewritten in place)."""
         session = self.session
-        inserts = kind == _INSERT
+        inserts = kind == INSERT
         earlier = np.cumsum(inserts) - inserts
         room = session.max_records - session.next_key
         # session.next_key as each op starts.
         n = session.next_key + np.minimum(earlier, room)
         degraded = inserts & (earlier >= room)
-        kind[degraded] = _UPDATE
+        kind[degraded] = UPDATE
         key = n - degraded
         picks = ~inserts
         rank = session.zipf.ranks(rank_p[picks], n[picks])
@@ -365,7 +291,7 @@ def _probe_and_scan_draws(
     probes between two scans at a time.
     """
     total = int(probes.sum())
-    scans = np.flatnonzero(kind == _SCAN)
+    scans = np.flatnonzero(kind == SCAN)
     if not len(scans):
         return rng.random(total), None
     parts = []

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine import Machine
-from repro.workloads.base import PageAccess, Workload
+from repro.workloads.base import AccessBlock, Workload
 
 
 class MixedSupervisionWorkload(Workload):
@@ -27,11 +27,12 @@ class MixedSupervisionWorkload(Workload):
         self.plain = machine.create_process("plain")
         self.plain.mmap_anon(0, 300)
 
-    def accesses(self):
-        picks = self.rng.integers(0, 3, size=self.ops).tolist()
-        pages = self.rng.zipf(1.3, size=self.ops) % 300
-        writes = self.rng.random(self.ops) < 0.3
-        for pick, vpage, write in zip(picks, pages.tolist(), writes.tolist()):
-            process = self.plain if pick == 0 else self.mixed
-            vpage += 1000 if pick == 2 else 0
-            yield PageAccess(process, vpage, is_write=write, op_boundary=True)
+    def blocks(self):
+        picks = self.rng.integers(0, 3, size=self.ops)
+        vpage = self.rng.zipf(1.3, size=self.ops) % 300 + np.where(picks == 2, 1000, 0)
+        write = self.rng.random(self.ops) < 0.3
+        plain = picks == 0
+        cuts = (np.flatnonzero(plain[1:] != plain[:-1]) + 1).tolist()
+        for start, stop in zip([0, *cuts], [*cuts, self.ops]):
+            process = self.plain if plain[start] else self.mixed
+            yield AccessBlock.numeric(process, vpage[start:stop], write[start:stop], 1)

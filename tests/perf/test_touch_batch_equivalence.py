@@ -57,11 +57,12 @@ def _config(**overrides) -> SimulationConfig:
     return SimulationConfig(**settings_)
 
 
-def _per_access(machine: Machine, accesses) -> None:
-    for access in accesses:
-        machine.touch(
-            access.process, access.vpage, is_write=access.is_write, lines=access.lines
-        )
+def _per_access(machine: Machine, blocks) -> None:
+    """One ``Machine.touch`` per row of ``blocks``."""
+    for block in blocks:
+        rows = zip(block.vpage.tolist(), block.write.tolist(), block.lines.tolist())
+        for vpage, write, lines in rows:
+            machine.touch(block.process, vpage, is_write=write, lines=lines)
 
 
 def _drive(policy: str, workload_key: str, *, batched: bool):
@@ -71,7 +72,7 @@ def _drive(policy: str, workload_key: str, *, batched: bool):
     if batched:
         machine.touch_batch(workload.blocks())
     else:
-        _per_access(machine, workload.accesses())
+        _per_access(machine, workload.blocks())
     clock = machine.clock
     return machine, (
         machine.stats.snapshot(),
@@ -105,7 +106,7 @@ def test_daemons_fire_at_same_virtual_times(policy: str):
         if batched:
             machine.touch_batch(workload.blocks())
         else:
-            _per_access(machine, workload.accesses())
+            _per_access(machine, workload.blocks())
         return fire_times
 
     per_access = run(batched=False)
@@ -131,7 +132,7 @@ def test_remote_socket_charges_match_per_access(policy: str):
         if batched:
             machine.touch_batch(workload.blocks())
         else:
-            _per_access(machine, workload.accesses())
+            _per_access(machine, workload.blocks())
         clock = machine.clock
         return machine.stats.snapshot(), clock.now_ns, clock.app_ns, clock.system_ns
 

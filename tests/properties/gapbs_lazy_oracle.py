@@ -2,7 +2,7 @@
 
 This is the per-touch generator the kernels used before they built
 their candidate touches as columns: every page touch is one
-:class:`PageAccess`, built the moment the driver asks for it, and every
+:class:`Access`, built the moment the driver asks for it, and every
 cacheable touch (an ``offsets`` read or a property slot) tests live
 page-table membership and, when mapped, takes one scalar draw from the
 CPU-cache stream right then.  The columnar emitter must reproduce its
@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from repro.mm.address_space import Process
 from repro.sim.config import PAGE_SIZE
 from repro.sim.rng import make_rng
-from repro.workloads.base import PageAccess
 from repro.workloads.gapbs.base import (
     NEIGHBOR_BYTES,
     NEIGHBORS_BASE,
@@ -34,6 +34,16 @@ from repro.workloads.gapbs.base import (
 )
 
 _LINE = 64
+
+
+class Access(NamedTuple):
+    """One page touch."""
+
+    process: Process
+    vpage: int
+    is_write: bool = False
+    op_boundary: bool = False
+    lines: int = 1
 
 
 class LazyEmitter:
@@ -56,7 +66,7 @@ class LazyEmitter:
             lo = max(byte_lo, page_index * PAGE_SIZE)
             hi = min(byte_hi, (page_index + 1) * PAGE_SIZE)
             lines = max(1, (hi - lo + _LINE - 1) // _LINE)
-            yield PageAccess(
+            yield Access(
                 process,
                 base + page_index,
                 is_write=is_write,
@@ -95,7 +105,7 @@ class LazyEmitter:
 
     # -- streams ---------------------------------------------------------------
 
-    def load_pass(self) -> Iterator[PageAccess]:
+    def load_pass(self) -> Iterator[Access]:
         graph = self.graph
         yield from self.range_touches(
             OFFSETS_BASE, 0, (graph.n + 1) * OFFSET_BYTES, is_write=True
@@ -108,7 +118,7 @@ class LazyEmitter:
             NEIGHBORS_BASE, 0, graph.m_directed * NEIGHBOR_BYTES, is_write=True
         )
 
-    def accesses(self) -> Iterator[PageAccess]:
+    def accesses(self) -> Iterator[Access]:
         w = self.w
         if not w.loaded:
             yield from self.load_pass()

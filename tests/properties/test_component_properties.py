@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.mm.watermarks import compute_watermarks
 from repro.sim.stats import WindowedSeries
 from repro.sim.vclock import VirtualClock
-from repro.workloads.kvstore import SlabKVStore
+from repro.workloads.kvstore import INSERT, READ, SlabKVStore, touch_columns
 from repro.workloads.ycsb import ZIPFIAN_CONSTANT, Zipfian
 
 
@@ -71,18 +71,21 @@ def test_incremental_zeta_matches_direct_sum(n):
 @settings(max_examples=100)
 def test_kvstore_slab_invariants(keys, value_size):
     store = SlabKVStore(value_size=value_size)
-    for key in keys:
-        store.insert(key)
-    unique = set(keys)
+    unique = list(dict.fromkeys(keys))
+    # Keys inserted in one batch are distinct; inserting them all again
+    # updates the present ones in place.
+    touch_columns(store, np.full(len(unique), INSERT), np.array(unique))
+    touch_columns(store, np.full(len(keys), INSERT), np.array(keys))
     assert store.n_records == len(unique)
     slots = [store.location(key) for key in unique]
     # Distinct keys occupy distinct slots; slots are dense from zero.
-    assert len(set(slots)) == len(slots)
+    assert sorted(slots) == list(range(len(unique)))
     assert store.data_pages_used() <= len(unique) // store.items_per_page + 1
-    for key in unique:
-        touches = store.read(key)
-        assert touches[-1].vpage >= store.data_base
-        assert touches[-1].lines >= 1
+    vpage, write, lines, boundary, probe = touch_columns(
+        store, np.full(len(unique), READ), np.array(unique)
+    )
+    assert (vpage[boundary] >= store.data_base).all()
+    assert (lines[boundary] >= 1).all()
 
 
 @given(

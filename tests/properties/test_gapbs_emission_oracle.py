@@ -2,7 +2,7 @@
 per-touch reference.
 
 ``gapbs_lazy_oracle.LazyEmitter`` is the emitter as it was: one
-``PageAccess`` per touch and one scalar CPU-cache draw per mapped
+access record per touch and one scalar CPU-cache draw per mapped
 cacheable touch, taken when the driver reaches it.  It is driven by a
 per-access ``Machine.touch`` loop, so every draw sees the live table.
 The kernels now build candidate columns once per graph and yield their

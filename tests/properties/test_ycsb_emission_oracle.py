@@ -48,12 +48,19 @@ def check_sequence(backend, n_records, headroom, hit_rate, seed, value_size, pha
     oracle = OracleSession(n_records, **kwargs)
     for label, ops in [("LOAD", 0)] + phases:
         if label == "LOAD":
-            ours = session.load_phase().accesses()
+            phase = session.load_phase()
             theirs = oracle.load()
         else:
-            ours = session.phase(label, ops).accesses()
+            phase = session.phase(label, ops)
             theirs = oracle.phase(label, ops, batch=ycsb._BATCH)
-        ours = [(a.vpage, a.is_write, a.lines, a.op_boundary) for a in ours]
+        ours = [
+            row
+            for block in phase.blocks()
+            for row in zip(
+                block.vpage.tolist(), block.write.tolist(),
+                block.lines.tolist(), block.op_boundary.tolist(),
+            )
+        ]
         theirs = list(theirs)
         at = _divergence(ours, theirs)
         assert at is None, (

@@ -52,11 +52,10 @@ class _NoBoundaryWorkload(UniformWorkload):
     # Deliberately strips the markers its parent class declares.
     marks_op_boundaries = False
 
-    def accesses(self):
-        for access in super().accesses():
-            yield type(access)(
-                access.process, access.vpage, is_write=access.is_write, lines=access.lines
-            )
+    def blocks(self):
+        for block in super().blocks():
+            block.op_boundary[:] = False
+            yield block
 
 
 def test_ops_fallback_is_explicit():
@@ -84,11 +83,10 @@ class _ZeroOpWorkload(UniformWorkload):
 
     name = "zero-op"
 
-    def accesses(self):
-        for access in super().accesses():
-            yield type(access)(
-                access.process, access.vpage, is_write=access.is_write, lines=access.lines
-            )
+    def blocks(self):
+        for block in super().blocks():
+            block.op_boundary[:] = False
+            yield block
 
 
 def test_zero_op_phase_of_marked_workload_is_not_a_fallback():

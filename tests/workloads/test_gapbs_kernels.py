@@ -92,15 +92,22 @@ def test_touch_regions_are_disjoint(small_graph):
     workload = KERNELS["pr"](small_graph, trials=1, seed=1)
     machine = Machine(CONFIG, "static")
     workload.setup(machine)
+    driven = []
+
+    def blocks():
+        for block in workload.blocks():
+            yield block
+            driven.extend(block.vpage[: block.done].tolist())
+
+    machine.touch_batch(blocks())
     seen_regions = set()
-    for access in workload.accesses():
-        if access.vpage < NEIGHBORS_BASE:
+    for vpage in driven:
+        if vpage < NEIGHBORS_BASE:
             seen_regions.add("offsets")
-        elif access.vpage < PROP_BASE:
+        elif vpage < PROP_BASE:
             seen_regions.add("edges-or-weights")
         else:
             seen_regions.add("props")
-        machine.touch(access.process, access.vpage, is_write=access.is_write)
     assert seen_regions == {"offsets", "edges-or-weights", "props"}
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the multi-tenant workload combinator."""
 
+import numpy as np
 import pytest
 
 from repro.machine import Machine
@@ -42,7 +43,7 @@ def test_streams_interleave_in_batches():
     workload = MultiTenantWorkload(tenants, batch=8)
     machine = Machine(CONFIG, "static")
     workload.setup(machine)
-    owners = [access.process.pid for access in workload.accesses()]
+    owners = [block.process.pid for block in workload.blocks() for __ in range(len(block))]
     # The first 8 belong to tenant 1, the next 8 to tenant 2, and so on.
     assert len(set(owners[:8])) == 1
     assert len(set(owners[8:16])) == 1
@@ -93,7 +94,7 @@ def test_marks_op_boundaries_derived_from_children():
         def footprint_pages(self):
             return 0
 
-        def accesses(self):
+        def blocks(self):
             return iter(())
 
     marking = MultiTenantWorkload([ZipfWorkload(10, 10), UniformWorkload(10, 10)])
@@ -162,12 +163,23 @@ def test_kv_tenant_stream_shape():
     ops = list(workload.operations())
     # load phase inserts every record, then the traffic ops.
     assert len(ops) == workload.n_records + workload.ops
-    boundaries = 0
     fresh = make_kv()
     fresh.setup(Machine(CONFIG, "static"))
-    for access in fresh.accesses():
-        boundaries += access.op_boundary
+    boundaries = sum(int(block.op_boundary.sum()) for block in fresh.blocks())
     assert boundaries == fresh.n_records + fresh.ops
+
+
+def test_kv_tenant_operations_are_its_blocks_cut_at_boundaries():
+    ops = list(make_kv(phases=(1.0, 0.35)).operations())
+    workload = make_kv(phases=(1.0, 0.35))
+    workload.setup(Machine(CONFIG, "static"))
+    rows, boundary = [], []
+    for block in workload.blocks():
+        rows += zip(block.vpage.tolist(), block.write.tolist(), block.lines.tolist())
+        boundary += block.op_boundary.tolist()
+    assert [touch for op in ops for touch in op] == rows
+    ends = np.cumsum([len(op) for op in ops]) - 1
+    assert np.flatnonzero(boundary).tolist() == ends.tolist()
 
 
 def test_kv_tenant_runs_end_to_end():

@@ -1,15 +1,16 @@
-"""Unit tests for the scan-capable clustered store."""
+"""Unit tests for the scan-capable clustered store and its operation layout."""
 
 import pytest
+from kv_ops import ops
 
+from repro.workloads.kvstore import INSERT, READ, RMW, SCAN, UPDATE
 from repro.workloads.sorted_store import SortedKVStore
 
 
 @pytest.fixture
 def store():
     s = SortedKVStore(value_size=1024)
-    for key in range(100):
-        s.insert(key)
+    ops(s, INSERT, range(100))
     return s
 
 
@@ -26,46 +27,55 @@ def test_clustered_location(store):
 
 
 def test_read_probes_index_then_data(store):
-    touches = store.read(10)
+    [touches] = ops(store, READ, [10])
     assert len(touches) == 3  # root, leaf, data
     assert touches[0].vpage == store.index_base
+    assert [t.probe for t in touches] == [True, True, False]
     assert touches[-1].vpage >= store.data_base
 
 
 def test_scan_touches_consecutive_pages(store):
-    touches = store.scan(0, 50)
+    [touches] = ops(store, SCAN, [0], scan_lengths=[50])
     data_pages = [t.vpage for t in touches if t.vpage >= store.data_base]
     assert data_pages == sorted(data_pages)
     assert data_pages == list(range(data_pages[0], data_pages[-1] + 1))
     expected_pages = (50 - 1) // store.items_per_page + 1
     assert len(data_pages) in (expected_pages, expected_pages + 1)
+    assert all(t.lines == store.scan_lines for t in touches[2:])
 
 
 def test_scan_clamps_at_max_key(store):
-    touches = store.scan(95, 100)
+    [touches] = ops(store, SCAN, [95], scan_lengths=[100])
     data_pages = [t.vpage for t in touches if t.vpage >= store.data_base]
     assert data_pages[-1] == store.data_vpage(99)
 
 
-def test_scan_validation(store):
-    with pytest.raises(ValueError):
-        store.scan(0, 0)
-    with pytest.raises(KeyError):
-        store.scan(5000, 10)
-
-
-def test_missing_key_raises(store):
-    with pytest.raises(KeyError):
-        store.read(5000)
+def test_scan_stops_at_largest_key_inserted_before_it(store):
+    top = store.items_per_page * 40  # a page of its own, past key 99's
+    __, early, __, late = ops(
+        store, [INSERT, SCAN, INSERT, SCAN], [top - 1, 95, top, 95],
+        scan_lengths=[1000, 1000],
+    )
+    assert early[-1].vpage == store.data_vpage(top - 1)
+    assert late[-1].vpage == store.data_vpage(top)
 
 
 def test_update_writes(store):
-    assert store.update(3)[-1].is_write
-    assert not store.read(3)[-1].is_write
+    [update] = ops(store, UPDATE, [3])
+    [read] = ops(store, READ, [3])
+    assert update[-1].write
+    assert not read[-1].write
+
+
+def test_insert_writes_leaf_not_root():
+    store = SortedKVStore(value_size=1024)
+    [touches] = ops(store, INSERT, [0])
+    assert [t.write for t in touches] == [False, True, True]
 
 
 def test_rmw_combines(store):
-    assert len(store.read_modify_write(3)) == 6
+    [touches] = ops(store, RMW, [3])
+    assert len(touches) == 6
 
 
 def test_footprint_counts_index_and_data(store):
@@ -76,6 +86,7 @@ def test_footprint_counts_index_and_data(store):
 
 
 def test_reinsert_is_update(store):
-    touches = store.insert(5)
+    [touches] = ops(store, INSERT, [5])
     assert store.n_records == 100
-    assert touches[-1].is_write
+    assert touches[-1].write
+    assert not touches[1].write  # the leaf is written only by a new key

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic workloads."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.machine import Machine
@@ -15,10 +17,24 @@ from repro.workloads.synthetic import (
 CONFIG = SimulationConfig(dram_pages=(256,), pm_pages=(1024,))
 
 
+class Row(NamedTuple):
+    vpage: int
+    is_write: bool
+    lines: int
+    op_boundary: bool
+
+
 def collect(workload):
     machine = Machine(CONFIG, "static")
     workload.setup(machine)
-    return list(workload.accesses())
+    return [
+        Row(*row)
+        for block in workload.blocks()
+        for row in zip(
+            block.vpage.tolist(), block.write.tolist(),
+            block.lines.tolist(), block.op_boundary.tolist(),
+        )
+    ]
 
 
 def test_parameter_validation():

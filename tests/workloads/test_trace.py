@@ -58,7 +58,7 @@ def test_replay_preserves_write_flags(tmp_path):
     replay = TraceReplayWorkload(path)
     machine = Machine(CONFIG, "static")
     replay.setup(machine)
-    writes = sum(1 for access in replay.accesses() if access.is_write)
+    writes = sum(int(block.write.sum()) for block in replay.blocks())
     assert 0 < writes < 300
 
 
@@ -69,16 +69,42 @@ def test_bad_version_rejected(tmp_path):
         TraceReplayWorkload(path)
 
 
-def test_malformed_line_reports_location(tmp_path):
+def _replay_lines(tmp_path, *lines):
+    """Replay a one-process trace of ``lines`` on a fresh machine."""
     path = tmp_path / "bad.txt"
     path.write_text(
         '{"version": 1, "processes": [{"name": "p", "home_socket": 0, '
-        '"regions": [[0, 10, true, false]]}]}\n'
-        "0 5 r 1 -\n"
-        "garbage\n"
+        '"regions": [[0, 10, true, false]]}]}\n' + "".join(f"{line}\n" for line in lines)
     )
     replay = TraceReplayWorkload(path)
-    machine = Machine(CONFIG, "static")
-    replay.setup(machine)
+    replay.setup(Machine(CONFIG, "static"))
+    return list(replay.blocks())
+
+
+def test_malformed_line_reports_location(tmp_path):
     with pytest.raises(ValueError, match=":3"):
-        list(replay.accesses())
+        _replay_lines(tmp_path, "0 5 r 1 -", "garbage")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "-1 5 r 1 -",  # a process index counted from the end
+        "1 5 r 1 -",  # a process the header does not declare
+        "0 5 x 1 -",  # neither a read nor a write
+        "0 5 r 0 -",  # no lines touched
+        "0 5 r -50 -",  # negative lines would run the clock backwards
+        "0 5 r 1 q",  # neither a boundary nor none
+    ],
+)
+def test_out_of_domain_field_is_malformed(tmp_path, line):
+    with pytest.raises(ValueError, match=r":3: malformed trace line"):
+        _replay_lines(tmp_path, "0 5 w 2 o", line)
+
+
+def test_replay_blocks_follow_the_trace(tmp_path):
+    [block] = _replay_lines(tmp_path, "0 5 w 2 o", "0 6 r 1 -")
+    assert block.vpage.tolist() == [5, 6]
+    assert block.write.tolist() == [True, False]
+    assert block.lines.tolist() == [2, 1]
+    assert block.op_boundary.tolist() == [True, False]

@@ -1,5 +1,7 @@
 """Unit tests for the YCSB workload generators."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.machine import Machine
@@ -154,10 +156,21 @@ def test_footprint_exceeds_record_pages():
     assert session.footprint_pages() > 1000 // session.store.items_per_page
 
 
+class Row(NamedTuple):
+    vpage: int
+    is_write: bool
+    lines: int
+    op_boundary: bool
+
+
 def _drive(phase, machine):
-    """Set up a phase and yield its accesses while applying them."""
+    """Set up a phase and yield its block rows while applying them."""
     phase.setup(machine)
-    for access in phase.accesses():
-        machine.touch(access.process, access.vpage, is_write=access.is_write,
-                      lines=access.lines)
-        yield access
+    for block in phase.blocks():
+        rows = zip(
+            block.vpage.tolist(), block.write.tolist(),
+            block.lines.tolist(), block.op_boundary.tolist(),
+        )
+        for row in map(Row._make, rows):
+            machine.touch(block.process, row.vpage, is_write=row.is_write, lines=row.lines)
+            yield row

@@ -47,15 +47,19 @@ def test_scans_touch_contiguous_data_pages():
     store = session.store
     runs = []
     current = []
-    for access in phase.accesses():
-        machine.touch(access.process, access.vpage, is_write=access.is_write,
-                      lines=access.lines)
-        if access.vpage >= store.data_base:
-            current.append(access.vpage)
-        if access.op_boundary:
-            if len(current) > 1:
-                runs.append(current)
-            current = []
+    for block in phase.blocks():
+        rows = zip(
+            block.vpage.tolist(), block.write.tolist(),
+            block.lines.tolist(), block.op_boundary.tolist(),
+        )
+        for vpage, is_write, lines, boundary in rows:
+            machine.touch(block.process, vpage, is_write=is_write, lines=lines)
+            if vpage >= store.data_base:
+                current.append(vpage)
+            if boundary:
+                if len(current) > 1:
+                    runs.append(current)
+                current = []
     assert runs, "expected multi-page scans"
     for run in runs:
         assert run == list(range(run[0], run[0] + len(run)))
