@@ -269,4 +269,22 @@ print(f"{workload} seed {seed}: {out['attempted']} runs match the reference, 0 f
 PYEOF
 done
 
+echo "== traced figure smoke (every expected layer span fires; digests still match) =="
+# The traced pass wraps each layer and counts a run as failed when a
+# span in figbench/layers.py's EXPECTED_SPANS never fires, so a rewrite
+# that routes the migration, reclaim or daemon paths around their
+# wrappers fails here.
+for run in sweep-grid:0 fig5-ycsb:0; do
+    workload="${run%%:*}"
+    seed="${run##*:}"
+    LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 1 | tail -n 1)"
+    python - "$workload" "$seed" "$LAST" <<'PYEOF'
+import json, sys
+
+workload, seed, out = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+assert out["correct"] is True and out["failed"] == 0, (workload, seed, out)
+print(f"{workload} seed {seed} traced: {out['attempted']} runs match, every expected span fired")
+PYEOF
+done
+
 echo "CI OK"

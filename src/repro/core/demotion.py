@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DemotionDaemon"]
 
+_LOCKED = int(PageFlags.LOCKED)
+
 
 class DemotionDaemon:
     """Per-node kswapd running the Section III-C pressure pipeline.
@@ -106,7 +108,7 @@ class DemotionDaemon:
                 if result.scanned >= budget:
                     break
                 result.scanned += 1
-                moved_up = can_go_up and not page.test(PageFlags.LOCKED)
+                moved_up = can_go_up and not page.test(_LOCKED)
                 if moved_up:
                     moved_up = self.policy.promote_page(page)
                 if moved_up:

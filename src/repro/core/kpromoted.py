@@ -55,6 +55,12 @@ __all__ = ["KPromoted"]
 
 _NO_PFNS = np.empty(0, dtype=np.int64)
 
+# Flag bits bound once as plain ints (see repro.mm.flags).
+_REFERENCED = int(PageFlags.REFERENCED)
+_ACTIVE = int(PageFlags.ACTIVE)
+_PROMOTE_REFERENCED = int(PageFlags.PROMOTE | PageFlags.REFERENCED)
+_LRU = int(PageFlags.LRU)
+
 
 class KPromoted:
     """Promotion daemon bound to one node of a MULTI-CLOCK system."""
@@ -123,18 +129,17 @@ class KPromoted:
         self._observe(visited)
         col_acc = store.pte_accessed
         col_flags = store.flags
-        ref_bit = int(PageFlags.REFERENCED)
         # harvest_accessed across the whole segment: accessed AND mapped.
         acc = col_acc[visited] & (store.mapcount[visited] > 0)
         if acc.any():
             col_acc[visited[acc]] = False
-        ref = (col_flags[visited] & ref_bit) != 0
+        ref = (col_flags[visited] & _REFERENCED) != 0
         climb = acc & ref
         new_ref = acc & ~ref
         survivors = visited[~climb]
         n_ref = int(np.count_nonzero(new_ref))
         if n_ref:
-            col_flags[visited[new_ref]] |= ref_bit
+            col_flags[visited[new_ref]] |= _REFERENCED
         if budget > n:
             # The scan lapped the list.  Harvested bits are spent, so the
             # hand keeps turning over the survivors in rotation order, one
@@ -164,18 +169,18 @@ class KPromoted:
 
     def _climb(
         self, climbers: np.ndarray, kind: ListKind, is_anon: bool,
-        clear: PageFlags, gain: PageFlags,
+        clear: int, gain: int,
     ) -> None:
         """Put unlinked climbers at the head of ``kind``, in visit order."""
         store = self.policy.system.pagestore
-        store.flags[climbers] = (store.flags[climbers] & ~int(clear)) | int(gain)
+        store.flags[climbers] = (store.flags[climbers] & ~clear) | gain
         lst = self.node.lruvec.list_for(kind, is_anon)
-        store.prepend_head_block(lst, climbers, int(PageFlags.LRU))
+        store.prepend_head_block(lst, climbers, _LRU)
 
     def _scan_inactive(self, is_anon: bool, budget: int) -> ScanResult:
         """Advance referenced inactive pages up the ladder (edges 1, 6)."""
         result, climbers = self._sweep(ListKind.INACTIVE, is_anon, budget)
-        self._climb(climbers, ListKind.ACTIVE, is_anon, PageFlags.REFERENCED, PageFlags.ACTIVE)
+        self._climb(climbers, ListKind.ACTIVE, is_anon, _REFERENCED, _ACTIVE)
         result.activated = len(climbers)
         tr = self.policy.system.trace
         if tr is not None:
@@ -187,8 +192,7 @@ class KPromoted:
         """Move twice-referenced active pages to the promote list (edge 10)."""
         result, climbers = self._sweep(ListKind.ACTIVE, is_anon, budget)
         self._climb(
-            climbers, ListKind.PROMOTE, is_anon,
-            PageFlags.ACTIVE, PageFlags.PROMOTE | PageFlags.REFERENCED,
+            climbers, ListKind.PROMOTE, is_anon, _ACTIVE, _PROMOTE_REFERENCED,
         )
         result.to_promote_list = len(climbers)
         system = self.policy.system
@@ -218,7 +222,7 @@ class KPromoted:
             # page carried a stale second reference into its next ladder
             # pass instead of having to earn one.
             harvested = page.harvest_accessed()
-            referenced = page.test_and_clear(PageFlags.REFERENCED)
+            referenced = page.test_and_clear(_REFERENCED)
             accessed = harvested or referenced
             if not can_go_up or not accessed:
                 recycle_promote_to_active(self.node, page)

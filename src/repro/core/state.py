@@ -28,6 +28,12 @@ from repro.mm.page import Page
 
 __all__ = ["PageState", "classify", "move_to_promote", "recycle_promote_to_active"]
 
+# Flag bits bound once as plain ints (see repro.mm.flags).
+_REFERENCED = int(PageFlags.REFERENCED)
+_ACTIVE = int(PageFlags.ACTIVE)
+_PROMOTE = int(PageFlags.PROMOTE)
+_PROMOTE_REFERENCED = int(PageFlags.PROMOTE | PageFlags.REFERENCED)
+
 
 class PageState(enum.Enum):
     """Vertex names from Figure 4 (plus OFF_LRU for in-flight pages)."""
@@ -50,7 +56,7 @@ def classify(page: Page) -> PageState:
         return PageState.UNEVICTABLE
     if lst.kind is ListKind.PROMOTE:
         return PageState.PROMOTE
-    referenced = page.test(PageFlags.REFERENCED)
+    referenced = page.test(_REFERENCED)
     if lst.kind is ListKind.ACTIVE:
         return PageState.ACTIVE_REFERENCED if referenced else PageState.ACTIVE_UNREFERENCED
     return PageState.INACTIVE_REFERENCED if referenced else PageState.INACTIVE_UNREFERENCED
@@ -66,11 +72,11 @@ def move_to_promote(node: NumaNode, page: Page) -> None:
     The REFERENCED flag stays set: it records that the page earned its
     slot with a fresh reference, which kpromoted consumes at edge 13.
     """
-    if page.lru is not None:
-        page.lru.remove(page)
-    page.set(PageFlags.PROMOTE)
-    page.set(PageFlags.REFERENCED)
-    page.clear(PageFlags.ACTIVE)
+    lst = page.lru
+    if lst is not None:
+        lst.remove(page)
+    page.set(_PROMOTE_REFERENCED)
+    page.clear(_ACTIVE)
     node.lruvec.list_of(page, ListKind.PROMOTE).add_head(page)
 
 
@@ -85,10 +91,9 @@ def recycle_promote_to_active(
     they re-enter the active list with their recency intact rather than
     as immediate deactivation candidates.
     """
-    if page.lru is not None:
-        page.lru.remove(page)
-    page.clear(PageFlags.PROMOTE)
-    if not keep_referenced:
-        page.clear(PageFlags.REFERENCED)
-    page.set(PageFlags.ACTIVE)
+    lst = page.lru
+    if lst is not None:
+        lst.remove(page)
+    page.clear(_PROMOTE if keep_referenced else _PROMOTE_REFERENCED)
+    page.set(_ACTIVE)
     node.lruvec.list_of(page, ListKind.ACTIVE).add_head(page)

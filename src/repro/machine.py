@@ -422,8 +422,8 @@ class Machine:
                         awaiting = store.awaiting_ns
                         metrics = system.metrics
                         for i in np.flatnonzero(awaiting[seg] >= 0).tolist():
-                            pfn = int(seg[i])
-                            promoted_at = int(awaiting[pfn])
+                            pfn = seg.item(i)
+                            promoted_at = awaiting.item(pfn)
                             if promoted_at < 0:
                                 continue
                             awaiting[pfn] = -1

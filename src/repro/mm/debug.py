@@ -200,7 +200,7 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
         recount: dict[tuple[int, int], int] = {}  # (group id, node id) -> pages
         for node_id, resident in resident_by_node.items():
             for pfn in resident:
-                group_id = int(memcg_col[pfn])
+                group_id = memcg_col.item(pfn)
                 if group_id < 0:
                     continue  # uncharged frame (allocated before arming)
                 if group_id >= len(memcg.groups):

@@ -2,8 +2,12 @@
 
 The paper extends ``struct page``'s flag word with one new flag,
 ``PagePromote`` ("we also reused the space allocated for the page flags
-to maintain the newly defined flag").  We model the flag word as an
-IntFlag so tests can assert exact flag sets cheaply.
+to maintain the newly defined flag").  The flag word itself is the
+``int64`` ``flags`` column of the :class:`~repro.mm.pagestore.PageStore`.
+:class:`PageFlags` is the API for tests and cold code (``page.flags``
+decodes a word into one); the per-page hot paths mask the column with
+plain ``int`` bits instead.  Combining a member with a numpy scalar
+makes numpy probe the enum class for ``__array_ufunc__`` on every call.
 """
 
 from __future__ import annotations

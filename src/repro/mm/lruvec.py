@@ -27,9 +27,17 @@ from repro.mm.pagestore import NO_PFN, PageStore
 
 __all__ = ["ListKind", "LruList", "LruVec"]
 
+#: Bound once: every list insertion and removal flips it.
+_LRU = int(PageFlags.LRU)
 
-class ListKind(enum.Enum):
-    """Which logical list a page sits on (see Figure 4 of the paper)."""
+
+class ListKind(str, enum.Enum):
+    """Which logical list a page sits on (see Figure 4 of the paper).
+
+    The ``str`` mixin gives members ``str``'s C-level hash, so the
+    ``LruVec.list_for`` lookup on every list move skips
+    ``Enum.__hash__``, which is Python code.
+    """
 
     INACTIVE = "inactive"
     ACTIVE = "active"
@@ -90,7 +98,7 @@ class LruList:
     def _admit(self, page: Page) -> int:
         """Common entry checks for add_head/add_tail; returns the pfn."""
         store = page._store
-        if store.lru_id[page.pfn] >= 0:
+        if store.lru_id.item(page.pfn) >= 0:
             raise ValueError(f"{page!r} is already on list {page.lru.name}")
         if self._store is None:
             self._bind(store)
@@ -112,7 +120,8 @@ class LruList:
         if self._tail < 0:
             self._tail = pfn
         store.lru_id[pfn] = self.list_id
-        store.flags[pfn] |= int(PageFlags.LRU)
+        flags = store.flags
+        flags[pfn] = flags.item(pfn) | _LRU
         self._count += 1
 
     def add_tail(self, page: Page) -> None:
@@ -127,17 +136,18 @@ class LruList:
         if self._head < 0:
             self._head = pfn
         store.lru_id[pfn] = self.list_id
-        store.flags[pfn] |= int(PageFlags.LRU)
+        flags = store.flags
+        flags[pfn] = flags.item(pfn) | _LRU
         self._count += 1
 
     def remove(self, page: Page) -> None:
         """Unlink ``page`` from this list in O(1)."""
         store = page._store
         pfn = page.pfn
-        if store is not self._store or store.lru_id[pfn] != self.list_id:
+        if store is not self._store or store.lru_id.item(pfn) != self.list_id:
             raise ValueError(f"{page!r} is not on list {self.name}")
-        prev = int(store.lru_prev[pfn])
-        nxt = int(store.lru_next[pfn])
+        prev = store.lru_prev.item(pfn)
+        nxt = store.lru_next.item(pfn)
         if prev >= 0:
             store.lru_next[prev] = nxt
         else:
@@ -148,7 +158,8 @@ class LruList:
             self._tail = prev
         store.lru_prev[pfn] = store.lru_next[pfn] = NO_PFN
         store.lru_id[pfn] = -1
-        store.flags[pfn] &= ~int(PageFlags.LRU)
+        flags = store.flags
+        flags[pfn] = flags.item(pfn) & ~_LRU
         self._count -= 1
 
     def pop_tail(self) -> Page | None:
@@ -163,12 +174,12 @@ class LruList:
         """Move ``page`` to the MRU end — the CLOCK second chance."""
         store = page._store
         pfn = page.pfn
-        if store is not self._store or store.lru_id[pfn] != self.list_id:
+        if store is not self._store or store.lru_id.item(pfn) != self.list_id:
             raise ValueError(f"{page!r} is not on list {self.name}")
         if self._head == pfn:
             return
-        prev = int(store.lru_prev[pfn])
-        nxt = int(store.lru_next[pfn])
+        prev = store.lru_prev.item(pfn)
+        nxt = store.lru_next.item(pfn)
         store.lru_next[prev] = nxt  # prev exists: pfn is not the head
         if nxt >= 0:
             store.lru_prev[nxt] = prev
@@ -184,7 +195,7 @@ class LruList:
         cursor = self._tail
         store = self._store
         while cursor >= 0:
-            nxt = int(store.lru_prev[cursor])
+            nxt = store.lru_prev.item(cursor)
             yield store.pages[cursor]
             cursor = nxt
 
@@ -192,7 +203,7 @@ class LruList:
         cursor = self._head
         store = self._store
         while cursor >= 0:
-            nxt = int(store.lru_next[cursor])
+            nxt = store.lru_next.item(cursor)
             yield store.pages[cursor]
             cursor = nxt
 
@@ -220,7 +231,8 @@ class LruVec:
 
     def list_of(self, page: Page, kind: ListKind) -> LruList:
         """The list of ``kind`` matching the page's anon/file family."""
-        return self.list_for(kind, page.is_anon)
+        is_anon = None if kind is ListKind.UNEVICTABLE else page.is_anon
+        return self._lists[(kind, is_anon)]
 
     def all_lists(self) -> list[LruList]:
         return list(self._lists.values())

@@ -181,7 +181,7 @@ class MemcgController:
     def uncharge(self, page: "Page") -> None:
         """Drop a page's charge when its frame is released."""
         store = self.system.pagestore
-        group_id = int(store.memcg_id[page.pfn])
+        group_id = store.memcg_id.item(page.pfn)
         if group_id < 0:
             return
         store.memcg_id[page.pfn] = -1
@@ -191,7 +191,7 @@ class MemcgController:
 
     def note_migrated(self, page: "Page", source_id: int, dest_id: int) -> None:
         """Move a page's charge between nodes on tier migration."""
-        group_id = int(self.system.pagestore.memcg_id[page.pfn])
+        group_id = self.system.pagestore.memcg_id.item(page.pfn)
         if group_id < 0:
             return
         group = self.groups[group_id]
@@ -259,7 +259,7 @@ class MemcgController:
         chance, so the shared shrinkers reclaim the offending tenant
         harder while everyone else keeps vanilla behaviour (weight 1).
         """
-        group_id = int(self.system.pagestore.memcg_id[pfn])
+        group_id = self.system.pagestore.memcg_id.item(pfn)
         if group_id < 0:
             return 1
         return 2 if self.groups[group_id].over_limit() else 1

@@ -27,6 +27,10 @@ __all__ = ["MigrationEngine", "MigrationOutcome", "MAX_MIGRATE_ATTEMPTS"]
 MAX_MIGRATE_ATTEMPTS = 10
 """Kernel ``migrate_pages()`` retries a failing page up to 10 times."""
 
+#: Bound once: every attempt reads them against the page's flag word.
+_LOCKED = int(PageFlags.LOCKED)
+_UNEVICTABLE = int(PageFlags.UNEVICTABLE)
+
 
 class MigrationOutcome(enum.Enum):
     """Why a migration attempt succeeded or failed."""
@@ -124,10 +128,11 @@ class MigrationEngine:
         self._c_attempts.n += 1
         if dest.node_id == source.node_id:
             return MigrationOutcome.SAME_NODE
-        if page.test(PageFlags.LOCKED):
+        flags = page._store.flags.item(page.pfn)
+        if flags & _LOCKED:
             self._c_failed_locked.n += 1
             return MigrationOutcome.PAGE_LOCKED
-        if page.test(PageFlags.UNEVICTABLE):
+        if flags & _UNEVICTABLE:
             self._c_failed_unevictable.n += 1
             return MigrationOutcome.PAGE_UNEVICTABLE
         if not dest.can_allocate():
@@ -141,8 +146,9 @@ class MigrationEngine:
             self._clock.advance_system(self._hardware.migrate_ns())
             return MigrationOutcome.COPY_FAILED
 
-        if page.lru is not None:
-            page.lru.remove(page)
+        lst = page.lru
+        if lst is not None:
+            lst.remove(page)
         source.release_frame(page)
         dest.adopt_page(page)
         if self.memcg is not None:

@@ -66,7 +66,7 @@ class Page:
 
     @property
     def node_id(self) -> int:
-        return int(self._store.node[self.pfn])
+        return self._store.node.item(self.pfn)
 
     @node_id.setter
     def node_id(self, value: int) -> None:
@@ -74,11 +74,11 @@ class Page:
 
     @property
     def is_anon(self) -> bool:
-        return bool(self._store.is_anon[self.pfn])
+        return self._store.is_anon.item(self.pfn)
 
     @property
     def flags(self) -> PageFlags:
-        return PageFlags(int(self._store.flags[self.pfn]))
+        return PageFlags(self._store.flags.item(self.pfn))
 
     @flags.setter
     def flags(self, value: int) -> None:
@@ -86,7 +86,7 @@ class Page:
 
     @property
     def born_ns(self) -> int:
-        return int(self._store.born_ns[self.pfn])
+        return self._store.born_ns.item(self.pfn)
 
     @born_ns.setter
     def born_ns(self, value: int) -> None:
@@ -94,7 +94,7 @@ class Page:
 
     @property
     def last_promoted_ns(self) -> int:
-        return int(self._store.last_promoted[self.pfn])
+        return self._store.last_promoted.item(self.pfn)
 
     @last_promoted_ns.setter
     def last_promoted_ns(self, value: int) -> None:
@@ -102,11 +102,13 @@ class Page:
 
     @property
     def lru(self) -> "LruList | None":
-        return self._store.lru_of(self.pfn)
+        store = self._store
+        list_id = store.lru_id.item(self.pfn)
+        return None if list_id < 0 else store.lists[list_id]
 
     @property
     def lru_prev(self) -> "Page | None":
-        neighbour = self._store.lru_prev[self.pfn]
+        neighbour = self._store.lru_prev.item(self.pfn)
         return None if neighbour < 0 else self._store.pages[neighbour]
 
     @lru_prev.setter
@@ -115,7 +117,7 @@ class Page:
 
     @property
     def lru_next(self) -> "Page | None":
-        neighbour = self._store.lru_next[self.pfn]
+        neighbour = self._store.lru_next.item(self.pfn)
         return None if neighbour < 0 else self._store.pages[neighbour]
 
     @lru_next.setter
@@ -123,22 +125,30 @@ class Page:
         self._store.lru_next[self.pfn] = -1 if page is None else page.pfn
 
     # -- flag helpers (named after their page-flags.h counterparts) -------
+    #
+    # ``flag`` is a PageFlags member or mask, or its int value.  The word
+    # is read with ``.item()`` and masked with ``int(flag)``: a member
+    # combined with a numpy scalar makes numpy probe the enum class for
+    # ``__array_ufunc__``, which costs tens of times the mask itself.
 
-    def test(self, flag: PageFlags) -> bool:
-        return bool(self._store.flags[self.pfn] & flag)
+    def test(self, flag: int) -> bool:
+        return self._store.flags.item(self.pfn) & int(flag) != 0
 
-    def set(self, flag: PageFlags) -> None:
-        self._store.flags[self.pfn] |= int(flag)
+    def set(self, flag: int) -> None:
+        column = self._store.flags
+        column[self.pfn] = column.item(self.pfn) | int(flag)
 
-    def clear(self, flag: PageFlags) -> None:
-        self._store.flags[self.pfn] &= ~int(flag)
+    def clear(self, flag: int) -> None:
+        column = self._store.flags
+        column[self.pfn] = column.item(self.pfn) & ~int(flag)
 
-    def test_and_clear(self, flag: PageFlags) -> bool:
+    def test_and_clear(self, flag: int) -> bool:
         """Atomically read and clear — how scans consume REFERENCED."""
         column = self._store.flags
-        was_set = bool(column[self.pfn] & flag)
-        column[self.pfn] &= ~int(flag)
-        return was_set
+        word = column.item(self.pfn)
+        bit = int(flag)
+        column[self.pfn] = word & ~bit
+        return word & bit != 0
 
     # -- reverse map -------------------------------------------------------
 
@@ -152,14 +162,14 @@ class Page:
         if not self.rmap:
             return False
         column = self._store.pte_accessed
-        if column[self.pfn]:
+        if column.item(self.pfn):
             column[self.pfn] = False
             return True
         return False
 
     def any_accessed(self) -> bool:
         """Peek at the accessed bits without clearing them."""
-        return bool(self.rmap) and bool(self._store.pte_accessed[self.pfn])
+        return bool(self.rmap) and self._store.pte_accessed.item(self.pfn)
 
     def harvest_dirty(self) -> bool:
         """Test-and-clear the PTE dirty bits across every mapping.
@@ -172,7 +182,7 @@ class Page:
         if not self.rmap:
             return False
         column = self._store.pte_dirty
-        if column[self.pfn]:
+        if column.item(self.pfn):
             column[self.pfn] = False
             return True
         return False

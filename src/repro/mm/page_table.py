@@ -58,7 +58,7 @@ class PageTableEntry:
     @property
     def accessed(self) -> bool:
         page = self.page
-        return bool(page._store.pte_accessed[page.pfn])
+        return page._store.pte_accessed.item(page.pfn)
 
     @accessed.setter
     def accessed(self, value: bool) -> None:
@@ -68,7 +68,7 @@ class PageTableEntry:
     @property
     def dirty(self) -> bool:
         page = self.page
-        return bool(page._store.pte_dirty[page.pfn])
+        return page._store.pte_dirty.item(page.pfn)
 
     @dirty.setter
     def dirty(self, value: bool) -> None:

@@ -133,10 +133,6 @@ class PageStore:
         self.lists.append(lst)
         return list_id
 
-    def lru_of(self, pfn: int) -> "LruList | None":
-        list_id = self.lru_id[pfn]
-        return None if list_id < 0 else self.lists[list_id]
-
     # -- vectorized list surgery --------------------------------------------
 
     def walk_tail(

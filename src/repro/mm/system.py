@@ -44,8 +44,10 @@ fires — the analogue of ``__alloc_pages_slowpath`` looping while reclaim
 keeps making progress."""
 
 
-#: Bound once: the access path sets it on every write.
+# Flag bits bound once as plain ints: the access path sets DIRTY on
+# every write, and the fault and eviction paths test UNEVICTABLE.
 _DIRTY = int(PageFlags.DIRTY)
+_UNEVICTABLE = int(PageFlags.UNEVICTABLE)
 
 
 class OutOfMemoryError(RuntimeError):
@@ -88,6 +90,17 @@ class MemorySystem:
         self._node_tier = [node.tier for node in self.nodes.values()]
         self._node_socket = [node.socket for node in self.nodes.values()]
         self._node_is_dram = [tier is MemoryTier.DRAM for tier in self._node_tier]
+        # For the same reason the per-tier node sets the movement helpers
+        # pick from are built once; only free-frame counts change.
+        self._tier_nodes = {
+            tier: tuple(node for node in self.nodes.values() if node.tier is tier)
+            for tier in MemoryTier
+        }
+        self._socket_tier_nodes = {
+            (tier, socket): tuple(node for node in nodes if node.socket == socket)
+            for tier, nodes in self._tier_nodes.items()
+            for socket in range(config.sockets)
+        }
         self.allocator = PageAllocator(list(self.nodes.values()))
         self.migrator = MigrationEngine(self.nodes, self.hardware, self.clock, self.stats)
         self.backing = BackingStore(config.swap_pages)
@@ -169,14 +182,19 @@ class MemorySystem:
 
     # -- node queries ---------------------------------------------------------
 
-    def nodes_in_tier(self, tier: MemoryTier) -> list[NumaNode]:
-        return [node for node in self.nodes.values() if node.tier is tier]
+    def nodes_in_tier(
+        self, tier: MemoryTier, socket: int | None = None
+    ) -> tuple[NumaNode, ...]:
+        """``tier``'s nodes in node-id order, or only those on ``socket``."""
+        if socket is None:
+            return self._tier_nodes[tier]
+        return self._socket_tier_nodes.get((tier, socket), ())
 
-    def dram_nodes(self) -> list[NumaNode]:
-        return self.nodes_in_tier(MemoryTier.DRAM)
+    def dram_nodes(self) -> tuple[NumaNode, ...]:
+        return self._tier_nodes[MemoryTier.DRAM]
 
-    def pm_nodes(self) -> list[NumaNode]:
-        return self.nodes_in_tier(MemoryTier.PM)
+    def pm_nodes(self) -> tuple[NumaNode, ...]:
+        return self._tier_nodes[MemoryTier.PM]
 
     def tier_of(self, page: Page) -> MemoryTier:
         return self.nodes[page.node_id].tier
@@ -263,7 +281,7 @@ class MemorySystem:
         but only if it arrives within the re-access horizon.  Callers
         skip it while nothing awaits a re-access."""
         column = self.pagestore.awaiting_ns
-        promoted_at = int(column[page.pfn])
+        promoted_at = column.item(page.pfn)
         if promoted_at < 0:
             return
         column[page.pfn] = -1
@@ -297,7 +315,7 @@ class MemorySystem:
         if self.memcg is not None:
             self.memcg.commit_charge(page, process)
         if region.mlocked:
-            page.set(PageFlags.UNEVICTABLE)
+            page.set(_UNEVICTABLE)
         self.policy.on_page_allocated(page)
         return pte, charged
 
@@ -415,7 +433,7 @@ class MemorySystem:
                 continue  # shared file page still mapped elsewhere
             if page.lru is not None:
                 page.lru.remove(page)
-            page.clear(PageFlags.UNEVICTABLE)
+            page.clear(_UNEVICTABLE)
             if self.memcg is not None:
                 self.memcg.uncharge(page)
             self.nodes[page.node_id].release_frame(page)
@@ -436,7 +454,7 @@ class MemorySystem:
         refaults.  Raises MemoryError if the swap area is full (the OOM
         precondition).
         """
-        if page.test(PageFlags.UNEVICTABLE):
+        if page.test(_UNEVICTABLE):
             raise ValueError("unevictable pages cannot be evicted")
         latency = self.hardware.latency
         charged = 0
@@ -452,7 +470,7 @@ class MemorySystem:
             process.page_table.unmap(pte.vpage)
             if page.is_anon:
                 self.backing.swap_out(pte.process_id, pte.vpage)
-        if page.is_anon or page.test(PageFlags.DIRTY):
+        if page.is_anon or page.test(_DIRTY):
             self.clock.advance_system(latency.swap_out_ns)
             charged += latency.swap_out_ns
         if not page.is_anon:

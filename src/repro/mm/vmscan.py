@@ -51,6 +51,14 @@ PromoteListFn = Callable[[list[int]], None]
 #: higher strips the page's second chance (memcg proportional reclaim).
 ScanWeightFn = Callable[[int], int]
 
+# Flag bits bound once as plain ints (see repro.mm.flags).
+_REFERENCED = int(PageFlags.REFERENCED)
+_ACTIVE = int(PageFlags.ACTIVE)
+_PROMOTE = int(PageFlags.PROMOTE)
+_UNEVICTABLE = int(PageFlags.UNEVICTABLE)
+_PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
+_LRU = int(PageFlags.LRU)
+
 
 @dataclass
 class ScanResult:
@@ -86,25 +94,25 @@ def mark_page_accessed(
     Pages already on a promote list stay there (12).
     """
     lst = page.lru
-    if lst is None or page.test(PageFlags.UNEVICTABLE):
+    if lst is None or page.test(_UNEVICTABLE):
         return
     node = system.nodes[page.node_id]
     if lst.kind is ListKind.PROMOTE:
-        page.set(PageFlags.REFERENCED)
+        page.set(_REFERENCED)
         return
     if lst.kind is ListKind.INACTIVE:
-        if page.test(PageFlags.REFERENCED):
+        if page.test(_REFERENCED):
             _activate(node, page)
             if system.trace is not None:
                 system.trace.trace_mm_lru_activate(node.node_id, page.pfn, "mark_accessed")
         else:
-            page.set(PageFlags.REFERENCED)
+            page.set(_REFERENCED)
         return
     if lst.kind is ListKind.ACTIVE:
-        if page.test(PageFlags.REFERENCED) and on_second_reference is not None:
+        if page.test(_REFERENCED) and on_second_reference is not None:
             on_second_reference(node, page)
         else:
-            page.set(PageFlags.REFERENCED)
+            page.set(_REFERENCED)
 
 
 def deactivate_excess_active(
@@ -146,9 +154,6 @@ def deactivate_excess_active(
     col_flags = store.flags
     col_acc = store.pte_accessed
     col_map = store.mapcount
-    ref_bit = int(PageFlags.REFERENCED)
-    active_bit = int(PageFlags.ACTIVE)
-    lru_bit = int(PageFlags.LRU)
     while result.scanned < budget:
         n = len(active)
         if n == 0:
@@ -161,7 +166,7 @@ def deactivate_excess_active(
         hit = visited[acc]
         if len(hit):
             col_acc[hit] = False
-        ref = (col_flags[visited] & ref_bit) != 0
+        ref = (col_flags[visited] & _REFERENCED) != 0
         heavy = np.zeros(k, dtype=bool) if memcg is None else memcg.over_limit_mask(visited)
         if on_promote_list_add is None:
             climb = np.zeros(k, dtype=bool)
@@ -171,10 +176,10 @@ def deactivate_excess_active(
         drop = ~keep & ~climb
         gain_ref = visited[keep & acc & ~ref]
         if len(gain_ref):
-            col_flags[gain_ref] |= ref_bit
+            col_flags[gain_ref] |= _REFERENCED
         lose_ref = visited[keep & ~acc]
         if len(lose_ref):
-            col_flags[lose_ref] &= ~ref_bit
+            col_flags[lose_ref] &= ~_REFERENCED
         if tr is not None:
             _trace_deactivate_pass(tr, node.node_id, visited, heavy, climb, drop)
         result.scanned += k
@@ -187,14 +192,14 @@ def deactivate_excess_active(
         rest_tail = NO_PFN if k >= n else int(store.lru_prev[int(visited[-1])])
         store.rebuild_after_scan(active, survivors, rest_tail, k - len(survivors))
         if len(demoted):
-            col_flags[demoted] &= ~(active_bit | ref_bit)
-            store.prepend_head_block(inactive, demoted, lru_bit)
+            col_flags[demoted] &= ~(_ACTIVE | _REFERENCED)
+            store.prepend_head_block(inactive, demoted, _LRU)
             result.deactivated += len(demoted)
         if len(climbers):
-            col_flags[climbers] = (col_flags[climbers] & ~active_bit) | (
-                int(PageFlags.PROMOTE) | ref_bit
+            col_flags[climbers] = (col_flags[climbers] & ~_ACTIVE) | (
+                _PROMOTE | _REFERENCED
             )
-            store.prepend_head_block(promote, climbers, lru_bit)
+            store.prepend_head_block(promote, climbers, _LRU)
             result.to_promote_list += len(climbers)
             on_promote_list_add(climbers.tolist())
         if k >= n and not keep[:-1].any():
@@ -255,23 +260,21 @@ def shrink_inactive_list(
     if scan_weight is None and system.memcg is not None and system.memcg.has_limits:
         scan_weight = system.memcg.scan_weight
     tr = system.trace
-    # Per-page state lives in the store columns; hoist them and the flag
-    # masks so each visit costs a couple of int ops instead of a chain
-    # of Page property calls.  Nothing in this loop creates pages, so
-    # the columns cannot reallocate mid-scan.
+    # Per-page state lives in the store columns; hoist them so each
+    # visit costs a couple of ``.item()`` reads and int ops instead of a
+    # chain of Page property calls.  Nothing in this loop creates pages,
+    # so the columns cannot reallocate mid-scan.
     store = system.pagestore
     col_flags = store.flags
     col_acc = store.pte_accessed
     col_map = store.mapcount
-    pinned_mask = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
-    ref_bit = int(PageFlags.REFERENCED)
     for page in inactive.iter_from_tail():
         if result.scanned >= budget or (result.demoted + result.evicted) >= target_free:
             break
         result.scanned += 1
         pfn = page.pfn
-        flags = int(col_flags[pfn])
-        if flags & pinned_mask:
+        flags = col_flags.item(pfn)
+        if flags & _PINNED:
             # Rotate, don't just skip: a bare continue leaves the pinned
             # page at the tail, so every subsequent scan burns budget
             # re-visiting it and reclaim stalls behind it.
@@ -279,17 +282,17 @@ def shrink_inactive_list(
             continue
         # Inlined Page.harvest_accessed: test-and-clear the PTE accessed
         # bit, counting only mapped pages.
-        accessed = bool(col_acc[pfn]) and col_map[pfn] > 0
+        accessed = col_acc.item(pfn) and col_map.item(pfn) > 0
         if accessed:
             col_acc[pfn] = False
             if scan_weight is None or scan_weight(pfn) <= 1:
-                if flags & ref_bit:
+                if flags & _REFERENCED:
                     _activate(node, page)
                     result.activated += 1
                     if tr is not None:
                         tr.trace_mm_lru_activate(node.node_id, pfn, scanner)
                     continue
-                col_flags[pfn] = flags | ref_bit
+                col_flags[pfn] = flags | _REFERENCED
                 inactive.rotate_to_head(page)
                 result.referenced += 1
                 continue
@@ -300,7 +303,7 @@ def shrink_inactive_list(
             if outcome.ok:
                 # Fresh read-modify-write: migration may have touched
                 # the flag word since it was sampled above.
-                col_flags[pfn] &= ~ref_bit
+                col_flags[pfn] = col_flags.item(pfn) & ~_REFERENCED
                 demote_dest.lruvec.list_for(ListKind.INACTIVE, is_anon).add_head(page)
                 result.demoted += 1
                 if tr is not None:
@@ -332,8 +335,9 @@ def shrink_inactive_list(
 
 def _activate(node: NumaNode, page: Page) -> None:
     """Move a page to its active list head (edge 6)."""
-    if page.lru is not None:
-        page.lru.remove(page)
-    page.clear(PageFlags.REFERENCED)
-    page.set(PageFlags.ACTIVE)
-    node.lruvec.list_for(ListKind.ACTIVE, page.is_anon).add_head(page)
+    lst = page.lru
+    if lst is not None:
+        lst.remove(page)
+    page.clear(_REFERENCED)
+    page.set(_ACTIVE)
+    node.lruvec.list_of(page, ListKind.ACTIVE).add_head(page)

@@ -40,6 +40,10 @@ HISTORY_BITS = 4
 
 _HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
+# Flag bits bound once as plain ints (see repro.mm.flags).
+_PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
+_REFERENCED_ACTIVE = int(PageFlags.REFERENCED | PageFlags.ACTIVE)
+
 
 class HintFaultScanner:
     """Round-robin PTE poisoner shared by the hint-fault policies.
@@ -230,13 +234,12 @@ class AutoTieringOPM(_HintFaultPolicy):
                     scanned += 1
                     if (page.policy_data or 0) != 0:
                         continue
-                    if page.test(PageFlags.LOCKED) or page.test(PageFlags.UNEVICTABLE):
+                    if page.test(_PINNED):
                         continue
                     if not dest.can_allocate():
                         break
                     if self.system.migrator.migrate(page, dest).ok:
-                        page.clear(PageFlags.REFERENCED)
-                        page.clear(PageFlags.ACTIVE)
+                        page.clear(_REFERENCED_ACTIVE)
                         dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
                         demoted += 1
         self.system.stats.inc("opm.cold_demotions", demoted)

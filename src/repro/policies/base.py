@@ -28,9 +28,10 @@ from repro.sim.events import Daemon
 
 __all__ = ["PolicyFeatures", "TieringPolicy", "register_policy", "create_policy", "policy_names"]
 
-# Bound once: the allocation hook tests this flag on every fault, and
-# Enum member lookup costs a ``__getattr__`` round trip per access.
+# Flag bits bound once as plain ints (see repro.mm.flags): the
+# allocation hook tests UNEVICTABLE on every fault.
 _UNEVICTABLE = int(PageFlags.UNEVICTABLE)
+_PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class TieringPolicy(abc.ABC):
     def on_page_allocated(self, page: Page) -> None:
         """Place a freshly faulted page; default: inactive-list head."""
         node = self.system.nodes[page.node_id]
-        if page._store.flags[page.pfn] & _UNEVICTABLE:
+        if page.test(_UNEVICTABLE):
             node.lruvec.list_for(ListKind.UNEVICTABLE).add_head(page)
             return
         node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
@@ -132,7 +133,7 @@ class TieringPolicy(abc.ABC):
                 for page in lst.iter_from_tail():
                     if freed >= target:
                         return freed
-                    if page.test(PageFlags.LOCKED) or page.test(PageFlags.UNEVICTABLE):
+                    if page.test(_PINNED):
                         continue
                     try:
                         self.system.unmap_and_evict(page)

@@ -9,6 +9,8 @@ what differentiates the policies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.mm.flags import PageFlags
 from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
@@ -25,8 +27,14 @@ __all__ = [
     "demand_demote",
 ]
 
+# Flag bits bound once as plain ints (see repro.mm.flags).
+_PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
+_PROMOTE_REFERENCED = int(PageFlags.PROMOTE | PageFlags.REFERENCED)
+_REFERENCED = int(PageFlags.REFERENCED)
+_ACTIVE = int(PageFlags.ACTIVE)
 
-def roomiest(nodes: list[NumaNode]) -> NumaNode | None:
+
+def roomiest(nodes: Iterable[NumaNode]) -> NumaNode | None:
     """The node with the most free frames, or None for an empty list."""
     return max(nodes, key=lambda n: n.free_pages, default=None)
 
@@ -47,24 +55,17 @@ def promotion_destination(
 
     NUMA awareness (Table I): promoting a page across the interconnect
     would trade PM latency for remote-DRAM latency, so the owner's local
-    DRAM node wins whenever it exists; among equals, most free frames.
+    DRAM node wins whenever it exists, even when full: demand demotion
+    then happens there rather than spilling the hot page to a remote
+    socket.  Among equals, most free frames — so a local node with room
+    beats a full one.
     """
-    candidates = system.dram_nodes()
-    if not candidates:
-        return None
     socket = owner_socket(system, page) if page is not None else None
     if socket is not None:
-        local = [node for node in candidates if node.socket == socket]
-        remote = [node for node in candidates if node.socket != socket]
-        with_room = [node for node in local if node.can_allocate()]
-        if with_room:
-            return roomiest(with_room)
+        local = system.nodes_in_tier(MemoryTier.DRAM, socket)
         if local:
-            # Local exists but is full: demand demotion happens there
-            # rather than spilling the hot page to a remote socket.
             return roomiest(local)
-        candidates = remote
-    return roomiest(candidates)
+    return roomiest(system.dram_nodes())
 
 
 def demotion_destination(system: MemorySystem, node: NumaNode) -> NumaNode | None:
@@ -72,11 +73,10 @@ def demotion_destination(system: MemorySystem, node: NumaNode) -> NumaNode | Non
     lower = node.tier.next_lower()
     if lower is None:
         return None
-    candidates = system.nodes_in_tier(lower)
-    local = [n for n in candidates if n.socket == node.socket and n.can_allocate()]
-    if local:
-        return roomiest(local)
-    return roomiest(candidates)
+    local = roomiest(system.nodes_in_tier(lower, node.socket))
+    if local is not None and local.can_allocate():
+        return local
+    return roomiest(system.nodes_in_tier(lower))
 
 
 def promote_page(
@@ -104,12 +104,11 @@ def promote_page(
     outcome = system.migrator.migrate_with_retry(page, dest)
     if not outcome.ok:
         return False
-    page.clear(PageFlags.PROMOTE)
-    page.clear(PageFlags.REFERENCED)
+    page.clear(_PROMOTE_REFERENCED)
     if place is ListKind.ACTIVE:
-        page.set(PageFlags.ACTIVE)
+        page.set(_ACTIVE)
     else:
-        page.clear(PageFlags.ACTIVE)
+        page.clear(_ACTIVE)
     dest.lruvec.list_of(page, place).add_head(page)
     return True
 
@@ -141,10 +140,10 @@ def demand_demote(system: MemorySystem, dram_node: NumaNode, pages: int) -> bool
         for page in inactive.iter_from_tail():
             if freed >= pages:
                 return True
-            if page.test(PageFlags.LOCKED) or page.test(PageFlags.UNEVICTABLE):
+            if page.test(_PINNED):
                 continue
             if system.migrator.migrate_with_retry(page, dest).ok:
-                page.clear(PageFlags.REFERENCED)
+                page.clear(_REFERENCED)
                 dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
                 freed += 1
     return freed >= pages

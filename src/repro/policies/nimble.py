@@ -32,6 +32,8 @@ from repro.sim.events import Daemon
 
 __all__ = ["NimblePolicy"]
 
+_REFERENCED = int(PageFlags.REFERENCED)
+
 
 @register_policy("nimble")
 class NimblePolicy(TieringPolicy):
@@ -102,10 +104,10 @@ class NimblePolicy(TieringPolicy):
                     if result.scanned >= budget:
                         break
                     result.scanned += 1
-                    accessed = page.harvest_accessed() or page.test(PageFlags.REFERENCED)
+                    accessed = page.harvest_accessed() or page.test(_REFERENCED)
                     if accessed and movement.promote_page(system, page, make_room=True):
                         system.stats.inc("nimble.promotions")
                     elif accessed:
-                        page.set(PageFlags.REFERENCED)
+                        page.set(_REFERENCED)
         system.stats.inc("nimble.scan_runs")
         return system.hardware.scan_ns(result.scanned)

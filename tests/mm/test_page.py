@@ -1,5 +1,7 @@
 """Unit tests for Page flags and reverse-map harvesting."""
 
+import pytest
+
 from repro.mm.flags import PageFlags
 from repro.mm.page import Page
 from repro.mm.page_table import PageTable
@@ -23,6 +25,57 @@ def test_test_and_clear():
     page.set(PageFlags.REFERENCED)
     assert page.test_and_clear(PageFlags.REFERENCED) is True
     assert page.test_and_clear(PageFlags.REFERENCED) is False
+
+
+SINGLE_FLAGS = [flag for flag in PageFlags if flag]
+PINNED = PageFlags.LOCKED | PageFlags.UNEVICTABLE
+
+
+def test_every_flag_is_covered():
+    assert len(SINGLE_FLAGS) == 8
+    assert all(bin(flag).count("1") == 1 for flag in SINGLE_FLAGS)
+
+
+@pytest.mark.parametrize("flag", [*SINGLE_FLAGS, PINNED], ids=lambda f: f.name)
+@pytest.mark.parametrize("as_int", [False, True], ids=["member", "int"])
+def test_flag_helpers_agree_with_the_flag_word(flag, as_int):
+    """Each helper returns a Python bool (or None) and moves exactly the
+    bits of ``flag``, whether it is passed as a member or a plain int."""
+    page = Page(0)
+    # Every other bit set, so a helper touching the wrong bit shows.
+    others = PageFlags(sum(f for f in SINGLE_FLAGS if not f & flag))
+    page.flags = others
+    arg = int(flag) if as_int else flag
+
+    assert page.test(arg) is False
+    assert page.test(arg) == bool(page.flags & flag)
+    assert page.set(arg) is None
+    assert PageFlags(page.flags) == others | flag
+    assert page.test(arg) is True
+    assert page.test(arg) == bool(page.flags & flag)
+
+    assert page.test_and_clear(arg) is True
+    assert PageFlags(page.flags) == others
+    assert page.test_and_clear(arg) is False
+    assert PageFlags(page.flags) == others
+
+    page.set(arg)
+    assert page.clear(arg) is None
+    assert PageFlags(page.flags) == others
+    assert page.test(arg) is False
+
+
+def test_mask_tests_any_of_its_bits():
+    """A two-bit mask reads as set when either bit is, as the pinned test
+    (LOCKED or UNEVICTABLE) needs; clearing it clears both."""
+    for bit in (PageFlags.LOCKED, PageFlags.UNEVICTABLE):
+        page = Page(0)
+        page.set(bit)
+        assert page.test(PINNED) is True
+        assert page.test(PINNED) == bool(page.flags & PINNED)
+    page.set(PINNED)
+    assert page.test_and_clear(PINNED) is True
+    assert page.flags == PageFlags.NONE
 
 
 def test_flags_are_independent():
