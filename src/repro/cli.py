@@ -15,8 +15,6 @@ Commands:
   (``--html``).
 * ``record`` / ``replay`` — capture a workload's access trace to a file,
   or replay a trace under any policy.
-* ``bench`` — host-wall-clock microbenchmarks of the simulator's hot
-  paths, written to ``BENCH_perf.json`` (``--smoke`` for CI sizes).
 * ``check`` — run a workload with the ``CONFIG_DEBUG_VM`` invariant
   checker sweeping periodically; nonzero exit on any violation.
 * ``chaos`` — run a policy × workload matrix under a fault schedule and
@@ -186,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p = sub.add_parser("replay", help="replay a recorded trace")
     rep_p.add_argument("path", help="trace file to replay")
     _add_machine_args(rep_p)
-
-    bench_p = sub.add_parser("bench", help="run the hot-path microbenchmarks")
-    bench_p.add_argument("--smoke", action="store_true",
-                         help="CI-sized workloads (seconds, not minutes)")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="timing repeats per benchmark (best-of)")
-    bench_p.add_argument("--out", default=None,
-                         help="output JSON path (default BENCH_perf.json)")
 
     check_p = sub.add_parser(
         "check", help="run a workload under the VM invariant checker"
@@ -428,17 +418,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     replay = TraceReplayWorkload(args.path)
     result = run_workload(replay, _build_config(args), policy=args.policy)
     print(result.summary())
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    results = bench.run_suite(smoke=args.smoke, repeats=args.repeats)
-    out = args.out or bench.DEFAULT_OUT
-    bench.write_results(results, out)
-    print(bench.render(results))
-    print(f"results written to {out}")
     return 0
 
 
@@ -924,8 +903,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_record(args)
     if args.command == "replay":
         return _cmd_replay(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "check":
         return _cmd_check(args)
     if args.command == "chaos":
