@@ -88,8 +88,8 @@ class Journal:
         self._fh.flush()
 
     def begin(self, span: str, *, actor: str = "driver",
-              cell: str | None = None, lease: str | None = None,
-              t: float | None = None, **fields: Any) -> str:
+              cell: str | None = None, t: float | None = None,
+              **fields: Any) -> str:
         """Open a span; returns its sid (pass to :meth:`end`)."""
         with self._lock:
             self._sid += 1
@@ -100,13 +100,9 @@ class Journal:
             }
             if cell is not None:
                 record["cell"] = cell
-            if lease is not None:
-                record["lease"] = lease
             if fields:
                 record["fields"] = fields
-            self._open[sid] = {
-                "span": span, "actor": actor, "cell": cell, "lease": lease,
-            }
+            self._open[sid] = {"span": span, "actor": actor, "cell": cell}
             self._write(record)
             return sid
 
@@ -130,15 +126,13 @@ class Journal:
         }
         if skeleton.get("cell") is not None:
             record["cell"] = skeleton["cell"]
-        if skeleton.get("lease") is not None:
-            record["lease"] = skeleton["lease"]
         if fields:
             record["fields"] = fields
         self._write(record)
 
     def point(self, span: str, *, actor: str = "driver",
-              cell: str | None = None, lease: str | None = None,
-              t: float | None = None, **fields: Any) -> None:
+              cell: str | None = None, t: float | None = None,
+              **fields: Any) -> None:
         """A durationless event (commit, cache hit, note)."""
         with self._lock:
             record: dict[str, Any] = {
@@ -147,8 +141,6 @@ class Journal:
             }
             if cell is not None:
                 record["cell"] = cell
-            if lease is not None:
-                record["lease"] = lease
             if fields:
                 record["fields"] = fields
             self._write(record)
@@ -186,7 +178,6 @@ class Span:
     t0: float
     t1: float | None = None
     cell: str | None = None
-    lease: str | None = None
     fields: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -246,7 +237,6 @@ def pair_spans(events: Iterable[dict[str, Any]]) -> list[Span]:
                 actor=str(event.get("actor", "")),
                 t0=float(event.get("t", 0.0)),
                 cell=event.get("cell"),
-                lease=event.get("lease"),
                 fields=dict(event.get("fields") or {}),
             )
             order.append(sid)

@@ -78,13 +78,10 @@ def timeline_records(
     lanes = _Lanes()
     records: list[dict[str, Any]] = []
 
-    def args_for(cell: str | None, lease: str | None,
-                 fields: dict[str, Any]) -> dict[str, Any]:
+    def args_for(cell: str | None, fields: dict[str, Any]) -> dict[str, Any]:
         args = dict(fields)
         if cell:
             args["cell"] = cell
-        if lease:
-            args["lease"] = lease
         return args
 
     for span in pair_spans(events):
@@ -96,7 +93,7 @@ def timeline_records(
             "name": name, "ph": "X", "ts": t0_us,
             "dur": max(0.0, t1_us - t0_us),
             "pid": pid, "tid": tid,
-            "args": args_for(span.cell, span.lease, span.fields),
+            "args": args_for(span.cell, span.fields),
         })
 
     for event in events:
@@ -110,8 +107,7 @@ def timeline_records(
             "ph": "i", "s": "t",
             "ts": (float(event.get("t", epoch)) - epoch) * _US,
             "pid": pid, "tid": tid,
-            "args": args_for(cell, event.get("lease"),
-                             dict(event.get("fields") or {})),
+            "args": args_for(cell, dict(event.get("fields") or {})),
         })
 
     return lanes.meta + records, len(lanes.pids)

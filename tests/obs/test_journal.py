@@ -9,14 +9,14 @@ from repro.obs import Journal, pair_spans, read_journal
 def test_begin_end_pairing_merges_fields(tmp_path):
     path = str(tmp_path / "j.ndjson")
     journal = Journal(path)
-    sid = journal.begin("lease", cell="c1", lease="L1", attempt=1)
+    sid = journal.begin("cell.run", cell="c1", attempt=1)
     journal.end(sid, outcome="result", ok=True)
     journal.close()
 
     spans = pair_spans(read_journal(path))
     assert len(spans) == 1
     span = spans[0]
-    assert span.span == "lease" and span.cell == "c1" and span.lease == "L1"
+    assert span.span == "cell.run" and span.cell == "c1"
     assert span.complete and not span.aborted
     assert span.fields == {"attempt": 1, "outcome": "result", "ok": True}
     assert span.t1 >= span.t0
@@ -52,7 +52,7 @@ def test_close_synthesises_aborted_ends(tmp_path):
 def test_end_is_noop_for_unknown_or_settled_sids(tmp_path):
     path = str(tmp_path / "j.ndjson")
     journal = Journal(path)
-    sid = journal.begin("lease", cell="c1")
+    sid = journal.begin("cell.run", cell="c1")
     journal.end(sid, outcome="result")
     journal.end(sid, outcome="host-lost")  # second settle: dropped
     journal.end("nope")
@@ -75,7 +75,7 @@ def test_read_journal_tolerates_missing_and_torn_files(tmp_path):
 
 def test_pair_spans_keeps_incomplete_spans_visible():
     spans = pair_spans([
-        {"ev": "begin", "span": "lease", "sid": "d1", "actor": "driver",
+        {"ev": "begin", "span": "cell.run", "sid": "d1", "actor": "driver",
          "t": 1.0},
     ])
     assert len(spans) == 1
