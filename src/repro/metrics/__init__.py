@@ -3,8 +3,7 @@
 Off by default — a machine carries no registry until
 ``Machine.enable_metrics()`` installs one, and every instrumentation
 site guards on ``None``, so metrics-off runs are bit-identical to a
-build without this package (asserted against the recorded baselines and
-measured by the ``metrics`` entry of ``repro bench``).
+build without this package (asserted against the recorded baselines).
 """
 
 from repro.metrics.exposition import (
