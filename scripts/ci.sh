@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# One temp root for every step's scratch directory, removed on any exit.
+CI_TMP="$(mktemp -d)"
+trap 'rm -rf "$CI_TMP"' EXIT
+
 echo "== tier-1 tests (total and ten slowest) =="
 python -m pytest -x --durations=10
 
@@ -78,10 +82,11 @@ PYEOF
 echo "== chaos smoke (2 policies x 1 workload under faults) =="
 python -m repro chaos --policies multiclock,static --workload zipf \
     --pages 600 --ops 4000 --dram-pages 256 --pm-pages 2048 \
-    --interval 0.002 --out "$(mktemp -d)/CHAOS_report.json"
+    --interval 0.002 --out "$CI_TMP/CHAOS_report.json"
 
 echo "== sweep smoke (2 workers == sequential; forced crash retried) =="
-SWEEP_TMP="$(mktemp -d)"
+SWEEP_TMP="$CI_TMP/sweep"
+mkdir "$SWEEP_TMP"
 SWEEP_ARGS=(--policies static,multiclock --workload zipf
             --pages 400 --ops 3000 --dram-pages 128 --pm-pages 1024
             --interval 0.002)
@@ -141,7 +146,8 @@ cmp "$SWEEP_TMP/par.json" "$SWEEP_TMP/par.first.json"
 echo "cached CLI re-run: byte-identical report, zero workers spawned"
 
 echo "== observability smoke (journal -> top -> timeline -> byte-identity) =="
-OBS_TMP="$(mktemp -d)"
+OBS_TMP="$CI_TMP/obs"
+mkdir "$OBS_TMP"
 python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache --workers 2 --journal \
     --out "$OBS_TMP/armed.json" >/dev/null 2>&1
 python -m repro top "$OBS_TMP/armed.json" --once | grep -q "done 2"
@@ -170,7 +176,8 @@ cmp "$OBS_TMP/stripped.json" "$SWEEP_TMP/seq.json"
 echo "journal-armed report minus timing/profile is byte-identical to journal-off"
 
 echo "== trace smoke (run -> export -> audit) =="
-TRACE_TMP="$(mktemp -d)"
+TRACE_TMP="$CI_TMP/trace"
+mkdir "$TRACE_TMP"
 python -m repro trace --workload zipf --pages 600 --ops 4000 \
     --dram-pages 256 --pm-pages 2048 --interval 0.002 --no-summary \
     --ndjson "$TRACE_TMP/events.ndjson" --perfetto "$TRACE_TMP/events.json" \
@@ -182,7 +189,8 @@ python -m repro check --workload shifting-hotset --pages 800 --ops 6000 \
     --dram-pages 256 --pm-pages 2048 --interval 0.002 --strict
 
 echo "== metrics smoke (stat -> prometheus -> html dashboard) =="
-METRICS_TMP="$(mktemp -d)"
+METRICS_TMP="$CI_TMP/metrics"
+mkdir "$METRICS_TMP"
 METRICS_ARGS=(--workload zipf --pages 600 --ops 4000
               --dram-pages 256 --pm-pages 2048 --interval 0.002)
 python -m repro stat "${METRICS_ARGS[@]}" | grep -q node0_nr_free_pages
@@ -195,7 +203,8 @@ python -m repro report "${METRICS_ARGS[@]}" --html \
 grep -q "<svg" "$METRICS_TMP/REPORT.html"
 
 echo "== colocation smoke (3 tenants, memcg armed, OOM kill + co-tenants survive) =="
-COLO_TMP="$(mktemp -d)"
+COLO_TMP="$CI_TMP/colo"
+mkdir "$COLO_TMP"
 COLO_ARGS=(--tenants 3 --records 600 --ops 1500
            --dram-pages 96 --pm-pages 300 --swap-pages 16
            --limits none,80,none --seed 7)
