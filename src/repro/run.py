@@ -70,28 +70,6 @@ class RunResult:
     def demotions(self) -> int:
         return self.counters.get("migrate.demotions", 0)
 
-    @property
-    def migration_attempts(self) -> int:
-        """Every call into the migration engine, successful or not."""
-        return self.counters.get("migrate.attempts", 0)
-
-    @property
-    def migration_outcomes(self) -> dict[str, int]:
-        """Per-outcome totals: moves that landed and each failure reason."""
-        return {
-            "moved": self.promotions
-            + self.demotions
-            + self.counters.get("migrate.lateral", 0),
-            "copy_failed": self.counters.get("migrate.failed_copy", 0),
-            "dest_full": self.counters.get("migrate.failed_dest_full", 0),
-            "page_locked": self.counters.get("migrate.failed_locked", 0),
-            "page_unevictable": self.counters.get("migrate.failed_unevictable", 0),
-            "same_node": self.counters.get("migrate.failed_same_node", 0),
-            "retries": self.counters.get("migrate.retries", 0),
-            "retry_succeeded": self.counters.get("migrate.retry_succeeded", 0),
-            "retries_exhausted": self.counters.get("migrate.retries_exhausted", 0),
-        }
-
     def to_dict(self) -> dict[str, object]:
         """JSON-serialisable form; round-trips via :meth:`from_dict`.
 

@@ -101,14 +101,6 @@ class MotivationWorkload(Workload):
         self.tier_friendly = np.sort(ids[n_hot : n_hot + n_tier])
         self.rare = np.sort(ids[n_hot + n_tier :])
 
-    def page_class(self, vpage: int) -> str:
-        """Which population a page belongs to (for analysis/tests)."""
-        if vpage in set(self.dram_friendly.tolist()):
-            return "dram_friendly"
-        if vpage in set(self.tier_friendly.tolist()):
-            return "tier_friendly"
-        return "rare"
-
     def footprint_pages(self) -> int:
         return self.pages
 
