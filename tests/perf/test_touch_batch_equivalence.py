@@ -206,6 +206,32 @@ def test_warm_pass_never_detours(policy: str):
     )
 
 
+def test_hint_fault_stream_detours_stay_under_a_ceiling():
+    """A cold pass under hint faults detours at most 5,910 positions.
+
+    Results are bit-identical whatever ``SHORT_RUN`` is, so only this
+    count shows what the short-run cut-off costs: on this stream it
+    detours 1,408 positions (the minor faults alone) at 1, 2,053 at 4,
+    5,910 at 16 and 15,960 at 64.  The ceiling may only come down.
+    """
+    machine = Machine(_config(dram_pages=(256,), pm_pages=(2048,), seed=42),
+                      "nimble")
+    workload = ZipfWorkload(1500, 30_000, seed=42, write_ratio=0.2)
+    workload.setup(machine)
+    batches = list(workload.numeric_batches())
+    system = machine.system
+    touch = system.touch
+    calls = [0]
+
+    def counted(process, vpage, **kwargs):
+        calls[0] += 1
+        return touch(process, vpage, **kwargs)
+
+    system.touch = counted
+    machine.touch_batch_array(workload.process, batches, lines=workload.lines)
+    assert calls[0] <= 5910, f"cold hint-fault pass detoured {calls[0]} positions"
+
+
 def test_touch_batch_returns_access_and_operation_counts():
     machine = Machine(_config(), "static")
     workload = WORKLOADS["zipf"]()
