@@ -23,12 +23,14 @@ Commands:
   armed: tail the event stream, print per-event summaries, export
   NDJSON / perfetto JSON, and audit counters against the trace.
 * ``sweep`` — shard a policy × workload × seed grid across crash-
-  isolated worker processes (``--workers``), with per-cell retry,
-  ``--timeout-s`` kills, and a resumable manifest (``--resume``);
-  writes a deterministic ``SWEEP_report.json`` whose bytes do not
-  depend on the worker count.  ``--journal`` arms the control-plane
-  span journal (drives ``top``/``timeline`` and the report's
-  timing/profile sections).
+  isolated worker processes (``--workers``), with per-cell retry and
+  ``--timeout-s`` kills; finished cells land in a content-addressed
+  result cache (``<out>.cache``, ``--cache-dir``), so a re-run — after
+  an interrupt too — serves them without running them again
+  (``--no-cache`` runs every cell live).  Writes a deterministic
+  ``SWEEP_report.json`` whose bytes do not depend on the worker count.
+  ``--journal`` arms the control-plane span journal (drives
+  ``top``/``timeline`` and the report's timing/profile sections).
 * ``top`` — live progress view of a running ``sweep --journal``: polls
   the atomically-rewritten ``<out>.status.json`` (``--once`` for one
   frame, ``--prometheus`` for scrapers).
@@ -232,18 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(counts as a failed attempt)")
     sweep_p.add_argument("--max-attempts", type=int, default=3,
                          help="attempts per cell before it is recorded as failed")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="skip cells already completed in the manifest")
-    sweep_p.add_argument("--manifest", default=None,
-                         help="checkpoint path (default: <out>.manifest.json)")
-    sweep_p.add_argument("--cache", dest="cache", action="store_true",
-                         default=True,
-                         help="serve unchanged cells from the content-"
-                              "addressed result cache (default: on)")
     sweep_p.add_argument("--no-cache", dest="cache", action="store_false",
-                         help="disable the result cache; every cell runs live")
+                         help="disable the result cache: every cell runs "
+                              "live and an interrupted sweep starts over")
     sweep_p.add_argument("--cache-dir", default=None,
-                         help="result cache directory (default: <out>.cache)")
+                         help="result cache directory, which also resumes "
+                              "an interrupted sweep (default: <out>.cache)")
     sweep_p.add_argument("--out", default=None,
                          help="report path (default SWEEP_report.json)")
     sweep_p.add_argument("--journal", nargs="?", const="", default=None,
@@ -543,7 +539,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 )
     spec = SweepSpec(name="repro-sweep", cells=tuple(cells))
     out = args.out or DEFAULT_SWEEP_REPORT
-    manifest = args.manifest or f"{out}.manifest.json"
     cache_dir = (args.cache_dir or f"{out}.cache") if args.cache else None
     note = lambda msg: print(f"  {msg}", file=sys.stderr)  # noqa: E731
 
@@ -571,8 +566,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             timeout_s=args.timeout_s,
             max_attempts=args.max_attempts,
-            manifest_path=manifest,
-            resume=args.resume,
             cache_dir=cache_dir,
             progress=note,
             obs=obs,
@@ -931,9 +924,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except SweepInterrupted as exc:
-        # First signal: the sweep already stopped dispatching, flushed
-        # the manifest and tore its workers down — one summary line, no
-        # traceback.
+        # First signal: the sweep already stopped dispatching and tore
+        # its workers down — one summary line, no traceback.
         print(f"interrupted: {exc}", file=sys.stderr)
         return 130
     except KeyboardInterrupt:

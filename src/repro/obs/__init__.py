@@ -59,14 +59,12 @@ __all__ = [
 #: Events that settle a cell for good — each journals one ``commit``
 #: point, which is the invariant the fault tests pin: a cell that ran
 #: twice (a failed attempt, then its retry) still commits once.
-_TERMINAL_EVENTS = {"cell.done", "cell.failed", "cell.cache_hit",
-                    "cell.resumed"}
+_TERMINAL_EVENTS = {"cell.done", "cell.failed", "cell.cache_hit"}
 
 _COUNTED = {
     "cell.done": "done",
     "cell.failed": "failed",
     "cell.cache_hit": "cached",
-    "cell.resumed": "resumed",
     "cell.retry": "retries",
 }
 
@@ -92,7 +90,7 @@ class SweepObserver:
         self.journal = journal
         self.status = status
         self.counts: dict[str, int] = {
-            "done": 0, "failed": 0, "cached": 0, "resumed": 0, "retries": 0,
+            "done": 0, "failed": 0, "cached": 0, "retries": 0,
         }
         self._timing: list[dict[str, Any]] = []
         self._closed = False

@@ -19,11 +19,6 @@ from typing import Any, Callable
 __all__ = ["render_event", "EVENT_FORMATTERS"]
 
 
-def _cell_resumed(f: dict[str, Any]) -> str:
-    return (f"{f['cell']}: resumed from manifest "
-            f"(done in {f['attempts']} attempt(s))")
-
-
 def _cell_cache_hit(f: dict[str, Any]) -> str:
     if f.get("when") == "redispatch":
         return (f"[{f['done']}/{f['total']}] {f['cell']}: "
@@ -47,11 +42,10 @@ def _cell_failed(f: dict[str, Any]) -> str:
 
 
 def _cell_interrupted(f: dict[str, Any]) -> str:
-    return f"{f['cell']}: interrupted in flight; recorded as pending"
+    return f"{f['cell']}: interrupted in flight; not cached"
 
 
 EVENT_FORMATTERS: dict[str, Callable[[dict[str, Any]], str]] = {
-    "cell.resumed": _cell_resumed,
     "cell.cache_hit": _cell_cache_hit,
     "cell.done": _cell_done,
     "cell.retry": _cell_retry,

@@ -3,7 +3,7 @@
 Two complementary views of the same run:
 
 * **phases** — an exact partition of the sweep's wall clock into
-  ``prepare`` (manifest/cache pass), ``connect`` (prewarm and worker
+  ``prepare`` (cache pass), ``connect`` (prewarm and worker
   start-up: prepare end → first ``cell.run`` begins), ``execute``
   (first cell dispatched → last one settled) and ``merge`` (result
   assembly + shutdown).  The four slices are cut from the sweep span's

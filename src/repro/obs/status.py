@@ -1,7 +1,7 @@
 """The live ``<out>.status.json`` sidecar and the ``repro top`` view.
 
 The driver rewrites one small JSON file atomically (tmp + ``os.replace``,
-the same protocol the manifest and result cache use) so any number of
+the same protocol the result cache uses) so any number of
 ``repro top`` processes can poll it without coordination: a reader sees
 either the previous complete snapshot or the next one, never a torn
 write.  Rewrites are throttled to :data:`MIN_REWRITE_INTERVAL_S` except
@@ -14,7 +14,7 @@ The file is self-describing::
      "spec": "repro-sweep", "total": 25,
      "started_unix": ..., "updated_unix": ...,
      "cells": {"pending": 7, "leased": 4, "done": 12, "failed": 2,
-               "cached": 3, "resumed": 0, "retries": 1},
+               "cached": 3, "retries": 1},
      "rate_cells_per_s": 1.8, "eta_s": 6.1}
 
 ``leased`` counts the cells in flight on a worker.
@@ -30,7 +30,7 @@ import os
 import time
 from typing import Any
 
-from repro.sweep.manifest import atomic_write_json
+from repro.sweep.cache import atomic_write_json
 
 __all__ = [
     "StatusBoard",
@@ -109,7 +109,6 @@ class StatusBoard:
                 "done": done,
                 "failed": failed,
                 "cached": self._counts.get("cached", 0),
-                "resumed": self._counts.get("resumed", 0),
                 "retries": self._counts.get("retries", 0),
             },
             "rate_cells_per_s": round(rate, 3),
@@ -160,7 +159,6 @@ def render_top(status: dict[str, Any]) -> str:
         f"  leased {cells.get('leased', 0)}"
         f"  pending {cells.get('pending', 0)}"
         f"  cached {cells.get('cached', 0)}"
-        f"  resumed {cells.get('resumed', 0)}"
         f"  retries {cells.get('retries', 0)}",
         f"  rate {status.get('rate_cells_per_s', 0.0):.2f} cells/s"
         f"  eta {status.get('eta_s', 0.0):.0f}s",
@@ -177,8 +175,7 @@ def render_prometheus(status: dict[str, Any]) -> str:
     out = [
         "# TYPE repro_sweep_cells gauge",
     ]
-    for key in ("pending", "leased", "done", "failed", "cached",
-                "resumed", "retries"):
+    for key in ("pending", "leased", "done", "failed", "cached", "retries"):
         out.append(f'repro_sweep_cells{{state="{key}"}} {cells.get(key, 0)}')
     out.append("# TYPE repro_sweep_total gauge")
     out.append(f"repro_sweep_total {status.get('total', 0)}")

@@ -6,10 +6,11 @@ deterministically: cell ids key the merge, spec order keys the output,
 and payloads round-trip through JSON in the workers, so a parallel
 sweep over deterministic cells is byte-identical to the sequential run.
 A content-addressed result cache (keyed by per-cell fingerprint) makes
-re-runs of unchanged cells free.  See DESIGN.md §7.
+re-runs of unchanged cells free and is the sweep's only checkpoint: an
+interrupted sweep resumes by running it again.  See DESIGN.md §7.
 """
 
-from repro.sweep.manifest import Manifest, ResultCache, atomic_write_json
+from repro.sweep.cache import ResultCache, atomic_write_json
 from repro.sweep.pool import (
     DEFAULT_MAX_ATTEMPTS,
     CellOutcome,
@@ -32,7 +33,6 @@ __all__ = [
     "CellOutcome",
     "SweepResult",
     "SweepInterrupted",
-    "Manifest",
     "ResultCache",
     "atomic_write_json",
     "build_report",

@@ -31,13 +31,14 @@ the pooling, now scoped per *worker*:
   sequential run.
 
 On top of the pool sits a **content-addressed result cache**
-(``cache_dir``): before any worker is spawned, each pending cell's
-fingerprint (:func:`~repro.sweep.spec.cell_fingerprint`) is looked up
-in the :class:`~repro.sweep.manifest.ResultCache`; hits are returned
-without spawning any work, so an unchanged grid re-runs with *zero*
-child processes.  Manifest resume takes precedence over the cache — the
-manifest records what *this* sweep already established, including
-attempt counts — and a corrupted cache entry degrades to a live run.
+(``cache_dir``), the sweep's only checkpoint: before any worker is
+spawned, each cell's fingerprint
+(:func:`~repro.sweep.spec.cell_fingerprint`) is looked up in the
+:class:`~repro.sweep.cache.ResultCache`; hits are returned, with the
+attempt count recorded when they ran, without spawning any work.  An
+unchanged grid therefore re-runs with *zero* child processes, and an
+interrupted sweep resumes by running it again.  A corrupted cache entry
+degrades to a live run.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn
 
-from repro.sweep.manifest import Manifest, ResultCache
+from repro.sweep.cache import ResultCache
 from repro.sweep.spec import (
     SweepCell,
     SweepSpec,
@@ -80,21 +81,23 @@ class SweepInterrupted(RuntimeError):
     """Raised when an operator signal stopped a sweep before completion.
 
     The sweep shut down *gracefully* before raising: dispatch stopped,
-    in-flight cells were flushed to the manifest as pending, and every
-    worker was terminated with an escalating
-    SIGTERM-grace-SIGKILL.  ``str(exc)`` is a one-line summary suitable
+    in-flight cells were abandoned uncached, and every worker was
+    terminated with an escalating SIGTERM-grace-SIGKILL.  Finished cells
+    are already in the result cache, so re-running the same sweep
+    serves them from there.  ``str(exc)`` is a one-line summary suitable
     for the CLI.
     """
 
     def __init__(self, done: int, failed: int, total: int,
-                 manifest_path: str | None) -> None:
+                 cache_dir: str | None) -> None:
         self.done = done
         self.failed = failed
         self.total = total
-        self.manifest_path = manifest_path
+        self.cache_dir = cache_dir
         hint = (
-            f"; manifest flushed to {manifest_path} — re-run with --resume"
-            if manifest_path
+            f"; re-run the same command to serve finished cells from "
+            f"the cache in {cache_dir}"
+            if cache_dir
             else ""
         )
         super().__init__(
@@ -107,7 +110,7 @@ class _SignalGuard:
     """Two-stage SIGINT/SIGTERM handling around a sweep.
 
     The first signal flips :attr:`stop` — the pool stops dispatching,
-    flushes the manifest and raises :class:`SweepInterrupted`; the
+    abandons its in-flight cells and raises :class:`SweepInterrupted`; the
     second signal raises ``KeyboardInterrupt`` straight out of the
     handler, force-killing the run through the pool's ``finally``
     cleanup.  Handlers are only installed in the main thread (the only
@@ -128,7 +131,7 @@ class _SignalGuard:
         self.stop = True
         self._note(
             f"caught {signal.Signals(signum).name}: finishing in-flight "
-            f"cells' shutdown, flushing manifest (signal again to force-kill)"
+            f"cells' shutdown (signal again to force-kill)"
         )
 
     def __enter__(self) -> "_SignalGuard":
@@ -153,10 +156,9 @@ class CellOutcome:
 
     cell: SweepCell
     status: str  # "done" | "failed"
-    attempts: int  # total attempts the cell has consumed, across resumes
+    attempts: int  # attempts the cell consumed, as recorded when it ran
     payload: Any = None
     error: str = ""
-    resumed: bool = False  # skipped because the manifest had it done
     cached: bool = False  # payload served from the result cache
 
     @property
@@ -171,8 +173,8 @@ class SweepResult:
     spec: SweepSpec
     outcomes: tuple[CellOutcome, ...]
     workers: int
-    #: Worker processes actually forked — 0 when every cell was resumed
-    #: from the manifest or served from the result cache.
+    #: Worker processes actually forked — 0 when every cell was served
+    #: from the result cache.
     spawned_workers: int = 0
     #: Cells settled from the result cache *after* dispatch began (a
     #: requeued cell whose fingerprint-identical sibling finished first).
@@ -197,54 +199,30 @@ class SweepResult:
 
 
 class _Ledger:
-    """Pending cells, settled outcomes, the manifest and the result cache.
+    """Pending cells, settled outcomes and the result cache.
 
     The only code that commits, retries, fails, requeues, serves a cell
-    from the cache and flushes in-flight cells on interrupt.  The pool
+    from the cache and abandons in-flight cells on interrupt.  The pool
     loop pops attempts from :meth:`pop` and hands each finished one to
-    :meth:`settle`.  Construction applies the manifest-resume >
-    result-cache > live precedence.
+    :meth:`settle`.
     """
 
     def __init__(self, spec: SweepSpec, *, max_attempts: int,
-                 manifest_path: str | None, resume: bool,
                  cache_dir: str | None, obs: "SweepObserver") -> None:
         self.total = len(spec.cells)
         self.max_attempts = max_attempts
         self.obs = obs
-        prior = (
-            Manifest.load(manifest_path, spec)
-            if (resume and manifest_path)
-            else Manifest(None, spec)
-        )
-        self.book = Manifest(manifest_path, spec,
-                             dict(prior.cells) if resume else None)
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: Cells served from the cache after dispatch began.
         self.cache_hits = 0
         self.outcomes: dict[str, CellOutcome] = {}
-        self.pending: deque[tuple[SweepCell, int]] = deque()
-        done_before = prior.completed
-        for cell in spec.cells:
-            if cell.id in done_before:
-                attempts = prior.cells[cell.id].get("attempts", 1)
-                self.outcomes[cell.id] = CellOutcome(
-                    cell=cell, status="done", attempts=attempts,
-                    payload=done_before[cell.id], resumed=True,
-                )
-                obs.emit("cell.resumed", cell=cell.id, attempts=attempts)
-            else:
-                self.pending.append((cell, 1))
-        # Cache pass: anything the manifest did not cover may still be an
-        # unchanged cell from an earlier sweep.  Hits never spawn work.
-        if self.cache is not None:
-            self.pending = deque(
-                item for item in self.pending
-                if not self._serve_from_cache(item[0], mid_run=False)
-            )
-
-    def unsettled(self) -> int:
-        return self.total - len(self.outcomes)
+        # Cache pass: cells finished by an earlier (or interrupted) sweep
+        # are served from the cache.  Hits never spawn work.
+        self.pending: deque[tuple[SweepCell, int]] = deque(
+            (cell, 1) for cell in spec.cells
+            if self.cache is None
+            or not self._serve_from_cache(cell, mid_run=False)
+        )
 
     def _serve_from_cache(self, cell: SweepCell, *, mid_run: bool) -> bool:
         key = cell_fingerprint(cell)
@@ -258,7 +236,6 @@ class _Ledger:
             cell=cell, status="done", attempts=attempts,
             payload=entry["payload"], cached=True,
         )
-        self.book.record_done(cell.id, attempts, entry["payload"])
         progress: dict[str, Any] = {}
         if mid_run:
             self.cache_hits += 1
@@ -300,7 +277,6 @@ class _Ledger:
             return "duplicate"
         if ok:
             self.outcomes[cell.id] = CellOutcome(cell, "done", attempt, payload)
-            self.book.record_done(cell.id, attempt, payload)
             key = cell_fingerprint(cell) if self.cache is not None else None
             if key is not None:
                 self.cache.store(key, cell_id=cell.id, attempts=attempt,
@@ -316,27 +292,22 @@ class _Ledger:
             self.pending.appendleft((cell, attempt + 1))
             return "retry"
         self.outcomes[cell.id] = CellOutcome(cell, "failed", attempt, None, error)
-        self.book.record_failed(cell.id, attempt, error)
         self.obs.emit("cell.failed", cell=cell.id, done=len(self.outcomes),
                       total=self.total, attempt=attempt, error=error,
                       wall_s=wall_s)
         return "failed"
 
-    def interrupt(self, in_flight: Iterable[tuple[SweepCell, int]]) -> NoReturn:
-        """First-signal stop: record the unsettled in-flight cells as
-        pending in the manifest (they re-run on ``--resume``) and raise
-        :class:`SweepInterrupted`.  The caller's ``finally`` stops the
-        workers."""
-        flushed: set[str] = set()
-        for cell, attempt in in_flight:
-            if cell.id in self.outcomes or cell.id in flushed:
-                continue
-            flushed.add(cell.id)
-            self.book.record_pending(cell.id, attempt)
-            self.obs.emit("cell.interrupted", cell=cell.id)
+    def interrupt(self, in_flight: Iterable[SweepCell]) -> NoReturn:
+        """First-signal stop: report the unsettled in-flight cells as
+        interrupted (they are not cached, so a re-run runs them again)
+        and raise :class:`SweepInterrupted`.  The caller's ``finally``
+        stops the workers."""
+        for cell in in_flight:
+            if cell.id not in self.outcomes:
+                self.obs.emit("cell.interrupted", cell=cell.id)
         done = sum(1 for o in self.outcomes.values() if o.ok)
         raise SweepInterrupted(done, len(self.outcomes) - done, self.total,
-                               self.book.path)
+                               self.cache.root if self.cache else None)
 
 
 # --------------------------------------------------------------------------
@@ -578,8 +549,6 @@ def run_sweep(
     workers: int = 1,
     timeout_s: float | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    manifest_path: str | None = None,
-    resume: bool = False,
     cache_dir: str | None = None,
     progress: Callable[[str], None] | None = None,
     obs: "SweepObserver | None" = None,
@@ -590,12 +559,11 @@ def run_sweep(
     timeouts) are retried up to ``max_attempts`` and then recorded as
     failed outcomes.  ``timeout_s`` must be None or a positive, finite
     number of seconds; anything else is a ``ValueError`` raised before
-    any worker forks.  With ``manifest_path`` set, every final cell state
-    is checkpointed; ``resume=True`` loads the manifest and skips cells
-    already done (failed cells run again), carrying their recorded
-    attempt counts through to the outcomes.  With ``cache_dir`` set,
-    completed payloads are memoized by cell fingerprint and unchanged
-    cells are served from the cache without spawning any worker.
+    any worker forks.  With ``cache_dir`` set, completed payloads are
+    memoized by cell fingerprint and unchanged cells are served from the
+    cache, with their recorded attempt counts, without spawning any
+    worker; that is also how a sweep resumes after an interrupt.  Failed
+    cells are never cached, so they run again.
 
     ``obs`` carries the journal/status sinks (:mod:`repro.obs`); when
     None, a null observer narrating only to ``progress`` is used and
@@ -615,7 +583,6 @@ def run_sweep(
     try:
         prep_sid = obs.begin("prepare")
         ledger = _Ledger(spec, max_attempts=max(1, int(max_attempts)),
-                         manifest_path=manifest_path, resume=resume,
                          cache_dir=cache_dir, obs=obs)
         obs.end(prep_sid, pending=len(ledger.pending),
                 settled=len(ledger.outcomes))
@@ -679,7 +646,7 @@ def _run_pool(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
             if guard.stop:
                 for _, _, _, sid in flight.values():
                     obs.end(sid, ok=False, interrupted=True)
-                ledger.interrupt((c, a) for c, a, _, _ in flight.values())
+                ledger.interrupt(c for c, _, _, _ in flight.values())
             while len(flight) < workers and (popped := ledger.pop()) is not None:
                 cell, attempt = popped
                 worker = pool.start(cell.id)

@@ -2,8 +2,8 @@
 
 The report is deterministic: cells in grid order, no attempt counts or
 host timings, so the bytes are independent of ``--workers`` and of
-scheduling — a parallel or resumed sweep over the same grid produces
-the same file as a sequential one.
+scheduling — a parallel sweep, or one whose cells the result cache
+served, produces the same file as a sequential live one.
 
 Observability rides in two *optional* top-level sections:
 

@@ -5,9 +5,9 @@ Two families:
 * **Declarative** (``run-workload``) — params are plain JSON (workload
   kind + sizes, config sizes), so the cell is portable across processes
   and restarts; this is what ``repro sweep`` emits and what makes
-  ``--resume`` and the result cache meaningful.  The builders here are
-  the single source of truth the CLI also uses for its own
-  ``--workload`` flags.
+  the result cache (and so resuming an interrupted sweep) meaningful.
+  The builders here are the single source of truth the CLI also uses
+  for its own ``--workload`` flags.
 * **Factory** (``policy-factory``, ``chaos-cell``) — params carry live
   objects (workload factories, :class:`SimulationConfig`,
   :class:`FaultPlan`) by fork inheritance; used by
@@ -149,7 +149,7 @@ def colo_cell(params: dict[str, Any]) -> dict[str, Any]:
     Params mirror :func:`repro.experiments.colo.run_colo` keywords
     (``n_tenants``, ``records_per_tenant``, ``ops_per_tenant``,
     ``policy``, ``limits``, ``seed``, sizing overrides) — all plain
-    JSON, so colo cells cache and resume like ``run-workload`` cells.
+    JSON, so colo cells are cached like ``run-workload`` cells.
     The payload is the per-tenant row set, not the live machine."""
     from repro.experiments.colo import run_colo
 

@@ -5,16 +5,16 @@ seed × config) point each — plus the name of a registered *runner* that
 knows how to execute one cell in a worker process and return a
 JSON-serialisable payload.  Experiments (:func:`run_policies`), the
 chaos matrix (:func:`run_chaos`) and the CLI all express their grids as
-a :class:`SweepSpec`, so they share one pool, one retry policy and one
-manifest format.
+a :class:`SweepSpec`, so they share one pool and one retry policy.
 
 Runners are looked up by name in a registry rather than pickled,
 because the lookup must also work inside a worker that was forked (or
 spawned) before the parent decided which cell it would run.  Cell
 ``params`` are passed to the worker by fork inheritance, so they may
-hold arbitrary objects (workload factories, configs); grids that want
-resumable manifests should keep them JSON-serialisable, which is what
-the CLI's declarative cells do.
+hold arbitrary objects (workload factories, configs); only cells whose
+params are JSON-serialisable — the CLI's declarative cells — have a
+content fingerprint, so only they are cached and resume after an
+interrupt.
 """
 
 from __future__ import annotations
@@ -118,22 +118,6 @@ class SweepSpec:
             if cell.id in seen:
                 raise ValueError(f"duplicate sweep cell id {cell.id!r}")
             seen.add(cell.id)
-
-    def fingerprint(self) -> str:
-        """Stable digest of the grid, used to match manifests on resume.
-
-        Cells whose params are not JSON-serialisable (factory-based API
-        grids) contribute only their id and runner name — resume still
-        works, it just cannot detect a silently changed factory.
-        """
-        parts = [self.name]
-        for cell in self.cells:
-            try:
-                blob = json.dumps(cell.params, sort_keys=True)
-            except TypeError:
-                blob = "<non-portable-params>"
-            parts.append(f"{cell.id}\x00{cell.runner}\x00{blob}")
-        return hashlib.sha256("\x01".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
 def cell_fingerprint(cell: SweepCell) -> str | None:

@@ -33,7 +33,6 @@ def test_every_formatter_is_total_over_its_event():
     """Smoke: each formatter accepts a plausible field dict (the emit
     sites in pool.py are the source of truth for shapes)."""
     samples = {
-        "cell.resumed": {"cell": "c", "attempts": 1},
         "cell.cache_hit": {"cell": "c", "key": "k"},
         "cell.done": {"cell": "c", "done": 1, "total": 2, "attempt": 1},
         "cell.retry": {"cell": "c", "attempt": 1, "error": "boom"},

@@ -1,5 +1,5 @@
-"""Graceful shutdown: escalating kills, SIGINT-safe sweeps, and the
-manifest state they leave behind."""
+"""Graceful shutdown: escalating kills, SIGINT-safe sweeps, and resuming
+an interrupted sweep from the result cache."""
 
 import os
 import signal
@@ -10,7 +10,15 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.sweep import Manifest, SweepCell, SweepSpec, SweepInterrupted, run_sweep
+from repro.sweep import (
+    ResultCache,
+    SweepCell,
+    SweepInterrupted,
+    SweepSpec,
+    cell_fingerprint,
+    register_runner,
+    run_sweep,
+)
 from repro.sweep.pool import _kill
 
 
@@ -63,13 +71,33 @@ def test_kill_reaps_already_dead_process():
     assert proc.exitcode == 0
 
 
-def test_sigint_flushes_manifest_and_raises(tmp_path):
-    """First SIGINT: stop dispatching, record in-flight cells as pending,
-    raise SweepInterrupted; a later --resume run finishes the job."""
-    manifest = str(tmp_path / "m.json")
+@register_runner("test-count-invocations")
+def _count_invocations(params):
+    # Appends the cell's value once per finished execution — proof of
+    # whether a re-run executed the cell again.
+    time.sleep(params.get("sleep_s", 0.0))
+    with open(params["log"], "a", encoding="utf-8") as fh:
+        fh.write(f"{params['value']}\n")
+    return params["value"]
+
+
+def _invocations(log_path):
+    try:
+        with open(log_path, "r", encoding="utf-8") as fh:
+            return [int(line) for line in fh.read().splitlines()]
+    except FileNotFoundError:
+        return []
+
+
+def test_sigint_raises_and_a_rerun_resumes_from_the_cache(tmp_path):
+    """First SIGINT: stop dispatching, abandon in-flight cells uncached,
+    raise SweepInterrupted naming the cache; re-running the same sweep
+    serves the finished cells from there and runs only the rest."""
+    log = str(tmp_path / "invocations.log")
+    cache_dir = str(tmp_path / "cache")
     cells = tuple(
-        SweepCell(f"s{i}", "flaky",
-                  {"mode": "sleep", "sleep_s": 0.4, "payload": f"p{i}"})
+        SweepCell(f"s{i}", "test-count-invocations",
+                  {"log": log, "value": i, "sleep_s": 0.4})
         for i in range(4)
     )
     spec = SweepSpec("interruptible", cells)
@@ -80,15 +108,25 @@ def test_sigint_flushes_manifest_and_raises(tmp_path):
 
     threading.Thread(target=interrupt_soon, daemon=True).start()
     with pytest.raises(SweepInterrupted) as excinfo:
-        run_sweep(spec, workers=1, manifest_path=manifest)
+        run_sweep(spec, workers=1, cache_dir=cache_dir)
     message = str(excinfo.value)
-    assert "manifest flushed" in message and "--resume" in message
+    assert "re-run the same command" in message and cache_dir in message
 
-    book = Manifest.load(manifest, spec)
-    assert 0 < len(book.completed) < len(cells)  # partial progress kept
+    cache = ResultCache(cache_dir)
+    finished = {i for i, cell in enumerate(cells)
+                if cache.load(cell_fingerprint(cell)) is not None}
+    assert 0 < len(finished) < len(cells)  # partial progress kept
 
-    resumed = run_sweep(spec, workers=1, manifest_path=manifest, resume=True)
+    executed_before = len(_invocations(log))
+    resumed = run_sweep(spec, workers=1, cache_dir=cache_dir)
     assert resumed.ok
-    assert [o.payload for o in resumed.outcomes] == [
-        f"p{i}" for i in range(4)
+    rerun = _invocations(log)[executed_before:]
+    assert sorted(rerun) == sorted(set(range(4)) - finished)
+    assert [o.cached for o in resumed.outcomes] == [
+        i in finished for i in range(4)
+    ]
+    # The merged outcomes are those of an uninterrupted run.
+    assert [(o.cell.id, o.status, o.attempts, o.payload)
+            for o in resumed.outcomes] == [
+        (f"s{i}", "done", 1, i) for i in range(4)
     ]

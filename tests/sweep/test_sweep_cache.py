@@ -1,13 +1,18 @@
-"""Result-cache properties: hits spawn no work, manifest resume wins,
-corruption degrades to a live run, and failures never poison the cache."""
+"""Result-cache properties: hits spawn no work, corruption degrades to a
+live run, failures never poison the cache, and concurrent writers of one
+entry never collide."""
 
+import multiprocessing as mp
 import os
+
+import pytest
 
 from repro.obs import SweepObserver
 from repro.sweep import (
     ResultCache,
     SweepCell,
     SweepSpec,
+    atomic_write_json,
     cell_fingerprint,
     register_runner,
     run_sweep,
@@ -93,26 +98,6 @@ def test_cache_is_shared_across_grid_names_and_cell_ids(tmp_path):
     assert warm.ok
     assert warm.spawned_workers == 0
     assert len(_log_lines(log)) == 3
-
-
-def test_manifest_resume_takes_precedence_over_cache(tmp_path):
-    log, spec = _grid(tmp_path)
-    cache_dir = str(tmp_path / "cache")
-    manifest = str(tmp_path / "manifest.json")
-
-    first = run_sweep(spec, manifest_path=manifest, cache_dir=cache_dir)
-    assert first.ok
-
-    resumed = run_sweep(
-        spec, manifest_path=manifest, resume=True, cache_dir=cache_dir
-    )
-    assert resumed.ok
-    assert resumed.spawned_workers == 0
-    assert len(_log_lines(log)) == 3
-    # All three were in the manifest, so they report as resumed — the
-    # cache never got a look-in.
-    assert all(o.resumed and not o.cached for o in resumed.outcomes)
-    assert all(o.attempts == 1 for o in resumed.outcomes)
 
 
 def test_corrupted_cache_entry_falls_back_to_a_live_run(tmp_path):
@@ -220,9 +205,38 @@ def test_only_successes_are_cached_failures_always_rerun(tmp_path):
     assert [o.attempts for o in warm.outcomes] == [2, 1]
 
 
+def _store_repeatedly(cache_dir, key, times):
+    cache = ResultCache(cache_dir)
+    for _ in range(times):
+        cache.store(key, cell_id="shared", attempts=1, payload={"value": 1})
+
+
+def test_concurrent_stores_of_one_key_never_collide(tmp_path):
+    """Two sweeps finishing a common cell write one entry at once: each
+    writer goes through its own temp file, so neither rename fails."""
+    cache_dir = str(tmp_path / "cache")
+    key = "f" * 64
+    ctx = mp.get_context("fork")
+    writers = [ctx.Process(target=_store_repeatedly, args=(cache_dir, key, 1000))
+               for _ in range(2)]
+    for proc in writers:
+        proc.start()
+    for proc in writers:
+        proc.join(60.0)
+    assert [proc.exitcode for proc in writers] == [0, 0]
+    assert ResultCache(cache_dir).load(key)["payload"] == {"value": 1}
+    assert os.listdir(cache_dir) == [f"{key}.json"]  # no temp file left
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    path = str(tmp_path / "entry.json")
+    with pytest.raises(TypeError):
+        atomic_write_json(path, {"payload": object()})
+    assert os.listdir(tmp_path) == []
+
+
 def _ledger(spec, notes, cache_dir=None):
-    return _Ledger(spec, max_attempts=3, manifest_path=None, resume=False,
-                   cache_dir=cache_dir,
+    return _Ledger(spec, max_attempts=3, cache_dir=cache_dir,
                    obs=SweepObserver(progress=notes.append))
 
 

@@ -1,14 +1,13 @@
 """Pool-level properties: crash isolation, retry bounds, timeouts,
-manifest resume, and the scheduling-independent merge."""
+resuming through the result cache, and the scheduling-independent
+merge."""
 
-import json
 import os
 import re
 
 import pytest
 
 from repro.sweep import (
-    Manifest,
     SweepCell,
     SweepSpec,
     register_runner,
@@ -161,88 +160,66 @@ def test_retry_goes_to_the_front_of_the_queue(tmp_path):
     assert order == ["boom", "boom", "a", "b", "c"]
 
 
-@register_runner("test-count-invocations")
-def _count_invocations(params):
-    # Appends one line per execution — proof of whether a resume re-ran us.
-    with open(params["log"], "a", encoding="utf-8") as fh:
-        fh.write("ran\n")
-    return params["value"]
-
-
-def _invocations(log_path):
-    try:
-        with open(log_path, "r", encoding="utf-8") as fh:
-            return len(fh.readlines())
-    except FileNotFoundError:
-        return 0
-
-
 def test_resume_skips_completed_cells(tmp_path):
-    log = str(tmp_path / "invocations.log")
-    manifest = str(tmp_path / "manifest.json")
-    spec = SweepSpec(
-        "resumable",
-        tuple(
-            SweepCell(f"cell{i}", "test-count-invocations", {"log": log, "value": i})
-            for i in range(3)
-        ),
-    )
-    first = run_sweep(spec, workers=2, manifest_path=manifest)
-    assert first.ok
-    assert _invocations(log) == 3
+    # A sweep that left one cell failed is resumed by running it again:
+    # the cache serves the completed cells, only the failed one runs.
+    log = str(tmp_path / "order.log")
+    cache_dir = str(tmp_path / "cache")
+    cells = [
+        SweepCell("boom", "test-log-order",
+                  {"log": log, "name": "boom",
+                   "crash_marker": str(tmp_path / "crash.marker")}),
+    ] + [
+        SweepCell(name, "test-log-order", {"log": log, "name": name})
+        for name in ("a", "b")
+    ]
+    spec = SweepSpec("resumable", tuple(cells))
+    first = run_sweep(spec, workers=1, max_attempts=1, cache_dir=cache_dir)
+    assert [o.ok for o in first.outcomes] == [False, True, True]
 
-    resumed = run_sweep(spec, workers=2, manifest_path=manifest, resume=True)
+    resumed = run_sweep(spec, workers=1, max_attempts=1, cache_dir=cache_dir)
     assert resumed.ok
-    assert _invocations(log) == 3  # nothing re-ran
-    assert all(o.resumed for o in resumed.outcomes)
-    assert resumed.payloads() == first.payloads()
+    assert [o.cached for o in resumed.outcomes] == [False, True, True]
+    with open(log, encoding="utf-8") as fh:
+        assert fh.read().splitlines() == ["boom", "a", "b", "boom"]
 
 
 def test_resume_reruns_failed_cells(tmp_path):
-    manifest = str(tmp_path / "manifest.json")
+    cache_dir = str(tmp_path / "cache")
     marker = str(tmp_path / "later.marker")
     spec = SweepSpec(
         "heal-on-resume",
         (SweepCell("boom", "flaky",
                    {"marker": marker, "mode": "exit", "payload": "recovered"}),),
     )
-    first = run_sweep(spec, workers=1, max_attempts=1, manifest_path=manifest)
+    first = run_sweep(spec, workers=1, max_attempts=1, cache_dir=cache_dir)
     assert not first.ok  # single attempt crashed (and planted the marker)
 
-    resumed = run_sweep(spec, workers=1, max_attempts=1,
-                        manifest_path=manifest, resume=True)
-    assert resumed.ok
+    resumed = run_sweep(spec, workers=1, max_attempts=1, cache_dir=cache_dir)
+    assert resumed.ok and not resumed.outcomes[0].cached
     assert resumed.outcomes[0].payload == "recovered"
-    data = json.loads(open(manifest, encoding="utf-8").read())
-    assert data["cells"]["boom"]["status"] == "done"
+    # The healed cell is now checkpointed like any other.
+    again = run_sweep(spec, workers=1, max_attempts=1, cache_dir=cache_dir)
+    assert again.outcomes[0].cached and again.spawned_workers == 0
 
 
 def test_resume_carries_recorded_attempt_counts(tmp_path):
-    manifest = str(tmp_path / "manifest.json")
+    cache_dir = str(tmp_path / "cache")
     marker = str(tmp_path / "crash.marker")
     spec = SweepSpec(
         "carry",
         (SweepCell("boom", "flaky",
                    {"marker": marker, "mode": "exit", "payload": "recovered"}),),
     )
-    first = run_sweep(spec, workers=1, manifest_path=manifest)
+    first = run_sweep(spec, workers=1, cache_dir=cache_dir)
     assert first.ok
     assert first.outcomes[0].attempts == 2  # crashed once, then healed
 
-    resumed = run_sweep(spec, workers=1, manifest_path=manifest, resume=True)
-    assert resumed.outcomes[0].resumed
+    rerun = run_sweep(spec, workers=1, cache_dir=cache_dir)
+    assert rerun.outcomes[0].cached
     # The outcome reports what the cell actually cost, not zero.
-    assert resumed.outcomes[0].attempts == 2
-    assert resumed.spawned_workers == 0
-
-
-def test_resume_rejects_a_manifest_from_another_grid(tmp_path):
-    manifest = str(tmp_path / "manifest.json")
-    spec_a = SweepSpec("grid", declarative_cells(("static",)))
-    spec_b = SweepSpec("grid", declarative_cells(("multiclock",)))
-    run_sweep(spec_a, manifest_path=manifest)
-    with pytest.raises(ValueError, match="different sweep"):
-        run_sweep(spec_b, manifest_path=manifest, resume=True)
+    assert rerun.outcomes[0].attempts == 2
+    assert rerun.spawned_workers == 0
 
 
 def test_duplicate_cell_ids_rejected():
@@ -256,15 +233,6 @@ def test_unknown_runner_is_a_failed_cell_not_an_abort():
     result = run_sweep(spec, max_attempts=1)
     assert not result.ok
     assert "unknown sweep runner" in result.outcomes[0].error
-
-
-def test_manifest_roundtrip(tmp_path):
-    manifest = str(tmp_path / "m.json")
-    spec = SweepSpec("grid", declarative_cells(("static",)))
-    book = Manifest(manifest, spec)
-    book.record_done("static/zipf/s42", 1, {"throughput": 1})
-    loaded = Manifest.load(manifest, spec)
-    assert loaded.completed == {"static/zipf/s42": {"throughput": 1}}
 
 
 def test_spawn_start_method_matches_fork(monkeypatch):

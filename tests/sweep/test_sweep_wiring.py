@@ -98,15 +98,18 @@ def test_cli_sweep_report_bytes_do_not_depend_on_workers(tmp_path, capsys):
     assert all(c["status"] == "done" for c in report["cells"])
 
 
-def test_cli_sweep_resume_uses_manifest(tmp_path, capsys):
+def test_cli_sweep_rerun_is_served_from_the_cache(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     argv = sweep_argv(2, out)
     assert cli_main(argv) == 0
     first = open(out, "rb").read()
-    assert cli_main(argv + ["--resume"]) == 0
+    capsys.readouterr()
+    assert cli_main(argv) == 0
     assert open(out, "rb").read() == first
-    err = capsys.readouterr().err
-    assert "resumed from manifest" in err
+    captured = capsys.readouterr()
+    assert "static/zipf/s42: cache hit (" in captured.err
+    assert "multiclock/zipf/s42: cache hit (" in captured.err
+    assert "0 worker(s) spawned" in captured.out
 
 
 def test_cli_sweep_rejects_unknown_workload(tmp_path, capsys):
