@@ -79,12 +79,17 @@ print(f"traced multiclock {on_s:.3f}s vs untraced {off_s:.3f}s "
       f"({on_s / off_s:.2f}x, bound 2.0x)")
 PYEOF
 
-echo "== chaos smoke (2 policies x 1 workload under faults) =="
-python -m repro chaos --policies multiclock,static --workload zipf \
-    --pages 600 --ops 4000 --dram-pages 256 --pm-pages 2048 \
-    --interval 0.002 --out "$CI_TMP/CHAOS_report.json"
+echo "== chaos smoke (2 policies x 1 workload under faults; 2 workers == 1) =="
+CHAOS_ARGS=(--policies multiclock,static --workload zipf
+            --pages 600 --ops 4000 --dram-pages 256 --pm-pages 2048
+            --interval 0.002)
+python -m repro chaos "${CHAOS_ARGS[@]}" --workers 1 \
+    --out "$CI_TMP/CHAOS_report.json"
+python -m repro chaos "${CHAOS_ARGS[@]}" --workers 2 \
+    --out "$CI_TMP/CHAOS_report.2.json" >/dev/null
+cmp "$CI_TMP/CHAOS_report.json" "$CI_TMP/CHAOS_report.2.json"
 
-echo "== sweep smoke (2 workers == sequential; forced crash retried) =="
+echo "== sweep smoke (2 workers == sequential; unknown policy rejected; forced crash retried) =="
 SWEEP_TMP="$CI_TMP/sweep"
 mkdir "$SWEEP_TMP"
 SWEEP_ARGS=(--policies static,multiclock --workload zipf
@@ -95,6 +100,13 @@ python -m repro sweep "${SWEEP_ARGS[@]}" --workers 2 \
 python -m repro sweep "${SWEEP_ARGS[@]}" --workers 1 --no-cache \
     --out "$SWEEP_TMP/seq.json" >/dev/null 2>&1
 cmp "$SWEEP_TMP/par.json" "$SWEEP_TMP/seq.json"
+# An unknown policy is an operator error: exit 2, no report, no worker.
+rc=0
+python -m repro sweep "${SWEEP_ARGS[@]}" --policies bogus --workers 2 \
+    --out "$SWEEP_TMP/bogus.json" 2>/dev/null || rc=$?
+test "$rc" -eq 2
+test ! -e "$SWEEP_TMP/bogus.json"
+echo "unknown policy rejected with exit 2 and no report"
 python - "$SWEEP_TMP" <<'PYEOF'
 import sys
 from repro.sweep import SweepCell, SweepSpec, run_sweep

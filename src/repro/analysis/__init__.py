@@ -7,8 +7,7 @@ from repro.analysis.compare import (
 )
 from repro.analysis.dashboard import build_dashboard
 from repro.analysis.heatmap import Heatmap, build_heatmap
-from repro.analysis.report import render_bars, render_series, render_table
-from repro.analysis.residency import ResidencyProbe, ResidencySample
+from repro.analysis.report import render_bars, render_table
 from repro.analysis.svg import bar_chart, format_si, line_chart
 from repro.analysis.windows import WindowAnalysis, WindowPairStats, analyze_windows
 
@@ -23,10 +22,7 @@ __all__ = [
     "format_si",
     "line_chart",
     "render_bars",
-    "render_series",
     "render_table",
-    "ResidencyProbe",
-    "ResidencySample",
     "WindowAnalysis",
     "WindowPairStats",
     "analyze_windows",

@@ -28,10 +28,6 @@ class PolicyComparison:
         """Policy with the highest normalized value."""
         return max(self.values, key=self.values.get)
 
-    def gain_over(self, policy: str, other: str) -> float:
-        """Relative advantage of ``policy`` over ``other`` (e.g. 0.2 = +20%)."""
-        return self.values[policy] / self.values[other] - 1.0
-
     def render(self) -> str:
         width = 40
         peak = max(self.values.values())

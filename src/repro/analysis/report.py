@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from repro.sim.stats import WindowPoint
-
-__all__ = ["render_table", "render_bars", "render_series"]
+__all__ = ["render_table", "render_bars"]
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -33,26 +30,4 @@ def render_bars(values: dict[str, float], *, width: int = 40, unit: str = "") ->
     for label, value in values.items():
         bar = "#" * max(0, int(width * value / peak))
         lines.append(f"{label:>20} {value:>12.3f}{unit} {bar}")
-    return "\n".join(lines)
-
-
-def render_series(
-    points: Sequence[WindowPoint], *, label: str = "window", width: int = 40
-) -> str:
-    """One bar per time window — the Fig 8/9 plot style.
-
-    Windows with no data (NaN values from ``WindowedSeries.means()``)
-    render as an explicit gap instead of a zero-height bar.
-    """
-    if not points:
-        return "(no data)"
-    finite = [point.value for point in points if not math.isnan(point.value)]
-    peak = max(finite, default=0.0) or 1.0
-    lines = []
-    for point in points:
-        if math.isnan(point.value):
-            lines.append(f"{label} {point.window_id:>4} {'-':>12} (no data)")
-            continue
-        bar = "#" * max(0, int(width * point.value / peak))
-        lines.append(f"{label} {point.window_id:>4} {point.value:>12.2f} {bar}")
     return "\n".join(lines)

@@ -60,7 +60,9 @@ from typing import Callable
 from repro.machine import Machine
 from repro.mm.system import OutOfMemoryError
 from repro.run import run_workload
-from repro.sim.config import DaemonConfig, SimulationConfig
+from repro.sim.config import SimulationConfig
+from repro.sweep.runners import WORKLOAD_KINDS, build_config, build_workload
+from repro.workloads.base import Workload
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -102,12 +104,23 @@ EXPERIMENTS: dict[str, Callable[[], str]] = {
     "colo": _lazy("colo", "run_colo", "render_colo"),
 }
 
-WORKLOADS = ("zipf", "uniform", "seqscan", "shifting-hotset")
+WORKLOADS = tuple(WORKLOAD_KINDS)
+
+
+def _config_spec(args: argparse.Namespace, seed: int | None = None) -> dict:
+    """The machine flags as the config spec the sweep runners build from."""
+    return {
+        "dram_pages": args.dram_pages,
+        "pm_pages": args.pm_pages,
+        "swap_pages": args.swap_pages,
+        "interval": args.interval,
+        "seed": args.seed if seed is None else seed,
+    }
 
 
 def _workload_spec(args: argparse.Namespace, kind: str, seed: int | None = None) -> dict:
-    """The declarative form of one ``--workload`` choice — the same
-    description the sweep runners build cells from."""
+    """One ``--workload`` choice as the workload spec the sweep runners
+    build from."""
     return {
         "kind": kind,
         "pages": args.pages,
@@ -117,31 +130,39 @@ def _workload_spec(args: argparse.Namespace, kind: str, seed: int | None = None)
     }
 
 
-def _workload_builders(args: argparse.Namespace) -> dict[str, Callable]:
-    from repro.sweep.runners import build_workload
-
-    return {
-        kind: (lambda kind=kind: build_workload(_workload_spec(args, kind)))
-        for kind in WORKLOADS
-    }
-
-
-def _build_workload(args: argparse.Namespace):
-    return _workload_builders(args)[args.workload]()
-
-
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
-    return SimulationConfig(
-        dram_pages=(args.dram_pages,),
-        pm_pages=(args.pm_pages,),
-        swap_pages=args.swap_pages,
-        daemons=DaemonConfig(
-            kpromoted_interval_s=args.interval,
-            kswapd_interval_s=args.interval / 2,
-            hint_scan_interval_s=args.interval,
-        ),
-        seed=args.seed,
+    return build_config(_config_spec(args))
+
+
+def _build_workload(args: argparse.Namespace) -> Workload:
+    return build_workload(_workload_spec(args, args.workload))
+
+
+def _matrix(args: argparse.Namespace) -> tuple[list[str], list[str]]:
+    """The ``--policies`` and ``--workloads`` of a matrix command, checked
+    against the registries before any cell is built."""
+    from repro.policies.base import policy_names
+
+    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        raise ValueError(f"--policies {args.policies!r} names no policy")
+    unknown = [p for p in policies if p not in policy_names()]
+    if unknown:
+        raise ValueError(
+            f"unknown policy {', '.join(map(repr, unknown))}; "
+            f"known: {policy_names()}"
+        )
+    workload_names = (
+        [w.strip() for w in args.workloads.split(",") if w.strip()]
+        if args.workloads
+        else [args.workload]
     )
+    unknown = [w for w in workload_names if w not in WORKLOADS]
+    if unknown:
+        raise ValueError(
+            f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(WORKLOADS)}"
+        )
+    return policies, workload_names
 
 
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
@@ -442,18 +463,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.faults.chaos import DEFAULT_REPORT
 
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    workload_names = (
-        [w.strip() for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else [args.workload]
-    )
-    builders = _workload_builders(args)
-    unknown = [w for w in workload_names if w not in builders]
-    if unknown:
-        raise ValueError(
-            f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(WORKLOADS)}"
-        )
+    policies, workload_names = _matrix(args)
     plan = FaultPlan(
         seed=args.seed,
         events=(
@@ -466,9 +476,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     report = run_chaos(
         policies,
-        {name: builders[name] for name in workload_names},
+        [_workload_spec(args, name) for name in workload_names],
         plan,
-        _build_config(args),
+        _config_spec(args),
         check_interval_s=args.interval,
         trace_capacity=args.trace_capacity,
         workers=args.workers,
@@ -494,17 +504,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_report,
     )
 
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    workload_names = (
-        [w.strip() for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else [args.workload]
-    )
-    unknown = [w for w in workload_names if w not in WORKLOADS]
-    if unknown:
-        raise ValueError(
-            f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(WORKLOADS)}"
-        )
+    policies, workload_names = _matrix(args)
+    build_config(_config_spec(args)).validated()
     try:
         seeds = (
             [int(s.strip()) for s in args.seeds.split(",") if s.strip()]
@@ -527,13 +528,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         params={
                             "policy": policy,
                             "workload": _workload_spec(args, workload_name, seed),
-                            "config": {
-                                "dram_pages": args.dram_pages,
-                                "pm_pages": args.pm_pages,
-                                "swap_pages": args.swap_pages,
-                                "interval": args.interval,
-                                "seed": seed,
-                            },
+                            "config": _config_spec(args, seed),
                         },
                     )
                 )

@@ -13,7 +13,6 @@ agree.
 from repro.experiments.common import (
     EVALUATED_POLICIES,
     TIME_SCALE,
-    run_policies,
     run_ycsb_sequence,
     scale,
     scaled_config,
@@ -22,7 +21,6 @@ from repro.experiments.common import (
 __all__ = [
     "EVALUATED_POLICIES",
     "TIME_SCALE",
-    "run_policies",
     "run_ycsb_sequence",
     "scale",
     "scaled_config",

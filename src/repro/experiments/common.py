@@ -16,19 +16,16 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable
 
 from repro.machine import Machine
 from repro.run import RunResult, run_workload
 from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.base import Workload
 from repro.workloads.ycsb import EXECUTION_SEQUENCE, YCSBSession
 
 __all__ = [
     "TIME_SCALE",
     "scale",
     "scaled_config",
-    "run_policies",
     "run_ycsb_sequence",
     "EVALUATED_POLICIES",
 ]
@@ -113,56 +110,6 @@ def scaled_config(
         seed=seed,
         stats_window_s=20.0 * TIME_SCALE,
     )
-
-
-def run_policies(
-    workload_factory: Callable[[], Workload],
-    config: SimulationConfig,
-    policies: tuple[str, ...] = EVALUATED_POLICIES,
-    *,
-    workers: int = 1,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, RunResult]:
-    """Run a fresh workload instance under each policy.
-
-    ``workers > 1`` shards the policies across a pool of persistent,
-    crash-isolated worker processes via :mod:`repro.sweep`; ``progress``
-    receives the pool's streamed per-cell status lines.  Cells are
-    merged by policy name in the requested order, so the result is
-    identical to the sequential run (each cell builds its own machine
-    either way).  A cell that keeps failing after the pool's retries
-    raises, matching the sequential path's behaviour of propagating the
-    first error.  Factory cells carry live objects, so they are never
-    served from the sweep result cache.
-    """
-    if workers <= 1:
-        return {
-            policy: run_workload(workload_factory(), config, policy=policy)
-            for policy in policies
-        }
-    from repro.sweep import SweepCell, SweepSpec, run_sweep
-
-    spec = SweepSpec(
-        name="run_policies",
-        cells=tuple(
-            SweepCell(
-                id=policy,
-                runner="policy-factory",
-                params={
-                    "policy": policy,
-                    "factory": workload_factory,
-                    "config": config,
-                },
-            )
-            for policy in policies
-        ),
-    )
-    outcome = run_sweep(spec, workers=workers, progress=progress)
-    if not outcome.ok:
-        detail = "; ".join(f"{o.cell.id}: {o.error}" for o in outcome.failures)
-        raise RuntimeError(f"run_policies sweep cells failed: {detail}")
-    payloads = outcome.payloads()
-    return {policy: RunResult.from_dict(payloads[policy]) for policy in policies}
 
 
 def run_ycsb_sequence(

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.core.state import PageState, classify
 from repro.experiments.common import scale, scaled_config
 from repro.machine import Machine
 from repro.workloads.synthetic import ShiftingHotSetWorkload
 
 __all__ = ["run_fig4", "render_fig4"]
+
+#: Accesses between two samples of every page's state.
+SAMPLE_EVERY = 2000
 
 
 def run_fig4(*, ops: int | None = None) -> dict[str, object]:
@@ -30,16 +35,22 @@ def run_fig4(*, ops: int | None = None) -> dict[str, object]:
     workload.setup(machine)
     observed: Counter = Counter()
     process = workload.process
-    rows = (
-        row
-        for vpages, writes in workload.numeric_batches()
-        for row in zip(vpages.tolist(), writes.tolist())
+    batches = list(workload.numeric_batches())
+    vpages = np.concatenate([vpage for vpage, _ in batches])
+    writes = np.concatenate([write for _, write in batches])
+    # One block up to each sampling point (after access 0, 2000, 4000,
+    # ...), then the tail.
+    start = 0
+    for end in range(1, len(vpages) + 1, SAMPLE_EVERY):
+        machine.touch_batch_array(
+            process, [(vpages[start:end], writes[start:end])], lines=workload.lines
+        )
+        for pte in process.page_table.entries():
+            observed[classify(pte.page)] += 1
+        start = end
+    machine.touch_batch_array(
+        process, [(vpages[start:], writes[start:])], lines=workload.lines
     )
-    for i, (vpage, is_write) in enumerate(rows):
-        machine.touch(process, vpage, is_write=is_write, lines=workload.lines)
-        if i % 2000 == 0:
-            for pte in process.page_table.entries():
-                observed[classify(pte.page)] += 1
     counters = machine.stats.snapshot()
     return {
         "observed_states": observed,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.faults.injector import install_faults
 from repro.faults.plan import CapacityLoss, CopyFailures, FaultPlan
@@ -115,7 +115,7 @@ class ChaosCell:
     def from_dict(cls, data: dict[str, Any]) -> "ChaosCell":
         """Rebuild a cell from :meth:`to_dict` output — the sweep-worker
         wire format.  ``from_dict(x.to_dict())`` round-trips exactly, so
-        a parallel matrix merges bit-identically to a sequential one."""
+        the merged matrix does not depend on the worker count."""
         return cls(
             policy=data["policy"],
             workload=data["workload"],
@@ -164,82 +164,75 @@ def default_plan(seed: int = 42) -> FaultPlan:
 
 def run_chaos(
     policies: list[str],
-    workloads: dict[str, Callable[[], Workload]],
+    workloads: list[dict[str, Any]],
     plan: FaultPlan,
-    config: SimulationConfig,
+    config: dict[str, Any],
     *,
     check_interval_s: float = 0.005,
     trace_capacity: int | None = None,
     workers: int = 1,
-    progress: Callable[[str], None] | None = None,
 ) -> ChaosReport:
     """Run the matrix; every cell gets a fresh machine and a fresh fault
     schedule, so cells are independent and individually reproducible.
+
+    ``workloads`` and ``config`` are the specs that
+    :func:`~repro.sweep.runners.build_workload` and
+    :func:`~repro.sweep.runners.build_config` take; each workload spec's
+    ``kind`` names its column of the matrix.  The config and the plan
+    are checked here, so a bad one is a ``ValueError`` before any
+    worker forks.
 
     ``trace_capacity`` arms the tracepoint layer on every cell (ring
     capacity per node) and runs the lifecycle auditor after each run;
     audit mismatches mark the cell dirty.
 
-    ``workers > 1`` shards the matrix across a pool of persistent,
-    crash-isolated worker processes (:mod:`repro.sweep`); ``progress``
-    receives the pool's streamed per-cell status lines as cells finish.
-    Determinism property 3 is what makes the sharding safe: each cell
-    is a pure function of (plan, cell, config), so the merge — keyed by
-    (policy, workload) in matrix order — is bit-identical to the
-    sequential run.  A worker that dies outright even after retries
+    The matrix runs as ``chaos-cell`` cells of one sweep across
+    ``workers`` persistent, crash-isolated worker processes
+    (:mod:`repro.sweep`).  Determinism property 3 is what makes the
+    sharding safe: each cell is a pure function of (plan, cell, config),
+    so the merge — keyed by (policy, workload) in matrix order — does
+    not depend on ``workers``.  A cell whose worker fails every attempt
     becomes an uncompleted cell in the report (``completed=False``),
-    never a sweep abort.  Chaos cells carry live objects (the workload
-    builders), so they are never served from the sweep result cache.
+    never a sweep abort.
     """
-    grid = [
-        (policy, workload_name, build)
-        for policy in policies
-        for workload_name, build in workloads.items()
-    ]
-    if workers <= 1:
-        cells = [
-            _run_cell(
-                policy, workload_name, build(), plan, config,
-                check_interval_s, trace_capacity,
-            )
-            for policy, workload_name, build in grid
-        ]
-        return ChaosReport(plan=plan, cells=tuple(cells))
-
     from repro.sweep import SweepCell, SweepSpec, run_sweep
+    from repro.sweep.runners import build_config
 
+    build_config(config).validated()
+    plan.validated()
+    grid = [(policy, workload) for policy in policies for workload in workloads]
     spec = SweepSpec(
         name="run_chaos",
         cells=tuple(
             SweepCell(
-                id=f"{policy}/{workload_name}",
+                id=f"{policy}/{workload['kind']}",
                 runner="chaos-cell",
                 params={
                     "policy": policy,
-                    "workload_name": workload_name,
-                    "build": build,
-                    "plan": plan,
+                    "workload": workload,
+                    "plan": plan.to_dict(),
                     "config": config,
                     "check_interval_s": check_interval_s,
                     "trace_capacity": trace_capacity,
                 },
             )
-            for policy, workload_name, build in grid
+            for policy, workload in grid
         ),
     )
-    outcome = run_sweep(spec, workers=workers, progress=progress)
+    outcome = run_sweep(spec, workers=workers)
     cells = []
-    for (policy, workload_name, _), cell_outcome in zip(grid, outcome.outcomes):
+    for (policy, workload), cell_outcome in zip(grid, outcome.outcomes):
         if cell_outcome.ok:
             cells.append(ChaosCell.from_dict(cell_outcome.payload))
         else:
             # The chaos runner catches everything a simulation can
-            # raise, so only a hard worker death lands here; keep the
-            # never-abort contract by reporting it as a dirty cell.
+            # raise, so only a set-up error or a hard worker death lands
+            # here; keep the never-abort contract by reporting it as a
+            # dirty cell.
             cells.append(
                 ChaosCell(
                     policy=policy,
-                    workload=workload_name,
+                    workload=workload["kind"],
                     completed=False,
                     oom_killed=False,
                     error=f"sweep worker failed: {cell_outcome.error}",

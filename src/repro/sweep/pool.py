@@ -226,7 +226,7 @@ class _Ledger:
 
     def _serve_from_cache(self, cell: SweepCell, *, mid_run: bool) -> bool:
         key = cell_fingerprint(cell)
-        entry = self.cache.load(key) if key is not None else None
+        entry = self.cache.load(key)
         if entry is None:
             return False
         attempts = entry.get("attempts", 1)
@@ -277,10 +277,9 @@ class _Ledger:
             return "duplicate"
         if ok:
             self.outcomes[cell.id] = CellOutcome(cell, "done", attempt, payload)
-            key = cell_fingerprint(cell) if self.cache is not None else None
-            if key is not None:
-                self.cache.store(key, cell_id=cell.id, attempts=attempt,
-                                 payload=payload)
+            if self.cache is not None:
+                self.cache.store(cell_fingerprint(cell), cell_id=cell.id,
+                                 attempts=attempt, payload=payload)
             self.obs.emit("cell.done", cell=cell.id, done=len(self.outcomes),
                           total=self.total, attempt=attempt, wall_s=wall_s)
             return "done"
@@ -401,23 +400,13 @@ def _kill(proc: Any, grace_s: float = 1.0) -> None:
         proc.join(5.0)
 
 
-def _context(start_method: str | None = None) -> Any:
-    """Prefer fork so cell params (and prewarmed shared state) travel to
-    workers by inheritance and may hold arbitrary objects (factories,
-    configs).  Under spawn — fork-less hosts, or an explicit
-    ``REPRO_SWEEP_START_METHOD=spawn`` override — the spec must be
-    picklable, which every declarative (JSON-param) grid is; prewarm
-    hooks simply stop paying off and workers rebuild shared state on
-    demand.
+def _context() -> Any:
+    """Fork where the platform has it, so prewarmed shared state (one
+    read-only workload stream per distinct spec) travels to workers by
+    inheritance; elsewhere the platform default.  Cells are plain JSON,
+    so a spawned worker receives the same grid; prewarm hooks simply
+    stop paying off and workers rebuild shared state on demand.
     """
-    method = start_method or os.environ.get("REPRO_SWEEP_START_METHOD")
-    if method:
-        if method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"unsupported sweep start method {method!r}; this host "
-                f"offers: {', '.join(multiprocessing.get_all_start_methods())}"
-            )
-        return multiprocessing.get_context(method)
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()

@@ -1,18 +1,16 @@
 """Builtin cell runners: how one sweep cell executes inside a worker.
 
-Two families:
+Every cell's params are plain JSON (:class:`~repro.sweep.spec.SweepSpec`
+checks this before any fork): workload and config *specs* that
+:func:`build_workload` and :func:`build_config` turn into live objects
+inside the worker.  The builders here are the single source of truth
+the CLI also uses for its own ``--workload`` and sizing flags.
 
-* **Declarative** (``run-workload``) — params are plain JSON (workload
-  kind + sizes, config sizes), so the cell is portable across processes
-  and restarts; this is what ``repro sweep`` emits and what makes
-  the result cache (and so resuming an interrupted sweep) meaningful.
-  The builders here are the single source of truth the CLI also uses
-  for its own ``--workload`` flags.
-* **Factory** (``policy-factory``, ``chaos-cell``) — params carry live
-  objects (workload factories, :class:`SimulationConfig`,
-  :class:`FaultPlan`) by fork inheritance; used by
-  ``run_policies(workers=N)`` and ``run_chaos(workers=N)`` so their
-  public signatures stay unchanged.
+* ``run-workload`` — one workload under one policy on a fresh machine;
+  what ``repro sweep`` and figbench emit.
+* ``chaos-cell`` — one cell of the chaos matrix (:func:`run_chaos`): the
+  same plus a fault plan (as :meth:`FaultPlan.to_dict`) and the
+  invariant checker.
 
 ``run-workload`` cells share read-only workload construction: the
 numeric access stream for each distinct workload spec is generated once
@@ -35,7 +33,7 @@ import os
 import time
 from typing import Any, Callable
 
-from repro.run import run_numeric_stream, run_workload
+from repro.run import run_numeric_stream
 from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.sweep.spec import register_runner
 from repro.workloads.base import Workload
@@ -142,69 +140,23 @@ def run_workload_cell(params: dict[str, Any]) -> dict[str, Any]:
     return result.to_dict()
 
 
-@register_runner("colo")
-def colo_cell(params: dict[str, Any]) -> dict[str, Any]:
-    """Declarative colocation cell: N KV tenants, memcg armed.
-
-    Params mirror :func:`repro.experiments.colo.run_colo` keywords
-    (``n_tenants``, ``records_per_tenant``, ``ops_per_tenant``,
-    ``policy``, ``limits``, ``seed``, sizing overrides) — all plain
-    JSON, so colo cells are cached like ``run-workload`` cells.
-    The payload is the per-tenant row set, not the live machine."""
-    from repro.experiments.colo import run_colo
-
-    allowed = (
-        "n_tenants", "records_per_tenant", "ops_per_tenant", "policy",
-        "dram_pages", "pm_pages", "swap_pages", "limits", "interval_s",
-        "seed",
-    )
-    kwargs = {k: params[k] for k in allowed if k in params}
-    result = run_colo(**kwargs)
-    return {
-        "policy": result["policy"],
-        "oom_kills": result["oom_kills"],
-        "tenants": [
-            {
-                "name": row.name,
-                "alpha": row.alpha,
-                "limit_pages": row.limit_pages,
-                "footprint_pages": row.footprint_pages,
-                "ops_completed": row.ops_completed,
-                "killed": row.killed,
-                "p50_ns": row.p50_ns,
-                "p99_ns": row.p99_ns,
-                "rss_pages": row.rss_pages,
-                "rss_by_node": {str(k): v for k, v in row.rss_by_node.items()},
-                "swap_pages": row.swap_pages,
-            }
-            for row in result["rows"]
-        ],
-    }
-
-
-@register_runner("policy-factory")
-def policy_factory_cell(params: dict[str, Any]) -> dict[str, Any]:
-    """Factory cell for ``run_policies(workers=N)``: params carry the
-    live workload factory and config across the fork."""
-    result = run_workload(
-        params["factory"](), params["config"], policy=params["policy"]
-    )
-    return result.to_dict()
-
-
 @register_runner("chaos-cell")
 def chaos_cell(params: dict[str, Any]) -> dict[str, Any]:
-    """One chaos-matrix cell, exactly as the sequential loop runs it."""
+    """One chaos-matrix cell: params are ``policy``, ``workload`` and
+    ``config`` specs, the ``plan`` dict, ``check_interval_s`` and
+    ``trace_capacity``."""
     from repro.faults.chaos import _run_cell
+    from repro.faults.plan import FaultPlan
 
+    workload = params["workload"]
     cell = _run_cell(
         params["policy"],
-        params["workload_name"],
-        params["build"](),
-        params["plan"],
-        params["config"],
+        workload["kind"],
+        build_workload(workload),
+        FaultPlan.from_dict(params["plan"]),
+        build_config(params["config"]),
         params["check_interval_s"],
-        params.get("trace_capacity"),
+        params["trace_capacity"],
     )
     return cell.to_dict()
 

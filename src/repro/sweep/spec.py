@@ -3,17 +3,16 @@
 A sweep is a list of independent *cells* — one (policy × workload ×
 seed × config) point each — plus the name of a registered *runner* that
 knows how to execute one cell in a worker process and return a
-JSON-serialisable payload.  Experiments (:func:`run_policies`), the
-chaos matrix (:func:`run_chaos`) and the CLI all express their grids as
-a :class:`SweepSpec`, so they share one pool and one retry policy.
+JSON-serialisable payload.  The chaos matrix (:func:`run_chaos`), the
+CLI's ``sweep`` and figbench all express their grids as a
+:class:`SweepSpec`, so they share one pool and one retry policy.
 
 Runners are looked up by name in a registry rather than pickled,
 because the lookup must also work inside a worker that was forked (or
 spawned) before the parent decided which cell it would run.  Cell
-``params`` are passed to the worker by fork inheritance, so they may
-hold arbitrary objects (workload factories, configs); only cells whose
-params are JSON-serialisable — the CLI's declarative cells — have a
-content fingerprint, so only they are cached and resume after an
+``params`` are plain JSON — workload and config *specs*, never live
+objects — which :class:`SweepSpec` checks before any worker forks.  So
+every cell has a content fingerprint, is cached, and resumes after an
 interrupt.
 """
 
@@ -118,21 +117,24 @@ class SweepSpec:
             if cell.id in seen:
                 raise ValueError(f"duplicate sweep cell id {cell.id!r}")
             seen.add(cell.id)
+            try:
+                _canonical(cell)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"sweep cell {cell.id!r} has non-JSON params: {exc}"
+                ) from None
 
 
-def cell_fingerprint(cell: SweepCell) -> str | None:
+def _canonical(cell: SweepCell) -> str:
+    return json.dumps({"runner": cell.runner, "params": cell.params},
+                      sort_keys=True)
+
+
+def cell_fingerprint(cell: SweepCell) -> str:
     """Content address of one cell: a digest of (runner, params) alone.
 
     This is the result-cache key — deliberately *not* including the
     spec name or the cell id, so the same (runner, params) point reached
-    from two different grids shares one cache entry.  Cells whose params
-    are not JSON-serialisable (factory-based API grids) return None and
-    are simply never cached.
+    from two different grids shares one cache entry.
     """
-    try:
-        blob = json.dumps(
-            {"runner": cell.runner, "params": cell.params}, sort_keys=True
-        )
-    except TypeError:
-        return None
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(cell).encode("utf-8")).hexdigest()

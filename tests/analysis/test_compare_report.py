@@ -3,9 +3,8 @@
 import pytest
 
 from repro.analysis.compare import normalize_exec_time, normalize_throughput
-from repro.analysis.report import render_bars, render_series, render_table
+from repro.analysis.report import render_bars, render_table
 from repro.run import RunResult
-from repro.sim.stats import WindowPoint
 
 
 def result(policy, ops, elapsed_ns):
@@ -29,7 +28,6 @@ def test_normalize_throughput():
     assert comparison.values["static"] == pytest.approx(1.0)
     assert comparison.values["multiclock"] == pytest.approx(1.5)
     assert comparison.best() == "multiclock"
-    assert comparison.gain_over("multiclock", "static") == pytest.approx(0.5)
 
 
 def test_normalize_exec_time_lower_is_better():
@@ -61,13 +59,6 @@ def test_render_bars():
     assert "(no data)" == render_bars({})
 
 
-def test_render_series():
-    points = [WindowPoint(0, 1.0), WindowPoint(1, 2.0)]
-    text = render_series(points)
-    assert "0" in text and "1" in text
-    assert render_series([]) == "(no data)"
-
-
 def test_comparison_render_sorted():
     results = {
         "static": result("static", 1000, 1_000_000),
@@ -76,17 +67,3 @@ def test_comparison_render_sorted():
     text = normalize_throughput(results).render()
     lines = text.splitlines()
     assert "multiclock" in lines[1]  # best first
-
-
-def test_render_series_shows_gaps_for_no_data_windows():
-    points = [
-        WindowPoint(0, 4.0, samples=2),
-        WindowPoint(1, float("nan"), samples=0),
-        WindowPoint(2, 8.0, samples=1),
-    ]
-    text = render_series(points)
-    lines = text.splitlines()
-    assert "(no data)" in lines[1]
-    assert "#" not in lines[1]
-    # Peak scaling must ignore the NaN: window 2 gets the full bar.
-    assert lines[2].count("#") > lines[0].count("#")

@@ -19,11 +19,29 @@ from repro.faults import (
 )
 from repro.policies.base import _REGISTRY
 from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
+from repro.sweep.runners import build_config
 
 
 def chaos_config():
-    return SimulationConfig(
+    return {"dram_pages": 256, "pm_pages": 2048, "interval": 0.002, "seed": 42}
+
+
+def acceptance_plan(seed=42):
+    return FaultPlan(seed=seed, events=(
+        CopyFailures(start_s=0.0005, end_s=30.0, rate=0.2),
+        CapacityLoss(start_s=0.002, end_s=0.008, node_id=1, frames=512),
+    ))
+
+
+def workloads(ops=6000, pages=800):
+    return [{"kind": "zipf", "pages": pages, "ops": ops, "seed": 42}]
+
+
+def test_config_spec_builds_the_acceptance_machine():
+    """The spec is the machine the matrix was first pinned on: 256 DRAM
+    and 2048 PM pages, kpromoted and hint scans every 2 ms, kswapd every
+    1 ms, seed 42."""
+    assert build_config(chaos_config()) == SimulationConfig(
         dram_pages=(256,),
         pm_pages=(2048,),
         daemons=DaemonConfig(
@@ -35,15 +53,11 @@ def chaos_config():
     )
 
 
-def acceptance_plan(seed=42):
-    return FaultPlan(seed=seed, events=(
-        CopyFailures(start_s=0.0005, end_s=30.0, rate=0.2),
-        CapacityLoss(start_s=0.002, end_s=0.008, node_id=1, frames=512),
-    ))
-
-
-def workloads(ops=6000, pages=800):
-    return {"zipf": lambda: ZipfWorkload(pages, ops, seed=42)}
+def test_plan_round_trips_through_its_dict():
+    """Chaos cells carry the plan as ``to_dict()`` across the fork."""
+    plan = acceptance_plan(seed=7)
+    assert FaultPlan.from_dict(plan.to_dict()) == plan
+    assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
 
 @pytest.mark.parametrize("policy", sorted(_REGISTRY))

@@ -18,28 +18,16 @@ SCRIPT = """
 import sys
 from repro.faults import FaultPlan, run_chaos, write_report
 from repro.faults.plan import CapacityLoss, CopyFailures
-from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
 
-config = SimulationConfig(
-    dram_pages=(256,),
-    pm_pages=(2048,),
-    daemons=DaemonConfig(
-        kpromoted_interval_s=0.002,
-        kswapd_interval_s=0.001,
-        hint_scan_interval_s=0.002,
-    ),
-    seed=42,
-)
 plan = FaultPlan(seed=7, events=(
     CopyFailures(start_s=0.0005, end_s=30.0, rate=0.2),
     CapacityLoss(start_s=0.002, end_s=0.008, node_id=1, frames=512),
 ))
 report = run_chaos(
     ["multiclock", "static"],
-    {"zipf": lambda: ZipfWorkload(400, 2500, seed=42)},
+    [{"kind": "zipf", "pages": 400, "ops": 2500, "seed": 42}],
     plan,
-    config,
+    {"dram_pages": 256, "pm_pages": 2048, "interval": 0.002, "seed": 42},
 )
 write_report(report, sys.argv[1])
 """
@@ -57,28 +45,16 @@ def run_in_fresh_interpreter(out_path):
 def run_in_this_interpreter(out_path):
     from repro.faults import FaultPlan, run_chaos, write_report
     from repro.faults.plan import CapacityLoss, CopyFailures
-    from repro.sim.config import DaemonConfig, SimulationConfig
-    from repro.workloads.synthetic import ZipfWorkload
 
-    config = SimulationConfig(
-        dram_pages=(256,),
-        pm_pages=(2048,),
-        daemons=DaemonConfig(
-            kpromoted_interval_s=0.002,
-            kswapd_interval_s=0.001,
-            hint_scan_interval_s=0.002,
-        ),
-        seed=42,
-    )
     plan = FaultPlan(seed=7, events=(
         CopyFailures(start_s=0.0005, end_s=30.0, rate=0.2),
         CapacityLoss(start_s=0.002, end_s=0.008, node_id=1, frames=512),
     ))
     report = run_chaos(
         ["multiclock", "static"],
-        {"zipf": lambda: ZipfWorkload(400, 2500, seed=42)},
+        [{"kind": "zipf", "pages": 400, "ops": 2500, "seed": 42}],
         plan,
-        config,
+        {"dram_pages": 256, "pm_pages": 2048, "interval": 0.002, "seed": 42},
     )
     write_report(report, str(out_path))
 

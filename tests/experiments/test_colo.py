@@ -92,16 +92,3 @@ def test_render_mentions_every_tenant_and_the_verdict():
         assert row.name in text
     assert "p50_ns" in text and "p99_ns" in text
     assert "tenants finished" in text
-
-
-def test_colo_sweep_runner_payload_is_plain_json():
-    from repro.sweep.runners import colo_cell
-
-    payload = colo_cell({
-        "n_tenants": 2, "records_per_tenant": 200, "ops_per_tenant": 400,
-        "limits": [None, 50], "seed": 9,
-    })
-    round_tripped = json.loads(json.dumps(payload))
-    assert round_tripped == payload
-    assert [t["name"] for t in payload["tenants"]] == ["tenant0", "tenant1"]
-    assert payload["tenants"][1]["rss_pages"] <= 50

@@ -38,20 +38,6 @@ def test_scaled_config_applies_time_scale():
     assert config.stats_window_s == pytest.approx(20.0 * TIME_SCALE)
 
 
-def test_run_policies_runs_fresh_instances():
-    from repro.experiments.common import run_policies
-    from repro.workloads.synthetic import ZipfWorkload
-
-    config = scaled_config(dram_pages=128, pm_pages=1024)
-    results = run_policies(
-        lambda: ZipfWorkload(pages=100, ops=200, seed=1),
-        config,
-        policies=("static", "multiclock"),
-    )
-    assert set(results) == {"static", "multiclock"}
-    assert all(r.operations == 200 for r in results.values())
-
-
 def test_run_ycsb_sequence_returns_all_phases():
     config = scaled_config(dram_pages=128, pm_pages=1024)
     results = run_ycsb_sequence(

@@ -141,25 +141,23 @@ def test_cache_entry_with_wrong_fingerprint_is_a_miss(tmp_path):
     assert result.payloads() == {"cell0": {"value": 0}}
 
 
-def test_factory_cells_with_live_objects_are_never_cached(tmp_path):
+def test_factory_cells_with_live_objects_are_rejected(tmp_path):
+    """Params are JSON or the grid is refused: a lambda in params is a
+    one-line ValueError from SweepSpec, before any worker forks."""
     log = str(tmp_path / "invocations.log")
-    cache_dir = str(tmp_path / "cache")
-    # A lambda in params makes the cell's fingerprint undefined (None):
-    # it cannot be content-addressed, so it must run live every time.
-    spec = SweepSpec(
-        "factory",
-        (
-            SweepCell(
-                "live", "test-cache-log",
-                {"log": log, "value": 7, "factory": lambda: None},
+    with pytest.raises(ValueError, match="non-JSON params") as excinfo:
+        SweepSpec(
+            "factory",
+            (
+                SweepCell(
+                    "live", "test-cache-log",
+                    {"log": log, "value": 7, "factory": lambda: None},
+                ),
             ),
-        ),
-    )
-    assert cell_fingerprint(spec.cells[0]) is None
-    run_sweep(spec, cache_dir=cache_dir)
-    run_sweep(spec, cache_dir=cache_dir)
-    assert len(_log_lines(log)) == 2  # executed both times
-    assert os.listdir(cache_dir) == []  # nothing was stored
+        )
+    assert "'live'" in str(excinfo.value)
+    assert "\n" not in str(excinfo.value)
+    assert _log_lines(log) == []  # nothing ran
 
 
 def test_worker_hard_death_mid_cell_leaves_cache_untouched(tmp_path):

@@ -2,6 +2,7 @@
 resuming through the result cache, and the scheduling-independent
 merge."""
 
+import multiprocessing
 import os
 import re
 
@@ -13,7 +14,7 @@ from repro.sweep import (
     register_runner,
     run_sweep,
 )
-from repro.sweep.pool import _context
+from repro.sweep import pool
 
 
 def declarative_cells(policies, ops=2000, pages=300, seed=42):
@@ -243,12 +244,15 @@ def test_spawn_start_method_matches_fork(monkeypatch):
     )
     spec = SweepSpec("spawnable", cells)
     fork = run_sweep(spec, workers=2)
-    monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "spawn")
+    contexts = []
+
+    def spawn_context():
+        contexts.append("spawn")
+        return multiprocessing.get_context("spawn")
+
+    monkeypatch.setattr(pool, "_context", spawn_context)
     spawned = run_sweep(spec, workers=2)
+    assert contexts == ["spawn"]
     assert spawned.ok
+    assert spawned.spawned_workers == 2
     assert spawned.payloads() == fork.payloads()
-
-
-def test_unsupported_start_method_is_one_line_error():
-    with pytest.raises(ValueError, match="unsupported sweep start method"):
-        _context("not-a-method")

@@ -1,73 +1,48 @@
-"""The experiment-layer wiring: run_policies / run_chaos / CLI sweeps
-produce results identical to their sequential paths."""
+"""The experiment-layer wiring: run_chaos and CLI sweeps produce
+results that do not depend on the worker count."""
 
 import json
 
 from repro.cli import main as cli_main
-from repro.experiments.common import run_policies, scaled_config
 from repro.faults import FaultPlan, run_chaos, write_report
 from repro.faults.plan import CapacityLoss, CopyFailures
-from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
-
-
-def test_run_policies_parallel_matches_sequential():
-    config = scaled_config(dram_pages=128, pm_pages=1024)
-
-    def factory():
-        return ZipfWorkload(pages=200, ops=1500, seed=1)
-
-    policies = ("static", "multiclock", "nimble")
-    sequential = run_policies(factory, config, policies)
-    parallel = run_policies(factory, config, policies, workers=2)
-    assert list(parallel) == list(sequential)  # merge order = request order
-    assert {p: r.to_dict() for p, r in parallel.items()} == {
-        p: r.to_dict() for p, r in sequential.items()
-    }
 
 
 def chaos_fixture():
-    config = SimulationConfig(
-        dram_pages=(256,),
-        pm_pages=(2048,),
-        daemons=DaemonConfig(
-            kpromoted_interval_s=0.002,
-            kswapd_interval_s=0.001,
-            hint_scan_interval_s=0.002,
-        ),
-        seed=42,
-    )
+    config = {"dram_pages": 256, "pm_pages": 2048, "interval": 0.002, "seed": 42}
     plan = FaultPlan(seed=42, events=(
         CopyFailures(start_s=0.0005, end_s=30.0, rate=0.2),
         CapacityLoss(start_s=0.002, end_s=0.008, node_id=1, frames=512),
     ))
-    workloads = {"zipf": lambda: ZipfWorkload(400, 2500, seed=42)}
+    workloads = [{"kind": "zipf", "pages": 400, "ops": 2500, "seed": 42}]
     return config, plan, workloads
 
 
 def test_run_chaos_parallel_report_is_bit_identical(tmp_path):
     config, plan, workloads = chaos_fixture()
     policies = ["multiclock", "static"]
-    sequential = run_chaos(policies, workloads, plan, config)
-    parallel = run_chaos(policies, workloads, plan, config, workers=2)
-    seq_path, par_path = tmp_path / "seq.json", tmp_path / "par.json"
-    write_report(sequential, str(seq_path))
-    write_report(parallel, str(par_path))
-    assert seq_path.read_bytes() == par_path.read_bytes()
+    one = run_chaos(policies, workloads, plan, config)
+    two = run_chaos(policies, workloads, plan, config, workers=2)
+    one_path, two_path = tmp_path / "one.json", tmp_path / "two.json"
+    write_report(one, str(one_path))
+    write_report(two, str(two_path))
+    assert one_path.read_bytes() == two_path.read_bytes()
 
 
 def test_run_chaos_never_aborts_on_a_dead_worker():
-    """A cell whose worker dies outright (here: unknown policy raising
+    """A cell that fails every attempt (here: an unknown policy raising
     before the chaos runner's own try/except arms) must surface as an
-    uncompleted cell, not abort the sweep."""
+    uncompleted cell, not abort the sweep, at any worker count."""
     config, plan, workloads = chaos_fixture()
-    report = run_chaos(["static", "no-such-policy"], workloads, plan, config, workers=2)
-    by_policy = {cell.policy: cell for cell in report.cells}
-    assert by_policy["static"].completed
-    dead = by_policy["no-such-policy"]
-    assert not dead.completed
-    assert "sweep worker failed" in dead.error
-    assert not report.all_clean
+    for workers in (1, 2):
+        report = run_chaos(["static", "no-such-policy"], workloads, plan, config,
+                           workers=workers)
+        by_policy = {cell.policy: cell for cell in report.cells}
+        assert by_policy["static"].completed
+        dead = by_policy["no-such-policy"]
+        assert not dead.completed
+        assert "sweep worker failed" in dead.error
+        assert not report.all_clean
 
 
 def sweep_argv(workers, out, pages="300", ops="2000"):

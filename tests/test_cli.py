@@ -139,6 +139,46 @@ def test_chaos_unknown_workload_one_line_error(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("policies, message", [
+    ("static,bogus", "error: unknown policy 'bogus'"),
+    (",", "error: --policies ',' names no policy"),
+])
+@pytest.mark.parametrize("command", ["sweep", "chaos"])
+def test_matrix_unknown_policy_rejected_before_any_fork(
+    tmp_path, capsys, monkeypatch, command, policies, message
+):
+    """An unknown or empty --policies is one line and exit 2 at any
+    worker count: no cell runs, no worker forks, no report is written
+    (an empty matrix would otherwise report ALL CLEAN)."""
+    from repro.sweep import pool
+
+    forks = []
+    monkeypatch.setattr(pool, "_context", lambda: forks.append(command))
+    out = tmp_path / "report.json"
+    code = main([
+        command, "--policies", policies, "--workload", "zipf",
+        "--pages", "100", "--ops", "300", "--dram-pages", "64",
+        "--pm-pages", "512", "--workers", "2", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert forks == []
+
+
+def test_sweep_invalid_sizing_rejected_before_any_fork(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["sweep", "--policies", "static", "--dram-pages", "0",
+                 "--no-cache", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: node capacity must be positive")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 SWEEP_SIZING = [
     "--policies", "static", "--workload", "zipf", "--pages", "100",
     "--ops", "300", "--dram-pages", "64", "--pm-pages", "512",

@@ -10,21 +10,10 @@ import pytest
 
 from repro.faults import CapacityLoss, CopyFailures, FaultPlan, run_chaos
 from repro.policies.base import _REGISTRY
-from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
 
 
 def chaos_config():
-    return SimulationConfig(
-        dram_pages=(256,),
-        pm_pages=(2048,),
-        daemons=DaemonConfig(
-            kpromoted_interval_s=0.002,
-            kswapd_interval_s=0.001,
-            hint_scan_interval_s=0.002,
-        ),
-        seed=42,
-    )
+    return {"dram_pages": 256, "pm_pages": 2048, "interval": 0.002, "seed": 42}
 
 
 def acceptance_plan(seed=42):
@@ -35,7 +24,7 @@ def acceptance_plan(seed=42):
 
 
 def workloads(ops=6000, pages=800):
-    return {"zipf": lambda: ZipfWorkload(pages, ops, seed=42)}
+    return [{"kind": "zipf", "pages": pages, "ops": ops, "seed": 42}]
 
 
 @pytest.mark.parametrize("policy", sorted(_REGISTRY))
