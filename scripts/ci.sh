@@ -162,7 +162,12 @@ OBS_TMP="$CI_TMP/obs"
 mkdir "$OBS_TMP"
 python -m repro sweep "${SWEEP_ARGS[@]}" --no-cache --workers 2 --journal \
     --out "$OBS_TMP/armed.json" >/dev/null 2>&1
+# The armed sweep leaves its report and its journal, and no status
+# sidecar: top folds the journal.
+test "$(ls "$OBS_TMP")" = "$(printf 'armed.json\narmed.json.journal.ndjson')"
 python -m repro top "$OBS_TMP/armed.json" --once | grep -q "done 2"
+python -m repro top "$OBS_TMP/armed.json" --prometheus \
+    | grep -q 'repro_sweep_cells{state="done"} 2'
 python -m repro timeline "$OBS_TMP/armed.json" \
     --out "$OBS_TMP/trace.json" >/dev/null
 python - "$OBS_TMP" <<'PYEOF'
@@ -186,6 +191,13 @@ print(f"timeline has {len(lanes)} lanes; profile covers "
 PYEOF
 cmp "$OBS_TMP/stripped.json" "$SWEEP_TMP/seq.json"
 echo "journal-armed report minus timing/profile is byte-identical to journal-off"
+# Cached cells count as settled: a fully cached re-run reads 2/2.
+python -m repro sweep "${SWEEP_ARGS[@]}" --workers 2 --journal \
+    --out "$OBS_TMP/cached.json" >/dev/null 2>&1
+python -m repro sweep "${SWEEP_ARGS[@]}" --workers 2 --journal \
+    --out "$OBS_TMP/cached.json" >/dev/null 2>&1
+python -m repro top "$OBS_TMP/cached.json" --once | grep -q "2/2"
+echo "fully cached journal-armed re-run: top reads 2/2"
 
 echo "== trace smoke (run -> export -> audit) =="
 TRACE_TMP="$CI_TMP/trace"

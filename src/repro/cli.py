@@ -29,11 +29,12 @@ Commands:
   an interrupt too — serves them without running them again
   (``--no-cache`` runs every cell live).  Writes a deterministic
   ``SWEEP_report.json`` whose bytes do not depend on the worker count.
-  ``--journal`` arms the control-plane span journal (drives
-  ``top``/``timeline`` and the report's timing/profile sections).
-* ``top`` — live progress view of a running ``sweep --journal``: polls
-  the atomically-rewritten ``<out>.status.json`` (``--once`` for one
-  frame, ``--prometheus`` for scrapers).
+  ``--journal`` arms the control-plane span journal, the sweep's one
+  record: ``top``, ``timeline`` and the report's timing/profile
+  sections are all folds of it.
+* ``top`` — live progress view of a ``sweep --journal``: folds
+  ``<out>.journal.ndjson`` (``--once`` for one frame, ``--prometheus``
+  for scrapers).
 * ``timeline`` — export a sweep's span journal as Chrome trace-event
   JSON with a driver lane and a worker-pool lane; loads directly in
   https://ui.perfetto.dev.
@@ -267,17 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PATH",
                          help="arm the span journal: write control-plane "
                               "begin/end spans as NDJSON (default path "
-                              "<out>.journal.ndjson), keep a live "
-                              "<out>.status.json for `repro top`, and add "
-                              "timing/profile sections to the report")
+                              "<out>.journal.ndjson), which `repro top` and "
+                              "`repro timeline` read, and add timing/profile "
+                              "sections to the report")
 
     top_p = sub.add_parser(
         "top",
-        help="live progress view of a running `sweep --journal` "
-             "(reads <out>.status.json)",
+        help="live progress view of a `sweep --journal` "
+             "(reads <out>.journal.ndjson)",
     )
     top_p.add_argument("path", nargs="?", default=DEFAULT_SWEEP_REPORT,
-                       help="sweep report path or its .status.json "
+                       help="journal NDJSON path, or a sweep report path "
+                            "to derive <out>.journal.ndjson from "
                             "(default SWEEP_report.json)")
     top_p.add_argument("--once", action="store_true",
                        help="render one frame and exit (for scripts/CI)")
@@ -537,24 +539,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache_dir = (args.cache_dir or f"{out}.cache") if args.cache else None
     note = lambda msg: print(f"  {msg}", file=sys.stderr)  # noqa: E731
 
-    # --journal arms the observability plane: the NDJSON span journal,
-    # the live <out>.status.json that `repro top` polls, and the
-    # timing/profile sections of the report.  Without it `obs` stays
-    # None and the sweep layer builds its null observer, so the report
-    # bytes are identical to a journal-off run (CI pins this with cmp).
+    # --journal arms the observability plane: the NDJSON span journal
+    # that `repro top` folds, and the report's timing/profile sections
+    # folded from it.  Without it `obs` stays None and the sweep layer
+    # builds its null observer, so the report bytes are identical to a
+    # journal-off run (CI pins this with cmp).
     obs = None
     journal_path = None
     if args.journal is not None:
-        from repro.obs import Journal, StatusBoard, SweepObserver
+        from repro.obs import Journal, SweepObserver
 
         journal_path = args.journal or f"{out}.journal.ndjson"
-        journal = Journal(journal_path)
-        obs = SweepObserver(
-            progress=note,
-            journal=journal,
-            status=StatusBoard(f"{out}.status.json", total=len(cells),
-                               spec=spec.name, trace=journal.trace_id),
-        )
+        obs = SweepObserver(progress=note, journal=Journal(journal_path))
     try:
         result = run_sweep(
             spec,
@@ -566,10 +562,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             obs=obs,
         )
     except BaseException as exc:
-        # The journal gets its synthetic aborted ends and the status
-        # file its terminal state even on Ctrl-C or a rejected argument
-        # — a consumer must never see a journal whose begins lack ends,
-        # or a status file stuck at "running".
+        # The journal gets its synthetic aborted ends, carrying the
+        # terminal state, even on Ctrl-C — a consumer must never see a
+        # journal whose begins lack ends, or a sweep stuck at "running".
         if obs is not None:
             interrupted = isinstance(exc, (SweepInterrupted, KeyboardInterrupt))
             obs.close("interrupted" if interrupted else "failed")
@@ -578,10 +573,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     timing = profile = None
     if obs is not None:
         obs.close("done" if result.ok else "failed")
-        from repro.obs import fold_profile, read_journal
+        from repro.obs import fold_profile, fold_timing, read_journal
 
-        profile = fold_profile(read_journal(journal_path))
-        timing = obs.timing_rows()
+        events = read_journal(journal_path)
+        profile = fold_profile(events)
+        timing = fold_timing(events)
 
     report = build_report(
         result,
@@ -621,14 +617,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from repro.obs import read_status, render_prometheus, render_top
 
-    path = args.path
-    if not path.endswith(".status.json"):
-        path = f"{path}.status.json"
     if args.prometheus:
-        print(render_prometheus(read_status(path)), end="")
+        print(render_prometheus(read_status(args.path)), end="")
         return 0
     while True:
-        status = read_status(path)
+        status = read_status(args.path)
         if not args.once and sys.stdout.isatty():
             print("\x1b[2J\x1b[H", end="")
         print(render_top(status))
@@ -638,20 +631,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.obs import read_journal, timeline_records
+    from repro.obs import journal_path, load_journal, timeline_records
     from repro.trace import write_trace_events
 
-    path = args.journal
-    if not path.endswith(".ndjson"):
-        path = f"{path}.journal.ndjson"
-    events = read_journal(path)
-    if not events:
-        raise ValueError(
-            f"no journal events in {path}; run the sweep with --journal "
-            f"(and the same --out) first"
-        )
-    records, lanes = timeline_records(events)
-    out = args.out or f"{path}.trace.json"
+    records, lanes = timeline_records(load_journal(args.journal))
+    out = args.out or f"{journal_path(args.journal)}.trace.json"
     write_trace_events(records, out)
     print(f"{len(records)} trace records across {lanes} lane(s) "
           f"written to {out}")

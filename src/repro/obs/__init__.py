@@ -2,17 +2,20 @@
 
 The sweep pool (:mod:`repro.sweep.pool`) talks to exactly one object —
 :class:`SweepObserver` — which fans each structured event out to up to
-three sinks:
+two sinks:
 
-* the **progress callback** (the pre-PR-10 ``note`` lines, rendered
-  from the event's fields by :mod:`repro.obs.events`),
-* the **span journal** (:class:`repro.obs.journal.Journal`, NDJSON),
-* the **status board** (:class:`repro.obs.status.StatusBoard`, the
-  atomically-rewritten ``<out>.status.json`` that ``repro top`` polls).
+* the **progress callback** (the human-readable narration lines,
+  rendered from the event's fields by :mod:`repro.obs.events`),
+* the **span journal** (:class:`repro.obs.journal.Journal`, NDJSON).
 
-All three sinks are optional; a bare ``SweepObserver()`` is a correct
-null observer, which is how journal-off sweeps stay byte-identical —
-the pool always emits, the observer decides whether anything listens.
+Both sinks are optional; a bare ``SweepObserver()`` is a correct null
+observer, which is how journal-off sweeps stay byte-identical — the
+pool always emits, the observer decides whether anything listens.
+
+The journal is the sweep's only record.  Every other view is a fold of
+it: ``repro top`` (:func:`fold_status`), ``repro timeline``
+(:func:`timeline_records`) and the report's ``profile``/``timing``
+sections (:func:`fold_profile`, :func:`fold_timing`).
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from repro.obs.journal import (
     pair_spans,
     read_journal,
 )
-from repro.obs.profile import fold_profile, render_profile
+from repro.obs.profile import fold_profile, fold_timing, render_profile
 from repro.obs.status import (
-    MIN_REWRITE_INTERVAL_S,
-    StatusBoard,
+    fold_status,
+    journal_path,
+    load_journal,
     read_status,
     render_prometheus,
     render_top,
@@ -44,12 +48,14 @@ __all__ = [
     "new_trace_id",
     "read_journal",
     "pair_spans",
-    "StatusBoard",
+    "journal_path",
+    "load_journal",
+    "fold_status",
     "read_status",
     "render_top",
     "render_prometheus",
-    "MIN_REWRITE_INTERVAL_S",
     "fold_profile",
+    "fold_timing",
     "render_profile",
     "timeline_records",
     "render_event",
@@ -61,19 +67,6 @@ __all__ = [
 #: twice (a failed attempt, then its retry) still commits once.
 _TERMINAL_EVENTS = {"cell.done", "cell.failed", "cell.cache_hit"}
 
-_COUNTED = {
-    "cell.done": "done",
-    "cell.failed": "failed",
-    "cell.cache_hit": "cached",
-    "cell.retry": "retries",
-}
-
-_TIMED_OUTCOMES = {
-    "cell.done": "done",
-    "cell.failed": "failed",
-    "cell.retry": "retried",
-}
-
 
 class SweepObserver:
     """Fan-out for sweep events; every sink is optional.
@@ -84,43 +77,21 @@ class SweepObserver:
     """
 
     def __init__(self, progress: Callable[[str], None] | None = None,
-                 journal: Journal | None = None,
-                 status: StatusBoard | None = None) -> None:
+                 journal: Journal | None = None) -> None:
         self.progress = progress
         self.journal = journal
-        self.status = status
-        self.counts: dict[str, int] = {
-            "done": 0, "failed": 0, "cached": 0, "retries": 0,
-        }
-        self._timing: list[dict[str, Any]] = []
-        self._closed = False
-
-    @property
-    def trace_id(self) -> str | None:
-        return self.journal.trace_id if self.journal is not None else None
 
     # -- structured events -----------------------------------------------------
 
     def emit(self, event: str, *, cell: str | None = None,
              **fields: Any) -> None:
-        """One structured sweep event: journal it, count it, narrate it,
-        and commit it if it settles a cell."""
-        counted = _COUNTED.get(event)
-        if counted:
-            self.counts[counted] += 1
+        """One structured sweep event: journal it, narrate it, and
+        commit it if it settles a cell."""
         if self.journal is not None:
             self.journal.point(event, cell=cell, **fields)
             if event in _TERMINAL_EVENTS:
                 self.journal.point("commit", cell=cell,
                                    ok=event != "cell.failed")
-        outcome = _TIMED_OUTCOMES.get(event)
-        if outcome and fields.get("wall_s") is not None:
-            self._timing.append({
-                "cell": cell,
-                "attempt": fields.get("attempt", 1),
-                "outcome": outcome,
-                "wall_s": round(float(fields["wall_s"]), 6),
-            })
         if self.progress is not None:
             render_fields = dict(fields)
             if cell is not None:
@@ -149,28 +120,9 @@ class SweepObserver:
         if self.journal is not None and sid is not None:
             self.journal.end(sid, **fields)
 
-    # -- live status -------------------------------------------------------
-
-    def status_tick(self, *, pending: int | None = None,
-                    leased: int | None = None, force: bool = False) -> None:
-        if self.status is not None:
-            self.status.update(pending=pending, leased=leased,
-                               counts=self.counts, force=force)
-
-    # -- report hand-off -----------------------------------------------------
-
-    def timing_rows(self) -> list[dict[str, Any]]:
-        """Per-attempt wall-time rows for SWEEP_report.json, sorted by
-        (cell id, attempt) so the section is deterministic."""
-        return sorted(self._timing,
-                      key=lambda r: (r["cell"] or "", r["attempt"]))
-
-    def close(self, state: str | None = None) -> None:
-        """Flush terminal state to every sink; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.status is not None:
-            self.status.finish(state or "done")
+    def close(self, state: str) -> None:
+        """Close the journal with the sweep's terminal ``state``
+        (``done`` | ``failed`` | ``interrupted``): spans still open end
+        with it, marked ``aborted``.  Idempotent."""
         if self.journal is not None:
-            self.journal.close()
+            self.journal.close(state=state)

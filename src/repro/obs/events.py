@@ -1,12 +1,10 @@
 """The control-plane event catalog and its human-readable formatters.
 
-Before PR 10 the sweep narrated itself with pre-formatted
-``note("...")`` strings — readable, but dead on arrival for tooling.
-Every one of those lines is now a *structured event*: the pool emits
+The sweep narrates itself in *structured events*: the pool emits
 ``obs.emit("cell.done", cell=..., attempt=..., ...)`` and this module
-owns turning the fields back into the exact strings operators (and the
-fault-path tests) already grep for.  The journal records the fields;
-the string is a *rendering*, produced on demand.
+owns turning the fields into the lines operators (and the fault-path
+tests) grep for.  The journal records the fields; the string is a
+*rendering*, produced on demand.
 
 Adding an event means adding one formatter here — the pool never
 formats prose.

@@ -61,9 +61,8 @@ class Journal:
 
     Thread-safe (the sweep drivers are single-threaded, but the lock
     keeps that a non-assumption).  Lines are flushed as they
-    are written so `repro top`-adjacent tooling — and a post-mortem on
-    a killed driver — always sees a prefix of the truth, never a torn
-    line.
+    are written so ``repro top`` folding a live sweep — and a
+    post-mortem on a killed driver — always sees a prefix of the truth.
     """
 
     def __init__(self, path: str, *, trace_id: str | None = None) -> None:
@@ -150,7 +149,8 @@ class Journal:
 
         Idempotent.  The synthetic ends carry ``aborted: true`` — the
         honest record of a span whose real end never happened
-        (interrupted sweep)."""
+        (interrupted sweep) — plus ``fields`` (the sweep observer passes
+        the sweep's terminal ``state``)."""
         with self._lock:
             if self.closed:
                 return

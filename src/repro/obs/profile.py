@@ -1,6 +1,7 @@
-"""Fold a sweep journal into a wall-time attribution table.
+"""Fold a sweep journal into the report's ``profile`` and ``timing``.
 
-Two complementary views of the same run:
+``profile`` is a wall-time attribution table, two complementary views
+of the same run:
 
 * **phases** — an exact partition of the sweep's wall clock into
   ``prepare`` (cache pass), ``connect`` (prewarm and worker
@@ -14,6 +15,9 @@ Two complementary views of the same run:
 * **attribution** — *busy* seconds summed across actors, which may
   legitimately exceed wall on a parallel sweep: worker compute (the
   cells themselves) and driver-side merge.
+
+``timing`` is one row per finished attempt (:func:`fold_timing`), read
+off the ``cell.done``/``cell.retry``/``cell.failed`` points.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Any, Iterable
 
 from repro.obs.journal import Span, pair_spans
 
-__all__ = ["fold_profile", "render_profile"]
+__all__ = ["fold_profile", "fold_timing", "render_profile"]
 
 
 def _round(x: float) -> float:
@@ -91,9 +95,33 @@ def fold_profile(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
             "cell_runs": len(runs),
             "cell_runs_aborted": len(aborted_runs),
             "commits": points.get("commit", 0),
-            "cache_hits": points.get("cell.cache_hit", 0),
+            "cached": points.get("cell.cache_hit", 0),
         },
     }
+
+
+_TIMED_OUTCOMES = {
+    "cell.done": "done",
+    "cell.failed": "failed",
+    "cell.retry": "retried",
+}
+
+
+def fold_timing(events: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Per-attempt wall-time rows for SWEEP_report.json, sorted by
+    (cell id, attempt) so the section is deterministic."""
+    rows = []
+    for event in events:
+        outcome = _TIMED_OUTCOMES.get(event.get("span", ""))
+        fields = event.get("fields") or {}
+        if outcome and fields.get("wall_s") is not None:
+            rows.append({
+                "cell": event.get("cell"),
+                "attempt": fields.get("attempt", 1),
+                "outcome": outcome,
+                "wall_s": round(float(fields["wall_s"]), 6),
+            })
+    return sorted(rows, key=lambda r: (r["cell"] or "", r["attempt"]))
 
 
 def render_profile(profile: dict[str, Any]) -> str:
@@ -119,6 +147,6 @@ def render_profile(profile: dict[str, Any]) -> str:
         f"  {counts.get('commits', 0)} commit(s), "
         f"{counts.get('cell_runs', 0)} cell run(s) "
         f"({counts.get('cell_runs_aborted', 0)} aborted), "
-        f"{counts.get('cache_hits', 0)} cache hit(s)"
+        f"{counts.get('cached', 0)} cache hit(s)"
     )
     return "\n".join(lines)

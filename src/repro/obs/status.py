@@ -1,164 +1,147 @@
-"""The live ``<out>.status.json`` sidecar and the ``repro top`` view.
+"""Sweep progress folded from the span journal: the ``repro top`` view.
 
-The driver rewrites one small JSON file atomically (tmp + ``os.replace``,
-the same protocol the result cache uses) so any number of
-``repro top`` processes can poll it without coordination: a reader sees
-either the previous complete snapshot or the next one, never a torn
-write.  Rewrites are throttled to :data:`MIN_REWRITE_INTERVAL_S` except
-on state transitions, so a thousand-cell sweep does not spend its wall
-time in ``fsync``-adjacent churn.
+``repro top`` reads ``<out>.journal.ndjson`` and folds it into one
+snapshot; no other record of the sweep is kept.  The journal flushes
+every line and
+:func:`~repro.obs.journal.read_journal` skips a torn last line, so a
+fold taken while the sweep runs sees a consistent prefix of it.
 
-The file is self-describing::
+The snapshot::
 
-    {"version": 1, "state": "running", "trace": "9f2c…",
-     "spec": "repro-sweep", "total": 25,
-     "started_unix": ..., "updated_unix": ...,
-     "cells": {"pending": 7, "leased": 4, "done": 12, "failed": 2,
+    {"state": "running", "trace": "9f2c…", "spec": "repro-sweep",
+     "total": 25, "started_unix": ..., "updated_unix": ...,
+     "cells": {"pending": 7, "leased": 4, "done": 9, "failed": 2,
                "cached": 3, "retries": 1},
      "rate_cells_per_s": 1.8, "eta_s": 6.1}
 
-``leased`` counts the cells in flight on a worker.
-
-``state`` moves ``running`` → ``done`` | ``failed`` | ``interrupted``;
-``repro top`` (without ``--once``) exits when it leaves ``running``.
+* ``done``/``failed``/``cached``/``retries`` count the ``cell.*``
+  points; ``leased`` counts the ``cell.run`` spans still open, and
+  ``pending`` is what is neither settled nor leased.
+* ``state`` is ``running`` while the ``sweep`` span is open, else the
+  ``state`` its end recorded (``done`` | ``failed`` | ``interrupted``);
+  ``repro top`` (without ``--once``) exits when it leaves ``running``.
+* Times are the journal's own: ``updated_unix`` is the last event's.
+  The rate counts cells that ran, so cached cells never inflate it.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from typing import Any
+from typing import Any, Iterable
 
-from repro.sweep.cache import atomic_write_json
+from repro.obs.journal import pair_spans, read_journal
 
 __all__ = [
-    "StatusBoard",
+    "journal_path",
+    "load_journal",
+    "fold_status",
     "read_status",
     "render_top",
     "render_prometheus",
-    "MIN_REWRITE_INTERVAL_S",
 ]
 
-_VERSION = 1
-#: Floor between on-disk rewrites while counts merely tick forward.
-MIN_REWRITE_INTERVAL_S = 0.25
+_COUNTED = {
+    "cell.done": "done",
+    "cell.failed": "failed",
+    "cell.cache_hit": "cached",
+    "cell.retry": "retries",
+}
 
 
-class StatusBoard:
-    """Maintains the atomically-rewritten status sidecar for one sweep."""
+def journal_path(path: str) -> str:
+    """The journal for a sweep report path (``<out>.journal.ndjson``);
+    a path that already ends in ``.ndjson`` is the journal itself."""
+    return path if path.endswith(".ndjson") else f"{path}.journal.ndjson"
 
-    def __init__(self, path: str, *, total: int, spec: str,
-                 trace: str | None = None) -> None:
-        self.path = path
-        self.total = total
-        self.spec = spec
-        self.trace = trace
-        self.started = time.time()
-        self.state = "running"
-        self._last_write = 0.0
-        self._counts: dict[str, int] = {}
-        self._pending = total
-        self._leased = 0
-        self.update(force=True)
 
-    def update(self, *, pending: int | None = None, leased: int | None = None,
-               counts: dict[str, int] | None = None,
-               force: bool = False) -> None:
-        """Fold new numbers in and rewrite the file (throttled)."""
-        if pending is not None:
-            self._pending = pending
-        if leased is not None:
-            self._leased = leased
-        if counts is not None:
-            self._counts = dict(counts)
-        now = time.time()
-        if not force and now - self._last_write < MIN_REWRITE_INTERVAL_S:
-            return
-        self._last_write = now
-        atomic_write_json(self.path, self._snapshot(now), indent=2)
+def load_journal(path: str) -> list[dict[str, Any]]:
+    """The events of the journal for ``path`` (see :func:`journal_path`);
+    raises ``ValueError`` with a one-line operator message when there is
+    no journal or it records no sweep."""
+    path = journal_path(path)
+    if not os.path.exists(path):
+        raise ValueError(f"journal not found: {path} (run the sweep with "
+                         f"--journal and the same --out first)")
+    events = read_journal(path)
+    if not any(e["ev"] == "begin" and e.get("span") == "sweep"
+               for e in events):
+        raise ValueError(f"no sweep recorded in {path}")
+    return events
 
-    def finish(self, state: str) -> None:
-        """Final rewrite with the terminal state; idempotent."""
-        if self.state != "running":
-            return
-        self.state = state
-        self._pending = 0
-        self._leased = 0
-        self.update(force=True)
 
-    def _snapshot(self, now: float) -> dict[str, Any]:
-        done = self._counts.get("done", 0)
-        failed = self._counts.get("failed", 0)
-        settled = done + failed
-        elapsed = max(1e-9, now - self.started)
-        rate = settled / elapsed
-        remaining = max(0, self.total - settled)
-        eta = remaining / rate if rate > 0 and self.state == "running" else 0.0
-        return {
-            "version": _VERSION,
-            "state": self.state,
-            "trace": self.trace,
-            "spec": self.spec,
-            "total": self.total,
-            "started_unix": round(self.started, 3),
-            "updated_unix": round(now, 3),
-            "cells": {
-                "pending": self._pending,
-                "leased": self._leased,
-                "done": done,
-                "failed": failed,
-                "cached": self._counts.get("cached", 0),
-                "retries": self._counts.get("retries", 0),
-            },
-            "rate_cells_per_s": round(rate, 3),
-            "eta_s": round(eta, 1),
-        }
+def fold_status(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """The progress snapshot of one sweep journal (see module docstring)."""
+    events = list(events)
+    cells = dict.fromkeys(("done", "failed", "cached", "retries"), 0)
+    for event in events:
+        counted = _COUNTED.get(event.get("span", ""))
+        if counted:
+            cells[counted] += 1
+    spans = pair_spans(events)
+    sweep = next((s for s in spans if s.span == "sweep"), None)
+    leased = sum(1 for s in spans if s.span == "cell.run" and not s.complete)
+    if sweep is None:
+        state, total, spec = "unknown", 0, "?"
+    else:
+        state = ("running" if not sweep.complete
+                 else sweep.fields.get("state", "unknown"))
+        total = int(sweep.fields.get("cells", 0))
+        spec = sweep.fields.get("spec", "?")
+    settled = cells["done"] + cells["failed"] + cells["cached"]
+    remaining = max(0, total - settled)
+
+    started = sweep.t0 if sweep is not None else 0.0
+    updated = max((float(e.get("t", 0.0)) for e in events), default=started)
+    rate = (cells["done"] + cells["failed"]) / max(1e-9, updated - started)
+    eta = remaining / rate if rate > 0 and state == "running" else 0.0
+    return {
+        "state": state,
+        "trace": events[0].get("trace") if events else None,
+        "spec": spec,
+        "total": total,
+        "started_unix": round(started, 3),
+        "updated_unix": round(updated, 3),
+        "cells": {
+            "pending": max(0, remaining - leased),
+            "leased": leased,
+            **cells,
+        },
+        "rate_cells_per_s": round(rate, 3),
+        "eta_s": round(eta, 1),
+    }
 
 
 def read_status(path: str) -> dict[str, Any]:
-    """Load one status snapshot; raises ``ValueError`` with a one-line
-    operator message when the file is absent or unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            status = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(
-            f"status file not found: {path} (is the sweep running with "
-            f"the same --out, or finished long ago?)"
-        ) from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unreadable status file {path}: {exc}") from None
-    if not isinstance(status, dict) or "cells" not in status:
-        raise ValueError(f"{path} is not a sweep status file")
-    return status
+    """The progress snapshot of the sweep journaled for ``path``."""
+    return fold_status(load_journal(path))
 
 
-def _bar(done: int, failed: int, total: int, width: int = 40) -> str:
+def _bar(ok: int, failed: int, total: int, width: int = 40) -> str:
     total = max(1, total)
-    ok = round(width * done / total)
-    bad = round(width * failed / total)
-    ok = min(ok, width)
-    bad = min(bad, width - ok)
-    return "#" * ok + "x" * bad + "." * (width - ok - bad)
+    good = min(round(width * ok / total), width)
+    bad = min(round(width * failed / total), width - good)
+    return "#" * good + "x" * bad + "." * (width - good - bad)
 
 
 def render_top(status: dict[str, Any]) -> str:
-    """One screenful of sweep progress — the ``repro top`` body."""
+    """One screenful of sweep progress — the ``repro top`` body.
+    Cached cells count as settled in the bar and the ``N/total`` figure."""
     cells = status.get("cells", {})
     total = status.get("total", 0)
     done = cells.get("done", 0)
     failed = cells.get("failed", 0)
+    cached = cells.get("cached", 0)
     age = max(0.0, status.get("updated_unix", 0.0)
               - status.get("started_unix", 0.0))
     lines = [
         f"sweep {status.get('spec', '?')} — {status.get('state', '?')}"
         f"  ({age:.1f}s elapsed)",
-        f"[{_bar(done, failed, total)}] {done + failed}/{total}",
+        f"[{_bar(done + cached, failed, total)}] "
+        f"{done + failed + cached}/{total}",
         f"  done {done}  failed {failed}"
         f"  leased {cells.get('leased', 0)}"
         f"  pending {cells.get('pending', 0)}"
-        f"  cached {cells.get('cached', 0)}"
+        f"  cached {cached}"
         f"  retries {cells.get('retries', 0)}",
         f"  rate {status.get('rate_cells_per_s', 0.0):.2f} cells/s"
         f"  eta {status.get('eta_s', 0.0):.0f}s",

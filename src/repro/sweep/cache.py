@@ -23,22 +23,20 @@ from typing import Any
 __all__ = ["ResultCache", "atomic_write_json"]
 
 
-def atomic_write_json(path: str, blob: Any, *, indent: int | None = None) -> None:
+def atomic_write_json(path: str, blob: Any) -> None:
     """Write ``blob`` as sorted JSON via a private temp file + ``os.replace``.
 
-    This is the one write protocol every control-plane sidecar uses —
-    result cache entries and the live status board — so a concurrent
-    reader (a re-run sweep, ``repro top``) always sees a complete
-    previous or next snapshot, never a torn one.  Each writer gets its
-    own temp file in the target's directory, so two processes writing
-    one path (two sweeps finishing a common cell) never rename each
-    other's file away.
+    This is how result cache entries are written, so a concurrent reader
+    (another sweep over the same cache) always sees a complete entry or
+    none, never a torn one.  Each writer gets its own temp file in the
+    target's directory, so two processes writing one path (two sweeps
+    finishing a common cell) never rename each other's file away.
     """
     fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.",
                                suffix=".tmp", dir=os.path.dirname(path) or ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, indent=indent, sort_keys=True)
+            json.dump(blob, fh, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -176,10 +176,6 @@ class SweepResult:
     #: Worker processes actually forked — 0 when every cell was served
     #: from the result cache.
     spawned_workers: int = 0
-    #: Cells settled from the result cache *after* dispatch began (a
-    #: requeued cell whose fingerprint-identical sibling finished first).
-    #: Start-of-run cache hits show as ``CellOutcome.cached`` instead.
-    cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
@@ -213,8 +209,6 @@ class _Ledger:
         self.max_attempts = max_attempts
         self.obs = obs
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        #: Cells served from the cache after dispatch began.
-        self.cache_hits = 0
         self.outcomes: dict[str, CellOutcome] = {}
         # Cache pass: cells finished by an earlier (or interrupted) sweep
         # are served from the cache.  Hits never spawn work.
@@ -238,7 +232,6 @@ class _Ledger:
         )
         progress: dict[str, Any] = {}
         if mid_run:
-            self.cache_hits += 1
             progress = {"when": "redispatch", "done": len(self.outcomes),
                         "total": self.total}
         self.obs.emit("cell.cache_hit", cell=cell.id, key=key[:12], **progress)
@@ -554,7 +547,7 @@ def run_sweep(
     worker; that is also how a sweep resumes after an interrupt.  Failed
     cells are never cached, so they run again.
 
-    ``obs`` carries the journal/status sinks (:mod:`repro.obs`); when
+    ``obs`` carries the span journal (:mod:`repro.obs`); when
     None, a null observer narrating only to ``progress`` is used and
     the sweep's outputs are byte-identical to pre-observability runs.
     """
@@ -575,7 +568,6 @@ def run_sweep(
                          cache_dir=cache_dir, obs=obs)
         obs.end(prep_sid, pending=len(ledger.pending),
                 settled=len(ledger.outcomes))
-        obs.status_tick(pending=len(ledger.pending), leased=0, force=True)
 
         spawned = 0
         if ledger.pending:
@@ -589,15 +581,12 @@ def run_sweep(
             outcomes=tuple(ledger.outcomes[cell.id] for cell in spec.cells),
             workers=workers,
             spawned_workers=spawned,
-            cache_hits=ledger.cache_hits,
         )
         obs.end(merge_sid, cells=len(result.outcomes))
     except SweepInterrupted:
         obs.end(sweep_sid, state="interrupted")
-        obs.status_tick(force=True)
         raise
     obs.end(sweep_sid, state="done" if result.ok else "failed")
-    obs.status_tick(pending=0, leased=0, force=True)
     return result
 
 
@@ -672,7 +661,6 @@ def _run_pool(spec: SweepSpec, ledger: _Ledger, guard: _SignalGuard, *,
                 obs.end(sid, ok=False, error=error)
                 ledger.settle(cell, attempt, False, error=error,
                               wall_s=time.monotonic() - started)
-            obs.status_tick(pending=len(ledger.pending), leased=len(flight))
     finally:
         pool.shutdown()
     return pool.spawned

@@ -5,11 +5,12 @@ host timings, so the bytes are independent of ``--workers`` and of
 scheduling — a parallel sweep, or one whose cells the result cache
 served, produces the same file as a sequential live one.
 
-Observability rides in two *optional* top-level sections:
+Observability rides in two *optional* top-level sections, both folded
+from the span journal:
 
 * ``timing`` — per-attempt wall time and outcome rows, sorted by
-  (cell id, attempt);
-* ``profile`` — the journal-folded wall-time attribution table
+  (cell id, attempt) (:func:`repro.obs.profile.fold_timing`);
+* ``profile`` — the wall-time attribution table
   (:func:`repro.obs.profile.fold_profile`).
 
 Both are only present when the sweep ran with ``--journal``; without

@@ -16,6 +16,7 @@ from repro.obs import (
     SweepObserver,
     pair_spans,
     read_journal,
+    read_status,
     timeline_records,
 )
 from repro.sweep import (
@@ -96,6 +97,7 @@ def test_every_begin_has_an_end_even_on_sigint(tmp_path):
     assert len(set(begins)) == len(begins)
     interrupted = [s for s in pair_spans(events) if s.span == "sweep"]
     assert interrupted[0].fields.get("state") == "interrupted"
+    assert read_status(journal_path)["state"] == "interrupted"
 
 
 SWEEP_ARGS = [
@@ -132,7 +134,9 @@ def test_journal_off_report_is_byte_identical(tmp_path):
     assert profile["coverage"] >= 0.95
     assert os.path.exists(f"{armed}.journal.ndjson")
     assert not os.path.exists(f"{plain}.journal.ndjson")
-    assert not os.path.exists(f"{plain}.status.json")
+    assert sorted(os.listdir(tmp_path)) == ["armed.json",
+                                            "armed.json.journal.ndjson",
+                                            "plain.json"]
 
 
 def test_top_and_timeline_cli_round_trip(tmp_path, capsys):
@@ -163,11 +167,10 @@ def test_top_exits_cleanly_when_the_pipe_closes(tmp_path, monkeypatch):
     """`repro top --once | grep -q ...` closes the pipe after the first
     match; the EPIPE must map to a clean exit 0, not a traceback."""
     from repro.cli import main
-    from repro.obs import StatusBoard
 
-    board = StatusBoard(str(tmp_path / "S.json.status.json"),
-                        total=2, spec="s", trace="t")
-    board.finish("done")
+    journal = Journal(str(tmp_path / "S.json.journal.ndjson"))
+    journal.begin("sweep", spec="s", cells=2)
+    journal.close(state="done")
 
     read_end, write_end = os.pipe()
     os.close(read_end)  # every flushed write now raises BrokenPipeError
@@ -177,12 +180,13 @@ def test_top_exits_cleanly_when_the_pipe_closes(tmp_path, monkeypatch):
 
 
 def test_top_without_status_file_is_an_operator_error(tmp_path, capsys):
+    """No journal beside the report: one line, exit 2."""
     from repro.cli import main
 
     code = main(["top", str(tmp_path / "nope.json"), "--once"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: status file not found")
+    assert err.startswith("error: journal not found")
     assert err.count("\n") == 1
 
 
@@ -192,4 +196,5 @@ def test_timeline_without_journal_is_an_operator_error(tmp_path, capsys):
     code = main(["timeline", str(tmp_path / "nope.json")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no journal events")
+    assert err.startswith("error: journal not found")
+    assert err.count("\n") == 1

@@ -63,7 +63,7 @@ def test_fold_profile_attribution_and_counts(tmp_path):
     counts = profile["counts"]
     assert counts["cell_runs"] == 2 and counts["cell_runs_aborted"] == 0
     assert counts["commits"] == 3
-    assert counts["cache_hits"] == 1
+    assert counts["cached"] == 1
 
 
 def test_fold_profile_survives_an_empty_journal():

@@ -187,8 +187,6 @@ SWEEP_SIZING = [
 
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_sweep_bad_timeout_one_line_error(tmp_path, capsys, value):
-    import json
-
     out = tmp_path / "report.json"
     code = main(["sweep", *SWEEP_SIZING, "--timeout-s", value,
                  "--journal", "--out", str(out)])
@@ -198,9 +196,15 @@ def test_sweep_bad_timeout_one_line_error(tmp_path, capsys, value):
     assert "--timeout-s" in err
     assert err.count("\n") == 1
     assert not out.exists()
-    # The armed status file is left terminal, never stuck at "running".
-    status = json.loads((tmp_path / "report.json.status.json").read_text())
-    assert status["state"] == "failed"
+    # The sweep was rejected before it began: the journal holds no span
+    # left open, and `top` says no sweep was recorded.
+    from repro.obs import read_journal
+
+    assert read_journal(f"{out}.journal.ndjson") == []
+    assert main(["top", str(out), "--once"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no sweep recorded")
+    assert err.count("\n") == 1
 
 
 def test_colo_prints_tenant_table(capsys):
