@@ -267,8 +267,11 @@ echo "== figure-path smoke (all four figbench workloads match figbench/reference
 # Every figbench workload: GAPBS, the KV stores, the sweep grid's numeric
 # streams and the colocation tenants.  Every run's digest must match the
 # recorded reference, and no run may fail.  colo-memcg, where every
-# access takes the per-access path, is checked at three seeds.
-for run in fig6-gapbs:0 fig5-ycsb:0 sweep-grid:0 colo-memcg:0 colo-memcg:3 colo-memcg:7; do
+# access takes the per-access path, is checked at three seeds; the three
+# workloads on the column driver at seeds 0 and 3, so a change in where
+# the driver meets a fault or a deadline shows at a second seed too.
+for run in fig6-gapbs:0 fig6-gapbs:3 fig5-ycsb:0 fig5-ycsb:3 sweep-grid:0 sweep-grid:3 \
+        colo-memcg:0 colo-memcg:3 colo-memcg:7; do
     workload="${run%%:*}"
     seed="${run##*:}"
     LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 | tail -n 1)"

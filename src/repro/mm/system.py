@@ -217,8 +217,9 @@ class MemorySystem:
         ``mark_page_accessed()`` call of Section III-A.
 
         This is the one definition of an access; the driver
-        :meth:`~repro.machine.Machine.touch_batch` detours through it
-        for every position its column sweep does not take.  A resident, unpoisoned
+        :meth:`~repro.machine.Machine.touch_batch` calls it once per
+        fault, hint fault or supervised access (every access when the
+        policy charges its own) and charges the rest in place.  A resident, unpoisoned
         page in a process with no supervised region never looks up its
         region: the work is a handful of page-store column updates.
         """
@@ -265,7 +266,7 @@ class MemorySystem:
         if supervised:
             self._policy.mark_page_accessed(page)
         if self._awaiting_count:
-            self._note_reaccess(page)
+            self._note_reaccess(pfn, clock._now_ns)
         return charged
 
     def _note_promotion(self, page: Page) -> None:
@@ -276,19 +277,21 @@ class MemorySystem:
             self._awaiting_count += 1
         column[page.pfn] = self.clock.now_ns
 
-    def _note_reaccess(self, page: Page) -> None:
-        """First access after a promotion counts toward Fig 9's numerator,
-        but only if it arrives within the re-access horizon.  Callers
-        skip it while nothing awaits a re-access."""
+    def _note_reaccess(self, pfn: int, at: int) -> None:
+        """An access to ``pfn`` that ended at virtual time ``at``.
+
+        The first access after a promotion counts toward Fig 9's
+        numerator, but only if it arrives within the re-access horizon.
+        Callers skip it while nothing awaits a re-access."""
         column = self.pagestore.awaiting_ns
-        promoted_at = column.item(page.pfn)
+        promoted_at = column.item(pfn)
         if promoted_at < 0:
             return
-        column[page.pfn] = -1
+        column[pfn] = -1
         self._awaiting_count -= 1
         if self.metrics is not None:
-            self.metrics.reaccess_delay.record(self.clock.now_ns - promoted_at)
-        if self.clock.now_ns - promoted_at <= self._reaccess_horizon_ns:
+            self.metrics.reaccess_delay.record(at - promoted_at)
+        if at - promoted_at <= self._reaccess_horizon_ns:
             self._c_promoted_reaccessed.n += 1
             self.stats.record("promoted_reaccessed_window", promoted_at)
 

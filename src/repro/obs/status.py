@@ -22,6 +22,9 @@ The snapshot::
   ``repro top`` (without ``--once``) exits when it leaves ``running``.
 * Times are the journal's own: ``updated_unix`` is the last event's.
   The rate counts cells that ran, so cached cells never inflate it.
+* ``eta_s`` is ``null`` while the sweep runs with cells left and no
+  live cell finished yet (a rate of 0), and ``repro top`` prints
+  ``eta ?``; it is 0 once nothing remains or the sweep has ended.
 """
 
 from __future__ import annotations
@@ -93,7 +96,12 @@ def fold_status(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     started = sweep.t0 if sweep is not None else 0.0
     updated = max((float(e.get("t", 0.0)) for e in events), default=started)
     rate = (cells["done"] + cells["failed"]) / max(1e-9, updated - started)
-    eta = remaining / rate if rate > 0 and state == "running" else 0.0
+    if state != "running" or not remaining:
+        eta = 0.0
+    elif rate > 0:
+        eta = round(remaining / rate, 1)
+    else:
+        eta = None  # no live cell has finished: unknown, not zero
     return {
         "state": state,
         "trace": events[0].get("trace") if events else None,
@@ -107,7 +115,7 @@ def fold_status(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
             **cells,
         },
         "rate_cells_per_s": round(rate, 3),
-        "eta_s": round(eta, 1),
+        "eta_s": eta,
     }
 
 
@@ -131,6 +139,7 @@ def render_top(status: dict[str, Any]) -> str:
     done = cells.get("done", 0)
     failed = cells.get("failed", 0)
     cached = cells.get("cached", 0)
+    eta = status.get("eta_s", 0.0)
     age = max(0.0, status.get("updated_unix", 0.0)
               - status.get("started_unix", 0.0))
     lines = [
@@ -144,7 +153,7 @@ def render_top(status: dict[str, Any]) -> str:
         f"  cached {cached}"
         f"  retries {cells.get('retries', 0)}",
         f"  rate {status.get('rate_cells_per_s', 0.0):.2f} cells/s"
-        f"  eta {status.get('eta_s', 0.0):.0f}s",
+        f"  eta {'?' if eta is None else f'{eta:.0f}s'}",
     ]
     return "\n".join(lines)
 

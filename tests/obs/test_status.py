@@ -108,6 +108,35 @@ def test_render_top_shows_bar_and_counts(tmp_path):
     assert "cached 1" in text
 
 
+def test_an_unknown_eta_reads_as_unknown_not_zero(tmp_path):
+    """A resumed sweep whose first live cell is still running: 9 cells
+    served from the cache, one leased, none finished, so the rate is 0
+    and the ETA is unknown."""
+    path = str(tmp_path / "j.ndjson")
+    journal = Journal(path)
+    journal.begin("sweep", t=10.0, spec="repro-sweep", cells=12)
+    for i in range(9):
+        journal.point("cell.cache_hit", t=10.0 + i / 10, cell=f"c{i}", key="k")
+    journal.begin("cell.run", t=11.0, cell="c9", actor="worker/local/7")
+    status = read_status(path)
+    assert status["state"] == "running"
+    assert status["cells"]["cached"] == 9 and status["cells"]["leased"] == 1
+    assert status["rate_cells_per_s"] == 0.0
+    assert status["eta_s"] is None
+    text = render_top(status)
+    assert "9/12" in text
+    assert "eta ?" in text and "eta 0s" not in text
+
+
+def test_eta_counts_down_once_a_live_cell_finished(tmp_path):
+    path = str(tmp_path / "j.ndjson")
+    eight_cell_journal(path)
+    status = read_status(path)
+    # 3 cells left at 1 cell per journal second.
+    assert status["eta_s"] == 3.0
+    assert "eta 3s" in render_top(status)
+
+
 def test_render_prometheus_exposes_cells(tmp_path):
     path = str(tmp_path / "j.ndjson")
     eight_cell_journal(path)
