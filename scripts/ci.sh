@@ -15,7 +15,7 @@ trap 'rm -rf "$CI_TMP"' EXIT
 echo "== tier-1 tests (total and ten slowest) =="
 python -m pytest -x --durations=10
 
-echo "== pagestore smoke (SoA array driver and traced multiclock vs recorded baselines; trace overhead) =="
+echo "== pagestore smoke (SoA array driver, traced multiclock and every policy with memcg armed vs recorded baselines; trace overhead) =="
 python - <<'PYEOF'
 import json
 import time
@@ -37,10 +37,12 @@ workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
 stream = list(workload.numeric_batches())
 
 
-def fingerprint(policy, traced=False):
+def fingerprint(policy, traced=False, memcg=False):
     machine = Machine(config, policy)
     if traced:
         machine.enable_tracing()
+    if memcg:
+        machine.enable_memcg()
     result = run_numeric_stream(workload, config, stream, machine=machine)
     return {
         "operations": result.operations, "accesses": result.accesses,
@@ -58,6 +60,13 @@ print("SoA array driver is bit-identical to the recorded autonuma baseline")
 assert fingerprint("multiclock", traced=True) == recorded["multiclock"], \
     "traced multiclock diverged from baseline"
 print("traced multiclock is bit-identical to the recorded multiclock baseline")
+# Memcg armed with no limits only keeps its own books: its hooks sit in
+# the fault and migration paths, so every recorded policy must still
+# reproduce its baseline exactly.
+for policy in sorted(recorded):
+    assert fingerprint(policy, memcg=True) == recorded[policy], \
+        f"{policy} with memcg armed diverged from baseline"
+print(f"all {len(recorded)} policies with memcg armed are bit-identical to their baselines")
 
 
 def best_of_3(traced):

@@ -16,17 +16,30 @@ from repro.mm.watermarks import PressureLevel
 
 __all__ = ["AllocationResult", "PageAllocator"]
 
-from dataclasses import dataclass
+_NONE = PressureLevel.NONE
+_DRAM = MemoryTier.DRAM
 
 
-@dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of one allocation: the page plus pressure signals."""
+    """Outcome of one allocation: the page plus pressure signals.
 
-    page: Page
-    node: NumaNode
-    fell_back: bool
-    pressured_nodes: tuple[int, ...]
+    A plain ``__slots__`` class: one is built per fault, and a frozen
+    dataclass costs four times as much to construct.
+    """
+
+    __slots__ = ("page", "node", "fell_back", "pressured_nodes")
+
+    def __init__(
+        self,
+        page: Page,
+        node: NumaNode,
+        fell_back: bool,
+        pressured_nodes: tuple[int, ...],
+    ) -> None:
+        self.page = page
+        self.node = node
+        self.fell_back = fell_back
+        self.pressured_nodes = pressured_nodes
 
 
 class PageAllocator:
@@ -74,7 +87,9 @@ class PageAllocator:
         """Allocate one page, or raise MemoryError if all nodes are full.
 
         Within each tier, nodes on the caller's home socket are preferred
-        (first-touch locality, as Linux's default mempolicy does).
+        (first-touch locality, as Linux's default mempolicy does).  The
+        walk reads each node's cached ``free`` and ``level``; neither is
+        derived here.
         """
         walk = self._walk_cache.get(home_socket)
         if walk is None:
@@ -82,30 +97,25 @@ class PageAllocator:
                 self._nodes, key=lambda n: (n.tier, n.socket != home_socket, n.node_id)
             )
             self._walk_cache[home_socket] = walk
-        no_pressure = PressureLevel.NONE
-        dram = MemoryTier.DRAM
         pressured: list[int] = []
         chosen: NumaNode | None = None
-        fell_back = False
         for node in walk:
-            if node.pressure() is not no_pressure:
+            if node.level is not _NONE:
                 pressured.append(node.node_id)
-            if chosen is None and node.can_allocate():
-                headroom_ok = node.free_pages > node.watermarks.min_pages
-                if headroom_ok:
-                    chosen = node
-                    fell_back = node.tier is not dram
+            # min_pages > 0, so headroom above it implies a free frame.
+            if chosen is None and node.free > node.watermarks.min_pages:
+                chosen = node
         if chosen is None:
             # Reserve walk: any frame at all, highest tier first.
             for node in walk:
-                if node.can_allocate():
+                if node.free > 0:
                     chosen = node
-                    fell_back = node.tier is not dram
                     break
-        if chosen is None:
-            raise MemoryError("all memory nodes are full")
+            else:
+                raise MemoryError("all memory nodes are full")
+        fell_back = chosen.tier is not _DRAM
         page = chosen.allocate_page(is_anon=is_anon, born_ns=born_ns)
-        if chosen.pressure() is not no_pressure and chosen.node_id not in pressured:
+        if chosen.level is not _NONE and chosen.node_id not in pressured:
             pressured.append(chosen.node_id)
         if self.trace is not None:
             self.trace.trace_mm_page_alloc(chosen.node_id, page.pfn, is_anon, fell_back)

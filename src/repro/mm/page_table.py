@@ -40,7 +40,7 @@ UNMAPPED = -1
 class PageTableEntry:
     """One virtual-to-physical translation."""
 
-    __slots__ = ("table", "process_id", "vpage", "page", "_poisoned")
+    __slots__ = ("table", "process_id", "vpage", "page", "_poisoned", "slot")
 
     def __init__(
         self,
@@ -48,12 +48,16 @@ class PageTableEntry:
         vpage: int,
         page: Page,
         table: "PageTable | None" = None,
+        slot: int = -1,
     ) -> None:
         self.table = table
         self.process_id = process_id
         self.vpage = vpage
         self.page = page
         self._poisoned = False
+        #: this translation's index in ``table.v2p`` (-1 while no region
+        #: covers ``vpage``), found once by ``map`` or ``add_region``.
+        self.slot = slot
 
     @property
     def accessed(self) -> bool:
@@ -161,7 +165,8 @@ class PageTable:
         self._supervised = np.insert(self._supervised, idx, supervised)
         for vpage, pte in self._entries.items():
             if start <= vpage < start + n_pages:
-                self._store(vpage, pte)
+                pte.slot = self._slot(vpage)
+                self._store(pte)
 
     def _slot(self, vpage: int) -> int:
         """``vpage``'s index in ``v2p``; the sentinel's if in no region."""
@@ -170,16 +175,14 @@ class PageTable:
             return self._base_list[idx] + vpage - self._start_list[idx]
         return -1
 
-    def _store(self, vpage: int, pte: PageTableEntry) -> None:
-        slot = self._slot(vpage)
+    def _store(self, pte: PageTableEntry) -> None:
+        slot = pte.slot
         if slot >= 0:
             pfn = pte.page.pfn
             self.v2p[slot] = -2 - pfn if pte._poisoned else pfn
 
     def _set_poisoned(self, pte: PageTableEntry, value: bool) -> None:
-        if self._entries.get(pte.vpage) is not pte:
-            return
-        self._store(pte.vpage, pte)
+        self._store(pte)
         if value:
             self._poison_gen += 1
 
@@ -204,15 +207,20 @@ class PageTable:
         """Install a translation and register it in the page's rmap."""
         if vpage in self._entries:
             raise ValueError(f"vpage {vpage} is already mapped in pid {self.process_id}")
-        pte = PageTableEntry(self.process_id, vpage, page, table=self)
+        pte = PageTableEntry(self.process_id, vpage, page, self, self._slot(vpage))
         self._entries[vpage] = pte
         page.rmap.append(pte)
-        page._store.mapcount[page.pfn] += 1
-        self._store(vpage, pte)
+        mapcount = page._store.mapcount
+        mapcount[page.pfn] = mapcount.item(page.pfn) + 1
+        self._store(pte)
         return pte
 
     def unmap(self, vpage: int) -> PageTableEntry:
-        """Remove a translation and detach it from the page's rmap."""
+        """Remove a translation and detach it from the page's rmap.
+
+        The entry is detached from the table too, so poisoning a stale
+        entry later writes nothing to ``v2p``.
+        """
         pte = self._entries.pop(vpage, None)
         if pte is None:
             raise KeyError(f"vpage {vpage} is not mapped in pid {self.process_id}")
@@ -226,9 +234,9 @@ class PageTable:
             store.pte_accessed[page.pfn] = False
             store.pte_dirty[page.pfn] = False
         pte._poisoned = False
-        slot = self._slot(vpage)
-        if slot >= 0:
-            self.v2p[slot] = UNMAPPED
+        pte.table = None
+        if pte.slot >= 0:
+            self.v2p[pte.slot] = UNMAPPED
         self._unmap_gen += 1
         return pte
 

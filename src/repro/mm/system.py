@@ -66,6 +66,7 @@ class MemorySystem:
         # them in place, so holding the dicts sees every rescale.
         self._read_ns, self._write_ns = self.hardware.access_tables()
         self._remote_mult = self.config.latency.remote_socket_multiplier
+        self._hint_fault_ns = self.hardware.hint_fault_ns()
         # The struct-of-arrays page store: every page this machine ever
         # allocates lives here, with a dense per-machine pfn.
         self.pagestore = PageStore()
@@ -197,7 +198,7 @@ class MemorySystem:
         return self._tier_nodes[MemoryTier.PM]
 
     def tier_of(self, page: Page) -> MemoryTier:
-        return self.nodes[page.node_id].tier
+        return self._node_tier[page._store.node.item(page.pfn)]
 
     def used_pages(self) -> int:
         return sum(node.used_pages for node in self.nodes.values())
@@ -232,9 +233,12 @@ class MemorySystem:
             if pte is None:
                 pte, charged = self._page_fault(process, region, vpage)
             if pte._poisoned:
-                pte.poisoned = False
-                hint_ns = self.hardware.hint_fault_ns()
-                self.clock.advance_app(hint_ns)
+                pte._poisoned = False
+                process.page_table._store(pte)
+                hint_ns = self._hint_fault_ns
+                clock = self.clock
+                clock._now_ns += hint_ns
+                clock._app_ns += hint_ns
                 charged += hint_ns
                 self._c_faults_hint.n += 1
                 self._policy.on_hint_fault(pte)
@@ -300,17 +304,16 @@ class MemorySystem:
     ) -> tuple[PageTableEntry, int]:
         """Populate a missing translation: first touch or major refault."""
         latency = self.hardware.latency
-        charged = 0
-        swapped = region.is_anon and self.backing.is_swapped(process.pid, vpage)
-        if swapped:
+        if region.is_anon and self.backing.is_swapped(process.pid, vpage):
             self.backing.swap_in(process.pid, vpage)
-            self.clock.advance_app(latency.swap_in_ns)
-            charged += latency.swap_in_ns
+            charged = latency.swap_in_ns
             self._c_faults_major.n += 1
         else:
-            self.clock.advance_app(latency.minor_fault_ns)
-            charged += latency.minor_fault_ns
+            charged = latency.minor_fault_ns
             self._c_faults_minor.n += 1
+        clock = self.clock
+        clock._now_ns += charged
+        clock._app_ns += charged
         if self.memcg is not None:
             self.memcg.try_charge(process)
         page = self._allocate_page(region, process.home_socket, process)
@@ -319,7 +322,7 @@ class MemorySystem:
             self.memcg.commit_charge(page, process)
         if region.mlocked:
             page.set(_UNEVICTABLE)
-        self.policy.on_page_allocated(page)
+        self._policy.on_page_allocated(page)
         return pte, charged
 
     def _allocate_page(
@@ -344,7 +347,7 @@ class MemorySystem:
         for __ in range(1 + OOM_RECLAIM_RETRIES):
             try:
                 result = self.allocator.allocate(
-                    is_anon=region.is_anon, born_ns=self.clock.now_ns,
+                    is_anon=region.is_anon, born_ns=self.clock._now_ns,
                     home_socket=home_socket,
                 )
                 break
@@ -352,7 +355,7 @@ class MemorySystem:
                 self.stats.inc("alloc.direct_reclaim")
                 self._c_oom_stalls.n += 1
                 stall_start_ns = self.clock.now_ns
-                freed = self.policy.direct_reclaim()
+                freed = self._policy.direct_reclaim()
                 if self.metrics is not None:
                     self.metrics.reclaim_stall.record(
                         self.clock.now_ns - stall_start_ns
@@ -379,7 +382,7 @@ class MemorySystem:
         if result.fell_back:
             self.stats.inc("alloc.fallback_pm")
         if result.pressured_nodes:
-            self.policy.on_memory_pressure(result.pressured_nodes)
+            self._policy.on_memory_pressure(result.pressured_nodes)
         self._c_alloc_pages.n += 1
         return result.page
 

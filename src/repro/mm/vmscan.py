@@ -75,8 +75,15 @@ class ScanResult:
     system_ns: int = 0
 
     def merge(self, other: "ScanResult") -> "ScanResult":
-        for field_name in self.__dataclass_fields__:
-            setattr(self, field_name, getattr(self, field_name) + getattr(other, field_name))
+        self.scanned += other.scanned
+        self.activated += other.activated
+        self.deactivated += other.deactivated
+        self.referenced += other.referenced
+        self.to_promote_list += other.to_promote_list
+        self.promoted += other.promoted
+        self.demoted += other.demoted
+        self.evicted += other.evicted
+        self.system_ns += other.system_ns
         return self
 
 

@@ -32,6 +32,7 @@ __all__ = ["PolicyFeatures", "TieringPolicy", "register_policy", "create_policy"
 # allocation hook tests UNEVICTABLE on every fault.
 _UNEVICTABLE = int(PageFlags.UNEVICTABLE)
 _PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
+_INACTIVE = ListKind.INACTIVE
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,13 @@ class TieringPolicy(abc.ABC):
 
     def on_page_allocated(self, page: Page) -> None:
         """Place a freshly faulted page; default: inactive-list head."""
-        node = self.system.nodes[page.node_id]
-        if page.test(_UNEVICTABLE):
-            node.lruvec.list_for(ListKind.UNEVICTABLE).add_head(page)
+        store = page._store
+        pfn = page.pfn
+        lruvec = self.system.nodes[store.node.item(pfn)].lruvec
+        if store.flags.item(pfn) & _UNEVICTABLE:
+            lruvec.list_for(ListKind.UNEVICTABLE).add_head(page)
             return
-        node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+        lruvec.list_for(_INACTIVE, store.is_anon.item(pfn)).add_head(page)
 
     def mark_page_accessed(self, page: Page) -> None:
         """Supervised-access state update; default: vanilla CLOCK ladder."""

@@ -9,6 +9,7 @@ import pytest
 from repro.machine import Machine
 from repro.mm.debug import InvariantChecker, InvariantError, check_invariants
 from repro.mm.flags import PageFlags
+from repro.mm.watermarks import PressureLevel
 from repro.sim.config import SimulationConfig
 
 
@@ -68,6 +69,25 @@ def test_node_accounting_drift_caught(machine):
     machine.system.nodes[0]._used_pages += 1
     violations = check_invariants(machine.system)
     assert "frame-accounting" in checks_of(violations)
+
+
+def test_cached_free_count_drift_caught(machine):
+    machine.system.nodes[0].free += 1
+    violations = check_invariants(machine.system)
+    assert "frame-accounting" in checks_of(violations)
+
+
+def test_cached_pressure_level_drift_caught(machine):
+    node = machine.system.nodes[0]
+    node.level = PressureLevel.MIN if node.level is PressureLevel.NONE else PressureLevel.NONE
+    violations = check_invariants(machine.system)
+    assert "frame-accounting" in checks_of(violations)
+
+
+def test_cached_pte_slot_drift_caught(machine):
+    process = next(iter(machine.system.processes.values()))
+    process.page_table.lookup(0).slot += 1
+    assert "rmap" in checks_of(check_invariants(machine.system))
 
 
 def test_stale_rmap_entry_caught(machine):

@@ -1,11 +1,14 @@
 """Unit tests for the generic PFRA scan machinery."""
 
+import dataclasses
+
 import pytest
 
 from repro.machine import Machine
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.vmscan import (
+    ScanResult,
     deactivate_excess_active,
     mark_page_accessed,
     shrink_inactive_list,
@@ -236,3 +239,11 @@ def test_shrink_inactive_stops_at_target(system):
         resident_page(system, pm, process, i)
     result = shrink_inactive_list(system, pm, True, target_free=3, budget=16, demote_dest=None)
     assert result.evicted == 3
+
+
+def test_scan_result_merge_adds_every_field():
+    names = [field.name for field in dataclasses.fields(ScanResult)]
+    total = ScanResult(**{name: i + 1 for i, name in enumerate(names)})
+    other = ScanResult(**{name: 100 * (i + 1) for i, name in enumerate(names)})
+    assert total.merge(other) is total
+    assert dataclasses.asdict(total) == {name: 101 * (i + 1) for i, name in enumerate(names)}
