@@ -59,10 +59,11 @@ def test_adopt_page_reassigns_node():
     source = make_node()
     dest = NumaNode.create(1, MemoryTier.PM, 16, 64)
     page = source.allocate_page(is_anon=True)
-    source.release_frame(page)
-    dest.adopt_page(page)
+    dest.adopt_page(page, source)
     assert page.node_id == 1
     assert dest.used_pages == 1
+    assert source.used_pages == 0
+    assert (source.free, dest.free) == (16, 15)
 
 
 def test_adopt_when_full_raises():
@@ -70,9 +71,20 @@ def test_adopt_when_full_raises():
     dest = NumaNode.create(1, MemoryTier.PM, 1, 64)
     dest.allocate_page(is_anon=True)
     page = source.allocate_page(is_anon=True)
-    source.release_frame(page)
     with pytest.raises(MemoryError):
-        dest.adopt_page(page)
+        dest.adopt_page(page, source)
+    assert page.node_id == 0
+    assert (source.used_pages, dest.used_pages) == (1, 1)
+
+
+def test_adopt_from_empty_source_detects_underflow():
+    source = make_node()
+    dest = NumaNode.create(1, MemoryTier.PM, 16, 64)
+    page = source.allocate_page(is_anon=True)
+    source.release_frame(page)
+    with pytest.raises(RuntimeError):
+        dest.adopt_page(page, source)
+    assert dest.used_pages == 0
 
 
 def test_pressure_tracks_free_pages():

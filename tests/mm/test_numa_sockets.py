@@ -80,8 +80,7 @@ def test_remote_access_pays_multiplier():
     # Re-home the page to the remote socket's DRAM node and re-touch.
     remote = machine.system.nodes[1]
     page.lru.remove(page)
-    machine.system.nodes[0].release_frame(page)
-    remote.adopt_page(page)
+    remote.adopt_page(page, machine.system.nodes[0])
     remote.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
     before = machine.clock.app_ns
     machine.touch(p0, 0)
