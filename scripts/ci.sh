@@ -272,15 +272,45 @@ python -m repro report --snapshot "$COLO_TMP/colo_snap.json" \
 grep -q "tenant_tenant0_latency_ns" "$COLO_TMP/colo.html"
 grep -q "<svg" "$COLO_TMP/colo.html"
 
+echo "== GAPBS level emission (BFS and BC columns equal the per-vertex loops at R-MAT scale 12 and 13) =="
+# The tier-1 equality test stops at R-MAT scale 10 and the figure runs
+# scale 11; deeper, wider frontiers are checked here.
+python - <<'PYEOF'
+import sys
+
+import numpy as np
+
+sys.path.insert(0, "tests/workloads")
+from gapbs_reference import bc_trial_events, bfs_trial_events
+
+from repro.workloads.gapbs import BetweennessCentralityWorkload, BFSWorkload, Graph
+
+for scale in (12, 13):
+    for seed in range(3):
+        graph = Graph.rmat(scale, seed=seed)
+        for cls, reference in ((BFSWorkload, bfs_trial_events),
+                               (BetweennessCentralityWorkload, bc_trial_events)):
+            workload = cls(graph, trials=2, seed=seed)
+            for trial in range(2):
+                got = workload.trial_events(trial)
+                want = reference(workload, trial)
+                assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                           for a, b in zip(got[:2], want[:2])), (cls.kernel, scale, seed, trial)
+                assert got[2] == want[2]
+        print(f"R-MAT scale {scale} seed {seed}: BFS and BC trial columns match")
+PYEOF
+
 echo "== figure-path smoke (all four figbench workloads match figbench/reference.json) =="
 # Every figbench workload: GAPBS, the KV stores, the sweep grid's numeric
 # streams and the colocation tenants.  Every run's digest must match the
 # recorded reference, and no run may fail.  colo-memcg, where every
-# access takes the per-access path, is checked at three seeds; the three
-# workloads on the column driver at seeds 0 and 3, so a change in where
-# the driver meets a fault or a deadline shows at a second seed too.
-for run in fig6-gapbs:0 fig6-gapbs:3 fig5-ycsb:0 fig5-ycsb:3 sweep-grid:0 sweep-grid:3 \
-        colo-memcg:0 colo-memcg:3 colo-memcg:7; do
+# access takes the per-access path, is checked at three seeds, and so is
+# fig6-gapbs, whose BFS and BC emission depends on the graph each seed
+# draws; the other two workloads on the column driver at seeds 0 and 3,
+# so a change in where the driver meets a fault or a deadline shows at a
+# second seed too.
+for run in fig6-gapbs:0 fig6-gapbs:3 fig6-gapbs:7 fig5-ycsb:0 fig5-ycsb:3 \
+        sweep-grid:0 sweep-grid:3 colo-memcg:0 colo-memcg:3 colo-memcg:7; do
     workload="${run%%:*}"
     seed="${run##*:}"
     LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 | tail -n 1)"
@@ -298,7 +328,7 @@ echo "== traced figure smoke (every expected layer span fires; digests still mat
 # span in figbench/layers.py's EXPECTED_SPANS never fires, so a rewrite
 # that routes the migration, reclaim or daemon paths around their
 # wrappers fails here.
-for run in sweep-grid:0 fig5-ycsb:0; do
+for run in sweep-grid:0 fig5-ycsb:0 fig6-gapbs:0; do
     workload="${run%%:*}"
     seed="${run##*:}"
     LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 1 | tail -n 1)"

@@ -50,9 +50,17 @@ class AccessBlock:
     unless a positive ``live`` let it end the block early (see
     :meth:`Machine.touch_batch`).  The field lives on the block, so a
     producer reads it when the driver asks for the next block.
+
+    A producer that already knows each position's ``v2p`` slot may pass
+    ``slots`` with ``regions``, the page table's region count they were
+    read at; the driver resolves the block only if it has no slots or
+    the count has moved since.
     """
 
-    __slots__ = ("process", "vpage", "write", "lines", "op_boundary", "live", "done")
+    __slots__ = (
+        "process", "vpage", "write", "lines", "op_boundary", "live", "done",
+        "slots", "regions",
+    )
 
     def __init__(
         self,
@@ -63,6 +71,8 @@ class AccessBlock:
         op_boundary: np.ndarray,
         *,
         live: int = 0,
+        slots: np.ndarray | None = None,
+        regions: int = -1,
     ) -> None:
         self.process = process
         self.vpage = vpage
@@ -71,6 +81,8 @@ class AccessBlock:
         self.op_boundary = op_boundary
         self.live = live
         self.done = len(vpage)
+        self.slots = slots
+        self.regions = regions
 
     @classmethod
     def numeric(
@@ -257,12 +269,15 @@ class Machine:
         identically — but only *events* reach ``MemorySystem.touch``,
         the one definition of an access.
 
-        Each block is resolved with one ``searchsorted`` over its
-        process's region starts and one gather from the page table's
-        region-packed ``v2p`` column.  An event is a position in a
-        supervised region, any position when the policy overrides
-        ``charge_access``, and a position whose translation misses or
-        whose PTE is poisoned when the driver reaches it.  The resolve
+        A block's resolution is its positions' ``v2p`` slots: those it
+        carries, if read at the table's current region count, or else
+        one ``searchsorted`` over its process's region starts.  One
+        gather from the region-packed ``v2p`` column, and one from
+        ``slot_supervised`` when the process has supervised regions,
+        read the translations and the supervised mask.  An event is a
+        position in a supervised region, any position when the policy
+        overrides ``charge_access``, and a position whose translation
+        misses or whose PTE is poisoned when the driver reaches it.  The resolve
         lists the slow positions; each is checked against the live
         column when reached and charged in place if an earlier event
         made it fast.  The fault or hint fault at a page's first slow
@@ -281,11 +296,11 @@ class Machine:
         mapped or a handler migrated needs no patching.
 
         A daemon wakeup or an event may unmap or poison pages; the rest
-        of the block is then resolved again.  A block whose ``live`` is
-        positive ends early (``done`` records where) if the table's size
-        or unmap generation moved after one of its first ``live``
-        positions, so its producer can re-decide the rest against the
-        live table.
+        of the block's translations are then gathered again from the
+        same slots.  A block whose ``live`` is positive ends early
+        (``done`` records where) if the table's size or unmap generation
+        moved after one of its first ``live`` positions, so its producer
+        can re-decide the rest against the live table.
         """
         system = self.system
         scheduler = self.scheduler
@@ -327,7 +342,7 @@ class Machine:
             stale = True
             while pos < n:
                 if stale:
-                    # Resolve [pos, n) and list its events.
+                    # Read [pos, n)'s translations and list its events.
                     stale = False
                     gen = table._unmap_gen
                     pgen = table._poison_gen
@@ -337,14 +352,17 @@ class Machine:
                         events = np.arange(pos, n)
                     else:
                         if pos == 0:
-                            slots, supervised = table.resolve(vp)
+                            slots = block.slots
+                            if slots is None or block.regions != table.n_regions:
+                                slots = table.resolve(vp)
                             pfns = table.v2p[slots]
+                            supervised = (
+                                table.slot_supervised[slots]
+                                if process.supervised_regions else None
+                            )
                         else:
-                            rest, sup = table.resolve(vp[pos:])
-                            slots[pos:] = rest
-                            pfns[pos:] = table.v2p[rest]
-                            if sup is not None:
-                                supervised[pos:] = sup
+                            # Slots outlive unmaps and poisonings.
+                            pfns[pos:] = table.v2p[slots[pos:]]
                         slow = pfns[pos:] < 0
                         if supervised is not None:
                             slow |= supervised[pos:]

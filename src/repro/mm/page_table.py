@@ -20,7 +20,14 @@ entry holds the page's pfn, :data:`UNMAPPED`, or ``-2 - pfn`` for a
 poisoned PTE, so one gather tells the driver which positions need the
 full access path (any negative entry).  The column's last entry is a
 permanent :data:`UNMAPPED` sentinel that every vpage outside all regions
-resolves to.
+resolves to.  Beside it, :attr:`PageTable.slot_supervised` says per slot
+whether the region takes supervised accesses.
+
+A vpage's slot depends only on the region layout, and regions are only
+appended, so slots read at one :attr:`PageTable.n_regions` stay valid
+while that count holds: a producer may hand the driver slots it
+resolved earlier, and the driver re-gathers ``v2p`` at them, without a
+new ``searchsorted``, when pages are unmapped or poisoned.
 """
 
 from __future__ import annotations
@@ -127,7 +134,8 @@ class PageTable:
         self._starts = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
         self._bases = np.empty(0, dtype=np.int64)
-        self._supervised = np.empty(0, dtype=bool)
+        #: per ``v2p`` slot: does its region take supervised accesses.
+        self.slot_supervised = np.zeros(1, dtype=bool)
         #: bumped on every unmap: a translation the driver resolved may
         #: have gone away, and GAPBS cache absorption may change.
         self._unmap_gen = 0
@@ -156,13 +164,16 @@ class PageTable:
         column = np.full(base + n_pages + 1, UNMAPPED, dtype=np.int64)
         column[:base] = self.v2p[:base]
         self.v2p = column
+        column = np.zeros(base + n_pages + 1, dtype=bool)
+        column[:base] = self.slot_supervised[:base]
+        column[base:-1] = supervised
+        self.slot_supervised = column
         self._start_list.insert(idx, start)
         self._end_list.insert(idx, start + n_pages)
         self._base_list.insert(idx, base)
         self._starts = np.array(self._start_list, dtype=np.int64)
         self._ends = np.array(self._end_list, dtype=np.int64)
         self._bases = np.array(self._base_list, dtype=np.int64)
-        self._supervised = np.insert(self._supervised, idx, supervised)
         for vpage, pte in self._entries.items():
             if start <= vpage < start + n_pages:
                 pte.slot = self._slot(vpage)
@@ -186,22 +197,29 @@ class PageTable:
         if value:
             self._poison_gen += 1
 
-    def resolve(self, vpages: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Each vpage's ``v2p`` slot, and which lie in supervised regions.
+    @property
+    def n_regions(self) -> int:
+        """How many regions are registered.  Regions are only appended,
+        so slots resolved at one count stay valid while it holds."""
+        return len(self._start_list)
 
-        A vpage outside every region gets slot -1, the sentinel.  The
-        supervised mask is None when no region is supervised.
+    def layout(self) -> tuple:
+        """The region layout slots are read against, comparable across
+        tables: each region's ``(start, end, base)`` in start order."""
+        return tuple(zip(self._start_list, self._end_list, self._base_list))
+
+    def resolve(self, vpages: np.ndarray) -> np.ndarray:
+        """Each vpage's ``v2p`` slot; -1, the sentinel, outside every region.
+
+        A slot depends only on the region layout, and ``slot_supervised``
+        at it says whether the access is supervised.
         """
         starts = self._starts
         if not len(starts):
-            return np.full(len(vpages), -1, dtype=np.int64), None
+            return np.full(len(vpages), -1, dtype=np.int64)
         idx = np.searchsorted(starts, vpages, side="right") - 1
         inside = (idx >= 0) & (vpages < self._ends[idx])
-        slots = np.where(inside, self._bases[idx] + (vpages - starts[idx]), -1)
-        supervised = None
-        if self._supervised.any():
-            supervised = inside & self._supervised[idx]
-        return slots, supervised
+        return np.where(inside, self._bases[idx] + (vpages - starts[idx]), -1)
 
     def map(self, vpage: int, page: Page) -> PageTableEntry:
         """Install a translation and register it in the page's rmap."""

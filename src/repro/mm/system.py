@@ -220,28 +220,33 @@ class MemorySystem:
         This is the one definition of an access; the driver
         :meth:`~repro.machine.Machine.touch_batch` calls it once per
         fault, hint fault or supervised access (every access when the
-        policy charges its own) and charges the rest in place.  A resident, unpoisoned
-        page in a process with no supervised region never looks up its
-        region: the work is a handful of page-store column updates.
+        policy charges its own) and charges the rest in place.  In a
+        process with no supervised region only a page fault looks up its
+        region: a resident page, poisoned or not, already has its ``v2p``
+        slot, which only a page in some region gets.
         """
         pte = process.page_table._entries.get(vpage)
         charged = 0
         supervised = False
-        if pte is None or pte._poisoned or process.supervised_regions:
+        if pte is None or process.supervised_regions or (
+            pte._poisoned and pte.slot < 0
+        ):
+            # A PTE with a slot lies in a region, so a hint fault needs no
+            # lookup; one outside every region raises here.
             region = process.region_for(vpage)
             supervised = region.supervised
             if pte is None:
                 pte, charged = self._page_fault(process, region, vpage)
-            if pte._poisoned:
-                pte._poisoned = False
-                process.page_table._store(pte)
-                hint_ns = self._hint_fault_ns
-                clock = self.clock
-                clock._now_ns += hint_ns
-                clock._app_ns += hint_ns
-                charged += hint_ns
-                self._c_faults_hint.n += 1
-                self._policy.on_hint_fault(pte)
+        if pte._poisoned:
+            pte._poisoned = False
+            process.page_table._store(pte)
+            hint_ns = self._hint_fault_ns
+            clock = self.clock
+            clock._now_ns += hint_ns
+            clock._app_ns += hint_ns
+            charged += hint_ns
+            self._c_faults_hint.n += 1
+            self._policy.on_hint_fault(pte)
         page = pte.page
         pfn = page.pfn
         store = self.pagestore

@@ -30,19 +30,19 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.machine import Machine
 from repro.mm.address_space import Process
-from repro.mm.page_table import UNMAPPED
+from repro.mm.page_table import UNMAPPED, PageTable
 from repro.sim.config import PAGE_SIZE
 from repro.sim.rng import make_rng
 from repro.workloads.base import AccessBlock, Workload
 from repro.workloads.gapbs.graph import Graph
 
-__all__ = ["GraphKernelWorkload", "TouchColumns"]
+__all__ = ["GraphKernelWorkload", "Traversal", "TouchColumns", "bfs_traversal"]
 
 _LINE = 64
 
@@ -127,16 +127,67 @@ def interleave(fields: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     return out_v, out_k
 
 
+class Traversal(NamedTuple):
+    """A breadth-first traversal, in the order a FIFO queue visits it.
+
+    ``order`` lists the reached vertices as a queue pops them and
+    ``depth`` gives every vertex's BFS depth (-1 if unreached).
+    ``neighbors`` concatenates the neighbor lists of ``order``, where
+    ``order[i]`` owns ``degree[i]`` entries, and ``found`` marks the entry
+    at which each vertex past the source was discovered.
+    """
+
+    order: np.ndarray
+    depth: np.ndarray
+    degree: np.ndarray
+    neighbors: np.ndarray
+    found: np.ndarray
+
+    def owner_counts(self, mask: np.ndarray) -> np.ndarray:
+        """Per ``order`` vertex, how many of its neighbor entries ``mask`` marks."""
+        owner = np.repeat(np.arange(len(self.order)), self.degree)
+        return np.bincount(owner[mask], minlength=len(self.order))
+
+
+def bfs_traversal(graph: Graph, source: int) -> Traversal:
+    """Top-down BFS from ``source``, one frontier at a time.
+
+    A FIFO queue pops a whole level before the next, in the order the
+    level was discovered, and discovers a vertex at its first unvisited
+    occurrence among the level's neighbor lists, so each level is one
+    gather of its CSR ranges and one ``np.unique``.
+    """
+    offsets = graph.offsets
+    depth = np.full(graph.n, -1, dtype=np.int64)
+    depth[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    levels = []
+    level = 0
+    while len(frontier):
+        start = offsets[frontier]
+        degree = offsets[frontier + 1] - start
+        neighbors = graph.neighbors[np.repeat(start, degree) + group_ranks(degree)]
+        fresh = np.flatnonzero(depth[neighbors] < 0)
+        first = np.sort(fresh[np.unique(neighbors[fresh], return_index=True)[1]])
+        found = np.zeros(len(neighbors), dtype=bool)
+        found[first] = True
+        levels.append((frontier, degree, neighbors, found))
+        frontier = neighbors[first].astype(np.int64)
+        level += 1
+        depth[frontier] = level
+    order, degree, neighbors, found = (np.concatenate(col) for col in zip(*levels))
+    return Traversal(order, depth, degree, neighbors.astype(np.int64), found)
+
+
 @dataclass
 class TouchColumns:
     """One stream's candidate page touches, plus what the walk needs.
 
     ``group`` is :data:`PLAIN`, :data:`HEAD` or :data:`FOLLOWER`; a
     follower always sits right after its head.  ``head_pos`` lists the
-    heads' positions, ``head_slot`` indexes each head's page in
-    ``slot_vpages`` (the distinct cacheable pages), and ``head_follows``
-    says whether a follower comes next.  ``results`` holds what the
-    kernel computed (``final_ranks`` and the like).
+    heads' positions and ``head_follows`` says whether a follower comes
+    next.  ``results`` holds what the kernel computed (``final_ranks``
+    and the like).
     """
 
     vpage: np.ndarray
@@ -148,14 +199,26 @@ class TouchColumns:
 
     def __post_init__(self) -> None:
         self.head_pos = np.flatnonzero(self.group == HEAD)
-        slot_vpages, slot = np.unique(self.vpage[self.head_pos], return_inverse=True)
-        self.head_slot = slot.reshape(-1)
-        self.slot_vpages = slot_vpages
         follows = np.append(self.group[1:] == FOLLOWER, False)
         self.head_follows = follows[self.head_pos]
+        self._slots_layout: tuple | None = None
+        self._slots = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.vpage)
+
+    def slots(self, page_table: PageTable) -> np.ndarray:
+        """Each candidate's ``v2p`` slot in ``page_table``.
+
+        Memoised on the table's region layout, which every process
+        running the same kernel shares, so the candidates are resolved
+        once however many policies walk them.
+        """
+        layout = page_table.layout()
+        if layout != self._slots_layout:
+            self._slots = page_table.resolve(self.vpage)
+            self._slots_layout = layout
+        return self._slots
 
 
 def _touch_columns(
@@ -370,9 +433,11 @@ class GraphKernelWorkload(Workload):
         process = self.process
         assert process is not None, "setup() must run before blocks()"
         page_table = process.page_table
-        # Regions are mapped before the walk, so the cacheable pages'
-        # translation slots are fixed.
-        head_v2p_slot = page_table.resolve(cols.slot_vpages)[0][cols.head_slot]
+        # Regions are mapped before the walk, so the slots are fixed; each
+        # block carries its survivors' slots to the driver.
+        slots = cols.slots(page_table)
+        regions = page_table.n_regions
+        head_v2p_slot = slots[cols.head_pos]
         group = cols.group
         head_pos = cols.head_pos
         head_follows = cols.head_follows
@@ -404,6 +469,7 @@ class GraphKernelWorkload(Workload):
                     process, cols.vpage[survivors], cols.write[survivors],
                     cols.lines[survivors], cols.op_boundary[survivors],
                     live=int(np.searchsorted(survivors, last_head)),
+                    slots=slots[survivors], regions=regions,
                 )
                 yield block
                 reached = int(survivors[block.done - 1])

@@ -8,14 +8,16 @@ property-intensive kernel.
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 from repro.sim.rng import make_rng
 from repro.workloads.gapbs.base import (
     NEIGH,
     OFF,
     GraphKernelWorkload,
-    decode_events,
+    bfs_traversal,
+    group_ranks,
+    interleave,
     prop,
 )
 from repro.workloads.gapbs.graph import Graph
@@ -48,42 +50,48 @@ class BetweennessCentralityWorkload(GraphKernelWorkload):
 
     def trial_events(self, trial: int):
         rng = make_rng(self.seed, f"bc-src-{trial}")
-        events: list[int] = []
-        for source in rng.integers(0, self.graph.n, size=self.n_sources).tolist():
-            self._brandes(int(source), events.append)
-        return (*decode_events(events), {})
+        passes = [
+            self._brandes(int(source))
+            for source in rng.integers(0, self.graph.n, size=self.n_sources).tolist()
+        ]
+        return *(np.concatenate(col) for col in zip(*passes)), {}
 
-    def _brandes(self, source: int, emit) -> None:
-        graph = self.graph
-        depth = {source: 0}
-        sigma = {source: 1.0}
-        order: list[int] = []
-        queue = deque([source])
-        emit(source << 4 | _DEPTH_W)
-        emit(source << 4 | _SIGMA_W)
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            emit(u << 4 | OFF)
-            emit(u << 4 | NEIGH)
-            for v in graph.neigh(u).tolist():
-                emit(v << 4 | _DEPTH_R)
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    sigma[v] = 0.0
-                    queue.append(v)
-                    emit(v << 4 | _DEPTH_W)
-                if depth[v] == depth[u] + 1:
-                    sigma[v] += sigma[u]
-                    emit(v << 4 | _SIGMA_W)
-        delta = {u: 0.0 for u in order}
-        for u in reversed(order):
-            emit(u << 4 | OFF)
-            emit(u << 4 | NEIGH)
-            for v in graph.neigh(u).tolist():
-                if v in depth and depth[v] == depth[u] + 1 and sigma[v] > 0:
-                    delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
-                    emit(v << 4 | _DELTA_R)
-            emit(u << 4 | _DELTA_W)
-            if u != source:
-                emit(u << 4 | _CENTRALITY_W)
+    def _brandes(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """One source's events.
+
+        Forward: the source's depth and sigma writes, then per visited u
+        its offsets and neighbor range and, per neighbor v, a depth read,
+        a depth write where v is discovered and a sigma write where v
+        lies one level below u (a shortest-path edge).  Reverse, in the
+        opposite visit order: per u its offsets and neighbor range, a
+        delta read per shortest-path edge, its delta write and, past the
+        source, its centrality write.
+        """
+        t = bfs_traversal(self.graph, source)
+        order, degree, neigh, found = t.order, t.degree, t.neighbors, t.found
+        below = t.depth[neigh] == np.repeat(t.depth[order] + 1, degree)
+        ones = np.ones(len(order), dtype=np.int64)
+        edge_v, edge_k = interleave(
+            [(np.ones(len(neigh), dtype=np.int64), neigh, _DEPTH_R),
+             (found, neigh[found], _DEPTH_W), (below, neigh[below], _SIGMA_W)]
+        )
+        n_below = t.owner_counts(below)
+        fwd_v, fwd_k = interleave(
+            [(ones, order, OFF), (ones, order, NEIGH),
+             (degree + t.owner_counts(found) + n_below, edge_v, edge_k)]
+        )
+        # The reverse pass walks each u's neighbors in CSR order again.
+        rev, rev_degree = order[::-1], degree[::-1]
+        rev_edges = np.repeat((np.cumsum(degree) - degree)[::-1], rev_degree)
+        rev_edges += group_ranks(rev_degree)
+        rev_below = rev_edges[below[rev_edges]]
+        past_source = rev != source
+        rev_v, rev_k = interleave(
+            [(ones, rev, OFF), (ones, rev, NEIGH),
+             (n_below[::-1], neigh[rev_below], _DELTA_R), (ones, rev, _DELTA_W),
+             (past_source, rev[past_source], _CENTRALITY_W)]
+        )
+        return (
+            np.concatenate([[source, source], fwd_v, rev_v]),
+            np.concatenate([[_DEPTH_W, _SIGMA_W], fwd_k, rev_k]),
+        )

@@ -6,12 +6,15 @@ different sampled source, as the GAPBS harness does.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.rng import make_rng
 from repro.workloads.gapbs.base import (
     NEIGH,
     OFF,
     GraphKernelWorkload,
-    decode_events,
+    bfs_traversal,
+    interleave,
     prop,
 )
 
@@ -28,23 +31,20 @@ class BFSWorkload(GraphKernelWorkload):
         return 1  # parent
 
     def trial_events(self, trial: int):
-        graph = self.graph
+        """The source's parent write, then per visited u: read its
+        offsets and neighbor range, read each neighbor's parent and
+        write it where the neighbor is discovered."""
         rng = make_rng(self.seed, f"bfs-src-{trial}")
-        source = int(rng.integers(0, graph.n))
-        parent = {source: source}
-        events = [source << 4 | _WRITE]
-        emit = events.append
-        frontier = [source]
-        while frontier:
-            next_frontier = []
-            for u in frontier:
-                emit(u << 4 | OFF)
-                emit(u << 4 | NEIGH)
-                for v in graph.neigh(u).tolist():
-                    emit(v << 4 | _READ)
-                    if v not in parent:
-                        parent[v] = u
-                        emit(v << 4 | _WRITE)
-                        next_frontier.append(v)
-            frontier = next_frontier
-        return (*decode_events(events), {})
+        source = int(rng.integers(0, self.graph.n))
+        t = bfs_traversal(self.graph, source)
+        neigh, found = t.neighbors, t.found
+        ones = np.ones(len(t.order), dtype=np.int64)
+        edge_v, edge_k = interleave(
+            [(np.ones(len(neigh), dtype=np.int64), neigh, _READ),
+             (found, neigh[found], _WRITE)]
+        )
+        v, k = interleave(
+            [(ones, t.order, OFF), (ones, t.order, NEIGH),
+             (t.degree + t.owner_counts(found), edge_v, edge_k)]
+        )
+        return np.insert(v, 0, source), np.insert(k, 0, _WRITE), {}

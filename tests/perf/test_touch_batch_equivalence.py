@@ -355,18 +355,24 @@ def _reference(scenario: str) -> dict:
     return _REFERENCE[scenario]
 
 
-def _blocks(procs, rows, cuts: set[int]):
-    """Blocks cut at ``cuts`` and wherever the process changes."""
+def _blocks(procs, rows, cuts: set[int], *, carried: bool = False):
+    """Blocks cut at ``cuts`` and wherever the process changes; with
+    ``carried`` each block brings the slots its producer resolved."""
     start = 0
     for i in range(1, len(rows) + 1):
         if i == len(rows) or i in cuts or rows[i][0] != rows[start][0]:
             __, vpage, write, lines, boundary = zip(*rows[start:i])
+            process = procs[rows[start][0]]
+            vpage = np.array(vpage, dtype=np.int64)
+            table = process.page_table
             yield AccessBlock(
-                procs[rows[start][0]],
-                np.array(vpage, dtype=np.int64),
+                process,
+                vpage,
                 np.array(write, dtype=bool),
                 np.array(lines, dtype=np.int64),
                 np.array(boundary, dtype=bool),
+                slots=table.resolve(vpage) if carried else None,
+                regions=table.n_regions,
             )
             start = i
 
@@ -384,6 +390,20 @@ def test_any_cutting_into_blocks_matches_per_access(scenario, cuts):
     error = None
     try:
         machine.touch_batch(_blocks(procs, _stream(scenario), cuts))
+    except LookupError as exc:
+        error = exc
+    assert _outcome(machine, fire_times, error) == expected
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_blocks_carrying_slots_match_per_access(scenario):
+    """Carried slots only save the resolve: every 97th position cut."""
+    expected = _reference(scenario)
+    machine, procs, fire_times = _machine(scenario)
+    error = None
+    cuts = set(range(97, N_ACCESSES, 97))
+    try:
+        machine.touch_batch(_blocks(procs, _stream(scenario), cuts, carried=True))
     except LookupError as exc:
         error = exc
     assert _outcome(machine, fire_times, error) == expected

@@ -7,8 +7,8 @@ vpages outside every region resolve to.  For any interleaving of region
 registrations, maps, unmaps, poisonings and unpoisonings — vpages
 outside every region included, regions registered after their vpages
 were mapped included — the column, read through ``resolve``, must agree
-with ``_entries`` at every vpage, and its size must be the mapped
-footprint, not the highest vpage.
+with ``_entries`` at every vpage, ``slot_supervised`` with the regions,
+and its size must be the mapped footprint, not the highest vpage.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ def _expected(table: PageTable, vpage: int) -> int:
 
 def _check(table: PageTable, registered: list) -> None:
     vpages = np.array(VPAGES, dtype=np.int64)
-    slots, supervised = table.resolve(vpages)
+    slots = table.resolve(vpages)
     values = table.v2p[slots]
+    supervised = table.slot_supervised[slots]
     for i, vpage in enumerate(VPAGES):
         region = next(
             (r for r in registered if r[0] <= vpage < r[0] + r[1]), None
@@ -56,9 +57,11 @@ def _check(table: PageTable, registered: list) -> None:
         else:
             assert values[i] == _expected(table, vpage), vpage
         want_supervised = region is not None and region[2]
-        assert (supervised is not None and bool(supervised[i])) == want_supervised
+        assert bool(supervised[i]) == want_supervised
     assert table.v2p[-1] == UNMAPPED, "the sentinel slot was written"
     assert len(table.v2p) == sum(n for __, n, __s in registered) + 1
+    assert len(table.slot_supervised) == len(table.v2p)
+    assert table.n_regions == len(registered)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,5 +109,5 @@ def test_far_regions_cost_their_footprint_not_their_address():
     table.add_region(7 << 20, 5)
     pte = table.map((7 << 20) + 4, Page(0))
     assert len(table.v2p) == 16
-    slots, __ = table.resolve(np.array([(7 << 20) + 4], dtype=np.int64))
+    slots = table.resolve(np.array([(7 << 20) + 4], dtype=np.int64))
     assert table.v2p[slots[0]] == pte.page.pfn

@@ -1,17 +1,18 @@
-"""Betweenness-centrality oracle test: our Brandes pass vs networkx.
+"""Betweenness-centrality oracle test: the shipped traversal vs networkx.
 
 The BC workload's page touches are driven by the forward BFS (depth and
 sigma arrays) and the reverse dependency pass; if either is wrong the
-emitted access pattern is wrong too.  This test re-executes the kernel's
-exact forward logic and checks sigma (shortest-path counts) and depth
-against networkx for every reachable vertex.
+emitted access pattern is wrong too.  ``BetweennessCentralityWorkload``
+lays its events out from ``bfs_traversal``: its visit order, depths and
+neighbor lists.  This test takes depth and order from that same call,
+accumulates sigma (shortest-path counts) along the edges it reports,
+and checks both against networkx for every reachable vertex.
 """
-
-from collections import deque
 
 import networkx as nx
 import pytest
 
+from repro.workloads.gapbs.base import bfs_traversal
 from repro.workloads.gapbs.graph import Graph
 
 
@@ -21,19 +22,17 @@ def graph():
 
 
 def brandes_forward(graph: Graph, source: int):
-    """The exact forward pass of BetweennessCentralityWorkload._brandes."""
-    depth = {source: 0}
-    sigma = {source: 1.0}
-    order = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in graph.neigh(u).tolist():
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                sigma[v] = 0.0
-                queue.append(v)
+    """Depth and visit order from the shipped traversal, and sigma
+    accumulated over its edges in visit order, as Brandes does."""
+    traversal = bfs_traversal(graph, source)
+    order = traversal.order.tolist()
+    depth = {u: int(traversal.depth[u]) for u in order}
+    sigma = dict.fromkeys(order, 0.0)
+    sigma[source] = 1.0
+    neighbors = iter(traversal.neighbors.tolist())
+    for u, degree in zip(order, traversal.degree.tolist()):
+        for __ in range(degree):
+            v = next(neighbors)
             if depth[v] == depth[u] + 1:
                 sigma[v] += sigma[u]
     return depth, sigma, order
