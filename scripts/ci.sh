@@ -217,9 +217,11 @@ python -m repro trace --workload zipf --pages 600 --ops 4000 \
     --audit
 test -s "$TRACE_TMP/events.ndjson"
 
-echo "== invariant checker against a clean run =="
-python -m repro check --workload shifting-hotset --pages 800 --ops 6000 \
-    --dram-pages 256 --pm-pages 2048 --interval 0.002 --strict
+echo "== invariant checker against clean runs (multiclock, and the hint-fault policies that poison) =="
+for policy in multiclock autotiering-cpm autotiering-opm; do
+    python -m repro check --policy "$policy" --workload shifting-hotset --pages 800 \
+        --ops 6000 --dram-pages 256 --pm-pages 2048 --interval 0.002 --strict
+done
 
 echo "== metrics smoke (stat -> prometheus -> html dashboard) =="
 METRICS_TMP="$CI_TMP/metrics"

@@ -35,6 +35,8 @@ def run_fig4(*, ops: int | None = None) -> dict[str, object]:
     workload.setup(machine)
     observed: Counter = Counter()
     process = workload.process
+    table = process.page_table
+    pages = machine.system.pagestore.pages
     batches = list(workload.numeric_batches())
     vpages = np.concatenate([vpage for vpage, _ in batches])
     writes = np.concatenate([write for _, write in batches])
@@ -45,8 +47,8 @@ def run_fig4(*, ops: int | None = None) -> dict[str, object]:
         machine.touch_batch_array(
             process, [(vpages[start:end], writes[start:end])], lines=workload.lines
         )
-        for pte in process.page_table.entries():
-            observed[classify(pte.page)] += 1
+        for vpage in table.vpages():
+            observed[classify(pages[table.pfn(vpage)])] += 1
         start = end
     machine.touch_batch_array(
         process, [(vpages[start:], writes[start:])], lines=workload.lines

@@ -327,7 +327,6 @@ class Machine:
             process = block.process
             home = process.home_socket
             table = process.page_table
-            entries = table._entries
             vp = block.vpage
             wr = block.write
             ln = block.lines
@@ -335,7 +334,7 @@ class Machine:
             live = block.live
             # The live-stop rule compares against the table as the block
             # was produced.
-            size0 = len(entries)
+            size0 = len(table)
             gen0 = table._unmap_gen
             remote = sockets != {home}
             pos = 0
@@ -503,7 +502,7 @@ class Machine:
                     run_due()
                     if faults_live:
                         read_ns, write_ns, np_read, np_write = self._node_latency()
-                if pos <= live and (len(entries) != size0 or table._unmap_gen != gen0):
+                if pos <= live and (len(table) != size0 or table._unmap_gen != gen0):
                     break
                 if table._unmap_gen != gen or table._poison_gen != pgen:
                     stale = True

@@ -3,8 +3,7 @@
 Everything a tiering policy needs to stand on: pages and flags, per-node
 LRU vectors (including the paper's promote lists), NUMA nodes tagged by
 tier, watermarks, the allocator, the migration engine, process page
-tables with hardware accessed bits, the backing store, and the generic
-PFRA scan machinery.
+tables, the backing store, and the generic PFRA scan machinery.
 """
 
 from repro.mm.address_space import MemoryRegion, Process
@@ -15,7 +14,7 @@ from repro.mm.lruvec import ListKind, LruList, LruVec
 from repro.mm.migrate import MigrationEngine, MigrationOutcome
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
-from repro.mm.page_table import PageTable, PageTableEntry
+from repro.mm.page_table import PageTable
 from repro.mm.swap import BackingStore
 from repro.mm.system import MemorySystem, OutOfMemoryError
 from repro.mm.watermarks import PressureLevel, Watermarks, compute_watermarks
@@ -36,7 +35,6 @@ __all__ = [
     "NumaNode",
     "Page",
     "PageTable",
-    "PageTableEntry",
     "BackingStore",
     "MemorySystem",
     "OutOfMemoryError",

@@ -60,8 +60,8 @@ class Process:
         self.name = name or f"proc-{self.pid}"
         self.home_socket = home_socket
         self.page_table = PageTable(self.pid)
+        #: in start order, as the page table's region lists.
         self._regions: list[MemoryRegion] = []
-        self._region_starts: list[int] = []
         #: How many regions are supervised; while 0, an access never
         #: needs its region looked up (only supervision is read there).
         self.supervised_regions = 0
@@ -72,7 +72,7 @@ class Process:
 
     def mmap(self, region: MemoryRegion) -> MemoryRegion:
         """Register a VMA; overlapping regions are rejected."""
-        idx = bisect.bisect_left(self._region_starts, region.start_vpage)
+        idx = bisect.bisect_left(self.page_table._start_list, region.start_vpage)
         before = self._regions[idx - 1] if idx > 0 else None
         after = self._regions[idx] if idx < len(self._regions) else None
         if before is not None and before.end_vpage > region.start_vpage:
@@ -80,7 +80,6 @@ class Process:
         if after is not None and region.end_vpage > after.start_vpage:
             raise ValueError(f"region {region} overlaps {after}")
         self._regions.insert(idx, region)
-        self._region_starts.insert(idx, region.start_vpage)
         self.supervised_regions += region.supervised
         self.page_table.add_region(region.start_vpage, region.n_pages, region.supervised)
         return region
@@ -99,7 +98,7 @@ class Process:
 
     def region_for(self, vpage: int) -> MemoryRegion:
         """The VMA covering ``vpage``; raises if unmapped (a SIGSEGV)."""
-        idx = bisect.bisect_right(self._region_starts, vpage) - 1
+        idx = bisect.bisect_right(self.page_table._start_list, vpage) - 1
         if idx >= 0 and self._regions[idx].contains(vpage):
             return self._regions[idx]
         raise LookupError(f"pid {self.pid}: vpage {vpage} hits no mapped region")

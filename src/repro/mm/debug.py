@@ -18,8 +18,10 @@ Checks, mirroring their kernel analogues:
   resident on it (LRU lists plus mapped off-list pages), and its cached
   ``free`` and ``level`` equal capacity − used − offline and that count's
   watermark level;
-* rmap symmetry    — every PTE is in its page's rmap and vice versa, and
-  each PTE's cached ``v2p`` slot is the one its region gives;
+* rmap symmetry    — every translation in a ``v2p`` column is a
+  ``(pid, vpage)`` pair in its page's rmap, every rmap pair is a
+  translation of that page, and each page's ``mapcount`` is its rmap's
+  length;
 * swap accounting  — the backing store's slot count is consistent and
   within capacity;
 * memcg accounting — when the controller is armed, every group's per-node
@@ -70,6 +72,18 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
     violations: list[Violation] = []
     seen_on_lists: dict[int, str] = {}  # pfn -> list description
     resident_by_node: dict[int, set[int]] = {}  # node id -> resident pfns
+    store = system.pagestore
+    pages = store.pages
+    # Every translation in the page tables: (pid, vpage, pfn).
+    mapped = [
+        (process.pid, vpage, process.page_table.pfn(vpage))
+        for process in system.processes.values()
+        for vpage in process.page_table.vpages()
+    ]
+    mapped_by_node: dict[int, set[int]] = {}  # node id -> mapped pfns
+    for __, __, pfn in mapped:
+        if pfn < len(pages):
+            mapped_by_node.setdefault(store.node.item(pfn), set()).add(pfn)
 
     for node in system.nodes.values():
         node_resident: set[int] = set()
@@ -137,10 +151,7 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
 
         # Frame accounting: resident pages on this node's lists, plus any
         # mapped pages transiently off-LRU, must equal used_pages exactly.
-        for process in system.processes.values():
-            for pte in process.page_table.entries():
-                if pte.page.node_id == node.node_id:
-                    node_resident.add(pte.page.pfn)
+        node_resident |= mapped_by_node.get(node.node_id, set())
         if len(node_resident) != node.used_pages:
             violations.append(Violation(
                 "frame-accounting",
@@ -163,32 +174,28 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
                 f"but capacity-used-offline gives free={free} level={level.name}",
             ))
 
-    # Rmap symmetry, both directions, and each PTE's cached v2p slot.
-    for process in system.processes.values():
-        table = process.page_table
-        for pte in table.entries():
-            if pte not in pte.page.rmap:
+    # Rmap symmetry between the v2p columns and Page.rmap, both
+    # directions, and each page's cached mapping count.
+    for pid, vpage, pfn in mapped:
+        if pfn >= len(pages) or (pid, vpage) not in pages[pfn].rmap:
+            violations.append(Violation(
+                "rmap",
+                f"pid={pid} vpage={vpage} maps pfn={pfn} but is missing from its rmap",
+            ))
+    for page in pages:
+        for pid, vpage in page.rmap:
+            owner = system.processes.get(pid)
+            if owner is None or owner.page_table.pfn(vpage) != page.pfn:
                 violations.append(Violation(
                     "rmap",
-                    f"pid={pte.process_id} vpage={pte.vpage} maps pfn={pte.page.pfn} "
-                    f"but is missing from its rmap",
+                    f"pfn={page.pfn} rmap holds a stale mapping (pid={pid} vpage={vpage})",
                 ))
-            slot = table._slot(pte.vpage)
-            if pte.slot != slot:
-                violations.append(Violation(
-                    "rmap",
-                    f"pid={pte.process_id} vpage={pte.vpage} caches v2p slot "
-                    f"{pte.slot} but its region gives {slot}",
-                ))
-        for pte in process.page_table.entries():
-            for mapper in pte.page.rmap:
-                owner = system.processes.get(mapper.process_id)
-                if owner is None or owner.page_table.lookup(mapper.vpage) is not mapper:
-                    violations.append(Violation(
-                        "rmap",
-                        f"pfn={pte.page.pfn} rmap holds a stale PTE "
-                        f"(pid={mapper.process_id} vpage={mapper.vpage})",
-                    ))
+        if store.mapcount.item(page.pfn) != len(page.rmap):
+            violations.append(Violation(
+                "rmap",
+                f"pfn={page.pfn} counts {store.mapcount.item(page.pfn)} mappings "
+                f"but its rmap holds {len(page.rmap)}",
+            ))
 
     backing = system.backing
     if backing.swapped_pages > backing.swap_capacity_pages:

@@ -25,7 +25,6 @@ from repro.mm.pagestore import PageStore, default_store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.mm.lruvec import LruList
-    from repro.mm.page_table import PageTableEntry
 
 __all__ = ["Page"]
 
@@ -38,8 +37,10 @@ class Page:
         node_id: NUMA node currently backing the page.
         flags: PFRA flag word (referenced / active / promote / ...).
         is_anon: anonymous vs file-backed, selecting the LRU list family.
-        rmap: reverse mapping — every PTE that maps this page.  Scans walk
-            it to harvest hardware accessed bits (unsupervised accesses).
+        rmap: reverse mapping — the ``(pid, vpage)`` pair of every page
+            table entry that maps this page, in mapping order.  Eviction
+            walks it to unmap the page; the translation itself is the
+            ``v2p`` column of that pid's page table.
         lru: the intrusive list this page currently sits on, or None.
         policy_data: scratch slot for per-policy metadata (e.g.
             AutoTiering-OPM's n-bit access history).  Policies own it.
@@ -59,7 +60,7 @@ class Page:
             store = default_store()
         self._store = store
         self.pfn = store.adopt(self, node_id, is_anon, born_ns)
-        self.rmap: list[PageTableEntry] = []
+        self.rmap: list[tuple[int, int]] = []
         self.policy_data: Any = None
 
     # -- column-backed attributes -----------------------------------------

@@ -56,7 +56,7 @@ class PageStore:
     ``lru_next``        int64     neighbour pfn toward the list tail, -1 none
     ``pte_accessed``    bool      harvested OR of the mapping PTEs' accessed
     ``pte_dirty``       bool      harvested OR of the mapping PTEs' dirty
-    ``mapcount``        int32     live reverse mappings (len of ``Page.rmap``)
+    ``mapcount``        int32     mappings of the page: ``len(Page.rmap)``
     ``awaiting_ns``     int64     promotion time awaiting first re-access, -1
     ``memcg_id``        int32     charging :class:`MemCgroup` id, -1 uncharged
     ==================  ========  ===========================================

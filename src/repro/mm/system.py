@@ -11,6 +11,7 @@ the machine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING
 
 from repro.mm.address_space import MemoryRegion, Process
@@ -21,7 +22,7 @@ from repro.mm.memcg import ProcessKilledError
 from repro.mm.migrate import MigrationEngine
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
-from repro.mm.page_table import PageTableEntry
+from repro.mm.page_table import UNMAPPED
 from repro.mm.pagestore import PageStore
 from repro.mm.swap import BackingStore
 from repro.sim.config import SimulationConfig
@@ -220,35 +221,32 @@ class MemorySystem:
         This is the one definition of an access; the driver
         :meth:`~repro.machine.Machine.touch_batch` calls it once per
         fault, hint fault or supervised access (every access when the
-        policy charges its own) and charges the rest in place.  In a
-        process with no supervised region only a page fault looks up its
-        region: a resident page, poisoned or not, already has its ``v2p``
-        slot, which only a page in some region gets.
+        policy charges its own) and charges the rest in place.  One
+        bisect over the region starts finds both the page's ``v2p`` slot
+        and, on a page fault, its region; a vpage outside every region
+        raises ``LookupError`` (a SIGSEGV).
         """
-        pte = process.page_table._entries.get(vpage)
+        table = process.page_table
+        starts = table._start_list
+        idx = bisect_right(starts, vpage) - 1
+        if idx < 0 or vpage >= table._end_list[idx]:
+            raise LookupError(f"pid {process.pid}: vpage {vpage} hits no mapped region")
+        slot = table._base_list[idx] + vpage - starts[idx]
+        pfn = table.v2p.item(slot)
         charged = 0
-        supervised = False
-        if pte is None or process.supervised_regions or (
-            pte._poisoned and pte.slot < 0
-        ):
-            # A PTE with a slot lies in a region, so a hint fault needs no
-            # lookup; one outside every region raises here.
-            region = process.region_for(vpage)
-            supervised = region.supervised
-            if pte is None:
-                pte, charged = self._page_fault(process, region, vpage)
-        if pte._poisoned:
-            pte._poisoned = False
-            process.page_table._store(pte)
-            hint_ns = self._hint_fault_ns
-            clock = self.clock
-            clock._now_ns += hint_ns
-            clock._app_ns += hint_ns
-            charged += hint_ns
-            self._c_faults_hint.n += 1
-            self._policy.on_hint_fault(pte)
-        page = pte.page
-        pfn = page.pfn
+        if pfn < 0:
+            if pfn == UNMAPPED:
+                pfn, charged = self._page_fault(process, process._regions[idx], vpage, slot)
+            else:
+                pfn = -2 - pfn
+                table.v2p[slot] = pfn
+                hint_ns = self._hint_fault_ns
+                clock = self.clock
+                clock._now_ns += hint_ns
+                clock._app_ns += hint_ns
+                charged = hint_ns
+                self._c_faults_hint.n += 1
+                self._policy.on_hint_fault(self.pagestore.pages[pfn])
         store = self.pagestore
         store.pte_accessed[pfn] = True
         if is_write:
@@ -256,10 +254,10 @@ class MemorySystem:
             store.flags[pfn] |= _DIRTY
         nid = store.node.item(pfn)
         if self.inline_charge:
-            table = self._write_ns if is_write else self._read_ns
-            access_ns = lines * table[self._node_tier[nid]]
+            ns = self._write_ns if is_write else self._read_ns
+            access_ns = lines * ns[self._node_tier[nid]]
         else:
-            access_ns = self._policy.charge_access(page, is_write, lines)
+            access_ns = self._policy.charge_access(store.pages[pfn], is_write, lines)
         if self._node_socket[nid] != process.home_socket:
             access_ns = int(access_ns * self._remote_mult)
             self._c_accesses_remote.n += 1
@@ -272,8 +270,8 @@ class MemorySystem:
             self._c_accesses_dram.n += 1
         else:
             self._c_accesses_pm.n += 1
-        if supervised:
-            self._policy.mark_page_accessed(page)
+        if process.supervised_regions and process._regions[idx].supervised:
+            self._policy.mark_page_accessed(store.pages[pfn])
         if self._awaiting_count:
             self._note_reaccess(pfn, clock._now_ns)
         return charged
@@ -305,8 +303,8 @@ class MemorySystem:
             self.stats.record("promoted_reaccessed_window", promoted_at)
 
     def _page_fault(
-        self, process: Process, region: MemoryRegion, vpage: int
-    ) -> tuple[PageTableEntry, int]:
+        self, process: Process, region: MemoryRegion, vpage: int, slot: int
+    ) -> tuple[int, int]:
         """Populate a missing translation: first touch or major refault."""
         latency = self.hardware.latency
         if region.is_anon and self.backing.is_swapped(process.pid, vpage):
@@ -322,13 +320,13 @@ class MemorySystem:
         if self.memcg is not None:
             self.memcg.try_charge(process)
         page = self._allocate_page(region, process.home_socket, process)
-        pte = process.page_table.map(vpage, page)
+        process.page_table._map_at(slot, vpage, page)
         if self.memcg is not None:
             self.memcg.commit_charge(page, process)
         if region.mlocked:
             page.set(_UNEVICTABLE)
         self._policy.on_page_allocated(page)
-        return pte, charged
+        return page.pfn, charged
 
     def _allocate_page(
         self,
@@ -432,14 +430,17 @@ class MemorySystem:
         buffer.  Returns the number of pages freed.
         """
         freed = 0
-        for vpage in range(region.start_vpage, region.end_vpage):
-            pte = process.page_table.lookup(vpage)
-            if pte is None:
+        table = process.page_table
+        base = table._slot(region.start_vpage)
+        # Each vpage has its own slot, so unmapping one leaves the others'
+        # entries as read here.
+        entries = table.v2p[base:base + region.n_pages].tolist()
+        for vpage, entry in enumerate(entries, region.start_vpage):
+            if entry == UNMAPPED:
                 if region.is_anon and self.backing.is_swapped(process.pid, vpage):
                     self.backing.swap_in(process.pid, vpage)  # slot released
                 continue
-            page = pte.page
-            process.page_table.unmap(vpage)
+            page = self.pagestore.pages[table.unmap(vpage)]
             if page.mapped:
                 continue  # shared file page still mapped elsewhere
             if page.lru is not None:
@@ -476,11 +477,10 @@ class MemorySystem:
             needed = len(page.rmap)
             if self.backing.swapped_pages + needed > self.backing.swap_capacity_pages:
                 raise MemoryError("swap space exhausted")
-        for pte in list(page.rmap):
-            process = self.processes[pte.process_id]
-            process.page_table.unmap(pte.vpage)
+        for pid, vpage in list(page.rmap):
+            self.processes[pid].page_table.unmap(vpage)
             if page.is_anon:
-                self.backing.swap_out(pte.process_id, pte.vpage)
+                self.backing.swap_out(pid, vpage)
         if page.is_anon or page.test(_DIRTY):
             self.clock.advance_system(latency.swap_out_ns)
             charged += latency.swap_out_ns

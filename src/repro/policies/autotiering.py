@@ -26,7 +26,6 @@ from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
-from repro.mm.page_table import PageTableEntry
 from repro.mm.system import MemorySystem
 from repro.mm.watermarks import PressureLevel
 from repro.policies import movement
@@ -76,24 +75,21 @@ class HintFaultScanner:
         snapshot = self._snapshots.get(pid)
         cursor = self._cursors.get(pid, 0)
         if snapshot is None or cursor >= len(snapshot):
-            snapshot = sorted(vpage for vpage in self._resident_vpages(pid))
-            self._snapshots[pid] = snapshot
+            snapshot = self._snapshots[pid] = process.page_table.vpages()
             cursor = 0
+        poison = process.page_table.poison
+        pages = self.system.pagestore.pages
         poisoned = 0
         while cursor < len(snapshot) and poisoned < budget:
-            pte = process.page_table.lookup(snapshot[cursor])
+            pfn = poison(snapshot[cursor])
             cursor += 1
-            if pte is None:
+            if pfn is None:
                 continue
-            pte.poisoned = True
             if self.track_history:
-                self._shift_history(pte.page)
+                self._shift_history(pages[pfn])
             poisoned += 1
         self._cursors[pid] = cursor
         return poisoned
-
-    def _resident_vpages(self, pid: int) -> list[int]:
-        return [pte.vpage for pte in self.system.processes[pid].page_table.entries()]
 
     @staticmethod
     def _shift_history(page: Page) -> None:
@@ -117,9 +113,8 @@ class _HintFaultPolicy(TieringPolicy):
         cfg = self.system.config.daemons
         return [Daemon("hint-scanner", cfg.hint_scan_interval_s, self._scanner.run)]
 
-    def on_hint_fault(self, pte: PageTableEntry) -> None:
+    def on_hint_fault(self, page: Page) -> None:
         """Recency signal: the poisoned page was just accessed."""
-        page = pte.page
         if self.track_history:
             page.policy_data = (page.policy_data or 0) | 1
         self._c_hint_faults.n += 1

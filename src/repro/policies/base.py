@@ -21,7 +21,6 @@ from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
-from repro.mm.page_table import PageTableEntry
 from repro.mm.system import MemorySystem
 from repro.mm.vmscan import deactivate_excess_active, mark_page_accessed, shrink_inactive_list
 from repro.sim.events import Daemon
@@ -89,8 +88,9 @@ class TieringPolicy(abc.ABC):
         the default costs nothing.
         """
 
-    def on_hint_fault(self, pte: PageTableEntry) -> None:
-        """Called when an access trips a poisoned PTE (hint-fault trackers)."""
+    def on_hint_fault(self, page: Page) -> None:
+        """Called when an access to ``page`` trips a poisoned translation
+        (hint-fault trackers)."""
 
     def charge_access(self, page: Page, is_write: bool, lines: int = 1) -> int:
         """Latency of one access touching ``lines`` cache lines.

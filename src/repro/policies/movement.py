@@ -43,8 +43,8 @@ def roomiest(nodes: Iterable[NumaNode]) -> NumaNode | None:
 
 def owner_socket(system: MemorySystem, page: Page) -> int | None:
     """The home socket of the process mapping ``page`` (first mapping)."""
-    for pte in page.rmap:
-        process = system.processes.get(pte.process_id)
+    for pid, __ in page.rmap:
+        process = system.processes.get(pid)
         if process is not None:
             return process.home_socket
     return None

@@ -65,7 +65,7 @@ def test_promote_list_relieved_first(machine):
     process.mmap_anon(0, 128)
     fill_dram(machine, process)
     dram = machine.system.nodes[0]
-    victim = process.page_table.lookup(0).page
+    victim = machine.system.pagestore.pages[process.page_table.pfn(0)]
     victim.lru.remove(victim)
     victim.set(PageFlags.ACTIVE)
     dram.lruvec.list_of(victim, ListKind.ACTIVE).add_head(victim)
@@ -86,7 +86,7 @@ def test_pm_promote_list_under_pressure_promotes_up(machine):
         process.page_table.map(vpage, page)
         pm.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
         vpage += 1
-    hot = process.page_table.lookup(0).page
+    hot = machine.system.pagestore.pages[process.page_table.pfn(0)]
     hot.lru.remove(hot)
     hot.set(PageFlags.ACTIVE)
     pm.lruvec.list_of(hot, ListKind.ACTIVE).add_head(hot)
@@ -100,10 +100,10 @@ def test_referenced_pages_survive_demotion_scan(machine):
     process = machine.create_process()
     process.mmap_anon(0, 128)
     fill_dram(machine, process)
-    hot = process.page_table.lookup(5)
-    hot.accessed = True
+    hot = machine.system.pagestore.pages[process.page_table.pfn(5)]
+    machine.system.pagestore.pte_accessed[hot.pfn] = True
     dram_kswapd(machine).run(0)
-    assert machine.system.tier_of(hot.page) is MemoryTier.DRAM
+    assert machine.system.tier_of(hot) is MemoryTier.DRAM
 
 
 def test_pm_pressure_falls_back_to_swap(machine):
@@ -111,6 +111,7 @@ def test_pm_pressure_falls_back_to_swap(machine):
     small = Machine(SimulationConfig(dram_pages=(16,), pm_pages=(32,)), "multiclock")
     process = small.create_process()
     process.mmap_anon(0, 64)
+    process.mmap_anon(100, 32)
     for node in small.system.nodes.values():
         vbase = 0 if not node.is_pm else 100
         i = 0

@@ -51,8 +51,7 @@ def test_demotion_prefers_inactive_over_active(machine):
         vpage += 1
     # Keep active pages genuinely hot so rebalancing spares them.
     for page in active_pages:
-        for pte in page.rmap:
-            pte.accessed = True
+        machine.system.pagestore.pte_accessed[page.pfn] = True
     daemon = next(d for d in machine.policy._kswapd if not d.node.is_pm)
     daemon.balance()
     demoted_active = sum(

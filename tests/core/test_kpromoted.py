@@ -18,11 +18,11 @@ def machine():
 def pm_resident(machine, process, vpage, *, kind=ListKind.INACTIVE):
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(vpage, page)
+    process.page_table.map(vpage, page)
     node.lruvec.list_of(page, kind).add_head(page)
     if kind is ListKind.ACTIVE:
         page.set(PageFlags.ACTIVE)
-    return page, pte
+    return page
 
 
 def pm_kpromoted(machine):
@@ -32,7 +32,7 @@ def pm_kpromoted(machine):
 def test_unaccessed_pm_page_never_promoted(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, __ = pm_resident(machine, process, 0)
+    page = pm_resident(machine, process, 0)
     for __round in range(5):
         pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.PM
@@ -45,12 +45,12 @@ def test_single_access_per_scan_is_not_enough(machine):
     filter that separates MULTI-CLOCK from Nimble."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0)
+    page = pm_resident(machine, process, 0)
     kp = pm_kpromoted(machine)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     kp.run(0)  # inactive unref -> inactive ref
     assert page.lru.kind is ListKind.INACTIVE
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     kp.run(0)  # inactive ref -> active
     assert page.lru.kind is ListKind.ACTIVE
     assert machine.system.tier_of(page) is MemoryTier.PM
@@ -59,11 +59,11 @@ def test_single_access_per_scan_is_not_enough(machine):
 def test_persistent_access_promotes_within_four_scans(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0)
+    page = pm_resident(machine, process, 0)
     kp = pm_kpromoted(machine)
     rounds = 0
     while machine.system.tier_of(page) is MemoryTier.PM and rounds < 6:
-        pte.accessed = True
+        machine.system.pagestore.pte_accessed[page.pfn] = True
         kp.run(0)
         rounds += 1
     assert machine.system.tier_of(page) is MemoryTier.DRAM
@@ -73,9 +73,9 @@ def test_persistent_access_promotes_within_four_scans(machine):
 def test_promoted_page_lands_on_dram_active_list(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     page.set(PageFlags.REFERENCED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     pm_kpromoted(machine).run(0)  # active ref + bit -> promote list, then drain
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert page.lru.kind is ListKind.ACTIVE
@@ -87,9 +87,9 @@ def test_selected_pages_promoted_in_same_run(machine):
     gets promoted to the DRAM in the same kpromoted run"."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     page.set(PageFlags.REFERENCED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     promotions_before = machine.stats.get("migrate.promotions")
     pm_kpromoted(machine).run(0)
     assert machine.stats.get("migrate.promotions") == promotions_before + 1
@@ -99,9 +99,9 @@ def test_promotions_counted_in_stats(machine):
     """A successful drain shows up in kpromoted.promoted, not a no-op."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     page.set(PageFlags.REFERENCED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert machine.stats.get("kpromoted.promoted") == 1
@@ -113,10 +113,10 @@ def test_failed_promotion_not_counted(machine):
     """A locked page recycles to active and is not counted as promoted."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     page.set(PageFlags.REFERENCED)
     page.set(PageFlags.LOCKED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.PM
     assert machine.stats.get("kpromoted.promoted") == 0
@@ -143,7 +143,7 @@ def test_dram_promote_list_recycles_to_active(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
     machine.system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = machine.system.pagestore.pages[process.page_table.pfn(0)]
     page.lru.remove(page)
     page.set(PageFlags.ACTIVE)
     dram.lruvec.list_of(page, ListKind.ACTIVE).add_head(page)
@@ -178,9 +178,9 @@ def test_promotion_into_full_dram_demand_demotes(machine):
         filler.page_table.map(vpage, page)
         dram.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
         vpage += 1
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     page.set(PageFlags.REFERENCED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert machine.stats.get("migrate.demotions") >= 1
@@ -191,10 +191,10 @@ def test_failed_drain_counts_deactivation(machine):
     list and shows up in kpromoted.deactivated."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     page.set(PageFlags.REFERENCED)
     page.set(PageFlags.LOCKED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.PM
     assert machine.stats.get("kpromoted.deactivated") >= 1
@@ -207,11 +207,12 @@ def test_drain_consumes_both_reference_signals(machine):
     upstairs without a free second reference already banked."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     node = machine.system.nodes[1]
     move_to_promote(node, page)  # sets REFERENCED by design (edge 10)
     assert page.test(PageFlags.REFERENCED)
-    pte.accessed = True  # the hardware bit the old short-circuit hid behind
+    # The hardware bit the old short-circuit hid behind.
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     pm_kpromoted(machine).run(0)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert not page.test(PageFlags.REFERENCED), (
@@ -225,7 +226,7 @@ def test_drain_promotes_on_referenced_flag_alone(machine):
     still climbs."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, __ = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
+    page = pm_resident(machine, process, 0, kind=ListKind.ACTIVE)
     node = machine.system.nodes[1]
     move_to_promote(node, page)
     pm_kpromoted(machine).run(0)

@@ -38,7 +38,7 @@ def test_hot_pm_pages_get_promoted(config):
     pm_resident = [
         vpage
         for vpage in range(1200)
-        if machine.system.tier_of(process.page_table.lookup(vpage).page)
+        if machine.system.tier_of(machine.system.pagestore.pages[process.page_table.pfn(vpage)])
         is MemoryTier.PM
     ]
     hot = pm_resident[:32]
@@ -49,7 +49,7 @@ def test_hot_pm_pages_get_promoted(config):
     dram_hot = sum(
         1
         for vpage in hot
-        if machine.system.tier_of(process.page_table.lookup(vpage).page)
+        if machine.system.tier_of(machine.system.pagestore.pages[process.page_table.pfn(vpage)])
         is MemoryTier.DRAM
     )
     assert dram_hot >= len(hot) * 3 // 4

@@ -18,13 +18,13 @@ def machine():
 def pm_promote_candidate(machine, process, vpage, *, dirty):
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(vpage, page)
+    process.page_table.map(vpage, page)
     node.lruvec.list_of(page, ListKind.ACTIVE).add_head(page)
     page.set(PageFlags.ACTIVE)
     move_to_promote(node, page)
     if dirty:
-        pte.dirty = True  # written since the last harvest
-    pte.accessed = True
+        machine.system.pagestore.pte_dirty[page.pfn] = True  # written since the last harvest
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     return page
 
 
@@ -87,4 +87,4 @@ def test_dirty_bit_is_consumed_by_the_decision(machine):
     process.mmap_anon(0, 8)
     dirty = pm_promote_candidate(machine, process, 0, dirty=True)
     run_pm_kpromoted(machine)
-    assert not any(pte.dirty for pte in dirty.rmap)
+    assert not machine.system.pagestore.pte_dirty[dirty.pfn]

@@ -27,10 +27,14 @@ def machine():
     )
 
 
+def page_at(machine, process, vpage):
+    return machine.system.pagestore.pages[process.page_table.pfn(vpage)]
+
+
 def touch_supervised(machine, process, vpage, times=1):
     for __ in range(times):
         machine.system.touch(process, vpage)
-        machine.policy.mark_page_accessed(process.page_table.lookup(vpage).page)
+        machine.policy.mark_page_accessed(page_at(machine, process, vpage))
 
 
 def new_resident_page(machine, vpage=0):
@@ -39,14 +43,14 @@ def new_resident_page(machine, vpage=0):
     process = machine.create_process()
     process.mmap_anon(0, 64)
     machine.system.touch(process, vpage)
-    return process, process.page_table.lookup(vpage).page
+    return process, page_at(machine, process, vpage)
 
 
 def test_edge5_new_page_starts_inactive_unreferenced(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
     machine.system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = page_at(machine, process, 0)
     assert classify(page) is PageState.INACTIVE_UNREFERENCED
 
 
@@ -54,7 +58,7 @@ def test_edge2_supervised_access_marks_referenced(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8, supervised=True)
     machine.system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = page_at(machine, process, 0)
     assert classify(page) is PageState.INACTIVE_REFERENCED
 
 
@@ -63,7 +67,7 @@ def test_edge1_scan_advances_inactive_page(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
     machine.system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = page_at(machine, process, 0)
     kp = machine.policy._kpromoted[1]  # PM-node daemon... page is in DRAM
     kp_dram = machine.policy._kpromoted[0]
     machine.system.touch(process, 0)  # sets the PTE accessed bit again
@@ -122,11 +126,11 @@ def test_edge13_referenced_promote_page_promoted_to_dram(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(0, page)
+    process.page_table.map(0, page)
     node.lruvec.list_of(page, ListKind.ACTIVE).add_head(page)
     page.set(PageFlags.ACTIVE)
     move_to_promote(node, page)
-    pte.accessed = True  # referenced again since joining
+    machine.system.pagestore.pte_accessed[page.pfn] = True  # referenced again since joining
     kp = next(k for k in machine.policy._kpromoted if k.node is node)
     kp.run(machine.clock.now_ns)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
@@ -154,7 +158,7 @@ def test_edge3_demotion_moves_page_down_a_tier(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
     machine.system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = page_at(machine, process, 0)
     assert page.node_id == dram.node_id
     page.harvest_accessed()  # long idle: accessed bit aged away
     shrink_inactive_list(machine.system, dram, True, 1, 16, demote_dest=pm)
@@ -182,7 +186,7 @@ def test_classify_unevictable(machine):
     process = machine.create_process()
     process.mmap(MemoryRegion(0, 4, mlocked=True))
     machine.system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = page_at(machine, process, 0)
     assert classify(page) is PageState.UNEVICTABLE
 
 

@@ -44,7 +44,7 @@ def test_mlocked_working_set_larger_than_dram_survives_in_pm():
     process.mmap_anon(100, 256)
     for vpage in range(24):
         machine.touch(process, vpage)
-    locked_pages = [process.page_table.lookup(v).page for v in range(24)]
+    locked_pages = [machine.system.pagestore.pages[process.page_table.pfn(v)] for v in range(24)]
     for round_ in range(5):
         for vpage in range(100, 220):
             machine.touch(process, vpage)
@@ -66,12 +66,12 @@ def test_locked_promote_candidate_falls_back_to_active_list():
     process.mmap_anon(0, 8)
     pm = machine.system.nodes[1]
     page = pm.allocate_page(is_anon=True)
-    pte = process.page_table.map(0, page)
+    process.page_table.map(0, page)
     pm.lruvec.list_of(page, ListKind.ACTIVE).add_head(page)
     page.set(PageFlags.ACTIVE)
     move_to_promote(pm, page)
     page.set(PageFlags.LOCKED)
-    pte.accessed = True
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     kp = next(k for k in machine.policy._kpromoted if k.node.is_pm)
     kp.run(0)
     assert machine.system.tier_of(page) is MemoryTier.PM
@@ -93,7 +93,7 @@ def test_promotion_with_both_tiers_full_does_not_livelock():
             process.page_table.map(base + i, page)
             node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
             i += 1
-    victim = process.page_table.lookup(32).page
+    victim = machine.system.pagestore.pages[process.page_table.pfn(32)]
     assert not machine.policy.promote_page(victim)
     assert machine.system.tier_of(victim) is MemoryTier.PM
 
@@ -123,7 +123,7 @@ def test_shared_file_page_survives_one_mappers_discard():
     r1 = p1.mmap_file(0, 4)
     p2.mmap_file(0, 4)
     machine.touch(p1, 0)
-    shared = p1.page_table.lookup(0).page
+    shared = machine.system.pagestore.pages[p1.page_table.pfn(0)]
     p2.page_table.map(0, shared)  # second mapping of the same file page
     machine.system.discard_region(p1, r1)
     assert shared.mapped  # p2 still maps it

@@ -84,17 +84,42 @@ def test_cached_pressure_level_drift_caught(machine):
     assert "frame-accounting" in checks_of(violations)
 
 
-def test_cached_pte_slot_drift_caught(machine):
+def rmap_details(machine):
+    violations = check_invariants(machine.system)
+    assert checks_of(violations) == {"rmap"}
+    return [v.detail for v in violations]
+
+
+def test_stray_v2p_write_caught(machine):
+    """vpage 1's slot is overwritten with vpage 0's pfn: a translation
+    no rmap holds, and an rmap pair whose translation went elsewhere."""
     process = next(iter(machine.system.processes.values()))
-    process.page_table.lookup(0).slot += 1
-    assert "rmap" in checks_of(check_invariants(machine.system))
+    table = process.page_table
+    pfn0, pfn1 = table.pfn(0), table.pfn(1)
+    table.v2p[table._slot(1)] = pfn0
+    details = rmap_details(machine)
+    assert any(f"vpage=1 maps pfn={pfn0} but is missing" in d for d in details)
+    assert any(f"pfn={pfn1} rmap holds a stale mapping" in d for d in details)
 
 
 def test_stale_rmap_entry_caught(machine):
+    """A pair no table maps, with the mapping count kept in step."""
     process = next(iter(machine.system.processes.values()))
-    pte = process.page_table.lookup(0)
-    pte.page.rmap.remove(pte)
-    assert "rmap" in checks_of(check_invariants(machine.system))
+    page = machine.system.pagestore.pages[process.page_table.pfn(0)]
+    page.rmap.append((process.pid, 999))
+    machine.system.pagestore.mapcount[page.pfn] += 1
+    assert rmap_details(machine) == [
+        f"pfn={page.pfn} rmap holds a stale mapping (pid={process.pid} vpage=999)"
+    ]
+
+
+def test_mapcount_drift_caught(machine):
+    process = next(iter(machine.system.processes.values()))
+    pfn = process.page_table.pfn(0)
+    machine.system.pagestore.mapcount[pfn] += 1
+    assert rmap_details(machine) == [
+        f"pfn={pfn} counts 2 mappings but its rmap holds 1"
+    ]
 
 
 def test_swap_accounting_drift_caught(machine):

@@ -150,7 +150,7 @@ def test_scan_weight_doubles_for_over_limit_groups(machine):
     group = memcg.create_group("a", limit_pages=5)
     memcg.attach(process, group)
     map_and_touch(machine, process, 0, 4)
-    pfn = process.page_table.lookup(0).page.pfn
+    pfn = process.page_table.pfn(0)
     assert memcg.scan_weight(pfn) == 1  # under limit: vanilla CLOCK
     group.rss_total = 9  # force over-limit (books restored below)
     assert memcg.scan_weight(pfn) == 2

@@ -44,7 +44,7 @@ def test_first_touch_prefers_local_socket():
     machine.touch(p0, 0)
     machine.touch(p1, 0)
     node_of = lambda proc: machine.system.nodes[  # noqa: E731
-        proc.page_table.lookup(0).page.node_id
+        machine.system.pagestore.pages[proc.page_table.pfn(0)].node_id
     ]
     assert node_of(p0).socket == 0
     assert node_of(p1).socket == 1
@@ -58,10 +58,11 @@ def test_local_fallback_crosses_to_pm_before_remote_dram_is_not_assumed():
     machine = Machine(DUAL, "static")
     p0 = machine.create_process(home_socket=0)
     p0.mmap_anon(0, 512)
+    node_column = machine.system.pagestore.node
     tiers = []
     for vpage in range(130):  # beyond one socket's DRAM (64)
         machine.touch(p0, vpage)
-        node = machine.system.nodes[p0.page_table.lookup(vpage).page.node_id]
+        node = machine.system.nodes[node_column.item(p0.page_table.pfn(vpage))]
         tiers.append(node.tier)
     assert tiers.count(MemoryTier.DRAM) > 64  # spilled into remote DRAM
 
@@ -71,7 +72,7 @@ def test_remote_access_pays_multiplier():
     p0 = machine.create_process(home_socket=0)
     p0.mmap_anon(0, 8)
     machine.touch(p0, 0)
-    page = p0.page_table.lookup(0).page
+    page = machine.system.pagestore.pages[p0.page_table.pfn(0)]
     latency = LatencyConfig()
     # Local read.
     before = machine.clock.app_ns

@@ -86,35 +86,46 @@ def test_flags_are_independent():
     assert page.test(PageFlags.DIRTY)
 
 
+def _table(pid):
+    """A table whose one region covers vpages 0..31."""
+    table = PageTable(pid)
+    table.add_region(0, 32)
+    return table
+
+
+def _set_accessed(page):
+    """What the MMU does to the page-level accessed bit on a touch."""
+    page._store.pte_accessed[page.pfn] = True
+
+
 def test_harvest_accessed_clears_all_mappings():
     page = Page(0)
-    pt1 = PageTable(1)
-    pt2 = PageTable(2)
-    pte1 = pt1.map(10, page)
-    pte2 = pt2.map(20, page)
-    pte1.accessed = True
-    pte2.accessed = True
+    pt1 = _table(1)
+    pt2 = _table(2)
+    pt1.map(10, page)
+    pt2.map(20, page)
+    _set_accessed(page)
     assert page.harvest_accessed() is True
-    assert not pte1.accessed and not pte2.accessed
+    assert not page._store.pte_accessed[page.pfn]
     assert page.harvest_accessed() is False
 
 
 def test_harvest_accessed_any_mapping_counts():
     page = Page(0)
-    pt1 = PageTable(1)
-    pt2 = PageTable(2)
+    pt1 = _table(1)
+    pt2 = _table(2)
     pt1.map(10, page)
-    pte2 = pt2.map(20, page)
-    pte2.accessed = True
+    pt2.map(20, page)
+    _set_accessed(page)
     assert page.harvest_accessed() is True
 
 
 def test_any_accessed_does_not_clear():
     page = Page(0)
-    pte = PageTable(1).map(0, page)
-    pte.accessed = True
+    _table(1).map(0, page)
+    _set_accessed(page)
     assert page.any_accessed() is True
-    assert pte.accessed is True
+    assert page._store.pte_accessed[page.pfn]
 
 
 def test_unmapped_page_is_never_accessed():

@@ -24,7 +24,7 @@ def test_first_touch_faults_and_maps(system):
     process = system.create_process()
     process.mmap_anon(0, 8)
     system.touch(process, 0)
-    assert process.page_table.lookup(0) is not None
+    assert process.page_table.pfn(0) is not None
     assert system.stats.get("faults.minor") == 1
     assert system.stats.get("alloc.pages") == 1
 
@@ -42,12 +42,13 @@ def test_access_sets_pte_bits(system):
     process = system.create_process()
     process.mmap_anon(0, 8)
     system.touch(process, 0)
-    pte = process.page_table.lookup(0)
-    assert pte.accessed
-    assert not pte.dirty
+    pfn = process.page_table.pfn(0)
+    store = system.pagestore
+    assert store.pte_accessed[pfn]
+    assert not store.pte_dirty[pfn]
     system.touch(process, 0, is_write=True)
-    assert pte.dirty
-    assert pte.page.test(PageFlags.DIRTY)
+    assert store.pte_dirty[pfn]
+    assert store.pages[pfn].test(PageFlags.DIRTY)
 
 
 def test_access_latency_scales_with_lines(system):
@@ -67,7 +68,7 @@ def test_pm_access_slower_than_dram(system):
     for vpage in range(300):
         system.touch(process, vpage)
     latency = LatencyConfig()
-    page = process.page_table.lookup(299).page
+    page = system.pagestore.pages[process.page_table.pfn(299)]
     assert system.tier_of(page) is MemoryTier.PM
     before = system.clock.app_ns
     system.touch(process, 299)
@@ -85,7 +86,7 @@ def test_new_pages_placed_on_inactive_list(system):
     process = system.create_process()
     process.mmap_anon(0, 8)
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     assert page.lru.name == "anon_inactive"
 
 
@@ -93,7 +94,7 @@ def test_file_pages_go_to_file_lists(system):
     process = system.create_process()
     process.mmap_file(0, 8)
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     assert not page.is_anon
     assert page.lru.name == "file_inactive"
 
@@ -104,7 +105,7 @@ def test_mlocked_region_pages_unevictable(system):
     process = system.create_process()
     process.mmap(MemoryRegion(0, 4, mlocked=True))
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     assert page.test(PageFlags.UNEVICTABLE)
     assert page.lru.name == "unevictable"
 
@@ -114,7 +115,7 @@ def test_supervised_region_marks_accessed_inline(system):
     process = system.create_process()
     process.mmap_anon(0, 8, supervised=True)
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     assert page.test(PageFlags.REFERENCED)
     system.touch(process, 0)
     assert page.lru.name == "anon_active"
@@ -125,7 +126,7 @@ def test_unsupervised_region_only_sets_pte_bit(system):
     process.mmap_anon(0, 8)
     system.touch(process, 0)
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     assert page.lru.name == "anon_inactive"
     assert not page.test(PageFlags.REFERENCED)
 
@@ -134,9 +135,9 @@ def test_eviction_and_major_refault(system):
     process = system.create_process()
     process.mmap_anon(0, 8)
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     system.unmap_and_evict(page)
-    assert process.page_table.lookup(0) is None
+    assert process.page_table.pfn(0) is None
     assert system.backing.is_swapped(process.pid, 0)
     system.touch(process, 0)
     assert system.stats.get("faults.major") == 1
@@ -149,7 +150,7 @@ def test_evict_unevictable_rejected(system):
     process = system.create_process()
     process.mmap(MemoryRegion(0, 4, mlocked=True))
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     with pytest.raises(ValueError):
         system.unmap_and_evict(page)
 
@@ -158,7 +159,7 @@ def test_file_eviction_no_swap(system):
     process = system.create_process()
     process.mmap_file(0, 8)
     system.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = system.pagestore.pages[process.page_table.pfn(0)]
     system.unmap_and_evict(page)
     assert system.backing.swapped_pages == 0
     assert system.backing.file_writebacks == 1
@@ -171,11 +172,12 @@ def test_hint_fault_charges_and_notifies(system):
     process = system.create_process()
     process.mmap_anon(0, 8)
     system.touch(process, 0)
-    pte = process.page_table.lookup(0)
-    pte.poisoned = True
+    table = process.page_table
+    pfn = table.poison(0)
+    assert table.v2p[table._slot(0)] == -2 - pfn
     before = system.clock.app_ns
     system.touch(process, 0)
-    assert not pte.poisoned
+    assert table.v2p[table._slot(0)] == pfn
     assert system.stats.get("faults.hint") == 1
     assert system.clock.app_ns - before >= LatencyConfig().hint_fault_ns
 

@@ -114,7 +114,7 @@ def test_deactivate_gives_accessed_pages_second_chance(system):
     process = system.create_process()
     process.mmap_anon(0, 16)
     page = resident_page(system, node, process, 0, kind=ListKind.ACTIVE)
-    process.page_table.lookup(0).accessed = True
+    system.pagestore.pte_accessed[process.page_table.pfn(0)] = True
     result = deactivate_excess_active(system, node, True, budget=16)
     assert result.referenced == 1
     assert page.lru.kind is ListKind.ACTIVE
@@ -162,12 +162,12 @@ def test_shrink_inactive_referenced_pages_climb(system):
     process = system.create_process()
     process.mmap_anon(0, 16)
     page = resident_page(system, pm, process, 0)
-    process.page_table.lookup(0).accessed = True
+    system.pagestore.pte_accessed[process.page_table.pfn(0)] = True
     result = shrink_inactive_list(system, pm, True, target_free=1, budget=1, demote_dest=None)
     assert result.referenced == 1
     assert page.test(PageFlags.REFERENCED)
     # Second round with the flag already set: activation.
-    process.page_table.lookup(0).accessed = True
+    system.pagestore.pte_accessed[process.page_table.pfn(0)] = True
     result = shrink_inactive_list(system, pm, True, target_free=1, budget=1, demote_dest=None)
     assert result.activated == 1
     assert page.lru.kind is ListKind.ACTIVE

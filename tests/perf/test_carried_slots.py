@@ -1,4 +1,4 @@
-"""Blocks that carry their ``v2p`` slots, and hint faults without a lookup.
+"""Blocks that carry their ``v2p`` slots, and events with one lookup.
 
 A vpage's slot depends only on the region layout, and regions are only
 appended, so a producer that resolved its positions once may hand the
@@ -8,10 +8,11 @@ then gathers translations from them and never calls
 has moved, and after an unmap or a poisoning mid-block it re-gathers
 the rest from the same slots.
 
-A poisoned PTE already holds its slot, which only a vpage inside a
-region gets, so in a process without supervised regions the hint fault
-looks no region up: ``Process.region_for`` runs once per page fault.
-A PTE outside every region still fails the access with ``LookupError``.
+An event (a page fault or a hint fault) reaches ``MemorySystem.touch``,
+where one bisect over the region starts finds the vpage's slot and, on a
+page fault, its region: ``Process.region_for`` never runs.  Only a vpage
+inside a region can be mapped, and touching one outside every region
+fails with ``LookupError``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import pytest
 
 from repro.experiments.common import scaled_config
 from repro.machine import AccessBlock, Machine
+from repro.mm import system as mm_system
 from repro.mm.address_space import Process
 from repro.mm.page_table import PageTable
+from repro.mm.system import MemorySystem
 from repro.run import run_workload
 from repro.sim.config import SimulationConfig
 from repro.sim.events import Daemon
@@ -108,7 +111,7 @@ def _churned(change: str):
             machine.system.discard_region(process, process.regions[0])
         else:
             for vpage in range(50):
-                table.lookup(vpage).poisoned = True
+                table.poison(vpage)
         return 0
 
     machine.scheduler.register(Daemon("churn", 0.000001, fire))
@@ -135,25 +138,31 @@ def test_an_unmap_or_poisoning_mid_block_regathers_without_resolving(change):
     assert machine.stats.snapshot()[counter] > 50
 
 
-def test_a_hint_fault_outside_every_region_still_raises():
+def test_a_vpage_outside_every_region_is_neither_mapped_nor_touched():
     machine, process = _machine()
     page = machine.system._allocate_page(process.regions[0], 0, process)
-    pte = process.page_table.map(5000, page)
-    assert pte.slot == -1
-    pte.poisoned = True
+    with pytest.raises(ValueError):
+        process.page_table.map(5000, page)
+    assert not page.mapped
     with pytest.raises(LookupError):
         machine.touch(process, 5000)
 
 
 @pytest.mark.parametrize("policy", ["autotiering-cpm", "autotiering-opm"])
-def test_regions_are_looked_up_only_on_page_faults(policy):
+def test_an_event_makes_one_region_bisect(policy):
     """A fig5-style run: YCSB load and phase A on a hint-faulting policy."""
     session = YCSBSession(400, value_size=1024, seed=42)
     config = scaled_config(dram_pages=48, pm_pages=1024, scan_budget_pages=32)
     machine = Machine(config, policy)
-    with Counted(Process, "region_for") as region_for:
+    with Counted(Process, "region_for") as region_for, \
+            Counted(mm_system, "bisect_right") as bisects, \
+            Counted(MemorySystem, "touch") as touches:
         run_workload(session.load_phase(), config, machine=machine)
         run_workload(session.phase("A", ops=2000), config, machine=machine)
     counters = machine.stats.snapshot()
     assert counters["faults.hint"] > 0
-    assert region_for.calls == counters["faults.minor"] + counters["faults.major"]
+    assert touches.calls >= (
+        counters["faults.minor"] + counters["faults.major"] + counters["faults.hint"]
+    )
+    assert bisects.calls == touches.calls
+    assert region_for.calls == 0

@@ -8,14 +8,17 @@ the flag word with ``.item()`` and mask it with plain ints (DESIGN.md,
 "Page store").
 
 **Cached state is derived only where it changes.**  Each node keeps its
-free count and watermark level as plain values, and each PTE keeps its
-``v2p`` slot (DESIGN.md, "Scalar-path rule").  So ``Watermarks.pressure``
-runs once per node at start-up, once per allocation, twice per
-migration and once per eviction, never in the allocator's walk; and
-``PageTable._slot`` runs only from ``map`` and ``add_region``, never
-from poisoning, un-poisoning or unmapping.  The debug checker
-(``check_invariants``) derives both again to compare them with the
-caches; its calls are not counted against the rule.
+free count and watermark level as plain values (DESIGN.md, "Scalar-path
+rule").  So ``Watermarks.pressure`` runs once per node at start-up, once
+per allocation, twice per migration and once per eviction, never in the
+allocator's walk.  The debug checker (``check_invariants``) derives it
+again to compare it with the cache; its calls are not counted.
+
+**A fault maps at the slot its access found.**  ``MemorySystem.touch``
+bisects the region starts once for both the slot and the region, and a
+page fault installs its translation there, so ``PageTable._slot`` (the
+scalar bisect) runs only where a vpage arrives without a slot: the hint
+scanner's poisoning and unmapping.
 
 Both guards count calls over the same small runs, which fault,
 hint-fault, promote, demand-demote and scan.
@@ -126,8 +129,8 @@ def test_pressure_is_derived_only_where_a_frame_count_changes(counted):
     )
 
 
-def test_pte_slot_is_found_only_when_a_translation_is_installed(counted):
-    counters = counted.counters
+def test_a_fault_maps_at_the_slot_its_access_found(counted):
     callers = counted.slot_callers
-    assert set(callers) <= {"map", "add_region", "check_invariants"}
-    assert callers.count("map") == counters["faults.minor"] + counters["faults.major"]
+    assert set(callers) <= {"poison", "unmap"}
+    if counted.counters.get("hint.poisoned", 0):
+        assert "poison" in callers

@@ -5,6 +5,7 @@ import pytest
 from repro.machine import Machine
 from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
+from repro.mm.page_table import UNMAPPED
 from repro.policies.autotiering import HISTORY_BITS, HintFaultScanner
 from repro.sim.config import DaemonConfig, SimulationConfig
 
@@ -21,16 +22,22 @@ def make_machine(policy, dram=64, pm=256):
 
 def resident(machine, process, vpage):
     machine.system.touch(process, vpage)
-    return process.page_table.lookup(vpage)
+    return machine.system.pagestore.pages[process.page_table.pfn(vpage)]
+
+
+def poisoned(process, vpage):
+    table = process.page_table
+    return table.v2p.item(table._slot(vpage)) < UNMAPPED
 
 
 def test_scanner_poisons_resident_ptes():
     machine = make_machine("autotiering-cpm")
     process = machine.create_process()
     process.mmap_anon(0, 16)
-    ptes = [resident(machine, process, vpage) for vpage in range(8)]
+    for vpage in range(8):
+        resident(machine, process, vpage)
     machine.policy._scanner.run(0)
-    assert all(pte.poisoned for pte in ptes)
+    assert all(poisoned(process, vpage) for vpage in range(8))
     assert machine.stats.get("hint.poisoned") == 8
 
 
@@ -58,10 +65,11 @@ def test_scanner_cursor_covers_all_pages_across_runs():
     machine = Machine(config, "autotiering-cpm")
     process = machine.create_process()
     process.mmap_anon(0, 32)
-    ptes = [resident(machine, process, vpage) for vpage in range(12)]
+    for vpage in range(12):
+        resident(machine, process, vpage)
     for __ in range(3):
         machine.policy._scanner.run(0)
-    assert all(pte.poisoned for pte in ptes)
+    assert all(poisoned(process, vpage) for vpage in range(12))
 
 
 def test_hint_fault_charges_latency():
@@ -83,9 +91,9 @@ def test_cpm_promotes_only_into_free_dram():
     # Leave DRAM with room: a PM page fault promotes.
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(400, page)
+    process.page_table.map(400, page)
     node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-    pte.poisoned = True
+    process.page_table.poison(400)
     machine.system.touch(process, 400)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
 
@@ -103,9 +111,9 @@ def test_cpm_conservative_when_dram_full():
         vpage += 1
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(400, page)
+    process.page_table.map(400, page)
     node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-    pte.poisoned = True
+    process.page_table.poison(400)
     machine.system.touch(process, 400)
     assert machine.system.tier_of(page) is MemoryTier.PM
     assert machine.stats.get("migrate.demotions") == 0
@@ -125,9 +133,9 @@ def test_opm_makes_room_by_demoting_cold_pages():
         vpage += 1
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(400, page)
+    process.page_table.map(400, page)
     node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-    pte.poisoned = True
+    process.page_table.poison(400)
     machine.system.touch(process, 400)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert machine.stats.get("opm.cold_demotions") >= 1
@@ -147,9 +155,9 @@ def test_opm_spares_warm_history_pages():
         vpage += 1
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(400, page)
+    process.page_table.map(400, page)
     node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-    pte.poisoned = True
+    process.page_table.poison(400)
     machine.system.touch(process, 400)
     assert machine.system.tier_of(page) is MemoryTier.PM
     assert machine.stats.get("opm.cold_demotions") == 0
@@ -159,16 +167,17 @@ def test_opm_history_shift_and_set():
     machine = make_machine("autotiering-opm")
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    pte = resident(machine, process, 0)
+    page = resident(machine, process, 0)
+    table = process.page_table
     scanner: HintFaultScanner = machine.policy._scanner
     scanner.run(0)  # shift + poison
     machine.system.touch(process, 0)  # fault sets LSB
-    assert (pte.page.policy_data or 0) & 1 == 1
+    assert (page.policy_data or 0) & 1 == 1
     # Idle scans age the history toward zero.
     for __ in range(HISTORY_BITS):
         scanner.run(0)
-        pte.poisoned = False  # never re-touched
-    assert pte.page.policy_data == 0
+        table.v2p[table._slot(0)] = page.pfn  # never re-touched
+    assert page.policy_data == 0
 
 
 def test_autonuma_is_cpm_like_without_history():

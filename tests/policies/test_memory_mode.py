@@ -18,7 +18,7 @@ def test_all_allocations_land_in_pm(machine):
     for vpage in range(32):
         machine.touch(process, vpage)
     for vpage in range(32):
-        page = process.page_table.lookup(vpage).page
+        page = machine.system.pagestore.pages[process.page_table.pfn(vpage)]
         assert machine.system.tier_of(page) is MemoryTier.PM
 
 
@@ -66,7 +66,7 @@ def test_direct_mapped_conflicts_evict(machine):
     # slots+1 consecutively allocated pages (pigeonhole).
     for vpage in range(slots + 1):
         machine.touch(process, vpage)
-    pfns = [process.page_table.lookup(v).page.pfn for v in range(slots + 1)]
+    pfns = [process.page_table.pfn(v) for v in range(slots + 1)]
     by_slot = {}
     conflict = None
     for vpage, pfn in enumerate(pfns):

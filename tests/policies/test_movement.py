@@ -83,7 +83,7 @@ def test_promote_page_refuses_dram_resident():
     process = machine.create_process()
     process.mmap_anon(0, 8)
     machine.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = machine.system.pagestore.pages[process.page_table.pfn(0)]
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert not movement.promote_page(machine.system, page)
 

@@ -23,9 +23,9 @@ def machine():
 def pm_resident(machine, process, vpage):
     node = machine.system.nodes[1]
     page = node.allocate_page(is_anon=True)
-    pte = process.page_table.map(vpage, page)
+    process.page_table.map(vpage, page)
     node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-    return page, pte
+    return page
 
 
 def run_promoter(machine):
@@ -45,8 +45,8 @@ def test_single_reference_is_enough_to_promote(machine):
     recent reference earns promotion on the next scan."""
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0)
-    pte.accessed = True
+    page = pm_resident(machine, process, 0)
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     run_promoter(machine)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert machine.stats.get("nimble.promotions") == 1
@@ -55,7 +55,7 @@ def test_single_reference_is_enough_to_promote(machine):
 def test_untouched_page_not_promoted(machine):
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, __ = pm_resident(machine, process, 0)
+    page = pm_resident(machine, process, 0)
     run_promoter(machine)
     assert machine.system.tier_of(page) is MemoryTier.PM
 
@@ -74,9 +74,9 @@ def test_promotes_more_aggressively_than_multiclock():
         node = machine.system.nodes[1]
         for vpage in range(32):
             page = node.allocate_page(is_anon=True)
-            pte = process.page_table.map(vpage, page)
+            process.page_table.map(vpage, page)
             node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-            pte.accessed = True
+            machine.system.pagestore.pte_accessed[page.pfn] = True
             pages.append(page)
         return machine
 
@@ -100,8 +100,8 @@ def test_promotion_into_full_dram_makes_room(machine):
         vpage += 1
     process = machine.create_process()
     process.mmap_anon(0, 8)
-    page, pte = pm_resident(machine, process, 0)
-    pte.accessed = True
+    page = pm_resident(machine, process, 0)
+    machine.system.pagestore.pte_accessed[page.pfn] = True
     run_promoter(machine)
     assert machine.system.tier_of(page) is MemoryTier.DRAM
     assert machine.stats.get("migrate.demotions") >= 1
@@ -119,8 +119,8 @@ def test_scan_budget_respected(machine):
     node = machine.system.nodes[1]
     for vpage in range(64):
         page = node.allocate_page(is_anon=True)
-        pte = process.page_table.map(vpage, page)
+        process.page_table.map(vpage, page)
         node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-        pte.accessed = True
+        machine.system.pagestore.pte_accessed[page.pfn] = True
     machine.scheduler.get("nimble-promote/1").body(0)
     assert machine.stats.get("migrate.promotions") <= 8

@@ -20,7 +20,7 @@ def test_pages_born_in_dram_first(machine):
     process = machine.create_process()
     process.mmap_anon(0, 16)
     machine.touch(process, 0)
-    page = process.page_table.lookup(0).page
+    page = machine.system.pagestore.pages[process.page_table.pfn(0)]
     assert machine.system.tier_of(page) is MemoryTier.DRAM
 
 
@@ -32,7 +32,7 @@ def test_overflow_lands_in_pm_and_stays(machine):
     pm_pages = [
         vpage
         for vpage in range(200)
-        if machine.system.tier_of(process.page_table.lookup(vpage).page)
+        if machine.system.tier_of(machine.system.pagestore.pages[process.page_table.pfn(vpage)])
         is MemoryTier.PM
     ]
     assert pm_pages, "the fill must overflow into PM"
@@ -43,7 +43,7 @@ def test_overflow_lands_in_pm_and_stays(machine):
     assert machine.stats.get("migrate.promotions") == 0
     assert machine.stats.get("migrate.demotions") == 0
     for vpage in pm_pages[:10]:
-        page = process.page_table.lookup(vpage).page
+        page = machine.system.pagestore.pages[process.page_table.pfn(vpage)]
         assert machine.system.tier_of(page) is MemoryTier.PM
 
 

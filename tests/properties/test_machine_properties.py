@@ -50,14 +50,16 @@ def check_invariants(machine: Machine, process) -> None:
         for lst in node.lruvec.all_lists():
             for page in lst:
                 assert page.node_id == node.node_id
-    # 2. Page-table consistency: every PTE is registered in its page's
-    #    reverse map and points at a live node.
-    for pte in process.page_table.entries():
-        assert pte in pte.page.rmap
-        assert pte.page.node_id in system.nodes
+    # 2. Page-table consistency: every translation is registered in its
+    #    page's reverse map and points at a live node.
+    table = process.page_table
+    resident = [system.pagestore.pages[table.pfn(vpage)] for vpage in table.vpages()]
+    for vpage, page in zip(table.vpages(), resident):
+        assert (process.pid, vpage) in page.rmap
+        assert page.node_id in system.nodes
     # 3. A page is never simultaneously mapped and swapped.
     for vpage in range(FOOTPRINT):
-        if process.page_table.lookup(vpage) is not None:
+        if vpage in table:
             assert not system.backing.is_swapped(process.pid, vpage)
     # 4. Flags agree with list membership.
     for node in system.nodes.values():
@@ -68,8 +70,8 @@ def check_invariants(machine: Machine, process) -> None:
         for page in node.lruvec.list_for(ListKind.INACTIVE, True):
             assert not page.test(PageFlags.ACTIVE)
     # 5. Classification is total over resident pages.
-    for pte in process.page_table.entries():
-        assert classify(pte.page) in PageState
+    for page in resident:
+        assert classify(page) in PageState
 
 
 @given(config=config_strategy, stream=stream_strategy, policy=policy_strategy)

@@ -80,6 +80,9 @@ def build(runs, n_groups: int, swap_pages: int):
         memcg.attach(process, group)
         owners.append(process)
         groups.append(group)
+    footprint = max(1, sum(count for count, __ in runs))
+    for process in owners:
+        process.mmap_anon(0, footprint)
     next_vpage = [0] * len(owners)
     for count, pattern in runs:
         for i in range(count):

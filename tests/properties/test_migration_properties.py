@@ -17,7 +17,7 @@ def build_machine(resident):
     pages = []
     for vpage in range(resident):
         machine.touch(process, vpage)
-        pages.append(process.page_table.lookup(vpage).page)
+        pages.append(machine.system.pagestore.pages[process.page_table.pfn(vpage)])
     return machine, process, pages
 
 

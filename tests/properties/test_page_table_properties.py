@@ -1,19 +1,21 @@
-"""The region-packed ``v2p`` translation column against the entries.
+"""The region-packed ``v2p`` translation column against a dict model.
 
 ``PageTable.v2p`` gives every region registered with ``add_region`` a
 slice of one column, holding each vpage's pfn, ``UNMAPPED``, or
-``-2 - pfn`` when the PTE is poisoned, plus a trailing sentinel that
-vpages outside every region resolve to.  For any interleaving of region
-registrations, maps, unmaps, poisonings and unpoisonings — vpages
-outside every region included, regions registered after their vpages
-were mapped included — the column, read through ``resolve``, must agree
-with ``_entries`` at every vpage, ``slot_supervised`` with the regions,
-and its size must be the mapped footprint, not the highest vpage.
+``-2 - pfn`` when the translation is poisoned, plus a trailing sentinel
+that vpages outside every region resolve to.  For any interleaving of
+region registrations, maps, unmaps, poisonings and hint-fault
+unpoisonings (vpages outside every region included, which ``map``
+refuses), the column, read through ``resolve`` and ``pfn``, must agree
+with a dict the test keeps at every vpage, ``slot_supervised`` with the
+regions, ``len`` and ``vpages`` with the dict, and the column's size
+must be the mapped footprint, not the highest vpage.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,14 +38,15 @@ ops_strategy = st.lists(
 )
 
 
-def _expected(table: PageTable, vpage: int) -> int:
-    pte = table.lookup(vpage)
-    if pte is None:
+def _expected(model: dict, vpage: int) -> int:
+    """The column entry the model gives: model[vpage] = (pfn, poisoned)."""
+    if vpage not in model:
         return UNMAPPED
-    return -2 - pte.page.pfn if pte.poisoned else pte.page.pfn
+    pfn, poisoned = model[vpage]
+    return -2 - pfn if poisoned else pfn
 
 
-def _check(table: PageTable, registered: list) -> None:
+def _check(table: PageTable, registered: list, model: dict) -> None:
     vpages = np.array(VPAGES, dtype=np.int64)
     slots = table.resolve(vpages)
     values = table.v2p[slots]
@@ -55,13 +58,16 @@ def _check(table: PageTable, registered: list) -> None:
         if region is None:
             assert slots[i] == -1 and values[i] == UNMAPPED, vpage
         else:
-            assert values[i] == _expected(table, vpage), vpage
+            assert values[i] == _expected(model, vpage), vpage
+        assert table.pfn(vpage) == model.get(vpage, (None,))[0], vpage
         want_supervised = region is not None and region[2]
         assert bool(supervised[i]) == want_supervised
     assert table.v2p[-1] == UNMAPPED, "the sentinel slot was written"
     assert len(table.v2p) == sum(n for __, n, __s in registered) + 1
     assert len(table.slot_supervised) == len(table.v2p)
     assert table.n_regions == len(registered)
+    assert len(table) == len(model)
+    assert table.vpages() == sorted(model)
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,36 +75,50 @@ def _check(table: PageTable, registered: list) -> None:
 def test_region_packed_column_matches_entries(ops):
     table = PageTable(1)
     registered: list = []
+    model: dict = {}  # vpage -> (pfn, poisoned)
     for op, index in ops:
         vpage = VPAGES[index]
-        pte = table.lookup(vpage)
+        inside = any(r[0] <= vpage < r[0] + r[1] for r in registered)
         if op == "region":
             candidates = [r for r in REGIONS if r not in registered]
             if candidates:
                 region = candidates[index % len(candidates)]
                 table.add_region(*region)
                 registered.append(region)
-        elif op == "map" and pte is None:
-            table.map(vpage, Page(0))
-        elif op == "unmap" and pte is not None:
-            table.unmap(vpage)
-        elif op in ("poison", "unpoison") and pte is not None:
-            pte.poisoned = op == "poison"
-        _check(table, registered)
+        elif op == "map" and vpage not in model:
+            page = Page(0)
+            if inside:
+                table.map(vpage, page)
+                model[vpage] = (page.pfn, False)
+            else:
+                with pytest.raises(ValueError):
+                    table.map(vpage, page)
+        elif op == "unmap" and vpage in model:
+            assert table.unmap(vpage) == model.pop(vpage)[0]
+        elif op == "poison":
+            assert table.poison(vpage) == model.get(vpage, (None,))[0]
+            if vpage in model:
+                model[vpage] = (model[vpage][0], True)
+        elif op == "unpoison" and vpage in model:
+            # What a hint fault does: write the plain pfn back.
+            table.v2p[table._slot(vpage)] = model[vpage][0]
+            model[vpage] = (model[vpage][0], False)
+        _check(table, registered, model)
 
 
 def test_generations_move_on_unmap_and_poison_only():
     table = PageTable(1)
     table.add_region(0, 8)
-    pte = table.map(3, Page(0))
+    page = Page(0)
+    table.map(3, page)
     assert (table._unmap_gen, table._poison_gen) == (0, 0)
-    pte.poisoned = True
+    table.poison(3)
     assert (table._unmap_gen, table._poison_gen) == (0, 1)
-    pte.poisoned = False
+    table.poison(3)  # already poisoned: nothing turned slow
     assert (table._unmap_gen, table._poison_gen) == (0, 1)
     table.unmap(3)
     assert (table._unmap_gen, table._poison_gen) == (1, 1)
-    assert not pte.poisoned and table.v2p[3] == UNMAPPED
+    assert table.v2p[3] == UNMAPPED
 
 
 def test_far_regions_cost_their_footprint_not_their_address():
@@ -107,7 +127,8 @@ def test_far_regions_cost_their_footprint_not_their_address():
     table = PageTable(1)
     table.add_region(0, 10)
     table.add_region(7 << 20, 5)
-    pte = table.map((7 << 20) + 4, Page(0))
+    page = Page(0)
+    table.map((7 << 20) + 4, page)
     assert len(table.v2p) == 16
     slots = table.resolve(np.array([(7 << 20) + 4], dtype=np.int64))
-    assert table.v2p[slots[0]] == pte.page.pfn
+    assert table.v2p[slots[0]] == page.pfn

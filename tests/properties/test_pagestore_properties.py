@@ -49,8 +49,10 @@ stream_strategy = st.lists(op_strategy, min_size=1, max_size=250)
 policy_strategy = st.sampled_from(["static", "multiclock", "nimble"])
 
 
-def resident_pages(process):
-    return [pte.page for pte in process.page_table.entries()]
+def resident_pages(machine, process):
+    table = process.page_table
+    pages = machine.system.pagestore.pages
+    return [pages[table.pfn(vpage)] for vpage in table.vpages()]
 
 
 def apply_ops(machine, process, ops):
@@ -60,7 +62,7 @@ def apply_ops(machine, process, ops):
         if kind == "touch":
             machine.touch(process, a, is_write=b, lines=c)
         elif kind == "migrate":
-            pages = resident_pages(process)
+            pages = resident_pages(machine, process)
             if not pages:
                 continue
             page = pages[a % len(pages)]
@@ -72,7 +74,7 @@ def apply_ops(machine, process, ops):
                 page.clear(PageFlags.PROMOTE)
                 dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
         else:  # evict
-            pages = resident_pages(process)
+            pages = resident_pages(machine, process)
             if not pages:
                 continue
             page = pages[a % len(pages)]
