@@ -302,6 +302,58 @@ for scale in (12, 13):
         print(f"R-MAT scale {scale} seed {seed}: BFS and BC trial columns match")
 PYEOF
 
+echo "== GAPBS block replay (six kernels x five policies on one R-MAT scale 12 graph equal fresh-graph runs) =="
+# Every run after a kernel's first replays the blocks whose heads' mapped
+# masks it recorded.  Each run here, in Fig 6's config (the figure uses
+# scale 11) and interleaved with a swap-pressured one whose unmaps make
+# the masks diverge, must equal the same run on a fresh graph.
+python - <<'PYEOF'
+from repro.experiments.common import scaled_config
+from repro.machine import Machine
+from repro.run import run_workload
+from repro.workloads.gapbs import KERNELS, Graph
+
+POLICIES = ("static", "multiclock", "nimble", "autotiering-cpm", "autotiering-opm")
+RESULT_ATTRS = ("final_ranks", "final_components", "triangles")
+
+
+def graph():
+    return Graph.rmat(scale=12, edge_factor=8, seed=7)
+
+
+def run(graph, name, policy, swap):
+    """Fig 6's load and trials, or one trial in 95% of the footprint."""
+    kernel = KERNELS[name](graph, trials=1 if swap else 3, seed=3)
+    footprint = kernel.footprint_pages()
+    if swap:
+        dram, pm = max(4, int(footprint * 0.2)), int(footprint * 0.75)
+    else:
+        dram, pm = max(24, int(footprint * 0.4)), footprint * 4
+    config = scaled_config(
+        dram_pages=dram, pm_pages=pm, interval_s=0.1, scan_budget_pages=64
+    )
+    machine = Machine(config, policy)
+    load = run_workload(kernel.load_workload(), config, machine=machine)
+    trials = run_workload(kernel, config, machine=machine)
+    return (
+        load.to_dict(), trials.to_dict(),
+        {attr: getattr(kernel, attr, None) for attr in RESULT_ATTRS},
+        machine.system.backing.swap_outs,
+    )
+
+
+for name in sorted(KERNELS):
+    shared = graph()
+    swapped = 0
+    for policy in POLICIES:
+        for swap in (False, True):
+            got = run(shared, name, policy, swap)
+            assert got == run(graph(), name, policy, swap), (name, policy, swap)
+            swapped += swap and got[3] > 0
+    assert swapped == len(POLICIES), (name, swapped)
+    print(f"{name}: 5 policies x (figure, swap-pressured) on one graph match fresh graphs")
+PYEOF
+
 echo "== figure-path smoke (all four figbench workloads match figbench/reference.json) =="
 # Every figbench workload: GAPBS, the KV stores, the sweep grid's numeric
 # streams and the colocation tenants.  Every run's digest must match the

@@ -155,14 +155,21 @@ class PageTable:
         ``vpage`` is unmapped.
         """
         slot = self._slot(vpage)
-        entry = self.v2p.item(slot)
-        if entry == UNMAPPED:
+        if self.v2p.item(slot) == UNMAPPED:
             return None
-        if entry >= 0:
-            self.v2p[slot] = -2 - entry
-            self._poison_gen += 1
-            return entry
-        return -2 - entry
+        return self.poison_slots(np.array([slot])).item()
+
+    def poison_slots(self, slots: np.ndarray) -> np.ndarray:
+        """:meth:`poison` at ``slots``, each holding a translation;
+        returns their pfns.  The hint scanner poisons a wakeup's budget
+        with one call."""
+        entries = self.v2p[slots]
+        fast = entries >= 0
+        turned = int(np.count_nonzero(fast))
+        if turned:
+            self.v2p[slots[fast]] = -2 - entries[fast]
+            self._poison_gen += turned
+        return np.where(fast, entries, -2 - entries)
 
     def map(self, vpage: int, page: Page) -> None:
         """Install a translation and register it in the page's rmap.

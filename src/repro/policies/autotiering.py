@@ -21,11 +21,14 @@ AutoTiering's losses — plus scanner time for poisoning PTEs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mm.flags import PageFlags
 from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
+from repro.mm.page_table import UNMAPPED
 from repro.mm.system import MemorySystem
 from repro.mm.watermarks import PressureLevel
 from repro.policies import movement
@@ -51,13 +54,15 @@ class HintFaultScanner:
     poisoning up to the configured budget of PTEs per wakeup.  When OPM's
     history tracking is enabled, poisoning a page also shifts its n-bit
     history vector (a zero shifts in; the hint fault handler ORs in a 1).
+    A pass snapshots the mapped vpages as ``v2p`` slots, which outlive
+    unmaps, so a wakeup is one gather and one store.
     """
 
     def __init__(self, system: MemorySystem, *, track_history: bool) -> None:
         self.system = system
         self.track_history = track_history
         self._cursors: dict[int, int] = {}
-        self._snapshots: dict[int, list[int]] = {}
+        self._snapshots: dict[int, np.ndarray] = {}
 
     def run(self, now_ns: int) -> int:
         budget = self.system.config.daemons.hint_scan_budget_pages
@@ -71,25 +76,27 @@ class HintFaultScanner:
         return poisoned * self.system.hardware.latency.poison_page_ns
 
     def _scan_process(self, pid: int, budget: int) -> int:
-        process = self.system.processes[pid]
+        """Poison the next ``budget`` snapshot pages still mapped (an
+        already-poisoned one counts), and move the cursor past the last."""
+        table = self.system.processes[pid].page_table
         snapshot = self._snapshots.get(pid)
         cursor = self._cursors.get(pid, 0)
         if snapshot is None or cursor >= len(snapshot):
-            snapshot = self._snapshots[pid] = process.page_table.vpages()
+            vpages = np.asarray(table.vpages(), dtype=np.int64)
+            snapshot = self._snapshots[pid] = table.resolve(vpages)
             cursor = 0
-        poison = process.page_table.poison
-        pages = self.system.pagestore.pages
-        poisoned = 0
-        while cursor < len(snapshot) and poisoned < budget:
-            pfn = poison(snapshot[cursor])
-            cursor += 1
-            if pfn is None:
-                continue
-            if self.track_history:
+        rest = snapshot[cursor:]
+        mapped = np.flatnonzero(table.v2p[rest] != UNMAPPED)[:budget]
+        if len(mapped) == budget:
+            self._cursors[pid] = cursor + int(mapped[-1]) + 1
+        else:
+            self._cursors[pid] = len(snapshot)
+        pfns = table.poison_slots(rest[mapped])
+        if self.track_history:
+            pages = self.system.pagestore.pages
+            for pfn in pfns.tolist():
                 self._shift_history(pages[pfn])
-            poisoned += 1
-        self._cursors[pid] = cursor
-        return poisoned
+        return len(mapped)
 
     @staticmethod
     def _shift_history(page: Page) -> None:

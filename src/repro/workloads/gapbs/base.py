@@ -23,6 +23,13 @@ by the cache with probability ``cpu_cache_hit_rate``, and a cold miss
 always reaches memory.  :meth:`GraphKernelWorkload._walk` resolves that
 lazily, in stream order, against the live page table, with the driver
 telling it where each block stopped (see its docstring).
+
+A block's survivors are a function of the columns, its start, the
+global index of its first draw, the hit rate and which of its heads
+are mapped, so :class:`TouchColumns` also memoises them per
+``(start, end, draw index, hit rate)``: a later policy walking the same
+configuration gathers the heads' mapped mask from the live table and
+replays the block when the mask is the one recorded.
 """
 
 from __future__ import annotations
@@ -179,6 +186,23 @@ def bfs_traversal(graph: Graph, source: int) -> Traversal:
     return Traversal(order, depth, degree, neighbors.astype(np.int64), found)
 
 
+class Survivors(NamedTuple):
+    """One walked block: the heads' mapped mask it was decided at, the
+    mapped heads' positions, the survivors' positions and their columns
+    (read-only, so every replay hands the driver the same values), and
+    the block's ``live``."""
+
+    mapped: np.ndarray
+    mapped_pos: np.ndarray
+    survivors: np.ndarray
+    vpage: np.ndarray
+    write: np.ndarray
+    lines: np.ndarray
+    op_boundary: np.ndarray
+    slots: np.ndarray
+    live: int
+
+
 @dataclass
 class TouchColumns:
     """One stream's candidate page touches, plus what the walk needs.
@@ -187,7 +211,9 @@ class TouchColumns:
     follower always sits right after its head.  ``head_pos`` lists the
     heads' positions and ``head_follows`` says whether a follower comes
     next.  ``results`` holds what the kernel computed (``final_ranks``
-    and the like).
+    and the like).  ``walked`` holds the blocks the walk decided, keyed
+    by ``(start, end, draw index, hit rate)``; it is valid for the slots
+    of one region layout and cleared with them.
     """
 
     vpage: np.ndarray
@@ -203,6 +229,7 @@ class TouchColumns:
         self.head_follows = follows[self.head_pos]
         self._slots_layout: tuple | None = None
         self._slots = np.empty(0, dtype=np.int64)
+        self.walked: dict[tuple, Survivors] = {}
 
     def __len__(self) -> int:
         return len(self.vpage)
@@ -212,12 +239,14 @@ class TouchColumns:
 
         Memoised on the table's region layout, which every process
         running the same kernel shares, so the candidates are resolved
-        once however many policies walk them.
+        once however many policies walk them.  The walked blocks carry
+        slots, so they go with a new layout.
         """
         layout = page_table.layout()
         if layout != self._slots_layout:
             self._slots = page_table.resolve(self.vpage)
             self._slots_layout = layout
+            self.walked.clear()
         return self._slots
 
 
@@ -305,9 +334,11 @@ class GraphKernelWorkload(Workload):
         self.name = f"gapbs-{self.kernel}"
         self._prop_regions: list = []
         self._cache_rng = make_rng(seed, f"{self.kernel}-cpu-cache")
-        # _cache_rng's stream, drawn ahead; _draw_pos is the next unused.
+        # _cache_rng's stream, drawn ahead; _draw_pos is the next unused,
+        # and _draws[0] is draw number _draw_base of the whole stream.
         self._draws = np.empty(0)
         self._draw_pos = 0
+        self._draw_base = 0
 
     # -- layout -----------------------------------------------------------------
 
@@ -408,6 +439,7 @@ class GraphKernelWorkload(Workload):
         if self._draw_pos + k > len(self._draws):
             fresh = self._cache_rng.random(max(k, _DRAW_CHUNK))
             self._draws = np.concatenate([self._draws[self._draw_pos :], fresh])
+            self._draw_base += self._draw_pos
             self._draw_pos = 0
         start = self._draw_pos
         self._draw_pos += k
@@ -429,6 +461,16 @@ class GraphKernelWorkload(Workload):
         rest is resolved again from the next candidate, with the draw
         cursor rewound to it.  The draws and the accesses are then
         exactly those of testing each head when it is reached.
+
+        Given the columns, a range's survivors depend only on its start
+        and end, the global index of its first draw (the kernel's
+        ``_cache_rng`` stream is fixed by its seed, and
+        ``Generator.random(k)`` equals k scalar draws), the hit rate and
+        the heads' mapped mask.  So every range still gathers its mask
+        from the live table and takes its draws, and a range decided
+        before (by an earlier policy, or trial of a trial-invariant
+        kernel) at the same key and the same mask is replayed from
+        ``cols.walked``; any other range is decided here and recorded.
         """
         process = self.process
         assert process is not None, "setup() must run before blocks()"
@@ -436,11 +478,11 @@ class GraphKernelWorkload(Workload):
         # Regions are mapped before the walk, so the slots are fixed; each
         # block carries its survivors' slots to the driver.
         slots = cols.slots(page_table)
+        walked = cols.walked
         regions = page_table.n_regions
         head_v2p_slot = slots[cols.head_pos]
         group = cols.group
         head_pos = cols.head_pos
-        head_follows = cols.head_follows
         hit_rate = self.cpu_cache_hit_rate
         n = len(cols)
         pos = 0
@@ -452,35 +494,61 @@ class GraphKernelWorkload(Workload):
             size = len(page_table)
             gen = page_table._unmap_gen
             mapped = page_table.v2p[head_v2p_slot[h0:h1]] != UNMAPPED
-            mapped_pos = head_pos[h0:h1][mapped]
-            first_draw = self._take_draws(len(mapped_pos))
-            absorbed = (
-                self._draws[first_draw : first_draw + len(mapped_pos)] < hit_rate
-            )
-            keep = np.ones(end - pos, dtype=bool)
-            dropped = mapped_pos[absorbed]
-            keep[dropped - pos] = False
-            keep[dropped[head_follows[h0:h1][mapped][absorbed]] + 1 - pos] = False
-            survivors = np.flatnonzero(keep) + pos
+            first_draw = self._take_draws(int(np.count_nonzero(mapped)))
+            key = (pos, end, self._draw_base + first_draw, hit_rate)
+            entry = walked.get(key)
+            if entry is None or not np.array_equal(entry.mapped, mapped):
+                entry = walked[key] = self._decide(
+                    cols, slots, pos, end, h0, h1, mapped, first_draw
+                )
             next_pos = end
+            survivors = entry.survivors
             if len(survivors):
-                last_head = int(head_pos[h1 - 1]) if h1 > h0 else -1
                 block = AccessBlock(
-                    process, cols.vpage[survivors], cols.write[survivors],
-                    cols.lines[survivors], cols.op_boundary[survivors],
-                    live=int(np.searchsorted(survivors, last_head)),
-                    slots=slots[survivors], regions=regions,
+                    process, entry.vpage, entry.write, entry.lines,
+                    entry.op_boundary, live=entry.live, slots=entry.slots,
+                    regions=regions,
                 )
                 yield block
                 reached = int(survivors[block.done - 1])
+                last_head = int(head_pos[h1 - 1]) if h1 > h0 else -1
                 if last_head > reached and (
                     len(page_table) != size or page_table._unmap_gen != gen
                 ):
                     next_pos = reached + 1
                     self._draw_pos = first_draw + int(
-                        np.searchsorted(mapped_pos, next_pos)
+                        np.searchsorted(entry.mapped_pos, next_pos)
                     )
             pos = next_pos
+
+    def _decide(
+        self, cols: TouchColumns, slots: np.ndarray, pos: int, end: int,
+        h0: int, h1: int, mapped: np.ndarray, first_draw: int,
+    ) -> Survivors:
+        """Absorb ``[pos, end)``'s mapped heads with the draws reserved
+        at ``first_draw``; its survivors, as a read-only block."""
+        head_pos = cols.head_pos[h0:h1]
+        mapped_pos = head_pos[mapped]
+        absorbed = (
+            self._draws[first_draw : first_draw + len(mapped_pos)]
+            < self.cpu_cache_hit_rate
+        )
+        keep = np.ones(end - pos, dtype=bool)
+        dropped = mapped_pos[absorbed]
+        keep[dropped - pos] = False
+        keep[dropped[cols.head_follows[h0:h1][mapped][absorbed]] + 1 - pos] = False
+        survivors = np.flatnonzero(keep) + pos
+        last_head = int(head_pos[-1]) if len(head_pos) else -1
+        columns = [
+            column[survivors]
+            for column in (cols.vpage, cols.write, cols.lines, cols.op_boundary, slots)
+        ]
+        for column in columns:
+            column.flags.writeable = False
+        return Survivors(
+            mapped, mapped_pos, survivors, *columns,
+            live=int(np.searchsorted(survivors, last_head)),
+        )
 
     # -- the load pass ---------------------------------------------------------------
 
