@@ -217,11 +217,46 @@ python -m repro trace --workload zipf --pages 600 --ops 4000 \
     --audit
 test -s "$TRACE_TMP/events.ndjson"
 
-echo "== invariant checker against clean runs (multiclock, and the hint-fault policies that poison) =="
+echo "== invariant checker against clean runs (multiclock, the hint-fault policies that poison, and a memcg limit) =="
 for policy in multiclock autotiering-cpm autotiering-opm; do
     python -m repro check --policy "$policy" --workload shifting-hotset --pages 800 \
         --ops 6000 --dram-pages 256 --pm-pages 2048 --interval 0.002 --strict
 done
+# The same strict sweeps under a memcg limit: the checker holds every
+# targeted-reclaim prefix still keyed to its list's generation equal to
+# a fresh tail walk, so a list operation that reorders without moving
+# the generation raises here.
+python - <<'PYEOF'
+from repro.machine import Machine
+from repro.sim.config import DaemonConfig, SimulationConfig
+from repro.workloads.multitenant import MultiTenantWorkload
+from repro.workloads.synthetic import UniformWorkload, ZipfWorkload
+
+config = SimulationConfig(
+    dram_pages=(96,), pm_pages=(512,),
+    daemons=DaemonConfig(kpromoted_interval_s=0.002, kswapd_interval_s=0.001,
+                         hint_scan_interval_s=0.002),
+    seed=7,
+)
+for policy in ("multiclock", "static"):
+    machine = Machine(config, policy)
+    memcg = machine.enable_memcg()
+    machine.install_invariant_checker(0.01, strict=True)
+    workload = MultiTenantWorkload([
+        ZipfWorkload(400, 6_000, seed=7, write_ratio=0.2),
+        UniformWorkload(300, 4_000, seed=8),
+    ])
+    workload.setup(machine)
+    limited, other = workload.tenants
+    memcg.attach(limited.process, memcg.create_group("limited", limit_pages=150))
+    memcg.attach(other.process, memcg.create_group("other"))
+    machine.touch_batch(workload.blocks())
+    reclaimed = machine.stats.get("memcg.pages_reclaimed")
+    checks = machine.stats.get("debug_vm.checks")
+    assert reclaimed > 0 and checks > 0 and memcg.windows, (policy, reclaimed, checks)
+    print(f"{policy} under a memcg limit: {reclaimed} pages reclaimed, "
+          f"{checks} strict sweeps clean")
+PYEOF
 
 echo "== metrics smoke (stat -> prometheus -> html dashboard) =="
 METRICS_TMP="$CI_TMP/metrics"
@@ -381,8 +416,9 @@ echo "== traced figure smoke (every expected layer span fires; digests still mat
 # The traced pass wraps each layer and counts a run as failed when a
 # span in figbench/layers.py's EXPECTED_SPANS never fires, so a rewrite
 # that routes the migration, reclaim or daemon paths around their
-# wrappers fails here.
-for run in sweep-grid:0 fig5-ycsb:0 fig6-gapbs:0; do
+# wrappers fails here.  colo-memcg is the one workload that enters the
+# memcg charge and targeted-reclaim spans.
+for run in sweep-grid:0 fig5-ycsb:0 fig6-gapbs:0 colo-memcg:0; do
     workload="${run%%:*}"
     seed="${run##*:}"
     LAST="$(python3 figbench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 1 | tail -n 1)"

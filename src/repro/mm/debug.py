@@ -29,6 +29,9 @@ Checks, mirroring their kernel analogues:
   page store's ``memcg_id`` column), no book is negative, totals are the
   sum of per-node entries, charged frames name a real group, and a
   killed group holds no residual charge;
+* memcg reclaim windows — every tail→head prefix the controller kept
+  whose list ``_gen`` has not moved since equals a fresh ``walk_tail``
+  of that list (a missed generation bump shows up here);
 * counter monotonicity — stat counters only ever grow between checks
   (the stateful part, held by :class:`InvariantChecker`).
 """
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
@@ -263,6 +268,17 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
                         f"group {group.name!r} books {booked} pages on "
                         f"node{node_id} but {actual} frames are charged to it",
                     ))
+        for lst, (gen, prefix) in memcg.windows.items():
+            if gen != lst._gen:
+                continue
+            if len(prefix) > len(lst) or not np.array_equal(
+                store.walk_tail(lst, len(prefix)), prefix
+            ):
+                violations.append(Violation(
+                    "memcg-reclaim-window",
+                    f"{lst.name} (list {lst.list_id}) kept a {len(prefix)}-pfn "
+                    f"prefix at gen {gen} that is no longer its tail",
+                ))
     return violations
 
 

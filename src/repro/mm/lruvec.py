@@ -52,6 +52,12 @@ class LruList:
     the one passed at construction) and registers itself there; pages
     from a different store are rejected, since the link columns could
     not name them.
+
+    ``_gen`` moves on every operation that removes or reorders entries
+    already on the list (``remove`` and so ``pop_tail``,
+    ``rotate_to_head``, ``add_tail``, ``PageStore.rebuild_after_scan``),
+    never on a head insert: while it stands still, a tail→head prefix
+    read earlier is still the list's tail→head prefix.
     """
 
     def __init__(
@@ -67,6 +73,7 @@ class LruList:
         self._head = NO_PFN
         self._tail = NO_PFN
         self._count = 0
+        self._gen = 0
         if store is not None:
             self._bind(store)
 
@@ -139,6 +146,7 @@ class LruList:
         flags = store.flags
         flags[pfn] = flags.item(pfn) | _LRU
         self._count += 1
+        self._gen += 1
 
     def remove(self, page: Page) -> None:
         """Unlink ``page`` from this list in O(1)."""
@@ -161,6 +169,7 @@ class LruList:
         flags = store.flags
         flags[pfn] = flags.item(pfn) & ~_LRU
         self._count -= 1
+        self._gen += 1
 
     def pop_tail(self) -> Page | None:
         """Remove and return the LRU-end page, or None if empty."""
@@ -189,6 +198,7 @@ class LruList:
         store.lru_next[pfn] = self._head
         store.lru_prev[self._head] = pfn
         self._head = pfn
+        self._gen += 1
 
     def iter_from_tail(self) -> Iterator[Page]:
         """Iterate LRU→MRU.  Safe against removing the *yielded* page."""

@@ -35,18 +35,17 @@ from repro.mm.lruvec import ListKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mm.address_space import Process
+    from repro.mm.lruvec import LruList
     from repro.mm.page import Page
     from repro.mm.system import MemorySystem
 
 __all__ = ["MemCgroup", "MemcgController", "ProcessKilledError"]
 
-#: Pages a single targeted-reclaim pass may scan before giving up, so an
-#: unsatisfiable limit degrades to slow progress instead of an O(list)
-#: walk on every fault.
+#: Pages a single targeted-reclaim pass may visit before giving up, so
+#: an unsatisfiable limit degrades to slow progress instead of an O(list)
+#: walk on every fault.  The visits count whether the pfns come from a
+#: fresh tail walk or from a prefix kept since an earlier pass.
 RECLAIM_SCAN_CAP = 512
-
-#: Pfns :meth:`MemcgController.reclaim_group` reads off a list per chunk.
-RECLAIM_CHUNK = 128
 
 
 class ProcessKilledError(RuntimeError):
@@ -96,6 +95,9 @@ class MemcgController:
         self.groups: list[MemCgroup] = []
         self._by_pid: dict[int, MemCgroup] = {}
         self._limited_count = 0
+        #: per reclaim list, the tail→head pfn prefix the last targeted
+        #: pass walked and the list's ``_gen`` it is exact at.
+        self.windows: dict["LruList", tuple[int, np.ndarray]] = {}
 
     # -- group lifecycle -----------------------------------------------------
 
@@ -215,41 +217,64 @@ class MemcgController:
         pages are skipped, a full swap ends the pass (the machine-level
         OOM path deals with that).  Returns the number of pages freed.
 
-        Each list is walked in chunks of :data:`RECLAIM_CHUNK` pfns; one
-        ``memcg_id``/``flags`` mask picks the group's unpinned pages of a
-        chunk, evicted in walk order.  Pages visited count toward
-        :data:`RECLAIM_SCAN_CAP` exactly as a page-at-a-time walk would,
-        so the pass evicts the same pages and stops at the same point; it
-        only reads at most one chunk past the page that met ``target``.
+        The pass visits the lists' pfns tail→head, at most
+        :data:`RECLAIM_SCAN_CAP` in all, and one ``memcg_id``/``flags``
+        mask over each list's visited pfns picks the group's unpinned
+        pages, evicted in walk order: the same pages, in the same order,
+        as a page-at-a-time walk that checks the cap and the target
+        before every visit.  The visited pfns come from :attr:`windows`,
+        the prefix an earlier pass walked, while the list's ``_gen`` is
+        the one it was read at (only head inserts happened since, which
+        extend it, so a short prefix is walked on from its last pfn);
+        otherwise the tail is walked afresh.  After its own evictions the
+        pass drops the evicted pfns from the prefix and keeps it exact
+        at the new ``_gen`` only if that moved by exactly the evictions.
         """
         system = self.system
         store = system.pagestore
+        windows = self.windows
         pinned = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
         freed = 0
         scanned = 0
         for lst in self._lists_tail_first():
-            cursor = lst._tail
-            left = len(lst)
-            while left and freed < target and scanned < RECLAIM_SCAN_CAP:
-                count = min(RECLAIM_CHUNK, left, RECLAIM_SCAN_CAP - scanned)
-                chunk = store.walk_tail(lst, count, start=cursor)
-                # The next chunk starts past this one; read the link now,
-                # before evicting the chunk's last page unlinks it.
-                cursor = store.lru_prev.item(int(chunk[-1]))
-                left -= count
-                scanned += count
-                mine = chunk[
-                    (store.memcg_id[chunk] == group.id)
-                    & ((store.flags[chunk] & pinned) == 0)
-                ]
-                for pfn in mine.tolist():
+            if freed >= target or scanned >= RECLAIM_SCAN_CAP:
+                break
+            need = min(len(lst), RECLAIM_SCAN_CAP - scanned)
+            if not need:
+                continue
+            gen = lst._gen
+            window = windows.get(lst)
+            if window is None or window[0] != gen:
+                prefix = store.walk_tail(lst, need)
+            else:
+                prefix = window[1]
+                if len(prefix) < need:
+                    start = store.lru_prev.item(int(prefix[-1])) if len(prefix) else None
+                    prefix = np.concatenate(
+                        (prefix, store.walk_tail(lst, need - len(prefix), start=start))
+                    )
+            windows[lst] = (gen, prefix)
+            scanned += need
+            visited = prefix[:need]
+            mine = np.flatnonzero(
+                (store.memcg_id[visited] == group.id)
+                & ((store.flags[visited] & pinned) == 0)
+            )
+            evicted = 0
+            try:
+                for i in mine.tolist():
                     if freed >= target:
-                        return freed
-                    try:
-                        system.unmap_and_evict(store.pages[pfn])
-                    except MemoryError:
-                        return freed
+                        break
+                    system.unmap_and_evict(store.pages[prefix.item(i)])
                     freed += 1
+                    evicted += 1
+            except MemoryError:
+                target = freed  # a full swap ends the pass
+            if evicted:
+                if lst._gen == gen + evicted:
+                    windows[lst] = (lst._gen, np.delete(prefix, mine[:evicted]))
+                else:
+                    del windows[lst]
         return freed
 
     def scan_weight(self, pfn: int) -> int:

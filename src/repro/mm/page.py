@@ -107,23 +107,18 @@ class Page:
         list_id = store.lru_id.item(self.pfn)
         return None if list_id < 0 else store.lists[list_id]
 
+    # The links are read-only views: only LruList and PageStore's list
+    # surgery write them, so each list's ``_gen`` moves with its reorders.
+
     @property
     def lru_prev(self) -> "Page | None":
         neighbour = self._store.lru_prev.item(self.pfn)
         return None if neighbour < 0 else self._store.pages[neighbour]
 
-    @lru_prev.setter
-    def lru_prev(self, page: "Page | None") -> None:
-        self._store.lru_prev[self.pfn] = -1 if page is None else page.pfn
-
     @property
     def lru_next(self) -> "Page | None":
         neighbour = self._store.lru_next.item(self.pfn)
         return None if neighbour < 0 else self._store.pages[neighbour]
-
-    @lru_next.setter
-    def lru_next(self, page: "Page | None") -> None:
-        self._store.lru_next[self.pfn] = -1 if page is None else page.pfn
 
     # -- flag helpers (named after their page-flags.h counterparts) -------
     #

@@ -192,6 +192,7 @@ class PageStore:
                 self.lru_prev[old_head] = int(survivors[0])
                 lst._head = int(survivors[-1])
         lst._count -= removed
+        lst._gen += 1
 
     def prepend_head_block(self, lst: "LruList", block: np.ndarray, lru_flag: int) -> None:
         """Batch ``add_head`` of ``block`` pfns, first element added first.

@@ -339,6 +339,9 @@ class GraphKernelWorkload(Workload):
         self._draws = np.empty(0)
         self._draw_pos = 0
         self._draw_base = 0
+        # Whether this run records the blocks it decides: until it
+        # replays a recorded block or meets a recorded key at another mask.
+        self._recording = True
 
     # -- layout -----------------------------------------------------------------
 
@@ -470,7 +473,13 @@ class GraphKernelWorkload(Workload):
         from the live table and takes its draws, and a range decided
         before (by an earlier policy, or trial of a trial-invariant
         kernel) at the same key and the same mask is replayed from
-        ``cols.walked``; any other range is decided here and recorded.
+        ``cols.walked``; any other range is decided here.  Only a run
+        that has met nothing but unrecorded keys records what it decides
+        (the first run of a configuration, every trial).  A later run
+        starts at the same key; once it replays a block, or meets a key
+        at another mask, its draw index and rewind positions follow its
+        own evictions, keys no other run shares, so it records nothing
+        more and the memo holds at most one run's blocks per hit rate.
         """
         process = self.process
         assert process is not None, "setup() must run before blocks()"
@@ -498,9 +507,12 @@ class GraphKernelWorkload(Workload):
             key = (pos, end, self._draw_base + first_draw, hit_rate)
             entry = walked.get(key)
             if entry is None or not np.array_equal(entry.mapped, mapped):
-                entry = walked[key] = self._decide(
-                    cols, slots, pos, end, h0, h1, mapped, first_draw
-                )
+                self._recording &= entry is None
+                entry = self._decide(cols, slots, pos, end, h0, h1, mapped, first_draw)
+                if self._recording:
+                    walked[key] = entry
+            else:
+                self._recording = False
             next_pos = end
             survivors = entry.survivors
             if len(survivors):

@@ -55,7 +55,8 @@ def test_broken_back_link_caught(machine):
         lst for node in machine.system.nodes.values()
         for lst in node.lruvec.all_lists() if len(lst) >= 2
     )
-    lst.head.lru_next.lru_prev = None
+    store = machine.system.pagestore
+    store.lru_prev[lst.head.lru_next.pfn] = -1
     assert "list-structure" in checks_of(check_invariants(machine.system))
 
 
@@ -120,6 +121,24 @@ def test_mapcount_drift_caught(machine):
     assert rmap_details(machine) == [
         f"pfn={pfn} counts 2 mappings but its rmap holds 1"
     ]
+
+
+def test_stale_reclaim_window_caught(machine):
+    """A kept reclaim prefix whose list reordered without a generation
+    move: the window check, and only it, fires."""
+    memcg = machine.enable_memcg()
+    group = memcg.create_group("idle")  # charges nothing: the pass only walks
+    assert memcg.reclaim_group(group, 1) == 0
+    assert memcg.windows
+    assert check_invariants(machine.system) == []
+    lst = next(lst for lst, (__, prefix) in memcg.windows.items() if len(prefix) >= 2)
+    lst.rotate_to_head(lst.tail)
+    assert check_invariants(machine.system) == []  # the move retired the window
+    lst._gen, old = memcg.windows[lst][0], lst._gen
+    violations = check_invariants(machine.system)
+    assert checks_of(violations) == {"memcg-reclaim-window"}
+    lst._gen = old
+    assert check_invariants(machine.system) == []
 
 
 def test_swap_accounting_drift_caught(machine):

@@ -4,8 +4,9 @@ Fig 6 runs one kernel configuration under five policies on one graph.
 The first run decides every block's survivors and records them on the
 candidate columns; a later run whose heads' mapped masks match replays
 them, adding no entry.  A run whose masks diverge (swap pressure
-unmaps pages mid-trial) decides those blocks again and overwrites their
-entries, so the memo holds one entry per key.  A replayed block hands
+unmaps pages mid-trial) decides its own blocks from there on and
+records none of them, so the memo holds the first run's blocks however
+many runs follow.  A replayed block hands
 the driver the recorded columns, which are read-only.
 """
 
@@ -79,7 +80,11 @@ def test_later_policies_replay_every_block(kernel, monkeypatch):
     assert decides.calls == len(recorded)
 
 
-def test_a_diverging_run_overwrites_and_never_adds_a_second_entry(monkeypatch):
+def _same(after: dict, before: dict) -> bool:
+    return after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+
+
+def test_a_diverging_run_decides_but_records_nothing(monkeypatch):
     graph = Graph.rmat(scale=6, edge_factor=4, seed=13)
     decides = _Decides(monkeypatch)
     _run(graph, "pr", "multiclock")
@@ -87,13 +92,29 @@ def test_a_diverging_run_overwrites_and_never_adds_a_second_entry(monkeypatch):
     decides.calls = 0
     kernel = _run(graph, "pr", "multiclock", swap=True)
     assert kernel.machine.system.backing.swap_outs > 0
-    after = _entries(graph)
-    overwritten = [k for k in before if after[k] is not before[k]]
-    added = after.keys() - before.keys()
-    assert overwritten, "swap pressure changed no recorded block"
-    # Every block decided is stored under its own key: it replaced the
-    # entry there or took a new key.
-    assert decides.calls == len(overwritten) + len(added)
+    assert decides.calls, "swap pressure changed no recorded block"
+    assert _same(_entries(graph), before)
+    # The figure configuration's blocks survived: a later figure run
+    # replays every one of them.
+    decides.calls = 0
+    _run(graph, "pr", "static")
+    assert decides.calls == 0
+
+
+@pytest.mark.parametrize("kernel", ["pr", "sssp"])
+def test_swap_pressured_runs_keep_one_runs_blocks(kernel, monkeypatch):
+    """Only the first run records; later runs leave its path at their own
+    rewind positions and draw indices (two trials each) and add nothing."""
+    graph = Graph.rmat(scale=6, edge_factor=4, seed=13)
+    decides = _Decides(monkeypatch)
+    assert _run(graph, kernel, "multiclock", swap=True).machine.system.backing.swap_outs
+    first = _entries(graph)
+    assert first and decides.calls == len(first)
+    decides.calls = 0
+    for policy in ("static", "nimble", "autotiering-cpm", "multiclock"):
+        _run(graph, kernel, policy, swap=True)
+        assert _same(_entries(graph), first), policy
+    assert decides.calls, "no later run left the first run's path"
 
 
 def test_a_replayed_blocks_columns_are_read_only():
