@@ -389,16 +389,52 @@ for name in sorted(KERNELS):
     print(f"{name}: 5 policies x (figure, swap-pressured) on one graph match fresh graphs")
 PYEOF
 
+echo "== YCSB shared emission (memo-warm sessions equal memo-cleared ones: five policies, Load..D at 20,000 records, and a sorted-store Load+E+C) =="
+# Sessions with equal arguments replay the phases the first one recorded.
+# Every run on a memo-warm session must equal the same run with the memo
+# cleared before its policy, at four times the figure's record count.
+python - <<'PYEOF'
+from repro.experiments.common import scaled_config
+from repro.machine import Machine
+from repro.run import run_workload
+from repro.workloads import ycsb
+from repro.workloads.ycsb import EXECUTION_SEQUENCE, YCSBSession
+
+POLICIES = ("static", "multiclock", "nimble", "autotiering-cpm", "autotiering-opm")
+RECORDS, OPS = 20_000, 6_000
+footprint = YCSBSession(RECORDS).footprint_pages()
+config = scaled_config(dram_pages=640, pm_pages=8192, scan_budget_pages=max(96, footprint // 8))
+
+
+def sequence(policy, backend, phases, cleared):
+    """Load then ``phases`` on one machine, as result dicts."""
+    if cleared:
+        ycsb._MEMO.clear()
+    machine = Machine(config, policy)
+    session = YCSBSession(RECORDS, value_size=1024, seed=42, backend=backend)
+    runs = [session.load_phase()] + [session.phase(name, ops=OPS) for name in phases]
+    return [run_workload(run, config, machine=machine).to_dict() for run in runs]
+
+
+for backend, phases in (("memcached", EXECUTION_SEQUENCE), ("sorted", ("E", "C"))):
+    warm = {policy: sequence(policy, backend, phases, cleared=False) for policy in POLICIES}
+    for policy in POLICIES:
+        assert sequence(policy, backend, phases, cleared=True) == warm[policy], (backend, policy)
+    print(f"{backend}: Load+{'+'.join(phases)} under {len(POLICIES)} policies on memo-warm "
+          "sessions equals memo-cleared runs")
+PYEOF
+
 echo "== figure-path smoke (all four figbench workloads match figbench/reference.json) =="
 # Every figbench workload: GAPBS, the KV stores, the sweep grid's numeric
 # streams and the colocation tenants.  Every run's digest must match the
 # recorded reference, and no run may fail.  colo-memcg, where every
-# access takes the per-access path, is checked at three seeds, and so is
-# fig6-gapbs, whose BFS and BC emission depends on the graph each seed
-# draws; the other two workloads on the column driver at seeds 0 and 3,
-# so a change in where the driver meets a fault or a deadline shows at a
+# access takes the per-access path, is checked at three seeds, and so
+# are fig6-gapbs, whose BFS and BC emission depends on the graph each
+# seed draws, and fig5-ycsb, whose later policies replay the first
+# one's phases; sweep-grid on the column driver at seeds 0 and 3, so a
+# change in where the driver meets a fault or a deadline shows at a
 # second seed too.
-for run in fig6-gapbs:0 fig6-gapbs:3 fig6-gapbs:7 fig5-ycsb:0 fig5-ycsb:3 \
+for run in fig6-gapbs:0 fig6-gapbs:3 fig6-gapbs:7 fig5-ycsb:0 fig5-ycsb:3 fig5-ycsb:7 \
         sweep-grid:0 sweep-grid:3 colo-memcg:0 colo-memcg:3 colo-memcg:7; do
     workload="${run%%:*}"
     seed="${run##*:}"

@@ -25,11 +25,9 @@ from typing import Any
 from repro.faults.injector import install_faults
 from repro.faults.plan import CapacityLoss, CopyFailures, FaultPlan
 from repro.machine import Machine
-from repro.mm.debug import InvariantChecker
 from repro.mm.system import OutOfMemoryError
 from repro.run import RunResult, run_workload
 from repro.sim.config import SimulationConfig
-from repro.sim.events import Daemon
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -259,8 +257,7 @@ def _run_cell(
     if trace_capacity is not None:
         machine.enable_tracing(capacity_per_node=trace_capacity)
     install_faults(machine, plan)
-    checker = InvariantChecker(machine.system)
-    machine.scheduler.register(Daemon(checker.name, check_interval_s, checker.run))
+    checker = machine.install_invariant_checker(check_interval_s)
     details: list[str] = []
     result: RunResult | None = None
     completed = False

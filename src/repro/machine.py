@@ -238,14 +238,19 @@ class Machine:
     ) -> "object":
         """Register a periodic ``CONFIG_DEBUG_VM`` sweep on the scheduler.
 
-        Returns the :class:`~repro.mm.debug.InvariantChecker` so callers
-        can also sweep on demand and read ``last_violations``.
+        The sweep is a ``cost_free`` daemon, like the metrics sampler: it
+        observes, so a checked run charges the clock exactly what the
+        unchecked run does.  Returns the
+        :class:`~repro.mm.debug.InvariantChecker` so callers can also
+        sweep on demand and read ``last_violations``.
         """
         from repro.mm.debug import InvariantChecker
         from repro.sim.events import Daemon
 
         checker = InvariantChecker(self.system, strict=strict)
-        self.scheduler.register(Daemon(checker.name, interval_s, checker.run))
+        self.scheduler.register(
+            Daemon(checker.name, interval_s, checker.run, cost_free=True)
+        )
         return checker
 
     def touch(

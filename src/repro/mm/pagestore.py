@@ -141,13 +141,12 @@ class PageStore:
         """``count`` pfns of ``lst`` in tail→head scan order, from
         ``start`` (default: the tail).  The caller keeps ``count`` within
         the entries left between ``start`` and the head."""
-        out = [0] * count
-        prev = self.lru_prev.item
-        cursor = lst._tail if start is None else start
-        for i in range(count):
-            out[i] = cursor
-            cursor = prev(cursor)
-        return np.array(out, dtype=np.int64)
+        return _walk(self.lru_prev.item, lst._tail if start is None else start, count)
+
+    def walk_head(self, lst: "LruList", count: int) -> np.ndarray:
+        """``count`` pfns of ``lst`` in head→tail order, the twin of
+        :meth:`walk_tail`.  The caller keeps ``count`` within the list."""
+        return _walk(self.lru_next.item, lst._head, count)
 
     def relink_chain(self, order: np.ndarray) -> None:
         """Rewrite the prev/next links so ``order`` (tail→head) is a chain."""
@@ -216,6 +215,16 @@ class PageStore:
         self.lru_id[block] = lst.list_id
         self.flags[block] |= lru_flag
         lst._count += len(block)
+
+
+def _walk(step, cursor: int, count: int) -> np.ndarray:
+    """``count`` pfns from ``cursor``, following ``step`` (a link column's
+    ``item``)."""
+    out = [0] * count
+    for i in range(count):
+        out[i] = cursor
+        cursor = step(cursor)
+    return np.array(out, dtype=np.int64)
 
 
 _FILL = {

@@ -25,7 +25,6 @@ from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
 from repro.mm.system import MemorySystem
-from repro.mm.vmscan import ScanResult
 from repro.policies import movement
 from repro.policies.base import PolicyFeatures, TieringPolicy, register_policy
 from repro.sim.events import Daemon
@@ -93,21 +92,37 @@ class NimblePolicy(TieringPolicy):
         Scans the node's active then inactive lists from the MRU end (the
         "top most recently accessed pages") and promotes each page whose
         reference bit is set — a single recent reference suffices.
+
+        Each list is one bounded column pass: the pfns the remaining
+        budget reaches, head first, one mask of harvested accessed bits
+        (mapped pages) or set ``REFERENCED`` flags, and one store that
+        clears the harvested bits.  Only the hot pages are then visited
+        one at a time, in walk order.  A promotion touches no PM page but
+        its own (demand demotion scans DRAM), so the mask is what a
+        page-at-a-time visit would read.  Each list is walked only when
+        the one before it is done: demand demotions land at the inactive
+        head, and the inactive walk must see them, as a visit would.
         """
         system = self.system
+        store = system.pagestore
         budget = system.config.daemons.scan_budget_pages
-        result = ScanResult()
+        scanned = 0
         for kind in (ListKind.ACTIVE, ListKind.INACTIVE):
             for is_anon in (True, False):
                 lst = node.lruvec.list_for(kind, is_anon)
-                for page in list(lst):  # head-first: most recent additions
-                    if result.scanned >= budget:
-                        break
-                    result.scanned += 1
-                    accessed = page.harvest_accessed() or page.test(_REFERENCED)
-                    if accessed and movement.promote_page(system, page, make_room=True):
+                count = min(len(lst), budget - scanned)
+                if count <= 0:
+                    continue
+                scanned += count
+                walk = store.walk_head(lst, count)
+                harvested = store.pte_accessed[walk] & (store.mapcount[walk] > 0)
+                store.pte_accessed[walk[harvested]] = False
+                hot = harvested | (store.flags[walk] & _REFERENCED != 0)
+                for pfn in walk[hot].tolist():
+                    page = store.pages[pfn]
+                    if movement.promote_page(system, page, make_room=True):
                         system.stats.inc("nimble.promotions")
-                    elif accessed:
+                    else:
                         page.set(_REFERENCED)
         system.stats.inc("nimble.scan_runs")
-        return system.hardware.scan_ns(result.scanned)
+        return system.hardware.scan_ns(scanned)

@@ -24,6 +24,7 @@ columns for the YCSB phases and the colocation tenants alike.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable
 
 import numpy as np
@@ -115,6 +116,12 @@ class SlabKVStore:
         """Slab slots of ``keys``, every one of which is present."""
         slot = self._locations
         return np.array([slot[key] for key in keys.tolist()], dtype=np.int64)
+
+    def copy(self) -> "SlabKVStore":
+        """An independent store with this one's layout."""
+        clone = copy.copy(self)
+        clone._locations = dict(self._locations)
+        return clone
 
     def add_keys(self, keys: Iterable[int]) -> None:
         """Give absent ``keys`` the next slab slots, in order."""

@@ -23,6 +23,7 @@ for ints and numpy arrays alike.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable
 
 import numpy as np
@@ -95,6 +96,12 @@ class SortedKVStore:
     def locations(self, keys: np.ndarray) -> np.ndarray:
         """Clustered positions of ``keys``, every one of which is present."""
         return keys
+
+    def copy(self) -> "SortedKVStore":
+        """An independent store with this one's layout."""
+        clone = copy.copy(self)
+        clone._keys = set(self._keys)
+        return clone
 
     def add_keys(self, keys: Iterable[int]) -> None:
         """Record absent ``keys``."""

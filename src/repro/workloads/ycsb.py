@@ -23,12 +23,26 @@ Phases emit a batch of operations at a time: op kinds, keys and the
 stores' page layout are computed as numpy columns, drawing random
 numbers in the order an op-at-a-time emitter would, and each batch is
 one :class:`~repro.machine.AccessBlock` for the driver.
+
+The stream never reads machine state, so sessions built with equal
+arguments emit equal phases, and a figure running one sequence under
+each policy in turn builds each phase once.  The module memo is keyed
+by the session's construction arguments, ``_BATCH``, the ``(label,
+ops)`` of every phase the session has completed (load included) and the
+phase being emitted.  An entry holds each block's read-only columns,
+taken after the cache filter, with ``next_key`` and, where the block
+inserted records, a copy of the store as it stood after it; a
+replaying session yields the columns and takes ``next_key`` and its own
+``copy()`` of each snapshot, so it matches a computing session at every
+block.  A session records a phase only once it has emitted it to the
+end; a session that abandons a phase partway never reads or writes the
+memo again.  The memo holds only the latest argument tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,6 +66,11 @@ ZIPFIAN_CONSTANT = 0.99
 
 _BATCH = 2048
 """Operations per emitted batch of touch columns."""
+
+_MEMO: dict = {}
+"""Emitted phases of the latest session arguments (see the module
+docstring): ``"config"`` names them, every other key is ``(_BATCH,
+history, (label, ops))``."""
 
 @dataclass(frozen=True)
 class _Mix:
@@ -120,6 +139,13 @@ class YCSBSession:
             raise ValueError(
                 f"insert_headroom must be non-negative, got {insert_headroom}"
             )
+        self._config = (
+            n_records, value_size, seed, insert_headroom, hash_cache_hit_rate, backend
+        )
+        #: ``(label, ops)`` of every phase emitted to the end; None while a
+        #: phase is emitted, and for good once one was abandoned.
+        self._history: tuple | None = ()
+        self._emitting: object = None
         self.n_records = n_records
         self.seed = seed
         self.hash_cache_hit_rate = hash_cache_hit_rate
@@ -163,6 +189,46 @@ class YCSBSession:
 
     # -- phases --------------------------------------------------------------
 
+    def _emit(
+        self, step: tuple[str, int], batches: Iterable[tuple[np.ndarray, ...]]
+    ) -> Iterator[AccessBlock]:
+        """Phase ``step``'s blocks: ``batches`` (its ``vpage``, ``write``,
+        ``lines`` and ``op_boundary`` columns, computed against this
+        session's state) or, when a session with equal arguments and
+        history emitted ``step`` to the end before, a replay of the memo's
+        record of them, without starting ``batches``."""
+        process = self.process
+        assert process is not None
+        history, self._history = self._history, None
+        self._emitting = token = object()
+        key = (_BATCH, history, step)
+        record = None
+        if history is not None and _MEMO.get("config") == self._config:
+            record = _MEMO.get(key)
+        if record is not None:
+            for *columns, next_key, store in record:
+                if store is not None:
+                    self.store = store.copy()
+                self.next_key = next_key
+                yield AccessBlock(process, *columns)
+        else:
+            record = []
+            records = self.store.n_records
+            for columns in batches:
+                for column in columns:
+                    column.flags.writeable = False
+                moved = self.store.n_records != records
+                records = self.store.n_records
+                record.append((*columns, self.next_key, self.store.copy() if moved else None))
+                yield AccessBlock(process, *columns)
+        if history is None or self._emitting is not token:
+            return  # an abandoned phase, or one another phase cut into
+        if _MEMO.get("config") != self._config:
+            _MEMO.clear()
+            _MEMO["config"] = self._config
+        _MEMO.setdefault(key, tuple(record))
+        self._history = (*history, step)
+
     def load_phase(self) -> "YCSBLoadPhase":
         return YCSBLoadPhase(self)
 
@@ -196,13 +262,15 @@ class YCSBLoadPhase(Workload):
 
     def blocks(self) -> Iterator[AccessBlock]:
         session = self.session
-        process = session.process
-        assert process is not None
+        return session._emit(("LOAD", session.n_records), self._batches())
+
+    def _batches(self) -> Iterator[tuple[np.ndarray, ...]]:
+        session = self.session
         for first in range(0, session.n_records, _BATCH):
             key = np.arange(first, min(first + _BATCH, session.n_records))
             columns = touch_columns(session.store, np.full(len(key), INSERT), key)
             session.next_key = int(key[-1]) + 1
-            yield AccessBlock(process, *columns[:4])
+            yield columns[:4]
 
 
 class YCSBPhase(Workload):
@@ -228,9 +296,10 @@ class YCSBPhase(Workload):
         return self.session.footprint_pages()
 
     def blocks(self) -> Iterator[AccessBlock]:
+        return self.session._emit((self.label, self.ops), self._batches())
+
+    def _batches(self) -> Iterator[tuple[np.ndarray, ...]]:
         session = self.session
-        process = session.process
-        assert process is not None
         rng = make_rng(session.seed, f"ycsb-{self.label}")
         mix = self.mix
         thresholds = np.cumsum([mix.read, mix.update, mix.insert, mix.rmw, mix.scan])
@@ -250,9 +319,7 @@ class YCSBPhase(Workload):
             # A probe is served from the CPU cache with the hit rate.
             keep = ~probe
             keep[probe] = cache_draw >= session.hash_cache_hit_rate
-            yield AccessBlock(
-                process, vpage[keep], write[keep], lines[keep], boundary[keep]
-            )
+            yield vpage[keep], write[keep], lines[keep], boundary[keep]
             emitted += batch
 
     def _keys(self, kind: np.ndarray, rank_p: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ from repro.machine import Machine
 from repro.mm.debug import InvariantChecker, InvariantError, check_invariants
 from repro.mm.flags import PageFlags
 from repro.mm.watermarks import PressureLevel
-from repro.sim.config import SimulationConfig
+from repro.run import run_workload
+from repro.sim.config import DaemonConfig, SimulationConfig
+from repro.workloads.synthetic import ZipfWorkload
 
 
 @pytest.fixture
@@ -187,3 +189,32 @@ def test_periodic_daemon_registration(machine):
     assert machine.stats.get("debug_vm.checks") >= 1
     assert machine.stats.get("debug_vm.violations") == 0
     assert checker.last_violations == []
+
+
+def _checked_zipf_run(interval_s):
+    config = SimulationConfig(
+        dram_pages=(96,), pm_pages=(512,),
+        daemons=DaemonConfig(kpromoted_interval_s=0.002, kswapd_interval_s=0.001,
+                             hint_scan_interval_s=0.002),
+        seed=7,
+    )
+    machine = Machine(config, "multiclock")
+    if interval_s is not None:
+        machine.install_invariant_checker(interval_s, strict=True)
+    result = run_workload(
+        ZipfWorkload(400, 6_000, seed=7, write_ratio=0.2), config, machine=machine
+    ).to_dict()
+    result["counters"] = {
+        key: value for key, value in result["counters"].items()
+        if not key.startswith("debug_vm.")
+    }
+    return result
+
+
+@pytest.mark.parametrize("interval_s", [0.01, 0.002])
+def test_checker_leaves_the_run_it_checks_unchanged(interval_s):
+    """Metamorphic: arming the checker at any interval changes only the
+    ``debug_vm.*`` counters.  A checker that paid the scheduler's wakeup
+    charge ended this run at 14,584,200 / 14,594,200 virtual ns instead
+    of 14,574,680, with DRAM/PM access and kpromoted counts moved."""
+    assert _checked_zipf_run(interval_s) == _checked_zipf_run(None)

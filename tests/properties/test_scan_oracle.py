@@ -13,13 +13,18 @@ must agree on list order, flag words, accessed and dirty bits, the
 ``ScanResult`` fields, the tracepoint sequence and, for the override,
 the exact sequence of observed pages.
 
-Two walk shapes appear, as in the simulator:
+Three walk shapes appear, as in the simulator:
 
 * kpromoted's hand takes the tail page ``budget`` times; once the list
   is lapped every further visit rotates a survivor, until the budget is
   spent or the list is empty;
 * the reclaim-side deactivation walks tail to head and samples its next
-  hop *before* each visit, so it stops when it passes the current head.
+  hop *before* each visit, so it stops when it passes the current head;
+* Nimble's promote scan snapshots each PM list head first as it reaches
+  it (active before inactive, anon before file) and promotes every page
+  it finds referenced, demand-demoting DRAM's inactive tail when DRAM
+  is full; the demoted pages land at the PM inactive heads, where a
+  later snapshot sees them.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from repro.mm.lruvec import ListKind
 from repro.mm.memcg import MemcgController
 from repro.mm.system import MemorySystem
 from repro.mm.vmscan import deactivate_excess_active
-from repro.sim.config import SimulationConfig
+from repro.policies.nimble import NimblePolicy
+from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.trace.tracer import Tracer
 
 KINDS = ("inactive", "active", "promote")
@@ -316,3 +322,115 @@ def test_scans_match_the_reference_model(case, observing, hooked, memcg, traced)
     if scan == "deactivate":
         # Edge-10 joins through the hook are the policy's to count.
         assert system.stats.get("multiclock.promote_list_adds") == model.counts["to_promote_list"]
+
+
+# -- Nimble's promote scan ------------------------------------------------------
+
+NIMBLE_LISTS = tuple((kind, anon) for kind in ("active", "inactive") for anon in (True, False))
+
+
+@dataclass
+class NimbleModel:
+    """PM lists scanned head first; DRAM as free frames plus cold pages."""
+
+    pages: dict[int, Rec]
+    anon: dict[int, bool]
+    pm: dict[tuple, list[int]]  # (kind, anon) -> pfns, tail first
+    dram: dict[tuple, list[int]]
+    room: int
+    promotions: int = 0
+
+    def scan(self, budget: int) -> int:
+        scanned = 0
+        for key in NIMBLE_LISTS:
+            for pfn in self.pm[key][::-1][: budget - scanned]:
+                scanned += 1
+                rec = self.pages[pfn]
+                if (rec.mapped and rec.accessed) or rec.referenced:
+                    rec.accessed = rec.accessed and not rec.mapped
+                    if self.promote(rec, key):
+                        self.promotions += 1
+                    else:
+                        rec.referenced = True
+        return scanned
+
+    def promote(self, rec: Rec, key: tuple) -> bool:
+        if not self.room:
+            # Demand demotion: DRAM's inactive tail (anon first) moves to
+            # the head of the PM inactive list, unreferenced.
+            cold = self.dram[("inactive", True)] or self.dram[("inactive", False)]
+            if not cold:
+                return False
+            victim = cold.pop(0)
+            self.pages[victim].referenced = False
+            self.pm[("inactive", self.anon[victim])].append(victim)
+            self.room += 1
+        self.room -= 1
+        self.pm[key].remove(rec.pfn)
+        rec.referenced, rec.promote, rec.active = False, False, True
+        self.dram[("active", key[1])].append(rec.pfn)
+        return True
+
+
+def build_nimble(records, cold, room, budget):
+    system = MemorySystem(SimulationConfig(
+        dram_pages=(len(cold) + room,), pm_pages=(1024,),
+        daemons=DaemonConfig(scan_budget_pages=budget),
+    ))
+    policy = NimblePolicy(system)
+    process = system.create_process("nimble")
+    process.mmap_anon(0, len(records) + len(cold) + 1)
+    store = system.pagestore
+    model = NimbleModel({}, {}, {key: [] for key in NIMBLE_LISTS},
+                        {key: [] for key in NIMBLE_LISTS}, room)
+    placed = [(0, ("inactive", anon), False, False, True) for anon in cold]
+    placed += [(NODE, NIMBLE_LISTS[byte % 4], bool(byte & 4), bool(byte & 8), bool(byte & 16))
+               for byte in records]
+    for vpage, (node_id, key, accessed, referenced, mapped) in enumerate(placed):
+        kind, anon = key
+        page = system.nodes[node_id].allocate_page(is_anon=anon)
+        if mapped:
+            process.page_table.map(vpage, page)
+        system.nodes[node_id].lruvec.list_for(LIST_KIND[kind], anon).add_head(page)
+        rec = Rec(page.pfn, accessed, False, mapped, referenced,
+                  active=kind == "active", promote=False, heavy=False)
+        store.flags[page.pfn] = rec.flag_word()
+        store.pte_accessed[page.pfn] = accessed
+        model.pages[page.pfn] = rec
+        model.anon[page.pfn] = anon
+        (model.dram if node_id == 0 else model.pm)[key].append(page.pfn)
+    return system, policy, model
+
+
+def nimble_state(system):
+    store = system.pagestore
+    lists = {
+        (node_id, key): [page.pfn for page in system.nodes[node_id].lruvec.list_for(
+            LIST_KIND[key[0]], key[1]).iter_from_tail()]
+        for node_id in (0, NODE) for key in NIMBLE_LISTS
+    }
+    pages = {pfn: (int(store.flags[pfn]), bool(store.pte_accessed[pfn]))
+             for order in lists.values() for pfn in order}
+    return lists, pages
+
+
+@settings(max_examples=200)
+@given(
+    records=st.one_of(st.binary(max_size=6), st.binary(max_size=200)),
+    cold=st.lists(st.booleans(), max_size=6),
+    room=st.integers(0, 4),
+    budget=st.integers(1, 240),
+)
+def test_nimble_promote_scan_matches_the_reference_model(records, cold, room, budget):
+    room = max(room, not cold)  # DRAM needs a frame
+    system, policy, model = build_nimble(records, cold, room, budget)
+    charged = policy._promote_scan(system.nodes[NODE])
+    scanned = model.scan(budget)
+
+    lists = {(node_id, key): (model.dram if node_id == 0 else model.pm)[key]
+             for node_id in (0, NODE) for key in NIMBLE_LISTS}
+    pages = {pfn: (model.pages[pfn].flag_word(), model.pages[pfn].accessed)
+             for order in lists.values() for pfn in order}
+    assert nimble_state(system) == (lists, pages)
+    assert system.stats.get("nimble.promotions") == model.promotions
+    assert charged == system.hardware.scan_ns(scanned)

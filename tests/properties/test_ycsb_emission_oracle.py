@@ -8,6 +8,12 @@ one record up, headroom from none to half, three cache hit rates,
 batch sizes small enough that phases cross many batch edges, load
 phases repeated) both must emit the same touches, leave the same
 ``next_key`` and the same store layout after every phase.
+
+Each sequence runs in three sessions with equal arguments, starting
+from an empty phase memo: the first records every phase, the second
+runs each phase right after the first and replays its record, and the
+third inserts an extra phase halfway, so it replays the phases before
+it and computes its own from there.  Each must match its own oracle.
 """
 
 from __future__ import annotations
@@ -38,24 +44,28 @@ def _divergence(ours: list, theirs: list) -> int | None:
     return None if len(ours) == len(theirs) else min(len(ours), len(theirs))
 
 
-def check_sequence(backend, n_records, headroom, hit_rate, seed, value_size, phases):
-    kwargs = dict(
-        value_size=value_size, seed=seed, insert_headroom=headroom,
-        hash_cache_hit_rate=hit_rate, backend=backend,
-    )
-    session = ycsb.YCSBSession(n_records, **kwargs)
-    session.ensure_setup(Machine(CONFIG, "static"))
-    oracle = OracleSession(n_records, **kwargs)
-    for label, ops in [("LOAD", 0)] + phases:
+class Checked:
+    """One session beside its oracle, compared after every phase."""
+
+    def __init__(self, n_records, kwargs) -> None:
+        self.session = ycsb.YCSBSession(n_records, **kwargs)
+        self.session.ensure_setup(Machine(CONFIG, "static"))
+        self.oracle = OracleSession(n_records, **kwargs)
+
+    def run(self, label, ops, *, replayed=False) -> None:
+        session, oracle = self.session, self.oracle
         if label == "LOAD":
             phase = session.load_phase()
             theirs = oracle.load()
         else:
             phase = session.phase(label, ops)
             theirs = oracle.phase(label, ops, batch=ycsb._BATCH)
+        blocks = list(phase.blocks())
+        if replayed:
+            assert not any(block.vpage.flags.writeable for block in blocks), label
         ours = [
             row
-            for block in phase.blocks()
+            for block in blocks
             for row in zip(
                 block.vpage.tolist(), block.write.tolist(),
                 block.lines.tolist(), block.op_boundary.tolist(),
@@ -68,6 +78,23 @@ def check_sequence(backend, n_records, headroom, hit_rate, seed, value_size, pha
         )
         assert session.next_key == oracle.next_key, label
         assert layout(session.store) == oracle.store.layout(), label
+
+
+def check_sequence(backend, n_records, headroom, hit_rate, seed, value_size, phases):
+    kwargs = dict(
+        value_size=value_size, seed=seed, insert_headroom=headroom,
+        hash_cache_hit_rate=hit_rate, backend=backend,
+    )
+    ycsb._MEMO.clear()
+    first, second = Checked(n_records, kwargs), Checked(n_records, kwargs)
+    steps = [("LOAD", 0)] + phases
+    for label, ops in steps:
+        first.run(label, ops)
+        second.run(label, ops, replayed=True)
+    half = len(steps) // 2
+    diverged = Checked(n_records, kwargs)
+    for label, ops in steps[:half] + [("C", 7)] + steps[half:]:
+        diverged.run(label, ops)
 
 
 @settings(max_examples=25, deadline=None)
