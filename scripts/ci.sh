@@ -15,65 +15,51 @@ trap 'rm -rf "$CI_TMP"' EXIT
 echo "== tier-1 tests (total and ten slowest) =="
 python -m pytest -x --durations=10
 
-echo "== pagestore smoke (SoA array driver, traced multiclock and every policy with memcg armed vs recorded baselines; trace overhead) =="
+echo "== pagestore smoke (SoA array driver, traced multiclock, every policy with memcg armed and multiclock under a silent fault plan vs recorded baselines; trace overhead) =="
 python - <<'PYEOF'
-import json
+import sys
 import time
 
+sys.path.insert(0, "tests")
+from baseline_harness import RECORDED, fingerprint
+
+from repro.faults import FaultPlan, PmSlowdown
 from repro.machine import Machine
-from repro.run import run_numeric_stream
-from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
 
-recorded = json.load(open("tests/data/baseline_runresults.json"))
-config = SimulationConfig(
-    dram_pages=(512,), pm_pages=(4096,), swap_pages=1 << 20,
-    daemons=DaemonConfig(kpromoted_interval_s=0.002,
-                         kswapd_interval_s=0.001,
-                         hint_scan_interval_s=0.002),
-    seed=7,
-)
-workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
-stream = list(workload.numeric_batches())
-
-
-def fingerprint(policy, traced=False, memcg=False):
-    machine = Machine(config, policy)
-    if traced:
-        machine.enable_tracing()
-    if memcg:
-        machine.enable_memcg()
-    result = run_numeric_stream(workload, config, stream, machine=machine)
-    return {
-        "operations": result.operations, "accesses": result.accesses,
-        "elapsed_ns": result.elapsed_ns, "app_ns": result.app_ns,
-        "system_ns": result.system_ns, "ops_fallback": result.ops_fallback,
-        "counters": dict(sorted(result.counters.items())),
-    }
-
-
-assert fingerprint("autonuma") == recorded["autonuma"], \
+assert fingerprint("autonuma", numeric=True) == RECORDED["autonuma"], \
     "SoA array driver diverged from baseline"
 print("SoA array driver is bit-identical to the recorded autonuma baseline")
 # MULTI-CLOCK with tracing armed: kpromoted's sweeps and kswapd's hooked
 # deactivate emit every tracepoint, and must still steer nothing.
-assert fingerprint("multiclock", traced=True) == recorded["multiclock"], \
-    "traced multiclock diverged from baseline"
+assert fingerprint("multiclock", arm=Machine.enable_tracing, numeric=True) \
+    == RECORDED["multiclock"], "traced multiclock diverged from baseline"
 print("traced multiclock is bit-identical to the recorded multiclock baseline")
 # Memcg armed with no limits only keeps its own books: its hooks sit in
 # the fault and migration paths, so every recorded policy must still
 # reproduce its baseline exactly.
-for policy in sorted(recorded):
-    assert fingerprint(policy, memcg=True) == recorded[policy], \
-        f"{policy} with memcg armed diverged from baseline"
-print(f"all {len(recorded)} policies with memcg armed are bit-identical to their baselines")
+for policy in sorted(RECORDED):
+    assert fingerprint(policy, arm=Machine.enable_memcg, numeric=True) \
+        == RECORDED[policy], f"{policy} with memcg armed diverged from baseline"
+print(f"all {len(RECORDED)} policies with memcg armed are bit-identical to their baselines")
+# A fault plan acts only through its windows: a 1.0x PM slowdown opening
+# and closing mid-run changes nothing but the injector's own counters.
+silent = FaultPlan(seed=7, events=(
+    PmSlowdown(start_s=0.005, end_s=0.015, multiplier=1.0),
+))
+got = fingerprint("multiclock", arm=lambda m: m.install_faults(silent), numeric=True)
+assert got["counters"].pop("faults.windows_opened") == 1
+for key in ("copy_failures_injected", "pages_locked", "frames_offlined"):
+    assert got["counters"].pop(f"faults.{key}") == 0
+assert got == RECORDED["multiclock"], "multiclock under a silent plan diverged from baseline"
+print("multiclock under a silent fault plan is bit-identical to the recorded baseline")
 
 
 def best_of_3(traced):
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        fingerprint("multiclock", traced=traced)
+        fingerprint("multiclock", arm=Machine.enable_tracing if traced else None,
+                    numeric=True)
         best = min(best, time.perf_counter() - start)
     return best
 

@@ -2,11 +2,19 @@
 
 The :class:`FaultInjector` turns a declarative
 :class:`~repro.faults.plan.FaultPlan` into live disturbances: each fault
-window's edges become one-shot daemons on the machine's virtual-clock
-scheduler, so faults open and close at exact virtual times regardless of
-workload shape, and every random draw (which copy fails, which pages
-lock, how much jitter) comes from one RNG stream derived from the plan's
-seed — two runs of the same (plan, workload, policy) are bit-identical.
+window's edges become one-shot ``cost_free`` timers on the machine's
+virtual-clock scheduler, so faults open and close at exact virtual times
+regardless of workload shape, and every random draw (which copy fails,
+which pages lock, how much jitter) comes from one RNG stream derived
+from the plan's seed — two runs of the same (plan, workload, policy) are
+bit-identical.
+
+A plan acts only through the windows it opens.  Its edges are the
+simulator's bookkeeping, not kernel threads, so they charge no wakeup;
+stalls and jitter pass over every ``cost_free`` daemon (the edges, the
+invariant checker and the metrics sampler).  A plan whose windows
+change nothing — a 1.0x slowdown, a stall matching no daemon — leaves
+the run bit-identical to the unarmed one.
 
 Injection points, and the resilience code that absorbs each:
 
@@ -54,12 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FaultInjector", "install_faults"]
 
-#: daemons fault injection must never interfere with: the injector's own
-#: window edges, the invariant checker observing the damage, and the
-#: metrics sampler (jittering an observer would also draw RNG, shifting
-#: the fault stream between metrics-armed and metrics-off runs).
-_PROTECTED_PREFIXES = ("fault/", "debug_vm", "vmstat_sampler")
-
 
 class FaultInjector:
     """Arms a fault plan against one machine."""
@@ -85,7 +87,8 @@ class FaultInjector:
     # -- arming ------------------------------------------------------------
 
     def arm(self) -> None:
-        """Install hooks and schedule every window edge as a one-shot."""
+        """Install hooks and schedule every window edge as a one-shot
+        ``cost_free`` timer."""
         if self._armed:
             raise RuntimeError("fault plan is already armed")
         self._armed = True
@@ -105,7 +108,10 @@ class FaultInjector:
             name = f"fault/{index}/{'start' if opening else 'end'}"
             body = self._edge_body(index, opening)
             self.machine.scheduler.register(
-                Daemon(name, delay_ns / NANOS_PER_SECOND, body, one_shot=True)
+                Daemon(
+                    name, delay_ns / NANOS_PER_SECOND, body,
+                    one_shot=True, cost_free=True,
+                )
             )
 
     def _edge_body(self, index: int, opening: bool):
@@ -213,7 +219,7 @@ class FaultInjector:
     def _stall(self, index: int, event: DaemonStall) -> None:
         stalled = []
         for daemon in self.machine.scheduler.daemons:
-            if daemon.one_shot or daemon.name.startswith(_PROTECTED_PREFIXES):
+            if daemon.cost_free:
                 continue
             if daemon.name.startswith(event.name_prefix) and daemon.enabled:
                 daemon.enabled = False
@@ -221,7 +227,7 @@ class FaultInjector:
         self._stalled[index] = stalled
 
     def _jitter(self, daemon: Daemon) -> int:
-        if daemon.one_shot or daemon.name.startswith(_PROTECTED_PREFIXES):
+        if daemon.cost_free:
             return 0
         limit = max(self._jitter_max_ns, default=0)
         if limit <= 0:

@@ -319,9 +319,12 @@ class Machine:
         c_pm = system._c_accesses_pm
         c_remote = system._c_accesses_remote
         remote_mult = system._remote_mult
-        faults_live = system.faults is not None
         all_slow = not system.inline_charge
-        read_ns, write_ns, np_read, np_write = self._node_latency()
+        # The live per-node latency table, rescaled in place by a fault
+        # window: lists for the Python loop, arrays for the column sweep.
+        hardware = system.hardware
+        read_ns, write_ns = hardware.read_ns, hardware.write_ns
+        np_read, np_write = hardware.read_ns_col, hardware.write_ns_col
         node_dram = system._node_is_dram
         node_socket = system._node_socket
         np_dram = np.asarray(node_dram, dtype=bool)
@@ -505,8 +508,6 @@ class Machine:
                     pos += limit
                 if due:
                     run_due()
-                    if faults_live:
-                        read_ns, write_ns, np_read, np_write = self._node_latency()
                 if pos <= live and (len(table) != size0 or table._unmap_gen != gen0):
                     break
                 if table._unmap_gen != gen or table._poison_gen != pgen:
@@ -515,18 +516,6 @@ class Machine:
             n_accesses += pos
             n_operations += int(np.count_nonzero(block.op_boundary[:pos]))
         return n_accesses, n_operations
-
-    def _node_latency(self) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
-        """Per-node read and write ns from the live per-tier tables, as
-        lists for the Python loop and as arrays for the column sweep."""
-        system = self.system
-        tiers = system._node_tier
-        read = [system._read_ns[tier] for tier in tiers]
-        write = [system._write_ns[tier] for tier in tiers]
-        return (
-            read, write,
-            np.array(read, dtype=np.int64), np.array(write, dtype=np.int64),
-        )
 
     def touch_batch_array(
         self,

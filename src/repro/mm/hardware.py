@@ -12,6 +12,9 @@ Discussion section calls it out as relevant to placement decisions.
 from __future__ import annotations
 
 import enum
+from typing import Sequence
+
+import numpy as np
 
 from repro.sim.config import LatencyConfig
 
@@ -46,22 +49,34 @@ class MemoryTier(enum.IntEnum):
 
 
 class HardwareModel:
-    """Latency oracle for the simulated machine."""
+    """Latency oracle for the simulated machine.
 
-    def __init__(self, latency: LatencyConfig) -> None:
+    ``read_ns`` and ``write_ns`` are the per-node access latency table,
+    indexed by node id (``node_tiers`` gives each node's tier); every
+    access path charges from it.  ``read_ns_col`` and ``write_ns_col``
+    hold the same values as int64 arrays for column sweeps.
+    :meth:`set_tier_scale` rewrites all four in place, so a caller that
+    bound them once sees every rescale.
+    """
+
+    def __init__(
+        self, latency: LatencyConfig, node_tiers: Sequence[MemoryTier] = ()
+    ) -> None:
         self._latency = latency.validated()
-        self._read_ns = {
-            MemoryTier.DRAM: latency.dram_read_ns,
-            MemoryTier.PM: latency.pm_read_ns,
-        }
-        self._write_ns = {
-            MemoryTier.DRAM: latency.dram_write_ns,
-            MemoryTier.PM: latency.pm_write_ns,
-        }
         # Nominal values, kept so degradation windows can be applied and
         # lifted losslessly (scales never compound).
-        self._base_read_ns = dict(self._read_ns)
-        self._base_write_ns = dict(self._write_ns)
+        self._nominal_ns = {
+            (MemoryTier.DRAM, False): latency.dram_read_ns,
+            (MemoryTier.DRAM, True): latency.dram_write_ns,
+            (MemoryTier.PM, False): latency.pm_read_ns,
+            (MemoryTier.PM, True): latency.pm_write_ns,
+        }
+        self._scale = dict.fromkeys(MemoryTier, 1.0)
+        self._node_tiers = tuple(node_tiers)
+        self.read_ns = [self.access_ns(tier, False) for tier in self._node_tiers]
+        self.write_ns = [self.access_ns(tier, True) for tier in self._node_tiers]
+        self.read_ns_col = np.array(self.read_ns, dtype=np.int64)
+        self.write_ns_col = np.array(self.write_ns, dtype=np.int64)
 
     @property
     def latency(self) -> LatencyConfig:
@@ -69,30 +84,24 @@ class HardwareModel:
 
     def access_ns(self, tier: MemoryTier, is_write: bool) -> int:
         """Latency of one application access to a page in ``tier``."""
-        table = self._write_ns if is_write else self._read_ns
-        return table[tier]
-
-    def access_tables(self) -> tuple[dict[MemoryTier, int], dict[MemoryTier, int]]:
-        """The (read, write) per-tier latency tables.
-
-        Hot loops index these directly instead of calling
-        :meth:`access_ns` per access; the tables are fixed at
-        construction, so handing them out is safe.
-        """
-        return self._read_ns, self._write_ns
+        return max(1, int(self._nominal_ns[tier, is_write] * self._scale[tier]))
 
     def set_tier_scale(self, tier: MemoryTier, multiplier: float) -> None:
         """Scale one tier's access latency (fault-injection degradation).
 
-        Mutates the live latency tables in place — the same dict objects
-        :meth:`access_tables` hands out — so callers holding the tables
-        observe the change; 1.0 restores nominal latency.  Models a PM
-        DIMM falling into a thermally-throttled / media-error-retry mode.
+        Rewrites that tier's nodes in the per-node table in place; 1.0
+        restores nominal latency.  Models a PM DIMM falling into a
+        thermally-throttled / media-error-retry mode.
         """
         if multiplier <= 0:
             raise ValueError(f"latency multiplier must be positive, got {multiplier}")
-        self._read_ns[tier] = max(1, int(self._base_read_ns[tier] * multiplier))
-        self._write_ns[tier] = max(1, int(self._base_write_ns[tier] * multiplier))
+        self._scale[tier] = multiplier
+        read = self.access_ns(tier, False)
+        write = self.access_ns(tier, True)
+        for node_id, node_tier in enumerate(self._node_tiers):
+            if node_tier is tier:
+                self.read_ns[node_id] = self.read_ns_col[node_id] = read
+                self.write_ns[node_id] = self.write_ns_col[node_id] = write
 
     def migrate_ns(self, pages: int = 1) -> int:
         """System cost of migrating ``pages`` pages between tiers."""

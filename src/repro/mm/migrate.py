@@ -46,16 +46,6 @@ class MigrationOutcome(enum.Enum):
     def ok(self) -> bool:
         return self is MigrationOutcome.MIGRATED
 
-    @property
-    def transient(self) -> bool:
-        """Failures worth retrying — the kernel's -EAGAIN class.
-
-        A failed copy may succeed on the next attempt; a full destination
-        may drain as kswapd works.  Locked / unevictable / same-node are
-        permanent for this pass.
-        """
-        return self in (MigrationOutcome.COPY_FAILED, MigrationOutcome.DEST_FULL)
-
 
 class MigrationEngine:
     """Moves pages between NUMA nodes, charging copy costs to the clock."""
@@ -84,10 +74,7 @@ class MigrationEngine:
         self._c_lateral = stats.counter("migrate.lateral")
         self.on_promote: "Callable[[Page], None] | None" = None
         # Fault-injection hook: when set, it is consulted on every copy
-        # attempt and a True return fails the copy transiently.  Its
-        # presence also arms the retry loop — with no injector installed
-        # migrate_with_retry degenerates to a single attempt, keeping the
-        # happy path bit-identical to the pre-resilience engine.
+        # attempt and a True return fails the copy (COPY_FAILED).
         self.copy_fault_hook: "Callable[[Page, NumaNode], bool] | None" = None
         self._backoff_base_ns = hardware.latency.migrate_backoff_ns
         self._copy_ns = hardware.migrate_ns()
@@ -170,44 +157,30 @@ class MigrationEngine:
     ) -> MigrationOutcome:
         """Kernel-style bounded retry around :meth:`migrate`.
 
-        ``migrate_pages()`` retries a page that failed transiently up to
-        10 times; we add exponential *virtual-time* backoff between
-        attempts (standing in for the cond_resched + writeback waits of
-        the real retry loop) and a longer congestion backoff when the
-        destination is full, giving kswapd's drain a chance to land.
-
-        The loop only engages when a fault injector is armed
-        (``copy_fault_hook`` set): without one, transient failures cannot
-        heal between attempts, so the first outcome is returned as-is and
-        the happy path stays bit-identical to the retry-free engine.
+        ``migrate_pages()`` retries a page whose copy failed with
+        ``-EAGAIN`` up to 10 times; we add exponential *virtual-time*
+        backoff between attempts (standing in for the cond_resched +
+        writeback waits of the real retry loop).  Only ``COPY_FAILED``
+        is retried, and only an open ``CopyFailures`` window produces
+        it.  Every other outcome is final for this pass, as
+        ``-ENOMEM`` (``DEST_FULL``) and a locked, unevictable or
+        same-node page are in the kernel, so a run with no copy failing
+        makes exactly one attempt and charges no backoff.
         """
         outcome = self.migrate(page, dest)
-        if self.copy_fault_hook is None:
-            return outcome
         backoff_ns = self._backoff_base_ns
         attempts = 1
-        # A full destination cannot drain during our own backoff unless
-        # something else runs, so congestion retries are capped tighter
-        # than the transient-copy budget.
-        dest_full_budget = 3
-        while not outcome.ok and outcome.transient and attempts < max_attempts:
-            if outcome is MigrationOutcome.DEST_FULL:
-                if dest_full_budget <= 0:
-                    break
-                dest_full_budget -= 1
-                delay_ns = 4 * backoff_ns  # congestion wait
-            else:
-                delay_ns = backoff_ns
-            self._clock.advance_system(delay_ns)
+        while outcome is MigrationOutcome.COPY_FAILED and attempts < max_attempts:
+            self._clock.advance_system(backoff_ns)
             if self.metrics is not None:
-                self.metrics.migrate_backoff.record(delay_ns)
+                self.metrics.migrate_backoff.record(backoff_ns)
             backoff_ns = min(backoff_ns * 2, 512 * self._backoff_base_ns)
             self._c_retries.n += 1
             outcome = self.migrate(page, dest)
             attempts += 1
         if outcome.ok and attempts > 1:
             self._c_retry_succeeded.n += 1
-        elif not outcome.ok and outcome.transient:
+        elif outcome is MigrationOutcome.COPY_FAILED:
             self._c_retries_exhausted.n += 1
         return outcome
 

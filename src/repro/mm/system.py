@@ -62,12 +62,7 @@ class MemorySystem:
         self.config = config.validated()
         self.clock = VirtualClock()
         self.stats = StatsBook()
-        self.hardware = HardwareModel(config.latency)
-        # The live per-tier latency tables: fault-plan windows rescale
-        # them in place, so holding the dicts sees every rescale.
-        self._read_ns, self._write_ns = self.hardware.access_tables()
         self._remote_mult = self.config.latency.remote_socket_multiplier
-        self._hint_fault_ns = self.hardware.hint_fault_ns()
         # The struct-of-arrays page store: every page this machine ever
         # allocates lives here, with a dense per-machine pfn.
         self.pagestore = PageStore()
@@ -103,6 +98,12 @@ class MemorySystem:
             for tier, nodes in self._tier_nodes.items()
             for socket in range(config.sockets)
         }
+        self.hardware = HardwareModel(config.latency, self._node_tier)
+        # The live per-node latency table: fault-plan windows rescale it
+        # in place, so holding the lists sees every rescale.
+        self._read_ns = self.hardware.read_ns
+        self._write_ns = self.hardware.write_ns
+        self._hint_fault_ns = self.hardware.hint_fault_ns()
         self.allocator = PageAllocator(list(self.nodes.values()))
         self.migrator = MigrationEngine(self.nodes, self.hardware, self.clock, self.stats)
         self.backing = BackingStore(config.swap_pages)
@@ -255,7 +256,7 @@ class MemorySystem:
         nid = store.node.item(pfn)
         if self.inline_charge:
             ns = self._write_ns if is_write else self._read_ns
-            access_ns = lines * ns[self._node_tier[nid]]
+            access_ns = lines * ns[nid]
         else:
             access_ns = self._policy.charge_access(store.pages[pfn], is_write, lines)
         if self._node_socket[nid] != process.home_socket:

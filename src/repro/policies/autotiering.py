@@ -240,7 +240,7 @@ class AutoTieringOPM(_HintFaultPolicy):
                         continue
                     if not dest.can_allocate():
                         break
-                    if self.system.migrator.migrate(page, dest).ok:
+                    if self.system.migrator.migrate_with_retry(page, dest).ok:
                         page.clear(_REFERENCED_ACTIVE)
                         dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
                         demoted += 1

@@ -76,6 +76,9 @@ class MemoryModePolicy(TieringPolicy):
         # The OS only recognises PM as memory.
         system.allocator = PageAllocator(pm_nodes)
         self._cache_slots = max(1, system.config.total_dram_pages)
+        # The cache's DRAM latency is any DRAM node's entry in the live
+        # per-node table (a tier is rescaled as a whole).
+        self._dram_node = system.dram_nodes()[0].node_id
         self._tags: dict[int, int] = {}
         self._valid: dict[int, int] = {}  # slot -> sector presence bitmap
         self._dirty: dict[int, int] = {}  # slot -> dirty sector bitmap
@@ -92,16 +95,22 @@ class MemoryModePolicy(TieringPolicy):
 
         An access spanning ``lines`` cache lines covers
         ``ceil(lines / lines-per-sector)`` sectors; each sector is served
-        from DRAM when valid or from PM (plus the fill) when not.
+        from DRAM when valid or from PM (plus the fill) when not.  Both
+        tiers are priced from the live per-node latency table, so a PM
+        slowdown window reaches misses and write-backs.
         """
-        latency = self.system.hardware.latency
+        hardware = self.system.hardware
+        read_ns, write_ns = hardware.read_ns, hardware.write_ns
+        # The page lives on a PM node: Memory-mode allocates nowhere else.
+        pm = page.node_id
+        dram = self._dram_node
         slot = page.pfn % self._cache_slots
         resident = self._tags.get(slot)
         cost = TAG_PROBE_NS
         if resident != page.pfn:
             # Conflict (or cold) eviction: dirty sectors flush to PM.
             if resident is not None and self._dirty.get(slot, 0):
-                cost += latency.pm_write_ns
+                cost += write_ns[pm]
                 self._c_writebacks.n += 1
             self._tags[slot] = page.pfn
             self._valid[slot] = 0
@@ -109,8 +118,9 @@ class MemoryModePolicy(TieringPolicy):
         sectors = max(1, (lines + _LINES_PER_SECTOR - 1) // _LINES_PER_SECTOR)
         lines_per_sector = max(1, lines // sectors)
         valid = self._valid.get(slot, 0)
-        dram_ns = latency.dram_write_ns if is_write else latency.dram_read_ns
-        pm_ns = latency.pm_write_ns if is_write else latency.pm_read_ns
+        ns = write_ns if is_write else read_ns
+        dram_ns = ns[dram]
+        pm_ns = ns[pm]
         for sector in range(sectors):
             mask = 1 << (sector % SECTORS_PER_PAGE)
             if valid & mask:
@@ -119,7 +129,7 @@ class MemoryModePolicy(TieringPolicy):
             else:
                 self._c_misses.n += 1
                 cost += lines_per_sector * (pm_ns + MISS_OVERHEAD_NS)
-                cost += latency.dram_write_ns  # sector fill + tag update
+                cost += write_ns[dram]  # sector fill + tag update
                 valid |= mask
             if is_write:
                 self._dirty[slot] = self._dirty.get(slot, 0) | mask

@@ -36,9 +36,12 @@ class Daemon:
     injector uses these for the edges of its fault windows.
 
     ``cost_free=True`` exempts the daemon from the scheduler's fixed
-    per-wakeup charge: pure *observers* (the vmstat metrics sampler) must
-    not perturb the virtual clock, or arming them would break the
-    metrics-off bit-identity guarantee.  Simulated kernel threads keep
+    per-wakeup charge, and fault-injected stalls and jitter pass over
+    it.  It marks whatever is the simulator's own machinery rather than
+    a kernel thread: observers (the vmstat metrics sampler, the
+    invariant checker) and the fault injector's window edges.  Arming
+    them must not perturb the virtual clock, or the armed-vs-off
+    bit-identity guarantees would break.  Simulated kernel threads keep
     the default and pay their wakeup cost.
     """
 

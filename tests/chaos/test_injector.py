@@ -124,18 +124,27 @@ def test_lock_burst_locks_then_releases_pages():
 
 def test_pm_slowdown_scales_latency_tables_in_window():
     machine = make_machine()
-    read_ns, write_ns = machine.system.hardware.access_tables()
-    base_read = read_ns[MemoryTier.PM]
-    base_write = write_ns[MemoryTier.PM]
+    hardware = machine.system.hardware
+    dram, pm = 0, 1  # node ids
+    nominal = (list(hardware.read_ns), list(hardware.write_ns))
+
+    def table():
+        # The lists and their column copies must agree at every step.
+        assert hardware.read_ns == hardware.read_ns_col.tolist()
+        assert hardware.write_ns == hardware.write_ns_col.tolist()
+        return hardware.read_ns, hardware.write_ns
+
     install_faults(machine, FaultPlan(seed=6, events=(
         PmSlowdown(start_s=0.001, end_s=0.010, multiplier=3.0),
     )))
     advance_to(machine, 0.002)
-    assert read_ns[MemoryTier.PM] == 3 * base_read
-    assert write_ns[MemoryTier.PM] == 3 * base_write
+    read_ns, write_ns = table()
+    assert read_ns[pm] == 3 * nominal[0][pm]
+    assert write_ns[pm] == 3 * nominal[1][pm]
+    assert (read_ns[dram], write_ns[dram]) == (nominal[0][dram], nominal[1][dram])
+    assert hardware.access_ns(MemoryTier.PM, is_write=False) == read_ns[pm]
     advance_to(machine, 0.011)
-    assert read_ns[MemoryTier.PM] == base_read
-    assert write_ns[MemoryTier.PM] == base_write
+    assert table() == nominal
 
 
 def test_daemon_stall_suppresses_wakeups_in_window():
@@ -173,9 +182,11 @@ def test_jitter_never_delays_protected_daemons():
         DaemonJitter(start_s=0.0001, end_s=10.0, max_extra_s=0.5),
     )))
     advance_to(machine, 0.001)
-    edge = Daemon("fault/0/end", 1.0, lambda now: 0, one_shot=True)
+    # Built as the program registers them: window edges and observers
+    # are cost_free, and only that exempts a daemon.
+    edge = Daemon("fault/0/end", 1.0, lambda now: 0, one_shot=True, cost_free=True)
     assert injector._jitter(edge) == 0
-    checker = Daemon("debug_vm", 1.0, lambda now: 0)
+    checker = Daemon("debug_vm", 1.0, lambda now: 0, cost_free=True)
     assert injector._jitter(checker) == 0
 
 

@@ -1,76 +1,34 @@
-"""Metrics must be free: off-runs match the recorded baselines, armed
-runs match off-runs.
+"""Metrics must be free: armed runs match the recorded baselines.
 
 The recorded ``tests/data/baseline_runresults.json`` predates both the
-tracepoint layer and this metrics layer; any drift in a metrics-off run
-means an instrumentation site forgot its ``is None`` guard or perturbed
-the virtual clock.  The armed comparison is the stronger property: the
+tracepoint layer and this metrics layer.  A metrics-off run is the
+tracing-off run of ``tests/trace/test_bit_identity.py``; here the
 cost-free sampler daemon, the gauge series, and all six histograms may
 observe the run but never steer it.
 """
 
-import json
-from pathlib import Path
-
 import pytest
+from baseline_harness import RECORDED, baseline_config, baseline_workload, fingerprint
 
 from repro.machine import Machine
 from repro.run import run_workload
-from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
-
-BASELINE = Path(__file__).parent.parent / "data" / "baseline_runresults.json"
-RECORDED = json.loads(BASELINE.read_text())
 
 
-def baseline_config():
-    return SimulationConfig(
-        dram_pages=(512,),
-        pm_pages=(4096,),
-        swap_pages=1 << 20,
-        daemons=DaemonConfig(
-            kpromoted_interval_s=0.002,
-            kswapd_interval_s=0.001,
-            hint_scan_interval_s=0.002,
-        ),
-        seed=7,
-    )
-
-
-def fingerprint(policy, *, metrics=False):
-    machine = Machine(baseline_config(), policy)
-    if metrics:
-        # Dense sampling maximises the sampler's chances to interfere.
-        machine.enable_metrics(sample_interval_s=0.0005)
-    workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
-    result = run_workload(workload, machine.config, machine=machine)
-    return {
-        "operations": result.operations,
-        "accesses": result.accesses,
-        "elapsed_ns": result.elapsed_ns,
-        "app_ns": result.app_ns,
-        "system_ns": result.system_ns,
-        "ops_fallback": result.ops_fallback,
-        "counters": dict(sorted(result.counters.items())),
-    }
-
-
-@pytest.mark.parametrize("policy", sorted(RECORDED))
-def test_metrics_off_matches_the_recorded_baseline(policy):
-    assert fingerprint(policy) == RECORDED[policy]
+def arm_metrics(machine):
+    # Dense sampling maximises the sampler's chances to interfere.
+    machine.enable_metrics(sample_interval_s=0.0005)
 
 
 @pytest.mark.parametrize("policy", sorted(RECORDED))
 def test_metrics_armed_changes_nothing(policy):
-    assert fingerprint(policy, metrics=True) == RECORDED[policy]
+    assert fingerprint(policy, arm=arm_metrics) == RECORDED[policy]
 
 
 def test_armed_run_actually_measured_something():
     """Guard the guard: the identity test must not pass vacuously."""
     machine = Machine(baseline_config(), "multiclock")
     registry = machine.enable_metrics(sample_interval_s=0.0005)
-    workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
-    run_workload(workload, machine.config, machine=machine)
+    run_workload(baseline_workload(), machine.config, machine=machine)
     assert registry.samples > 0
     assert sum(h.count for h in registry.histograms.values()) > 0
     assert registry.gauges
@@ -78,29 +36,26 @@ def test_armed_run_actually_measured_something():
 
 def test_metrics_survive_fault_injection_identically():
     """Arming metrics must not shift the fault RNG stream either: the
-    ``vmstat_sampler`` daemon is protected from jitter/stall faults, so
-    a chaos run fingerprints the same with and without metrics."""
+    ``vmstat_sampler`` daemon is ``cost_free``, which jitter and stall
+    faults pass over, so a chaos run fingerprints the same with and
+    without metrics."""
     from repro.faults import CopyFailures, DaemonJitter, FaultPlan
 
-    def chaos_fingerprint(metrics):
-        machine = Machine(baseline_config(), "multiclock")
-        if metrics:
-            machine.enable_metrics(sample_interval_s=0.0005)
-        plan = FaultPlan(
-            seed=7,
-            events=(
-                CopyFailures(start_s=0.001, end_s=10.0, rate=0.3),
-                DaemonJitter(start_s=0.001, end_s=10.0, max_extra_s=0.005),
-            ),
-        )
-        machine.install_faults(plan)
-        workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
-        result = run_workload(workload, machine.config, machine=machine)
-        return (
-            dict(sorted(result.counters.items())),
-            result.elapsed_ns,
-            result.app_ns,
-            result.system_ns,
-        )
+    plan = FaultPlan(
+        seed=7,
+        events=(
+            CopyFailures(start_s=0.001, end_s=10.0, rate=0.3),
+            DaemonJitter(start_s=0.001, end_s=10.0, max_extra_s=0.005),
+        ),
+    )
 
-    assert chaos_fingerprint(metrics=True) == chaos_fingerprint(metrics=False)
+    def faults(machine):
+        machine.install_faults(plan)
+
+    def metrics_and_faults(machine):
+        arm_metrics(machine)
+        faults(machine)
+
+    assert fingerprint("multiclock", arm=metrics_and_faults) == fingerprint(
+        "multiclock", arm=faults
+    )

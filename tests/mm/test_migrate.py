@@ -167,17 +167,19 @@ def test_retry_without_injector_is_single_attempt():
     assert clock.system_ns == 0
 
 
-def test_dest_full_retries_capped_by_congestion_budget():
+def test_armed_hook_that_never_fires_is_single_attempt():
+    """An armed copy-fault hook that never fires changes nothing: a full
+    destination (the kernel's -ENOMEM) gets one attempt and no backoff,
+    exactly as with no hook."""
     engine, nodes, clock, stats = make_engine(dram=1)
     nodes[0].allocate_page(is_anon=True)
     page = nodes[1].allocate_page(is_anon=True)
     engine.copy_fault_hook = lambda p, d: False  # armed but never fires
     assert engine.migrate_with_retry(page, nodes[0]) is MigrationOutcome.DEST_FULL
-    # Congestion budget (3) is tighter than the 10-attempt transient bound.
-    assert stats.get("migrate.attempts") == 4
-    assert stats.get("migrate.retries") == 3
-    assert stats.get("migrate.retries_exhausted") == 1
-    assert clock.system_ns > 0  # congestion backoff was charged
+    assert stats.get("migrate.attempts") == 1
+    assert stats.get("migrate.retries") == 0
+    assert stats.get("migrate.retries_exhausted") == 0
+    assert clock.system_ns == 0
 
 
 def test_permanent_failure_never_retried():
@@ -191,9 +193,25 @@ def test_permanent_failure_never_retried():
 
 
 def test_transient_classification():
-    assert MigrationOutcome.COPY_FAILED.transient
-    assert MigrationOutcome.DEST_FULL.transient
-    assert not MigrationOutcome.PAGE_LOCKED.transient
-    assert not MigrationOutcome.PAGE_UNEVICTABLE.transient
-    assert not MigrationOutcome.SAME_NODE.transient
-    assert not MigrationOutcome.MIGRATED.transient
+    """Only a failed copy (the kernel's -EAGAIN) is retried; every other
+    refusal ends the call after one attempt, even with an always-failing
+    copy hook armed."""
+    refusals = {
+        MigrationOutcome.PAGE_LOCKED: lambda page, nodes: page.set(PageFlags.LOCKED),
+        MigrationOutcome.PAGE_UNEVICTABLE: lambda page, nodes: page.set(PageFlags.UNEVICTABLE),
+        MigrationOutcome.DEST_FULL: lambda page, nodes: nodes[0].allocate_page(is_anon=True),
+    }
+    for expected, refuse in refusals.items():
+        engine, nodes, __, stats = make_engine(dram=1)
+        page = nodes[1].allocate_page(is_anon=True)
+        refuse(page, nodes)
+        engine.copy_fault_hook = lambda p, d: True
+        assert engine.migrate_with_retry(page, nodes[0]) is expected
+        assert stats.get("migrate.attempts") == 1
+    engine, nodes, __, stats = make_engine()
+    page = nodes[1].allocate_page(is_anon=True)
+    engine.copy_fault_hook = lambda p, d: True
+    assert engine.migrate_with_retry(page, nodes[1]) is MigrationOutcome.SAME_NODE
+    assert stats.get("migrate.attempts") == 1
+    assert engine.migrate_with_retry(page, nodes[0]) is MigrationOutcome.COPY_FAILED
+    assert stats.get("migrate.attempts") == 1 + MAX_MIGRATE_ATTEMPTS

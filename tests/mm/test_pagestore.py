@@ -10,20 +10,14 @@ metrics off and armed — the gate that lets the hot loops be rewritten as
 numpy sweeps at all.
 """
 
-import json
-from pathlib import Path
-
 import pytest
+from baseline_harness import RECORDED
+from baseline_harness import fingerprint as baseline_fingerprint
 
 from repro.machine import Machine
 from repro.mm.page import Page
 from repro.mm.pagestore import PageStore, default_store
-from repro.run import run_numeric_stream
 from repro.sim.config import DaemonConfig, SimulationConfig
-from repro.workloads.synthetic import ZipfWorkload
-
-BASELINE = Path(__file__).parent.parent / "data" / "baseline_runresults.json"
-RECORDED = json.loads(BASELINE.read_text())
 
 
 def small_config():
@@ -109,46 +103,15 @@ def test_store_grows_past_initial_capacity():
 # -- vectorized driver bit-identity -----------------------------------------
 
 
-def baseline_config():
-    return SimulationConfig(
-        dram_pages=(512,),
-        pm_pages=(4096,),
-        swap_pages=1 << 20,
-        daemons=DaemonConfig(
-            kpromoted_interval_s=0.002,
-            kswapd_interval_s=0.001,
-            hint_scan_interval_s=0.002,
-        ),
-        seed=7,
-    )
-
-
-def array_fingerprint(policy, *, metrics=False):
-    config = baseline_config()
-    machine = Machine(config, policy)
-    if metrics:
-        machine.enable_metrics(sample_interval_s=0.0005)
-    workload = ZipfWorkload(2000, 20_000, seed=7, write_ratio=0.2)
-    stream = list(workload.numeric_batches())
-    result = run_numeric_stream(
-        workload, config, stream, policy, machine=machine
-    )
-    return {
-        "operations": result.operations,
-        "accesses": result.accesses,
-        "elapsed_ns": result.elapsed_ns,
-        "app_ns": result.app_ns,
-        "system_ns": result.system_ns,
-        "ops_fallback": result.ops_fallback,
-        "counters": dict(sorted(result.counters.items())),
-    }
+def arm_metrics(machine):
+    machine.enable_metrics(sample_interval_s=0.0005)
 
 
 @pytest.mark.parametrize("policy", sorted(RECORDED))
 def test_array_driver_matches_the_recorded_baseline(policy):
-    assert array_fingerprint(policy) == RECORDED[policy]
+    assert baseline_fingerprint(policy, numeric=True) == RECORDED[policy]
 
 
 @pytest.mark.parametrize("policy", sorted(RECORDED))
 def test_array_driver_with_metrics_armed_matches_too(policy):
-    assert array_fingerprint(policy, metrics=True) == RECORDED[policy]
+    assert baseline_fingerprint(policy, arm=arm_metrics, numeric=True) == RECORDED[policy]

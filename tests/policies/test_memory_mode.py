@@ -58,6 +58,27 @@ def test_hit_cheaper_than_miss_and_near_dram(machine):
     assert hit_ns < latency.pm_read_ns
 
 
+def test_pm_slowdown_window_raises_miss_cost(machine):
+    """A PM slowdown reaches the near-memory cache: inside the window a
+    miss reads PM at the scaled latency, while a hit stays on DRAM."""
+    from repro.faults import FaultPlan, PmSlowdown
+
+    latency = LatencyConfig()
+    policy = machine.policy
+    pm = machine.system.nodes[1]
+    cached = pm.allocate_page(is_anon=True)
+    cold = pm.allocate_page(is_anon=True)  # the next cache slot
+    miss_ns = policy.charge_access(cached, is_write=False)
+    hit_ns = policy.charge_access(cached, is_write=False)
+    machine.install_faults(FaultPlan(seed=1, events=(
+        PmSlowdown(start_s=0.001, end_s=0.010, multiplier=3.0),
+    )))
+    machine.clock.advance_app(2_000_000)
+    machine.drain_daemons()
+    assert policy.charge_access(cold, is_write=False) == miss_ns + 2 * latency.pm_read_ns
+    assert policy.charge_access(cached, is_write=False) == hit_ns
+
+
 def test_direct_mapped_conflicts_evict(machine):
     slots = machine.policy.cache_slots
     process = machine.create_process()
