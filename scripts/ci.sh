@@ -294,6 +294,13 @@ python -m repro report --snapshot "$COLO_TMP/colo_snap.json" \
     --out "$COLO_TMP/colo.html" >/dev/null
 grep -q "tenant_tenant0_latency_ns" "$COLO_TMP/colo.html"
 grep -q "<svg" "$COLO_TMP/colo.html"
+# The same configuration through run_colo's timeslice driver and through
+# the per-access reference loop: equal rows, full tenant histograms,
+# counters and clock, under MULTI-CLOCK and under AutoTiering-CPM's hint
+# faults.
+for policy in multiclock autotiering-cpm; do
+    python tests/experiments/colo_reference.py --policy "$policy"
+done
 
 echo "== GAPBS level emission (BFS and BC columns equal the per-vertex loops at R-MAT scale 12 and 13) =="
 # The tier-1 equality test stops at R-MAT scale 10 and the figure runs
@@ -413,10 +420,10 @@ PYEOF
 echo "== figure-path smoke (all four figbench workloads match figbench/reference.json) =="
 # Every figbench workload: GAPBS, the KV stores, the sweep grid's numeric
 # streams and the colocation tenants.  Every run's digest must match the
-# recorded reference, and no run may fail.  colo-memcg, where every
-# access takes the per-access path, is checked at three seeds, and so
-# are fig6-gapbs, whose BFS and BC emission depends on the graph each
-# seed draws, and fig5-ycsb, whose later policies replay the first
+# recorded reference, and no run may fail.  colo-memcg, whose
+# timeslices cut each tenant's blocks at operation boundaries, is
+# checked at three seeds, and so are fig6-gapbs, whose BFS and BC
+# emission depends on the graph each seed draws, and fig5-ycsb, whose later policies replay the first
 # one's phases; sweep-grid on the column driver at seeds 0 and 3, so a
 # change in where the driver meets a fault or a deadline shows at a
 # second seed too.

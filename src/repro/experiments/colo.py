@@ -13,7 +13,10 @@ tier, swap footprint, and whether the OOM killer took the tenant down.
 Tenants are interleaved round-robin in scheduler-timeslice bursts (the
 :class:`~repro.workloads.multitenant.MultiTenantWorkload` discipline),
 so a quiet diurnal phase of one tenant hands the machine to the busy
-ones.  A tenant whose group the OOM killer selects dies mid-run
+ones.  Each timeslice is one :meth:`~repro.machine.Machine.touch_batch`
+call over views of the tenant's blocks, and the driver's per-position
+``charges`` give each operation's latency.  A tenant whose group the
+OOM killer selects dies mid-run
 (:class:`~repro.mm.memcg.ProcessKilledError`); the driver records the
 kill and keeps feeding the survivors — the machine-stays-up property
 the memcg layer exists for.
@@ -22,11 +25,13 @@ the memcg layer exists for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.analysis.report import render_table
 from repro.experiments.common import scale, scaled_config
-from repro.machine import Machine
+from repro.machine import AccessBlock, Machine
 from repro.mm.memcg import ProcessKilledError
 from repro.workloads.multitenant import KVTenantWorkload
 
@@ -151,47 +156,18 @@ def run_colo(
         memcg.attach(tenant.process, group)
         groups.append(group)
 
-    histograms = {t.name: registry.tenant_histogram(t.name) for t in tenants}
-    streams = {t.name: t.operations() for t in tenants}
-    ops_done = {t.name: 0 for t in tenants}
-    killed: set[str] = set()
-
-    live = list(tenants)
-    while live:
-        finished = []
-        for tenant in live:
-            stream = streams[tenant.name]
-            hist = histograms[tenant.name]
-            process = tenant.process
-            try:
-                for __ in range(TIMESLICE_OPS):
-                    op = next(stream, None)
-                    if op is None:
-                        finished.append(tenant)
-                        break
-                    op_ns = 0
-                    for vpage, is_write, lines in op:
-                        op_ns += machine.touch(
-                            process, vpage, is_write=is_write, lines=lines
-                        )
-                    hist.record(op_ns)
-                    ops_done[tenant.name] += 1
-            except ProcessKilledError:
-                killed.add(tenant.name)
-                finished.append(tenant)
-        for tenant in finished:
-            live.remove(tenant)
+    killed = _drive(machine, tenants)
 
     rows = []
     for tenant, group in zip(tenants, groups):
-        hist = histograms[tenant.name]
+        hist = registry.tenant_histogram(tenant.name)
         rows.append(
             TenantRow(
                 name=tenant.name,
                 alpha=tenant.alpha,
                 limit_pages=group.limit_pages,
                 footprint_pages=tenant.footprint_pages(),
-                ops_completed=ops_done[tenant.name],
+                ops_completed=hist.count,
                 killed=tenant.name in killed,
                 p50_ns=hist.quantile(0.5) if hist.count else None,
                 p99_ns=hist.quantile(0.99) if hist.count else None,
@@ -208,6 +184,106 @@ def run_colo(
         "memcg": memcg,
         "oom_kills": machine.stats.snapshot().get("memcg.oom_group_kills", 0),
     }
+
+
+def _drive(machine: Machine, tenants: list[KVTenantWorkload]) -> set[str]:
+    """Run the tenants round-robin, one timeslice per ``touch_batch``
+    call, and record each completed operation's latency in its tenant's
+    histogram.  Returns the names of the tenants the OOM killer took."""
+    cursors = {t.name: _TenantCursor(t) for t in tenants}
+    killed: set[str] = set()
+    live = list(tenants)
+    while live:
+        finished = []
+        for tenant in live:
+            cursor = cursors[tenant.name]
+            try:
+                machine.touch_batch(cursor.turn(TIMESLICE_OPS))
+            except ProcessKilledError:
+                cursor.kill()
+                killed.add(tenant.name)
+                finished.append(tenant)
+                continue
+            if cursor.finished:
+                finished.append(tenant)
+        for tenant in finished:
+            live.remove(tenant)
+    # Nothing reads the histograms during the run, so each is filled once.
+    registry = machine.system.metrics
+    for tenant in tenants:
+        latencies = np.concatenate(cursors[tenant.name].latencies)
+        registry.tenant_histogram(tenant.name).record_many(latencies)
+    return killed
+
+
+class _TenantCursor:
+    """One tenant's operation stream as a cursor over its blocks.
+
+    :meth:`turn` hands the driver the next operations as views of the
+    tenant's current block, and of the next one when the turn straddles
+    them; a block is emitted only when a turn reaches it.  Each block is
+    resolved once, and its views carry its slots and share its
+    ``charges`` column.  When the cursor leaves a block, the charges are
+    summed per operation into :attr:`latencies`.
+    """
+
+    def __init__(self, tenant: KVTenantWorkload) -> None:
+        self._blocks = tenant.blocks()
+        self._block: AccessBlock | None = None
+        #: each operation's start in the current block, then its end
+        self._bounds = np.zeros(1, dtype=np.int64)
+        #: operations of the current block handed out before this view
+        self._op = 0
+        self._view: AccessBlock | None = None
+        #: per-operation latencies of the completed operations
+        self.latencies: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        self.finished = False
+
+    def turn(self, ops: int) -> Iterator[AccessBlock]:
+        """Views covering the next ``ops`` operations; sets
+        :attr:`finished` once the stream runs dry."""
+        while ops:
+            if self._op == len(self._bounds) - 1:
+                self._leave(self._op)
+                block = next(self._blocks, None)
+                if block is None:
+                    self.finished = True
+                    return
+                table = block.process.page_table
+                block.slots = table.resolve(block.vpage)
+                block.regions = table.n_regions
+                block.charges = np.empty(len(block), dtype=np.int64)
+                self._block = block
+                self._bounds = np.flatnonzero(np.r_[True, block.op_boundary])
+            block = self._block
+            take = min(ops, len(self._bounds) - 1 - self._op)
+            lo = self._bounds.item(self._op)
+            hi = self._bounds.item(self._op + take)
+            self._view = AccessBlock(
+                block.process, block.vpage[lo:hi], block.write[lo:hi],
+                block.lines[lo:hi], block.op_boundary[lo:hi],
+                slots=block.slots[lo:hi], regions=block.regions,
+                charges=block.charges[lo:hi],
+            )
+            yield self._view
+            self._op += take
+            ops -= take
+
+    def kill(self) -> None:
+        """The last view raised at its ``done``: keep the operations
+        completed before it."""
+        at = self._bounds.item(self._op) + self._view.done
+        self._leave(int(np.searchsorted(self._bounds, at, side="right")) - 1)
+
+    def _leave(self, completed: int) -> None:
+        """Sum the current block's first ``completed`` operations."""
+        bounds = self._bounds
+        if completed:
+            self.latencies.append(np.add.reduceat(
+                self._block.charges[:bounds[completed]], bounds[:completed]
+            ))
+        self._bounds = bounds[:1]
+        self._op = 0
 
 
 def render_colo(result: dict) -> str:

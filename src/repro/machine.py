@@ -9,13 +9,15 @@ virtual-clock scheduler, and exposes the access path workloads drive.
 plus any daemon work that came due.  :meth:`Machine.touch_batch` is the
 one access driver: it takes :class:`AccessBlock` columns, charges the
 positions that need no fault, hint fault, supervision or policy charge
-in place against the struct-of-arrays page store, and calls
-``MemorySystem.touch`` for each of the others, as an event inside one
-sweep of the block.
+in place against the struct-of-arrays page store, and steps each of the
+others through :meth:`Machine.touch`, as an event inside one sweep of
+the block.  A block that asks for it gets each position's charge back
+in its ``charges`` column; the colocation experiment meters
+per-operation latency that way.
 :meth:`Machine.touch_batch_array` adapts numeric ``(vpages, writes)``
 batches into blocks.  ``tests/perf/test_touch_batch_equivalence.py``
-holds the driver bit-identical to a per-access :meth:`Machine.touch`
-loop.
+holds the driver, and each position's charge, bit-identical to a
+per-access :meth:`Machine.touch` loop.
 """
 
 from __future__ import annotations
@@ -55,11 +57,16 @@ class AccessBlock:
     ``slots`` with ``regions``, the page table's region count they were
     read at; the driver resolves the block only if it has no slots or
     the count has moved since.
+
+    A producer that meters latency passes ``charges``, an int64 column
+    as long as the block: the driver stores there the nanoseconds each
+    processed position charged, exactly what :meth:`Machine.touch`
+    would have returned for it.
     """
 
     __slots__ = (
         "process", "vpage", "write", "lines", "op_boundary", "live", "done",
-        "slots", "regions",
+        "slots", "regions", "charges",
     )
 
     def __init__(
@@ -73,6 +80,7 @@ class AccessBlock:
         live: int = 0,
         slots: np.ndarray | None = None,
         regions: int = -1,
+        charges: np.ndarray | None = None,
     ) -> None:
         self.process = process
         self.vpage = vpage
@@ -83,6 +91,7 @@ class AccessBlock:
         self.done = len(vpage)
         self.slots = slots
         self.regions = regions
+        self.charges = charges
 
     @classmethod
     def numeric(
@@ -271,8 +280,14 @@ class Machine:
         ``operations`` counts their ``op_boundary`` marks.  Equivalent to
         calling :meth:`touch` once per position — faults, hint faults,
         daemon wakeups, counters and all three clock buckets advance
-        identically — but only *events* reach ``MemorySystem.touch``,
-        the one definition of an access.
+        identically — but only *events* are stepped through
+        :meth:`touch`, and so reach ``MemorySystem.touch``, the one
+        definition of an access.  A block with a ``charges`` column gets
+        each processed position's charge stored there.  If an event
+        raises (``LookupError`` for an unmapped vpage,
+        ``ProcessKilledError`` for an OOM-killed tenant), the block's
+        ``done`` is the raising position and every earlier position is
+        charged.
 
         A block's resolution is its positions' ``v2p`` slots: those it
         carries, if read at the table's current region count, or else
@@ -311,7 +326,7 @@ class Machine:
         scheduler = self.scheduler
         clock = system.clock
         store = system.pagestore
-        touch = system.touch
+        touch = self.touch
         note_reaccess = system._note_reaccess
         run_due = scheduler.run_due
         c_total = system._c_accesses_total
@@ -340,6 +355,7 @@ class Machine:
             ln = block.lines
             n = len(vp)
             live = block.live
+            charges = block.charges
             # The live-stop rule compares against the table as the block
             # was produced.
             size0 = len(table)
@@ -347,172 +363,180 @@ class Machine:
             remote = sockets != {home}
             pos = 0
             stale = True
-            while pos < n:
-                if stale:
-                    # Read [pos, n)'s translations and list its events.
-                    stale = False
-                    gen = table._unmap_gen
-                    pgen = table._poison_gen
-                    ei = 0
-                    if all_slow:
-                        supervised = None
-                        events = np.arange(pos, n)
-                    else:
-                        if pos == 0:
-                            slots = block.slots
-                            if slots is None or block.regions != table.n_regions:
-                                slots = table.resolve(vp)
-                            pfns = table.v2p[slots]
-                            supervised = (
-                                table.slot_supervised[slots]
-                                if process.supervised_regions else None
-                            )
+            try:
+                while pos < n:
+                    if stale:
+                        # Read [pos, n)'s translations and list its events.
+                        stale = False
+                        gen = table._unmap_gen
+                        pgen = table._poison_gen
+                        ei = 0
+                        if all_slow:
+                            supervised = None
+                            events = np.arange(pos, n)
                         else:
-                            # Slots outlive unmaps and poisonings.
-                            pfns[pos:] = table.v2p[slots[pos:]]
-                        slow = pfns[pos:] < 0
-                        if supervised is not None:
-                            slow |= supervised[pos:]
-                        events = slow.nonzero()[0] + pos
-                # The next event: a position still slow when reached.
-                nxt = n
-                while ei < len(events):
-                    e = events.item(ei)
-                    if (
-                        all_slow
-                        or (supervised is not None and supervised.item(e))
-                        or table.v2p.item(slots.item(e)) < 0
-                    ):
-                        nxt = e
-                        break
-                    # An earlier event mapped or cleared this page.  Past
-                    # a few entries, re-read the rest at once and keep
-                    # each page's first slow position: the fault or hint
-                    # fault there leaves the page fast for the block.
-                    if len(events) - ei < _COLUMN_RUN:
-                        ei += 1
-                        continue
-                    rest = events[ei:]
-                    slow = table.v2p[slots[rest]] < 0
-                    if supervised is not None:
-                        slow |= supervised[rest]
-                    rest = rest[slow]
-                    keep = np.zeros(len(rest), dtype=bool)
-                    keep[np.unique(vp[rest], return_index=True)[1]] = True
-                    if supervised is not None:
-                        keep |= supervised[rest]
-                    events = rest[keep]
-                    ei = 0
-                if nxt - pos < _COLUMN_RUN:
-                    # A short run in a Python loop, then the event ending
-                    # it.  The store's columns grow on allocation: bind
-                    # them per run.
-                    v2p = table.v2p
-                    accessed = store.pte_accessed
-                    dirty = store.pte_dirty
-                    flags = store.flags
-                    node = store.node
-                    awaiting = store.awaiting_ns
-                    deadline = scheduler.next_deadline_ns
-                    start = pos
-                    now = now0 = clock._now_ns
-                    in_dram = n_remote = 0
-                    due = False
-                    while pos < nxt:
-                        pfn = pfns.item(pos)
-                        if pfn < 0:  # an event mapped or cleared it since the resolve
-                            pfn = v2p.item(slots.item(pos))
-                        accessed[pfn] = True
-                        nid = node.item(pfn)
-                        if wr.item(pos):
-                            dirty[pfn] = True
-                            flags[pfn] |= _DIRTY
-                            ns = write_ns[nid] * ln.item(pos)
-                        else:
-                            ns = read_ns[nid] * ln.item(pos)
-                        if remote and node_socket[nid] != home:
-                            # Same truncation as MemorySystem.touch.
-                            ns = int(ns * remote_mult)
-                            n_remote += 1
-                        now += ns
-                        in_dram += node_dram[nid]
-                        pos += 1
-                        if system._awaiting_count and awaiting.item(pfn) >= 0:
-                            note_reaccess(pfn, now)
-                        if deadline <= now:
-                            due = True
+                            if pos == 0:
+                                slots = block.slots
+                                if slots is None or block.regions != table.n_regions:
+                                    slots = table.resolve(vp)
+                                pfns = table.v2p[slots]
+                                supervised = (
+                                    table.slot_supervised[slots]
+                                    if process.supervised_regions else None
+                                )
+                            else:
+                                # Slots outlive unmaps and poisonings.
+                                pfns[pos:] = table.v2p[slots[pos:]]
+                            slow = pfns[pos:] < 0
+                            if supervised is not None:
+                                slow |= supervised[pos:]
+                            events = slow.nonzero()[0] + pos
+                    # The next event: a position still slow when reached.
+                    nxt = n
+                    while ei < len(events):
+                        e = events.item(ei)
+                        if (
+                            all_slow
+                            or (supervised is not None and supervised.item(e))
+                            or table.v2p.item(slots.item(e)) < 0
+                        ):
+                            nxt = e
                             break
-                    if pos > start:
-                        clock._now_ns = now
-                        clock._app_ns += now - now0
-                        c_total.n += pos - start
-                        c_dram.n += in_dram
-                        c_pm.n += pos - start - in_dram
-                        c_remote.n += n_remote
-                    if not due and pos < n:
-                        ei += 1
-                        touch(
-                            process, vp.item(pos), is_write=wr.item(pos),
-                            lines=ln.item(pos),
-                        )
-                        pos += 1
-                        due = scheduler.next_deadline_ns <= clock._now_ns
-                else:
-                    seg = table.v2p[slots[pos:nxt]]
-                    w = wr[pos:nxt]
-                    nid = store.node[seg]
-                    charge = np.where(w, np_write[nid], np_read[nid]) * ln[pos:nxt]
-                    rem = None
-                    if remote:
-                        rem = np_socket[nid] != home
-                        # Same truncation as the scalar int(ns * mult).
-                        charge[rem] = (charge[rem] * remote_mult).astype(np.int64)
-                    cum = charge.cumsum()
-                    now = clock._now_ns
-                    limit = nxt - pos
-                    total = cum.item(-1)
-                    due = scheduler.next_deadline_ns <= now + total
-                    if due:
-                        # The first position whose end time reaches the
-                        # deadline is charged before the daemons run.
-                        left = scheduler.next_deadline_ns - now
-                        limit = int(cum.searchsorted(left)) + 1
-                        seg = seg[:limit]
-                        w = w[:limit]
-                        nid = nid[:limit]
-                        cum = cum[:limit]
-                        if rem is not None:
-                            rem = rem[:limit]
+                        # An earlier event mapped or cleared this page.  Past
+                        # a few entries, re-read the rest at once and keep
+                        # each page's first slow position: the fault or hint
+                        # fault there leaves the page fast for the block.
+                        if len(events) - ei < _COLUMN_RUN:
+                            ei += 1
+                            continue
+                        rest = events[ei:]
+                        slow = table.v2p[slots[rest]] < 0
+                        if supervised is not None:
+                            slow |= supervised[rest]
+                        rest = rest[slow]
+                        keep = np.zeros(len(rest), dtype=bool)
+                        keep[np.unique(vp[rest], return_index=True)[1]] = True
+                        if supervised is not None:
+                            keep |= supervised[rest]
+                        events = rest[keep]
+                        ei = 0
+                    if nxt - pos < _COLUMN_RUN:
+                        # A short run in a Python loop, then the event ending
+                        # it.  The store's columns grow on allocation: bind
+                        # them per run.
+                        v2p = table.v2p
+                        accessed = store.pte_accessed
+                        dirty = store.pte_dirty
+                        flags = store.flags
+                        node = store.node
+                        awaiting = store.awaiting_ns
+                        deadline = scheduler.next_deadline_ns
+                        start = pos
+                        now = now0 = clock._now_ns
+                        in_dram = n_remote = 0
+                        due = False
+                        while pos < nxt:
+                            pfn = pfns.item(pos)
+                            if pfn < 0:  # an event mapped or cleared it since the resolve
+                                pfn = v2p.item(slots.item(pos))
+                            accessed[pfn] = True
+                            nid = node.item(pfn)
+                            if wr.item(pos):
+                                dirty[pfn] = True
+                                flags[pfn] |= _DIRTY
+                                ns = write_ns[nid] * ln.item(pos)
+                            else:
+                                ns = read_ns[nid] * ln.item(pos)
+                            if remote and node_socket[nid] != home:
+                                # Same truncation as MemorySystem.touch.
+                                ns = int(ns * remote_mult)
+                                n_remote += 1
+                            now += ns
+                            if charges is not None:
+                                charges[pos] = ns
+                            in_dram += node_dram[nid]
+                            pos += 1
+                            if system._awaiting_count and awaiting.item(pfn) >= 0:
+                                note_reaccess(pfn, now)
+                            if deadline <= now:
+                                due = True
+                                break
+                        if pos > start:
+                            clock._now_ns = now
+                            clock._app_ns += now - now0
+                            c_total.n += pos - start
+                            c_dram.n += in_dram
+                            c_pm.n += pos - start - in_dram
+                            c_remote.n += n_remote
+                        if not due and pos < n:
+                            # The event step runs the daemons it made due.
+                            ei += 1
+                            ns = touch(
+                                process, vp.item(pos), is_write=wr.item(pos),
+                                lines=ln.item(pos),
+                            )
+                            if charges is not None:
+                                charges[pos] = ns
+                            pos += 1
+                    else:
+                        seg = table.v2p[slots[pos:nxt]]
+                        w = wr[pos:nxt]
+                        nid = store.node[seg]
+                        charge = np.where(w, np_write[nid], np_read[nid]) * ln[pos:nxt]
+                        rem = None
+                        if remote:
+                            rem = np_socket[nid] != home
+                            # Same truncation as the scalar int(ns * mult).
+                            charge[rem] = (charge[rem] * remote_mult).astype(np.int64)
+                        cum = charge.cumsum()
+                        now = clock._now_ns
+                        limit = nxt - pos
                         total = cum.item(-1)
-                    # Duplicate pfns are fine: every store is idempotent.
-                    store.pte_accessed[seg] = True
-                    written = seg[w]
-                    if len(written):
-                        store.pte_dirty[written] = True
-                        store.flags[written] |= _DIRTY
-                    c_total.n += limit
-                    in_dram = int(np.count_nonzero(np_dram[nid]))
-                    c_dram.n += in_dram
-                    c_pm.n += limit - in_dram
-                    if rem is not None:
-                        c_remote.n += int(np.count_nonzero(rem))
-                    if system._awaiting_count:
-                        # Replayed per hit at its own access's end time;
-                        # the replay re-reads the column, so a duplicate
-                        # pfn consumes the pending promotion once.
-                        hits = (store.awaiting_ns[seg] >= 0).nonzero()[0].tolist()
-                        for i in hits:
-                            note_reaccess(seg.item(i), now + cum.item(i))
-                    clock._now_ns = now + total
-                    clock._app_ns += total
-                    pos += limit
-                if due:
-                    run_due()
-                if pos <= live and (len(table) != size0 or table._unmap_gen != gen0):
-                    break
-                if table._unmap_gen != gen or table._poison_gen != pgen:
-                    stale = True
-            block.done = pos
+                        due = scheduler.next_deadline_ns <= now + total
+                        if due:
+                            # The first position whose end time reaches the
+                            # deadline is charged before the daemons run.
+                            left = scheduler.next_deadline_ns - now
+                            limit = int(cum.searchsorted(left)) + 1
+                            seg = seg[:limit]
+                            w = w[:limit]
+                            nid = nid[:limit]
+                            cum = cum[:limit]
+                            if rem is not None:
+                                rem = rem[:limit]
+                            total = cum.item(-1)
+                        # Duplicate pfns are fine: every store is idempotent.
+                        store.pte_accessed[seg] = True
+                        written = seg[w]
+                        if len(written):
+                            store.pte_dirty[written] = True
+                            store.flags[written] |= _DIRTY
+                        c_total.n += limit
+                        in_dram = int(np.count_nonzero(np_dram[nid]))
+                        c_dram.n += in_dram
+                        c_pm.n += limit - in_dram
+                        if rem is not None:
+                            c_remote.n += int(np.count_nonzero(rem))
+                        if system._awaiting_count:
+                            # Replayed per hit at its own access's end time;
+                            # the replay re-reads the column, so a duplicate
+                            # pfn consumes the pending promotion once.
+                            hits = (store.awaiting_ns[seg] >= 0).nonzero()[0].tolist()
+                            for i in hits:
+                                note_reaccess(seg.item(i), now + cum.item(i))
+                        clock._now_ns = now + total
+                        clock._app_ns += total
+                        if charges is not None:
+                            charges[pos:pos + limit] = charge[:limit]
+                        pos += limit
+                    if due:
+                        run_due()
+                    if pos <= live and (len(table) != size0 or table._unmap_gen != gen0):
+                        break
+                    if table._unmap_gen != gen or table._poison_gen != pgen:
+                        stale = True
+            finally:
+                block.done = pos
             n_accesses += pos
             n_operations += int(np.count_nonzero(block.op_boundary[:pos]))
         return n_accesses, n_operations

@@ -135,10 +135,13 @@ class KVTenantWorkload(Workload):
     The stream starts with the load phase (every record inserted in slab
     order), then runs GET/SET traffic at ``read_ratio``.  Each operation
     is a hash-bucket probe plus a record touch; the last touch of every
-    operation carries ``op_boundary``.  ``operations()`` exposes the
-    per-op touch lists directly for drivers that meter per-operation
-    latency (the colocation experiment); a stream is single-use because
-    it mutates the slab layout as it loads.
+    operation carries ``op_boundary``, and ``blocks()`` yields up to 512
+    operations per block.  The colocation experiment cuts those blocks
+    at operation boundaries into timeslices and meters each operation
+    from the driver's per-position charges.  ``operations()`` gives the
+    same touches as per-op lists, for per-access loops (the colocation
+    reference); a stream is single-use because it mutates the slab
+    layout as it loads.
     """
 
     marks_op_boundaries = True

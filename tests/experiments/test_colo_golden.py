@@ -13,9 +13,11 @@ the machine's ``stats.snapshot()``:
 * one autotiering-cpm run, whose hint faults take the poisoned-PTE
   branch of the per-access path.
 
-Every access of a colocation goes through ``Machine.touch``, so any
-change to the per-access semantics, the memcg charge and targeted
-reclaim, or the OOM killer shows up here.
+Each tenant timeslice is one ``Machine.touch_batch`` call, whose events
+step through ``Machine.touch``, so any change to the access driver, the
+per-operation latency sums, the memcg charge and targeted reclaim, or
+the OOM killer shows up here.  ``test_colo_reference.py`` holds the same
+cases equal to a per-access loop, histograms in full.
 
 Re-record (only for an intended behaviour change) with::
 

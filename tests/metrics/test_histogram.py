@@ -130,3 +130,51 @@ def test_to_dict_round_trips_through_json():
     assert sum(bucket["count"] for bucket in data["buckets"]) == 4
     les = [bucket["le"] for bucket in data["buckets"]]
     assert les == sorted(les)
+
+
+def _looped(values, into=None):
+    hist = into if into is not None else Log2Histogram("t")
+    for value in values:
+        hist.record(value)
+    return hist
+
+
+def _state(hist):
+    return hist.buckets, hist.count, hist.total, hist.min_value, hist.max_value
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0],
+    [1],
+    [0, 0, 1],
+    [(1 << k) for k in range(63)],
+    [(1 << k) - 1 for k in range(1, 64)],
+    # Past 2**53 a float cannot tell 2**k - 1 from 2**k.
+    [(1 << 53) + 1, (1 << 60) - 1, 1 << 60, (1 << 63) - 1, (1 << 63) - 1],
+    [5, 3, 5, 70, 12345, 4096, 4095, 0],
+])
+def test_record_many_equals_a_record_loop(values):
+    import numpy as np
+
+    for given in (values, np.array(values, dtype=np.int64)):
+        hist = Log2Histogram("t")
+        hist.record_many(given)
+        assert _state(hist) == _state(_looped(values))
+    # On top of earlier observations too.
+    hist = _looped([9, 2])
+    hist.record_many(values)
+    assert _state(hist) == _state(_looped([9, 2] + values))
+
+
+def test_record_many_of_nothing_leaves_an_empty_histogram_empty():
+    hist = Log2Histogram("t")
+    hist.record_many([])
+    assert hist.count == 0 and hist.min_value is None and hist.max_value is None
+
+
+def test_record_many_rejects_negatives_before_recording_any():
+    hist = _looped([4])
+    with pytest.raises(ValueError, match="negative value -3"):
+        hist.record_many([1, 2, -3, 8])
+    assert _state(hist) == _state(_looped([4]))

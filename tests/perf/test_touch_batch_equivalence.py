@@ -27,6 +27,7 @@ from mixed_supervision import MixedSupervisionWorkload
 import repro.machine as machine_module
 from repro.faults import FaultPlan, PmSlowdown
 from repro.machine import AccessBlock, Machine
+from repro.mm.memcg import ProcessKilledError
 from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.sim.events import Daemon
 from repro.workloads.multitenant import MultiTenantWorkload
@@ -433,3 +434,186 @@ def test_each_scenario_reaches_its_path(scenario):
         assert any(window[0] <= t < window[1] for t in outcome["fires"])
     if scenario == "memcg-limit":
         assert stats["memcg.limit_reclaims"] > 0
+
+
+# -- per-position charges ------------------------------------------------------
+
+
+def _asking(blocks, seen: list):
+    """``blocks``, each asking for charges (-1 until charged), kept in
+    ``seen`` as the driver reads them."""
+    for block in blocks:
+        block.charges = np.full(len(block), -1, dtype=np.int64)
+        seen.append(block)
+        yield block
+
+
+def _charged(seen) -> tuple[list[int], np.ndarray]:
+    """The processed positions' charges in stream order, and the rest."""
+    done = np.concatenate([block.charges[:block.done] for block in seen])
+    rest = np.concatenate([block.charges[block.done:] for block in seen])
+    return done.tolist(), rest
+
+
+def _per_access_charges(scenario: str) -> list[int]:
+    """What ``Machine.touch`` returns for each access of the stream."""
+    machine, procs, __ = _machine(scenario)
+    charges: list[int] = []
+    try:
+        for proc, vpage, write, lines, __ in _stream(scenario):
+            charges.append(
+                machine.touch(procs[proc], vpage, is_write=write, lines=lines)
+            )
+    except LookupError:
+        pass
+    return charges
+
+
+@pytest.mark.parametrize("column_run", [1, machine_module._COLUMN_RUN, 1 << 30])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_each_position_records_its_per_access_charge(monkeypatch, scenario, column_run):
+    """Faults, hint faults, Memory-mode's every-position events, deadline
+    splits (the probe fires every 100 us), and runs swept in columns or
+    looped in Python: each position's charge is its ``Machine.touch``
+    return, and a position the driver never reached keeps its -1."""
+    expected = _per_access_charges(scenario)
+    monkeypatch.setattr(machine_module, "_COLUMN_RUN", column_run)
+    machine, procs, __ = _machine(scenario)
+    seen: list[AccessBlock] = []
+    cuts = set(range(97, N_ACCESSES, 97))
+    try:
+        machine.touch_batch(_asking(_blocks(procs, _stream(scenario), cuts), seen))
+    except LookupError:
+        pass
+    charged, rest = _charged(seen)
+    assert charged == expected
+    assert (rest == -1).all()
+
+
+def test_remote_positions_record_their_per_access_charge():
+    """Two sockets: a remote position's charge carries the multiplier."""
+
+    def run(batched: bool) -> list[int]:
+        config = _config(dram_pages=(64, 64), pm_pages=(512, 512), sockets=2)
+        machine = Machine(config, "multiclock")
+        workload = MultiTenantWorkload(
+            [ZipfWorkload(300, 3000, seed=3, write_ratio=0.3),
+             ZipfWorkload(300, 3000, seed=4, write_ratio=0.3)],
+            home_sockets=[0, 1], batch=64,
+        )
+        workload.setup(machine)
+        if batched:
+            seen: list[AccessBlock] = []
+            machine.touch_batch(_asking(workload.blocks(), seen))
+            return _charged(seen)[0]
+        charges = []
+        for block in workload.blocks():
+            rows = zip(block.vpage.tolist(), block.write.tolist(), block.lines.tolist())
+            for vpage, write, lines in rows:
+                charges.append(
+                    machine.touch(block.process, vpage, is_write=write, lines=lines)
+                )
+        assert machine.stats.snapshot()["accesses.remote"] > 0
+        return charges
+
+    assert run(batched=True) == run(batched=False)
+
+
+def test_a_deadline_splits_a_column_sweep_between_charges():
+    """A daemon due mid-sweep runs after the position that reaches its
+    deadline; the charges on both sides are the per-access ones."""
+
+    def run(batched: bool):
+        machine = Machine(_config(), "static")
+        fires: list[int] = []
+        process = machine.create_process("p")
+        process.mmap_anon(0, 32)
+        for vpage in range(32):
+            machine.touch(process, vpage)
+        start = machine.clock.now_ns
+        vpage = np.arange(400, dtype=np.int64) % 32
+        block = AccessBlock.numeric(process, vpage, vpage % 3 == 0, 2)
+        machine.scheduler.register(
+            Daemon("probe", 0.00001, lambda now: fires.append(now - start) or 0)
+        )
+        if batched:
+            block.charges = np.full(len(block), -1, dtype=np.int64)
+            calls = _count_touches(machine)
+            machine.touch_batch([block])
+            assert calls[0] == 0, "the warm block took an event"
+            return block.charges.tolist(), fires
+        return [machine.touch(process, v, is_write=w, lines=2)
+                for v, w in zip(vpage.tolist(), (vpage % 3 == 0).tolist())], fires
+
+    charges, fires = run(batched=True)
+    assert len(fires) >= 2 and charges[0] > 0
+    assert (charges, fires) == run(batched=False)
+
+
+def test_a_block_that_asks_for_no_charges_is_left_untouched():
+    machine = Machine(_config(), "autotiering-cpm")
+    workload = WORKLOADS["shifting"]()
+    workload.setup(machine)
+    blocks = list(workload.blocks())
+    before = [
+        (block.vpage.copy(), block.write.copy(), block.lines.copy(),
+         block.op_boundary.copy())
+        for block in blocks
+    ]
+    machine.touch_batch(blocks)
+    for block, columns in zip(blocks, before):
+        assert block.charges is None
+        assert block.done == len(block)
+        for column, kept in zip(
+            (block.vpage, block.write, block.lines, block.op_boundary), columns
+        ):
+            assert np.array_equal(column, kept)
+
+
+# -- an event that raises ------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [LookupError, ProcessKilledError])
+def test_a_raising_event_leaves_done_at_its_position(error):
+    """A ``Machine.touch`` that raises mid-block (an unmapped vpage, or a
+    fault of a tenant the OOM killer took) ends the block there: ``done``
+    is the raising position and every earlier position is charged."""
+    n = 600
+
+    def run(batched: bool):
+        machine = Machine(_config(), "multiclock")
+        process = machine.create_process("a")
+        process.mmap_anon(0, 64)
+        vpage = np.arange(n, dtype=np.int64) % 64
+        if error is LookupError:
+            vpage[400] = 5000
+        else:
+            # A one-shot kill of the tenant's group, due among the warm
+            # positions; its next access faults and raises.
+            memcg = machine.enable_memcg()
+            group = memcg.create_group("a")
+            memcg.attach(process, group)
+            machine.scheduler.register(Daemon(
+                "killer", 0.00008, lambda now: memcg.kill(group) * 0, one_shot=True,
+            ))
+        block = AccessBlock.numeric(process, vpage, vpage % 5 == 0, 1)
+        charges: list[int] = []
+        with pytest.raises(error):
+            if batched:
+                block.charges = np.full(n, -1, dtype=np.int64)
+                machine.touch_batch([block])
+            else:
+                for v, w in zip(vpage.tolist(), block.write.tolist()):
+                    charges.append(machine.touch(process, v, is_write=w))
+        clock = machine.clock
+        outcome = (machine.stats.snapshot(), clock.now_ns, clock.app_ns, clock.system_ns)
+        if batched:
+            assert (block.charges[block.done:] == -1).all()
+            return block.done, block.charges[:block.done].tolist(), outcome
+        return len(charges), charges, outcome
+
+    done, charges, outcome = run(batched=True)
+    assert 64 < done < n
+    if error is LookupError:
+        assert done == 400
+    assert (done, charges, outcome) == run(batched=False)
