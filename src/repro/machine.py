@@ -8,12 +8,12 @@ virtual-clock scheduler, and exposes the access path workloads drive.
 :meth:`Machine.touch` is the per-reference call: ``MemorySystem.touch``
 plus any daemon work that came due.  :meth:`Machine.touch_batch` is the
 one access driver: it takes :class:`AccessBlock` columns, charges the
-positions that need no fault, hint fault, supervision or policy charge
-in place against the struct-of-arrays page store, and steps each of the
-others through :meth:`Machine.touch`, as an event inside one sweep of
-the block.  A block that asks for it gets each position's charge back
-in its ``charges`` column; the colocation experiment meters
-per-operation latency that way.
+positions that need no fault, supervision, policy charge or hint fault
+that may move a page in place against the struct-of-arrays page store,
+and steps each of the others through :meth:`Machine.touch`, as an event
+inside one sweep of the block.  A block that asks for it gets each
+position's charge back in its ``charges`` column; the colocation
+experiment meters per-operation latency that way.
 :meth:`Machine.touch_batch_array` adapts numeric ``(vpages, writes)``
 batches into blocks.  ``tests/perf/test_touch_batch_equivalence.py``
 holds the driver, and each position's charge, bit-identical to a
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.mm.address_space import Process
 from repro.mm.flags import PageFlags
+from repro.mm.page_table import UNMAPPED
 from repro.mm.system import MemorySystem
 from repro.policies.base import TieringPolicy, create_policy
 from repro.sim.config import SimulationConfig
@@ -297,23 +298,33 @@ class Machine:
         read the translations and the supervised mask.  An event is a
         position in a supervised region, any position when the policy
         overrides ``charge_access``, and a position whose translation
-        misses or whose PTE is poisoned when the driver reaches it.  The resolve
-        lists the slow positions; each is checked against the live
-        column when reached and charged in place if an earlier event
-        made it fast.  The fault or hint fault at a page's first slow
-        position leaves the page mapped and clean, so on meeting such a
-        position with more than a few left, the driver re-reads the
-        rest of the list at once and keeps each page's first.
+        misses when the driver reaches it, or whose PTE is then poisoned
+        and whose hint fault may move a page.  The resolve lists the
+        slow positions, and each is judged against the live column when
+        the search for the next event reaches it.  A hint fault on a
+        node the policy's ``quiet_hint_nodes`` marks (one that moves no
+        page) is not an event: the search passes it.  The fault or hint
+        fault at a page's first slow position leaves the page mapped and
+        clean for the rest of the block, so at its first quiet hint
+        fault, or fast entry with more than a few left, the search keeps
+        only each page's first listed position from there on.  It stops
+        once the quiet hint faults it passed reach the next deadline.
 
         The positions between events are charged in place: stores to
         the accessed, dirty and flag columns, the latency charge on the
-        page's live node, the counters and the re-access replay.  A run
+        page's live node, the counters and the re-access replay.  A
+        quiet hint fault is charged there too: its slot is un-poisoned,
+        ``hint_fault_ns`` joins its position's charge, ``faults.hint``
+        counts it and the policy's ``note_hint_faults`` books it, all
+        when the position is charged and not when it is judged.  A run
         of at least :data:`_COLUMN_RUN` positions is one column sweep,
         where a ``cumsum`` over the charges finds the exact position on
         which a daemon deadline fires; a shorter run is a Python loop
         that checks the deadline after each position.  Both read the
         translation and node columns as they charge, so a page an event
-        mapped or a handler migrated needs no patching.
+        mapped or a handler migrated needs no patching.  After a
+        deadline's daemons run, the rest of the run is judged again: a
+        daemon may have moved a page, or freed a frame, since.
 
         A daemon wakeup or an event may unmap or poison pages; the rest
         of the block's translations are then gathered again from the
@@ -333,6 +344,10 @@ class Machine:
         c_dram = system._c_accesses_dram
         c_pm = system._c_accesses_pm
         c_remote = system._c_accesses_remote
+        c_hint = system._c_faults_hint
+        hint_ns = system._hint_fault_ns
+        quiet_hint_nodes = system.policy.quiet_hint_nodes
+        note_hint_faults = system.policy.note_hint_faults
         remote_mult = system._remote_mult
         all_slow = not system.inline_charge
         # The live per-node latency table, rescaled in place by a fault
@@ -391,54 +406,85 @@ class Machine:
                             if supervised is not None:
                                 slow |= supervised[pos:]
                             events = slow.nonzero()[0] + pos
-                    # The next event: a position still slow when reached.
+                        firsts = False
+                    # The next event: a position still slow when reached,
+                    # unless it is a hint fault that moves no page.  Those
+                    # are charged in the run before it; nothing changes
+                    # until the run charges them.  Once their hint_fault_ns
+                    # alone reach the next deadline, the run ends there at
+                    # the latest, so the search stops: the daemons may
+                    # change the answer for the rest.
+                    v2p = table.v2p
+                    node = store.node
+                    quiet = None if all_slow else quiet_hint_nodes()
+                    gap = scheduler.next_deadline_ns - clock._now_ns
+                    first = ei
+                    hints = []
                     nxt = n
                     while ei < len(events):
                         e = events.item(ei)
-                        if (
-                            all_slow
-                            or (supervised is not None and supervised.item(e))
-                            or table.v2p.item(slots.item(e)) < 0
+                        if all_slow or (supervised is not None and supervised.item(e)):
+                            nxt = e
+                            break
+                        entry = v2p.item(slots.item(e))
+                        if entry < 0 and (
+                            entry == UNMAPPED
+                            or quiet is None
+                            or not quiet[node.item(-2 - entry)]
                         ):
                             nxt = e
                             break
-                        # An earlier event mapped or cleared this page.  Past
-                        # a few entries, re-read the rest at once and keep
-                        # each page's first slow position: the fault or hint
-                        # fault there leaves the page fast for the block.
-                        if len(events) - ei < _COLUMN_RUN:
-                            ei += 1
+                        if not firsts and (entry < 0 or len(events) - ei >= _COLUMN_RUN):
+                            # Keep each page's first listed position from
+                            # here on, and every supervised one: a quiet
+                            # hint fault's later positions must not pay it
+                            # again, and a page an event made fast stays
+                            # fast for the block.
+                            rest = events[ei:]
+                            keep = np.zeros(len(rest), dtype=bool)
+                            keep[np.unique(vp[rest], return_index=True)[1]] = True
+                            if supervised is not None:
+                                keep |= supervised[rest]
+                            events = rest[keep]
+                            ei = first = 0
+                            firsts = True
                             continue
-                        rest = events[ei:]
-                        slow = table.v2p[slots[rest]] < 0
-                        if supervised is not None:
-                            slow |= supervised[rest]
-                        rest = rest[slow]
-                        keep = np.zeros(len(rest), dtype=bool)
-                        keep[np.unique(vp[rest], return_index=True)[1]] = True
-                        if supervised is not None:
-                            keep |= supervised[rest]
-                        events = rest[keep]
-                        ei = 0
+                        if entry < 0:
+                            hints.append(e)
+                            gap -= hint_ns
+                            if gap <= 0:
+                                # Not an event: the run is due by here.
+                                ei += 1
+                                nxt = e + 1
+                                break
+                        # Else an earlier event mapped or cleared this page.
+                        ei += 1
                     if nxt - pos < _COLUMN_RUN:
                         # A short run in a Python loop, then the event ending
                         # it.  The store's columns grow on allocation: bind
                         # them per run.
-                        v2p = table.v2p
                         accessed = store.pte_accessed
                         dirty = store.pte_dirty
                         flags = store.flags
-                        node = store.node
                         awaiting = store.awaiting_ns
                         deadline = scheduler.next_deadline_ns
                         start = pos
                         now = now0 = clock._now_ns
                         in_dram = n_remote = 0
+                        hinted = []
+                        hinted_at = []
                         due = False
                         while pos < nxt:
                             pfn = pfns.item(pos)
-                            if pfn < 0:  # an event mapped or cleared it since the resolve
-                                pfn = v2p.item(slots.item(pos))
+                            if pfn < 0:  # made fast since the resolve, or a quiet hint fault
+                                slot = slots.item(pos)
+                                pfn = v2p.item(slot)
+                                if pfn < 0:
+                                    pfn = -2 - pfn
+                                    v2p[slot] = pfn
+                                    hinted.append(pfn)
+                                    hinted_at.append(pos)
+                                    now += hint_ns
                             accessed[pfn] = True
                             nid = node.item(pfn)
                             if wr.item(pos):
@@ -468,6 +514,11 @@ class Machine:
                             c_dram.n += in_dram
                             c_pm.n += pos - start - in_dram
                             c_remote.n += n_remote
+                            if hinted:
+                                c_hint.n += len(hinted)
+                                note_hint_faults(hinted)
+                                if charges is not None:
+                                    charges[hinted_at] += hint_ns
                         if not due and pos < n:
                             # The event step runs the daemons it made due.
                             ei += 1
@@ -479,15 +530,22 @@ class Machine:
                                 charges[pos] = ns
                             pos += 1
                     else:
-                        seg = table.v2p[slots[pos:nxt]]
+                        seg = v2p[slots[pos:nxt]]
+                        if hints:
+                            # The quiet hint faults' pages read poisoned at
+                            # every position of the run; the first pays.
+                            at = np.array(hints) - pos
+                            seg = np.where(seg < 0, -2 - seg, seg)
                         w = wr[pos:nxt]
-                        nid = store.node[seg]
+                        nid = node[seg]
                         charge = np.where(w, np_write[nid], np_read[nid]) * ln[pos:nxt]
                         rem = None
                         if remote:
                             rem = np_socket[nid] != home
                             # Same truncation as the scalar int(ns * mult).
                             charge[rem] = (charge[rem] * remote_mult).astype(np.int64)
+                        if hints:
+                            charge[at] += hint_ns
                         cum = charge.cumsum()
                         now = clock._now_ns
                         limit = nxt - pos
@@ -505,6 +563,13 @@ class Machine:
                             if rem is not None:
                                 rem = rem[:limit]
                             total = cum.item(-1)
+                            if hints:
+                                at = at[at < limit]
+                        if hints and len(at):
+                            hit = seg[at]
+                            v2p[slots[pos + at]] = hit
+                            c_hint.n += len(at)
+                            note_hint_faults(hit)
                         # Duplicate pfns are fine: every store is idempotent.
                         store.pte_accessed[seg] = True
                         written = seg[w]
@@ -530,6 +595,8 @@ class Machine:
                             charges[pos:pos + limit] = charge[:limit]
                         pos += limit
                     if due:
+                        # Judge the rest of the run again after the daemons.
+                        ei = first + int(events[first:ei].searchsorted(pos))
                         run_due()
                     if pos <= live and (len(table) != size0 or table._unmap_gen != gen0):
                         break

@@ -43,7 +43,10 @@ class Page:
             ``v2p`` column of that pid's page table.
         lru: the intrusive list this page currently sits on, or None.
         policy_data: scratch slot for per-policy metadata (e.g.
-            AutoTiering-OPM's n-bit access history).  Policies own it.
+            multiclock-rw's dirtiness observation).  Policies own it;
+            per-page state a column pass reads belongs in a
+            :class:`~repro.mm.pagestore.PageStore` column instead, as
+            AutoTiering-OPM's access history does (``hint_history``).
     """
 
     __slots__ = ("_store", "pfn", "rmap", "policy_data")

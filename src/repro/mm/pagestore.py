@@ -8,7 +8,7 @@ prev/next links — live here as dense pfn-indexed numpy columns, one
 :class:`PageStore` per simulated machine.  The :class:`~repro.mm.page.Page`
 object survives as a thin *view* over its row (identity-stable: exactly
 one ``Page`` per pfn, held in :attr:`PageStore.pages`), which keeps the
-cold paths and ``policy_data`` ergonomic while touch/scan/harvest loops
+cold paths ergonomic while touch/scan/harvest loops
 run as vectorized column sweeps.
 
 Pfns are allocated densely per store — per machine, not per process —
@@ -59,7 +59,11 @@ class PageStore:
     ``mapcount``        int32     mappings of the page: ``len(Page.rmap)``
     ``awaiting_ns``     int64     promotion time awaiting first re-access, -1
     ``memcg_id``        int32     charging :class:`MemCgroup` id, -1 uncharged
+    ``hint_history``    uint8     AutoTiering-OPM's n-bit access history, 0
     ==================  ========  ===========================================
+
+    Rows are never reused, so a row's ``hint_history`` is 0 from
+    adoption until the hint scanner and hint faults write it.
 
     ``pte_accessed``/``pte_dirty`` keep the *page-level* reference signal
     the scans consume (``harvest_accessed`` is an OR-and-clear across the
@@ -84,6 +88,7 @@ class PageStore:
         self.mapcount = np.zeros(capacity, dtype=np.int32)
         self.awaiting_ns = np.full(capacity, -1, dtype=np.int64)
         self.memcg_id = np.full(capacity, -1, dtype=np.int32)
+        self.hint_history = np.zeros(capacity, dtype=np.uint8)
         #: identity registry: pages[pfn] is THE view object for that pfn.
         self.pages: list[Page] = []
         #: registered lists; a page's ``lru_id`` indexes this.
@@ -114,7 +119,7 @@ class PageStore:
         for name in (
             "node", "flags", "is_anon", "born_ns", "last_promoted",
             "lru_id", "lru_prev", "lru_next", "pte_accessed", "pte_dirty",
-            "mapcount", "awaiting_ns", "memcg_id",
+            "mapcount", "awaiting_ns", "memcg_id", "hint_history",
         ):
             old = getattr(self, name)
             grown = np.empty(new_capacity, dtype=old.dtype)
@@ -241,6 +246,7 @@ _FILL = {
     "mapcount": 0,
     "awaiting_ns": -1,
     "memcg_id": -1,
+    "hint_history": 0,
 }
 
 

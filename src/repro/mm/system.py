@@ -221,8 +221,9 @@ class MemorySystem:
 
         This is the one definition of an access; the driver
         :meth:`~repro.machine.Machine.touch_batch` calls it once per
-        fault, hint fault or supervised access (every access when the
-        policy charges its own) and charges the rest in place.  One
+        fault, hint fault that may move a page, or supervised access
+        (every access when the policy charges its own) and charges the
+        rest in place, a hint fault that moves no page included.  One
         bisect over the region starts finds both the page's ``v2p`` slot
         and, on a page fault, its region; a vpage outside every region
         raises ``LookupError`` (a SIGSEGV).

@@ -42,6 +42,10 @@ HISTORY_BITS = 4
 
 _HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
+#: Below this many pfns (an event's one, a short run's few), a store per
+#: pfn is cheaper than one fancy-indexed update; both set the same bits.
+_FANCY_INDEX_MIN = 8
+
 # Flag bits bound once as plain ints (see repro.mm.flags).
 _PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
 _REFERENCED_ACTIVE = int(PageFlags.REFERENCED | PageFlags.ACTIVE)
@@ -53,9 +57,10 @@ class HintFaultScanner:
     Each pass walks the resident pages of every process in vpage order,
     poisoning up to the configured budget of PTEs per wakeup.  When OPM's
     history tracking is enabled, poisoning a page also shifts its n-bit
-    history vector (a zero shifts in; the hint fault handler ORs in a 1).
-    A pass snapshots the mapped vpages as ``v2p`` slots, which outlive
-    unmaps, so a wakeup is one gather and one store.
+    history vector, the page store's ``hint_history`` column (a zero
+    shifts in; a hint fault ORs in a 1).  A pass snapshots the mapped
+    vpages as ``v2p`` slots, which outlive unmaps, so a wakeup is one
+    gather and one store.
     """
 
     def __init__(self, system: MemorySystem, *, track_history: bool) -> None:
@@ -93,15 +98,11 @@ class HintFaultScanner:
             self._cursors[pid] = len(snapshot)
         pfns = table.poison_slots(rest[mapped])
         if self.track_history:
-            pages = self.system.pagestore.pages
-            for pfn in pfns.tolist():
-                self._shift_history(pages[pfn])
+            # ``at``: a page mapped at two of the slots shifts twice.
+            history = self.system.pagestore.hint_history
+            np.left_shift.at(history, pfns, 1)
+            history[pfns] &= _HISTORY_MASK
         return len(mapped)
-
-    @staticmethod
-    def _shift_history(page: Page) -> None:
-        history = page.policy_data or 0
-        page.policy_data = (history << 1) & _HISTORY_MASK
 
 
 class _HintFaultPolicy(TieringPolicy):
@@ -109,22 +110,45 @@ class _HintFaultPolicy(TieringPolicy):
 
     make_room_on_promote = False
     track_history = False
+    #: A hint fault on a DRAM page moves nothing.  Promoting only into
+    #: free DRAM (``promote_page`` without ``make_room``) moves nothing
+    #: either while no DRAM node has a free frame; OPM's promotion
+    #: demotes to make room, so its PM hint faults always are events.
+    quiet_when_dram_full = True
 
     def __init__(self, system: MemorySystem) -> None:
         super().__init__(system)
         self._scanner = HintFaultScanner(system, track_history=self.track_history)
         self._c_hint_faults = system.stats.counter("hint.faults")
         self._c_hint_promotions = system.stats.counter("hint.promotions")
+        self._quiet_dram = tuple(system._node_is_dram)
+        self._quiet_all = (True,) * len(self._quiet_dram)
 
     def daemons(self) -> list[Daemon]:
         cfg = self.system.config.daemons
         return [Daemon("hint-scanner", cfg.hint_scan_interval_s, self._scanner.run)]
 
+    def quiet_hint_nodes(self) -> tuple[bool, ...]:
+        if self.quiet_when_dram_full and not any(
+            node.free for node in self.system.dram_nodes()
+        ):
+            return self._quiet_all
+        return self._quiet_dram
+
+    def note_hint_faults(self, pfns) -> None:
+        """Count the hint faults; OPM also marks each page recently used."""
+        self._c_hint_faults.n += len(pfns)
+        if self.track_history:
+            history = self.system.pagestore.hint_history
+            if len(pfns) < _FANCY_INDEX_MIN:
+                for pfn in pfns:
+                    history[pfn] |= 1
+            else:
+                history[pfns] |= 1
+
     def on_hint_fault(self, page: Page) -> None:
         """Recency signal: the poisoned page was just accessed."""
-        if self.track_history:
-            page.policy_data = (page.policy_data or 0) | 1
-        self._c_hint_faults.n += 1
+        self.note_hint_faults([page.pfn])
         if self.system.tier_of(page) is MemoryTier.PM:
             if self._try_promote(page):
                 self._c_hint_promotions.n += 1
@@ -175,6 +199,7 @@ class AutoTieringOPM(_HintFaultPolicy):
 
     make_room_on_promote = False
     track_history = True
+    quiet_when_dram_full = False
 
     def daemons(self) -> list[Daemon]:
         cfg = self.system.config.daemons
@@ -219,30 +244,52 @@ class AutoTieringOPM(_HintFaultPolicy):
     def _demote_cold(self, node: NumaNode, target: int, budget: int) -> tuple[int, int]:
         """Demote DRAM pages whose n-bit history is all zeros.
 
-        Returns ``(demoted, scanned)``; the caller charges the scan time,
-        keeping demand-path and daemon-path accounting separate.
+        Visits each list tail first (inactive before active, anon before
+        file) until ``target`` pages moved, ``budget`` pages were
+        visited, or, per list, the destination has no frame for a cold
+        page.  The visit reads the link, ``hint_history`` and flag
+        columns, so only the pages it moves are looked up as ``Page``
+        objects; a list's prefix is a dozen pages on a typical call, too
+        short for a column mask's fixed numpy cost to pay off.  Returns
+        ``(demoted, scanned)``; the caller charges the scan time, keeping
+        demand-path and daemon-path accounting separate.
         """
-        dest = movement.demotion_destination(self.system, node)
+        system = self.system
+        dest = movement.demotion_destination(system, node)
         if dest is None:
             return 0, 0
+        store = system.pagestore
+        step = store.lru_prev.item
+        history = store.hint_history.item
+        flags = store.flags.item
+        migrate = system.migrator.migrate_with_retry
         demoted = 0
         scanned = 0
         for kind in (ListKind.INACTIVE, ListKind.ACTIVE):
             for is_anon in (True, False):
                 lst = node.lruvec.list_for(kind, is_anon)
-                for page in lst.iter_from_tail():
-                    if demoted >= target or scanned >= budget:
-                        break
-                    scanned += 1
-                    if (page.policy_data or 0) != 0:
-                        continue
-                    if page.test(_PINNED):
+                count = min(len(lst), budget - scanned)
+                if demoted >= target or count <= 0:
+                    continue
+                # A demoted page leaves the list; read the next link first.
+                cursor = lst._tail
+                visited = count
+                for i in range(count):
+                    pfn = cursor
+                    cursor = step(pfn)
+                    if history(pfn) or flags(pfn) & _PINNED:
                         continue
                     if not dest.can_allocate():
+                        visited = i + 1
                         break
-                    if self.system.migrator.migrate_with_retry(page, dest).ok:
+                    page = store.pages[pfn]
+                    if migrate(page, dest).ok:
                         page.clear(_REFERENCED_ACTIVE)
                         dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
                         demoted += 1
-        self.system.stats.inc("opm.cold_demotions", demoted)
+                        if demoted >= target:
+                            visited = i + 1
+                            break
+                scanned += visited
+        system.stats.inc("opm.cold_demotions", demoted)
         return demoted, scanned

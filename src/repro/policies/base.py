@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
@@ -90,7 +90,26 @@ class TieringPolicy(abc.ABC):
 
     def on_hint_fault(self, page: Page) -> None:
         """Called when an access to ``page`` trips a poisoned translation
-        (hint-fault trackers)."""
+        (hint-fault trackers) and the hint fault is an event (see
+        :meth:`quiet_hint_nodes`).  An override starts with
+        :meth:`note_hint_faults` for ``page``, then places it."""
+
+    def note_hint_faults(self, pfns: Sequence[int]) -> None:
+        """The bookkeeping of one hint fault on each of ``pfns`` (a list
+        or an int64 array): all that :meth:`on_hint_fault` does for a
+        page on a quiet node."""
+
+    def quiet_hint_nodes(self) -> Sequence[bool] | None:
+        """Per node id, whether a hint fault on a page there moves no page.
+
+        The access driver charges such a hint fault in place (un-poison,
+        ``hint_fault_ns``, ``faults.hint`` and :meth:`note_hint_faults`)
+        instead of stepping it through ``MemorySystem.touch``.  It asks
+        again after every event and daemon wakeup, so the answer need
+        hold only until the next one.  None, the default, makes every
+        hint fault an event.
+        """
+        return None
 
     def charge_access(self, page: Page, is_write: bool, lines: int = 1) -> int:
         """Latency of one access touching ``lines`` cache lines.

@@ -1,16 +1,17 @@
 """The one access driver against the per-access definition of an access.
 
 ``Machine.touch_batch`` charges column blocks in place and calls
-``MemorySystem.touch`` only for events: faults, hint faults and
-supervised positions.  The reference is the obviously-correct loop: one
+``MemorySystem.touch`` only for events: faults, hint faults that may
+move a page, and supervised positions.  A hint fault that moves no page
+is charged in place too.  The reference is the obviously-correct loop: one
 ``Machine.touch`` per access.  For fixed-seed workloads both must end
 with the same counter snapshot, the same virtual clock (all three
 buckets), and daemons fired at the same virtual times.
 
 The metamorphic check cuts one access stream into blocks at arbitrary
 points — length-1 blocks, an all-slow block, blocks straddling daemon
-deadlines — under hint faults (with and without demand demotion of
-other pages in the handler), memory-mode (every position slow),
+deadlines — under hint faults (CPM, AutoNUMA, and OPM, whose handler
+demotes other pages), memory-mode (every position slow),
 supervised regions, an unmapped vpage, a PM slowdown window opening
 mid-block and a memcg limit.  Every cutting must end bit-identical to
 the per-access loop.
@@ -27,6 +28,8 @@ from mixed_supervision import MixedSupervisionWorkload
 import repro.machine as machine_module
 from repro.faults import FaultPlan, PmSlowdown
 from repro.machine import AccessBlock, Machine
+from repro.mm.hardware import MemoryTier
+from repro.mm.lruvec import ListKind
 from repro.mm.memcg import ProcessKilledError
 from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.sim.events import Daemon
@@ -158,6 +161,27 @@ def _count_touches(machine: Machine) -> list[int]:
     return calls
 
 
+def _count_loud_hints(machine: Machine) -> list[int]:
+    """Count the hint faults handed to ``on_hint_fault`` from now on:
+    the ones that are events.  A quiet one moves no page and is charged
+    by the driver."""
+    policy = machine.policy
+    handler = policy.on_hint_fault
+    calls = [0]
+
+    def counted(page):
+        calls[0] += 1
+        return handler(page)
+
+    policy.on_hint_fault = counted
+    return calls
+
+
+def _events(stats: dict, loud_hints: int) -> int:
+    """``MemorySystem.touch`` calls of a run with no supervised region."""
+    return stats["faults.minor"] + stats["faults.major"] + loud_hints
+
+
 @pytest.mark.parametrize("sink", ["tracing", "metrics", "memcg"])
 def test_arming_a_sink_never_moves_a_position_between_paths(sink: str):
     """The same positions reach ``MemorySystem.touch`` whether or not an
@@ -215,12 +239,14 @@ def test_warm_pass_never_detours(policy: str):
 
 @pytest.mark.parametrize("policy", ["nimble", "autotiering-cpm"])
 def test_cold_pass_touches_once_per_fault(policy: str):
-    """``MemorySystem.touch`` runs exactly once per fault or hint fault.
+    """``MemorySystem.touch`` runs exactly once per fault or loud hint fault.
 
     A cold Zipf pass with no supervised region: every call is a first
-    touch, a swap refault or a poisoned PTE, and no fast position in
-    between takes the per-access path.  Under nimble, which takes no
-    hint faults, that is the 1,408 minor faults alone.
+    touch, a swap refault or a poisoned PTE whose hint fault may move a
+    page, and no fast position in between takes the per-access path.
+    Under nimble, which takes no hint faults, that is the 1,408 minor
+    faults alone.  Under CPM most hint faults are quiet (a DRAM page, or
+    a PM page while DRAM is full) and the driver charges them itself.
     """
     config = _config(dram_pages=(256,), pm_pages=(2048,), seed=42)
     machine = Machine(config, policy)
@@ -228,33 +254,35 @@ def test_cold_pass_touches_once_per_fault(policy: str):
     workload.setup(machine)
     batches = list(workload.numeric_batches())
     calls = _count_touches(machine)
+    loud = _count_loud_hints(machine)
     machine.touch_batch_array(workload.process, batches, lines=workload.lines)
     stats = machine.stats.snapshot()
-    faults = stats["faults.minor"] + stats["faults.major"] + stats["faults.hint"]
-    assert calls[0] == faults
+    assert calls[0] == _events(stats, loud[0])
     if policy == "nimble":
         assert calls[0] == 1408
     else:
-        assert stats["faults.hint"] > 0
+        assert 0 < loud[0] < stats["faults.hint"], "no quiet hint fault"
 
 
 @pytest.mark.parametrize("column_run", [1, 1 << 30])
 def test_column_run_moves_only_host_time(monkeypatch, column_run: int):
     """Sweeping every run in columns, or every run in the Python loop,
-    ends bit-identical to the per-access loop with the same events."""
+    ends bit-identical to the per-access loop with the same events,
+    quiet hint faults charged in both."""
     monkeypatch.setattr(machine_module, "_COLUMN_RUN", column_run)
     __, per_access = _drive("autotiering-cpm", "shifting", batched=False)
     machine = Machine(_config(), "autotiering-cpm")
     workload = WORKLOADS["shifting"]()
     workload.setup(machine)
     calls = _count_touches(machine)
+    loud = _count_loud_hints(machine)
     machine.touch_batch(workload.blocks())
     clock = machine.clock
     stats = machine.stats.snapshot()
     assert stats == per_access[0]
     assert (clock.now_ns, clock.app_ns, clock.system_ns) == per_access[1:]
-    faults = stats["faults.minor"] + stats["faults.major"] + stats["faults.hint"]
-    assert calls[0] == faults
+    assert calls[0] == _events(stats, loud[0])
+    assert loud[0] < stats["faults.hint"], "no quiet hint fault"
 
 
 def test_touch_batch_returns_access_and_operation_counts():
@@ -273,8 +301,8 @@ N_ACCESSES = 1500
 N_COLD = 40
 UNMAPPED_AT = 1100
 SCENARIOS = (
-    "autotiering-cpm", "autotiering-opm", "memory-mode", "supervised", "unmapped",
-    "pm-slowdown", "memcg-limit",
+    "autotiering-cpm", "autotiering-opm", "autonuma", "memory-mode", "supervised",
+    "unmapped", "pm-slowdown", "memcg-limit",
 )
 
 
@@ -300,7 +328,7 @@ def _stream(scenario: str) -> list[tuple[int, int, bool, int, bool]]:
 
 
 def _machine(scenario: str):
-    named = ("autotiering-cpm", "autotiering-opm", "memory-mode")
+    named = ("autotiering-cpm", "autotiering-opm", "autonuma", "memory-mode")
     policy = {name: name for name in named}
     daemons = DaemonConfig(
         kpromoted_interval_s=0.0005,
@@ -416,8 +444,9 @@ def test_each_scenario_reaches_its_path(scenario):
     outcome = _reference(scenario)
     stats = outcome["stats"]
     assert len(outcome["fires"]) > 5
-    if scenario == "autotiering-cpm":
+    if scenario in ("autotiering-cpm", "autonuma"):
         assert stats["faults.hint"] > 0
+        assert stats["hint.promotions"] > 0
     if scenario == "autotiering-opm":
         # The hint-fault handler promotes, and demotes other pages to
         # make room, in the middle of a block.
@@ -568,6 +597,190 @@ def test_a_block_that_asks_for_no_charges_is_left_untouched():
             (block.vpage, block.write, block.lines, block.op_boundary), columns
         ):
             assert np.array_equal(column, kept)
+
+
+# -- quiet hint faults ---------------------------------------------------------
+#
+# A hint fault that moves no page is charged by the driver, not stepped
+# as an event: on a DRAM page, and, for CPM and AutoNUMA, on a PM page
+# while no DRAM node has a free frame.  Each case below changes which
+# hint faults are quiet in the middle of a block.
+
+
+def _place(machine: Machine, process, vpage: int, node_id: int) -> None:
+    """Map ``vpage`` to a new page on ``node_id``, poisoned."""
+    node = machine.system.nodes[node_id]
+    page = node.allocate_page(is_anon=True)
+    process.page_table.map(vpage, page)
+    node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+    process.page_table.poison(vpage)
+
+
+def _demote_one(machine: Machine):
+    """A daemon body that moves DRAM's inactive tail page to PM."""
+    system = machine.system
+
+    def run(now: int) -> int:
+        dram, pm = system.nodes[0], system.nodes[1]
+        page = dram.lruvec.list_for(ListKind.INACTIVE, True).tail
+        if page is not None and system.migrator.migrate_with_retry(page, pm).ok:
+            pm.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+        return 0
+
+    return run
+
+
+def _quiet_case(case: str):
+    """``(machine, process, rows, fires)`` for one case, built alike for
+    the per-access loop and the driver."""
+    policy = {"opm-demote": "autotiering-opm", "autonuma": "autonuma"}.get(
+        case, "autotiering-cpm"
+    )
+    daemons = DaemonConfig(
+        kpromoted_interval_s=1.0, hint_scan_interval_s=1.0,
+        kswapd_interval_s=0.00002 if case == "opm-demote" else 1.0,
+    )
+    machine = Machine(
+        _config(dram_pages=(32,), pm_pages=(512,), daemons=daemons), policy
+    )
+    process = machine.create_process("p")
+    process.mmap_anon(0, 300)
+    # A quiet hint fault costs 2.5 us: a probe every 11 us leaves a few
+    # in each run between deadlines, so a run holds a page's duplicates.
+    fires: list[int] = []
+    machine.scheduler.register(Daemon(
+        "probe", 0.000011 if case == "straddle" else 0.000002,
+        lambda now: fires.append(now) or 0,
+    ))
+    rng = np.random.default_rng(5)
+    if case == "straddle":
+        # DRAM pages only, all poisoned again every 30 us: each page's
+        # positions straddle runs, column sweeps and deadlines.
+        for vpage in range(24):
+            _place(machine, process, vpage, 0)
+
+        def poison_all(now: int) -> int:
+            for vpage in range(24):
+                process.page_table.poison(vpage)
+            return 0
+
+        machine.scheduler.register(Daemon("poisoner", 0.00003, poison_all))
+        vpages = rng.integers(0, 24, 600)
+    else:
+        # DRAM holds 24 pages (8 frames free, or none after a fill);
+        # 100 PM pages and 50 unmapped vpages that fault in.
+        for vpage in range(24):
+            _place(machine, process, vpage, 0)
+        for vpage in range(100, 200):
+            _place(machine, process, vpage, 1)
+        if case in ("dram-frees", "autonuma", "opm-demote"):
+            for vpage in range(24, 32):
+                _place(machine, process, vpage, 0)
+        if case in ("dram-frees", "autonuma"):
+            machine.scheduler.register(Daemon("freer", 0.00002, _demote_one(machine)))
+        pool = np.concatenate([np.arange(32), np.arange(100, 200), np.arange(250, 300)])
+        vpages = rng.choice(pool, size=900)
+        if case == "opm-demote":
+            # The DRAM pages first: one quiet run that opm-demote cuts.
+            vpages[:300] = np.tile(np.arange(32), 10)[:300]
+    rows = [
+        (int(v), bool(w), int(n))
+        for v, w, n in zip(vpages, rng.random(len(vpages)) < 0.3,
+                           rng.integers(1, 5, len(vpages)))
+    ]
+    return machine, process, rows, fires
+
+
+QUIET_CASES = ("dram-fills", "dram-frees", "opm-demote", "straddle", "autonuma")
+
+_QUIET_REFERENCE: dict[str, tuple] = {}
+
+
+def _hint_class(machine: Machine, page) -> str:
+    system = machine.system
+    if system.tier_of(page) is MemoryTier.DRAM:
+        return "dram"
+    return "pm-room" if any(node.free for node in system.dram_nodes()) else "pm-full"
+
+
+def _quiet_reference(case: str) -> tuple:
+    """The per-access loop's outcome and charges, and each hint fault's
+    ``(class, pfn)`` in order."""
+    if case not in _QUIET_REFERENCE:
+        machine, process, rows, fires = _quiet_case(case)
+        handler = machine.policy.on_hint_fault
+        hints: list[tuple[str, int]] = []
+
+        def logged(page):
+            hints.append((_hint_class(machine, page), page.pfn))
+            return handler(page)
+
+        machine.policy.on_hint_fault = logged
+        dram_at_start = {
+            page.pfn for page in machine.system.pagestore.pages
+            if machine.system.tier_of(page) is MemoryTier.DRAM
+        }
+        charges = [
+            machine.touch(process, v, is_write=w, lines=n) for v, w, n in rows
+        ]
+        _QUIET_REFERENCE[case] = (
+            _outcome(machine, fires, None), charges, hints, dram_at_start
+        )
+    return _QUIET_REFERENCE[case]
+
+
+@pytest.mark.parametrize("column_run", [1, machine_module._COLUMN_RUN, 1 << 30])
+@pytest.mark.parametrize("case", QUIET_CASES)
+def test_quiet_hint_faults_match_per_access(monkeypatch, case, column_run):
+    """Counters, clocks, daemon fire times and every position's charge,
+    ``hint_fault_ns`` of the quiet ones included, equal the per-access
+    loop's; only the loud hint faults reach ``MemorySystem.touch``."""
+    expected, expected_charges, __, __ = _quiet_reference(case)
+    monkeypatch.setattr(machine_module, "_COLUMN_RUN", column_run)
+    machine, process, rows, fires = _quiet_case(case)
+    calls = _count_touches(machine)
+    loud = _count_loud_hints(machine)
+    seen: list[AccessBlock] = []
+    blocks = (
+        AccessBlock(
+            process, np.array(v, dtype=np.int64), np.array(w, dtype=bool),
+            np.array(n, dtype=np.int64), np.ones(len(v), dtype=bool),
+        )
+        for v, w, n in (zip(*rows[i:i + 150]) for i in range(0, len(rows), 150))
+    )
+    machine.touch_batch(_asking(blocks, seen))
+    assert _outcome(machine, fires, None) == expected
+    assert _charged(seen)[0] == expected_charges
+    stats = expected["stats"]
+    assert calls[0] == _events(stats, loud[0])
+    assert loud[0] < stats["faults.hint"], "no quiet hint fault"
+
+
+@pytest.mark.parametrize("case", QUIET_CASES)
+def test_each_quiet_case_reaches_its_path(case):
+    """Guard the guards, on the per-access run's hint faults."""
+    outcome, charges, hints, dram_at_start = _quiet_reference(case)
+    classes = [cls for cls, __ in hints]
+    assert len(outcome["fires"]) > 20
+    hint_ns = Machine(_config(), "static").system.hardware.hint_fault_ns()
+    assert sum(charge >= hint_ns for charge in charges) >= len(hints)
+    if case == "dram-fills":
+        # Promotions fill DRAM mid-block, then PM hint faults are quiet.
+        assert "pm-room" in classes
+        assert "pm-full" in classes[classes.index("pm-room"):]
+    if case in ("dram-frees", "autonuma"):
+        # The freer's frame turns a quiet PM hint fault loud again.
+        assert "pm-full" in classes
+        assert "pm-room" in classes[classes.index("pm-full"):]
+        assert outcome["stats"]["hint.promotions"] > 8
+    if case == "opm-demote":
+        # opm-demote moved a DRAM page, quiet when the block began, to
+        # PM before its first access.
+        assert any(cls != "dram" and pfn in dram_at_start for cls, pfn in hints)
+        assert outcome["stats"]["opm.cold_demotions"] > 0
+    if case == "straddle":
+        assert set(classes) == {"dram"}
+        assert len(hints) > 4 * 24
 
 
 # -- an event that raises ------------------------------------------------------

@@ -127,7 +127,7 @@ def test_opm_makes_room_by_demoting_cold_pages():
     vpage = 0
     while dram.can_allocate():
         page = dram.allocate_page(is_anon=True)
-        page.policy_data = 0  # all-cold history
+        machine.system.pagestore.hint_history[page.pfn] = 0  # all-cold history
         process.page_table.map(vpage, page)
         dram.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
         vpage += 1
@@ -149,7 +149,7 @@ def test_opm_spares_warm_history_pages():
     vpage = 0
     while dram.can_allocate():
         page = dram.allocate_page(is_anon=True)
-        page.policy_data = 0b0101  # warm history
+        machine.system.pagestore.hint_history[page.pfn] = 0b0101  # warm history
         process.page_table.map(vpage, page)
         dram.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
         vpage += 1
@@ -168,16 +168,17 @@ def test_opm_history_shift_and_set():
     process = machine.create_process()
     process.mmap_anon(0, 8)
     page = resident(machine, process, 0)
+    history = machine.system.pagestore.hint_history
     table = process.page_table
     scanner: HintFaultScanner = machine.policy._scanner
     scanner.run(0)  # shift + poison
     machine.system.touch(process, 0)  # fault sets LSB
-    assert (page.policy_data or 0) & 1 == 1
+    assert history[page.pfn] & 1 == 1
     # Idle scans age the history toward zero.
     for __ in range(HISTORY_BITS):
         scanner.run(0)
         table.v2p[table._slot(0)] = page.pfn  # never re-touched
-    assert page.policy_data == 0
+    assert history[page.pfn] == 0
 
 
 def test_autonuma_is_cpm_like_without_history():

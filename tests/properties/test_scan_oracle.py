@@ -24,7 +24,12 @@ Three walk shapes appear, as in the simulator:
   it (active before inactive, anon before file) and promotes every page
   it finds referenced, demand-demoting DRAM's inactive tail when DRAM
   is full; the demoted pages land at the PM inactive heads, where a
-  later snapshot sees them.
+  later snapshot sees them;
+* AutoTiering-OPM's cold demotion walks each DRAM list tail first
+  (inactive before active, anon before file), visits at most ``budget``
+  pages in all, skips a page with history bits or a pin, stops a list
+  at the first cold page the destination has no frame for, and stops
+  everything once ``target`` pages moved.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.mm.lruvec import ListKind
 from repro.mm.memcg import MemcgController
 from repro.mm.system import MemorySystem
 from repro.mm.vmscan import deactivate_excess_active
+from repro.policies.autotiering import AutoTieringOPM
 from repro.policies.nimble import NimblePolicy
 from repro.sim.config import DaemonConfig, SimulationConfig
 from repro.trace.tracer import Tracer
@@ -434,3 +440,123 @@ def test_nimble_promote_scan_matches_the_reference_model(records, cold, room, bu
     assert nimble_state(system) == (lists, pages)
     assert system.stats.get("nimble.promotions") == model.promotions
     assert charged == system.hardware.scan_ns(scanned)
+
+
+# -- AutoTiering-OPM's cold demotion ------------------------------------------
+
+OPM_LISTS = tuple((kind, anon) for kind in ("inactive", "active") for anon in (True, False))
+
+
+@dataclass
+class OpmRec:
+    history: int
+    pinned: int  # 0, or the LOCKED or UNEVICTABLE bit
+    referenced: bool
+    active: bool
+
+    def flag_word(self) -> int:
+        word = int(PageFlags.LRU) | self.pinned
+        if self.referenced:
+            word |= int(PageFlags.REFERENCED)
+        if self.active:
+            word |= int(PageFlags.ACTIVE)
+        return word
+
+
+@dataclass
+class OpmModel:
+    """DRAM lists walked one page at a time; PM as a count of free frames."""
+
+    pages: dict[int, OpmRec]
+    anon: dict[int, bool]
+    dram: dict[tuple, list[int]]  # (kind, anon) -> pfns, tail first
+    pm: dict[bool, list[int]]  # anon -> PM inactive pfns, tail first
+    room: int
+
+    def demote_cold(self, target: int, budget: int) -> tuple[int, int]:
+        demoted = scanned = 0
+        for key in OPM_LISTS:
+            for pfn in list(self.dram[key]):
+                if demoted >= target or scanned >= budget:
+                    break
+                scanned += 1
+                rec = self.pages[pfn]
+                if rec.history or rec.pinned:
+                    continue
+                if not self.room:
+                    break  # this list only: the next one is walked too
+                self.room -= 1
+                self.dram[key].remove(pfn)
+                rec.referenced = rec.active = False
+                self.pm[self.anon[pfn]].append(pfn)
+                demoted += 1
+        return demoted, scanned
+
+
+_PINS = (0, 0, int(PageFlags.LOCKED), int(PageFlags.UNEVICTABLE))
+
+
+def opm_record(value: int) -> tuple:
+    """Decode one generated int into (list, history, pin, referenced):
+    half the pages all-cold, a quarter of them pinned."""
+    key = OPM_LISTS[value & 3]
+    history = (value >> 2) & 15 if (value >> 6) & 1 else 0
+    return key, history, _PINS[(value >> 7) & 3], bool((value >> 9) & 1)
+
+
+def build_opm(values, room):
+    system = MemorySystem(SimulationConfig(dram_pages=(len(values) + 1,), pm_pages=(64,)))
+    policy = AutoTieringOPM(system)
+    dram, pm = system.nodes[0], system.nodes[NODE]
+    for __ in range(pm.capacity_pages - room):
+        pm.allocate_page(is_anon=True)  # occupied frames on no list
+    store = system.pagestore
+    model = OpmModel({}, {}, {key: [] for key in OPM_LISTS}, {True: [], False: []}, room)
+    for key, history, pinned, referenced in map(opm_record, values):
+        kind, anon = key
+        page = dram.allocate_page(is_anon=anon)
+        dram.lruvec.list_for(LIST_KIND[kind], anon).add_head(page)
+        rec = OpmRec(history, pinned, referenced, active=kind == "active")
+        store.flags[page.pfn] = rec.flag_word()
+        store.hint_history[page.pfn] = history
+        model.pages[page.pfn] = rec
+        model.anon[page.pfn] = anon
+        model.dram[key].append(page.pfn)
+    return system, policy, model
+
+
+def opm_state(system):
+    store = system.pagestore
+    lists = {
+        ("dram", key): [page.pfn for page in system.nodes[0].lruvec.list_for(
+            LIST_KIND[key[0]], key[1]).iter_from_tail()]
+        for key in OPM_LISTS
+    }
+    for anon in (True, False):
+        lists[("pm", anon)] = [page.pfn for page in system.nodes[NODE].lruvec.list_for(
+            ListKind.INACTIVE, anon).iter_from_tail()]
+    pages = {pfn: (int(store.flags[pfn]), int(store.node[pfn]))
+             for order in lists.values() for pfn in order}
+    return lists, pages
+
+
+@settings(max_examples=300)
+@given(
+    values=st.one_of(st.lists(st.integers(0, 1023), max_size=6),
+                     st.lists(st.integers(0, 1023), max_size=120)),
+    room=st.one_of(st.integers(0, 4), st.integers(0, 64)),
+    target=st.one_of(st.integers(0, 4), st.integers(0, 130)),
+    budget=st.one_of(st.integers(0, 8), st.integers(0, 140)),
+)
+def test_opm_cold_demotion_matches_the_reference_model(values, room, target, budget):
+    system, policy, model = build_opm(values, room)
+    result = policy._demote_cold(system.nodes[0], target, budget)
+    assert result == model.demote_cold(target, budget)
+
+    lists = {("dram", key): order for key, order in model.dram.items()}
+    lists.update({("pm", anon): order for anon, order in model.pm.items()})
+    pages = {pfn: (model.pages[pfn].flag_word(), NODE if pfn in model.pm[model.anon[pfn]] else 0)
+             for order in lists.values() for pfn in order}
+    assert opm_state(system) == (lists, pages)
+    assert system.stats.get("opm.cold_demotions") == result[0]
+    assert system.nodes[NODE].free == model.room
