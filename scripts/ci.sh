@@ -203,8 +203,8 @@ python -m repro trace --workload zipf --pages 600 --ops 4000 \
     --audit
 test -s "$TRACE_TMP/events.ndjson"
 
-echo "== invariant checker against clean runs (multiclock, the hint-fault policies that poison, and a memcg limit) =="
-for policy in multiclock autotiering-cpm autotiering-opm autonuma; do
+echo "== invariant checker against clean runs (multiclock, nimble's demand demotion, the hint-fault policies that poison, and a memcg limit) =="
+for policy in multiclock nimble autotiering-cpm autotiering-opm autonuma; do
     python -m repro check --policy "$policy" --workload shifting-hotset --pages 800 \
         --ops 6000 --dram-pages 256 --pm-pages 2048 --interval 0.002 --strict
 done

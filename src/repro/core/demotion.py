@@ -31,8 +31,9 @@ _LOCKED = int(PageFlags.LOCKED)
 class DemotionDaemon:
     """Per-node kswapd running the Section III-C pressure pipeline.
 
-    Policy-agnostic by duck typing: the policy must provide
-    ``demotion_destination(node)`` and ``promote_page(page)``; a policy
+    Policy-agnostic: it moves pages through the policy's
+    :class:`~repro.policies.base.TieringPolicy` movement interface
+    (``demotion_destination(node)`` and ``promote_page(page)``); a policy
     with a ``promote_list_added`` accounting hook (MULTI-CLOCK) feeds its
     promote list during the active-list rebalance, others run vanilla
     CLOCK.

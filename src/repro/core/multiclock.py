@@ -18,7 +18,6 @@ from repro.mm.numa import NumaNode
 from repro.mm.page import Page
 from repro.mm.system import MemorySystem
 from repro.mm.vmscan import mark_page_accessed
-from repro.policies import movement
 from repro.policies.base import PolicyFeatures, TieringPolicy, register_policy
 from repro.sim.events import Daemon
 
@@ -78,21 +77,6 @@ class MultiClockPolicy(TieringPolicy):
             Daemon(ks.name, cfg.kswapd_interval_s, ks.run) for ks in self._kswapd
         ]
         return promoted + swapd
-
-    # -- tier movement -------------------------------------------------------
-
-    def demotion_destination(self, node: NumaNode) -> NumaNode | None:
-        """Where ``node`` demotes to: the roomiest node one tier down."""
-        return movement.demotion_destination(self.system, node)
-
-    def promote_page(self, page: Page) -> bool:
-        """Edge 13: migrate a selected page up to the DRAM tier.
-
-        If DRAM has no free frame, demand-demote from its inactive tail
-        first — "promotions from the lower tier result in immediate page
-        demotions from the higher tier" (Section III-C).
-        """
-        return movement.promote_page(self.system, page, make_room=True)
 
     # -- reclaim ---------------------------------------------------------------
 

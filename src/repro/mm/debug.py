@@ -14,6 +14,9 @@ Checks, mirroring their kernel analogues:
   maintained counts, head/tail terminate properly (``list_head`` checks);
 * single residence — every page sits on exactly one list, on the node it
   is accounted to, with its LRU flag matching (``VM_BUG_ON_PAGE(PageLRU)``);
+* active flag      — a page carries ``ACTIVE`` exactly when it sits on an
+  active list, never on an inactive, promote or unevictable one (the
+  kernel's ``PageActive``/list agreement);
 * frame accounting — each node's ``used_pages`` equals the distinct pages
   resident on it (LRU lists plus mapped off-list pages), and its cached
   ``free`` and ``level`` equal capacity − used − offline and that count's
@@ -95,6 +98,7 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
         resident_by_node[node.node_id] = node_resident
         for lst in node.lruvec.all_lists():
             where = f"node{node.node_id}:{lst.name}"
+            on_active = lst.kind is ListKind.ACTIVE
             count = 0
             prev = None
             cursor = lst.head
@@ -134,6 +138,12 @@ def check_invariants(system: "MemorySystem") -> list[Violation]:
                     violations.append(Violation(
                         "single-residence",
                         f"pfn={cursor.pfn} on {where} but accounted to node {cursor.node_id}",
+                    ))
+                if cursor.test(PageFlags.ACTIVE) is not on_active:
+                    violations.append(Violation(
+                        "active-flag",
+                        f"pfn={cursor.pfn} on {where} "
+                        f"{'without' if on_active else 'with'} the ACTIVE flag",
                     ))
                 if lst.kind is ListKind.UNEVICTABLE and not cursor.test(PageFlags.UNEVICTABLE):
                     violations.append(Violation(

@@ -9,7 +9,10 @@ both MULTI-CLOCK and the baselines share:
 * ``mark_page_accessed`` — the supervised-access inline state update;
 * ``shrink_active_list``-style deactivation of the active tail;
 * ``shrink_inactive_list``-style reclaim scanning, with demotion to a
-  lower tier or eviction to the backing store.
+  lower tier or eviction to the backing store;
+* ``demote_page`` — the one demotion step (migrate down, drop the
+  recency flags, join the destination's inactive head) that the scan,
+  demand demotion and AutoTiering-OPM's cold demotion share.
 
 The one MULTI-CLOCK-specific transition (active-referenced page accessed
 again → promote list, edge 10 of Figure 4) is injected — as the
@@ -36,6 +39,7 @@ __all__ = [
     "mark_page_accessed",
     "deactivate_excess_active",
     "shrink_inactive_list",
+    "demote_page",
     "PromoteListFn",
     "ScanResult",
     "ScanWeightFn",
@@ -58,6 +62,7 @@ _PROMOTE = int(PageFlags.PROMOTE)
 _UNEVICTABLE = int(PageFlags.UNEVICTABLE)
 _PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
 _LRU = int(PageFlags.LRU)
+_REFERENCED_ACTIVE = _REFERENCED | _ACTIVE
 
 
 @dataclass
@@ -305,19 +310,15 @@ def shrink_inactive_list(
                 continue
             # Over-limit group: no recency ladder — fall through and
             # reclaim the page as if it were idle (proportional reclaim).
-        if demote_dest is not None and demote_dest.can_allocate():
-            outcome = system.migrator.migrate_with_retry(page, demote_dest)
-            if outcome.ok:
-                # Fresh read-modify-write: migration may have touched
-                # the flag word since it was sampled above.
-                col_flags[pfn] = col_flags.item(pfn) & ~_REFERENCED
-                demote_dest.lruvec.list_for(ListKind.INACTIVE, is_anon).add_head(page)
-                result.demoted += 1
-                if tr is not None:
-                    tr.trace_mm_vmscan_demote(
-                        node.node_id, page.pfn, demote_dest.node_id, scanner
-                    )
-                continue
+        if (
+            demote_dest is not None
+            and demote_dest.can_allocate()
+            and demote_page(system, page, demote_dest)
+        ):
+            result.demoted += 1
+            if tr is not None:
+                tr.trace_mm_vmscan_demote(node.node_id, pfn, demote_dest.node_id, scanner)
+            continue
         if node.tier.next_lower() is None or demote_dest is None:
             try:
                 result.system_ns += system.unmap_and_evict(page)
@@ -338,6 +339,21 @@ def shrink_inactive_list(
             deactivated=0,
         )
     return result
+
+
+def demote_page(system: MemorySystem, page: Page, dest: NumaNode) -> bool:
+    """Migrate ``page`` down to ``dest`` (edge 3); False if it stays put.
+
+    A demoted page loses ``REFERENCED`` and ``ACTIVE`` and joins the
+    head of ``dest``'s inactive list of its family.
+    """
+    if not system.migrator.migrate_with_retry(page, dest).ok:
+        return False
+    flags = page._store.flags
+    pfn = page.pfn
+    flags[pfn] = flags.item(pfn) & ~_REFERENCED_ACTIVE
+    dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+    return True
 
 
 def _activate(node: NumaNode, page: Page) -> None:

@@ -32,6 +32,3 @@ class AutoNumaTiering(_HintFaultPolicy):
         usability_limitation="Config. NUMA Paths",
         key_insight="NUMA balancing",
     )
-
-    make_room_on_promote = False
-    track_history = False

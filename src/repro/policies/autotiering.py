@@ -24,14 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mm.flags import PageFlags
-from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
 from repro.mm.page_table import UNMAPPED
 from repro.mm.system import MemorySystem
+from repro.mm.vmscan import demote_page
 from repro.mm.watermarks import PressureLevel
-from repro.policies import movement
 from repro.policies.base import PolicyFeatures, TieringPolicy, register_policy
 from repro.sim.events import Daemon
 
@@ -48,7 +47,6 @@ _FANCY_INDEX_MIN = 8
 
 # Flag bits bound once as plain ints (see repro.mm.flags).
 _PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
-_REFERENCED_ACTIVE = int(PageFlags.REFERENCED | PageFlags.ACTIVE)
 
 
 class HintFaultScanner:
@@ -108,13 +106,9 @@ class HintFaultScanner:
 class _HintFaultPolicy(TieringPolicy):
     """Common mechanics of the hint-fault family."""
 
-    make_room_on_promote = False
     track_history = False
-    #: A hint fault on a DRAM page moves nothing.  Promoting only into
-    #: free DRAM (``promote_page`` without ``make_room``) moves nothing
-    #: either while no DRAM node has a free frame; OPM's promotion
-    #: demotes to make room, so its PM hint faults always are events.
-    quiet_when_dram_full = True
+    #: Promote only into free DRAM: nothing makes room (CPM, AutoNUMA).
+    make_room = None
 
     def __init__(self, system: MemorySystem) -> None:
         super().__init__(system)
@@ -129,7 +123,10 @@ class _HintFaultPolicy(TieringPolicy):
         return [Daemon("hint-scanner", cfg.hint_scan_interval_s, self._scanner.run)]
 
     def quiet_hint_nodes(self) -> tuple[bool, ...]:
-        if self.quiet_when_dram_full and not any(
+        """A hint fault on a DRAM page moves nothing; with nothing to make
+        room, neither does one on a PM page while no DRAM node has a free
+        frame."""
+        if self.make_room is None and not any(
             node.free for node in self.system.dram_nodes()
         ):
             return self._quiet_all
@@ -149,14 +146,8 @@ class _HintFaultPolicy(TieringPolicy):
     def on_hint_fault(self, page: Page) -> None:
         """Recency signal: the poisoned page was just accessed."""
         self.note_hint_faults([page.pfn])
-        if self.system.tier_of(page) is MemoryTier.PM:
-            if self._try_promote(page):
-                self._c_hint_promotions.n += 1
-
-    def _try_promote(self, page: Page) -> bool:
-        return movement.promote_page(
-            self.system, page, make_room=self.make_room_on_promote
-        )
+        if self.promote_page(page):
+            self._c_hint_promotions.n += 1
 
 
 @register_policy("autotiering-cpm")
@@ -176,9 +167,6 @@ class AutoTieringCPM(_HintFaultPolicy):
         key_insight="Migrate pages to the best NUMA node",
     )
 
-    make_room_on_promote = False
-    track_history = False
-
 
 @register_policy("autotiering-opm")
 class AutoTieringOPM(_HintFaultPolicy):
@@ -197,9 +185,7 @@ class AutoTieringOPM(_HintFaultPolicy):
         key_insight="Maintain N-bit history for demotion",
     )
 
-    make_room_on_promote = False
     track_history = True
-    quiet_when_dram_full = False
 
     def daemons(self) -> list[Daemon]:
         cfg = self.system.config.daemons
@@ -217,18 +203,12 @@ class AutoTieringOPM(_HintFaultPolicy):
     """Pages examined when a single fault needs room; kept small because
     this cost lands synchronously on the faulting access."""
 
-    def _try_promote(self, page: Page) -> bool:
-        if movement.promote_page(self.system, page, make_room=False):
-            return True
-        dest = movement.promotion_destination(self.system, page)
-        if dest is None:
-            return False
+    def make_room(self, dest: NumaNode) -> bool:
+        """Demote one history-cold page off ``dest``, charging the scan."""
         demoted, scanned = self._demote_cold(dest, target=1, budget=self._DEMAND_SCAN_BUDGET)
         if scanned:
             self.system.clock.advance_system(self.system.hardware.scan_ns(scanned))
-        if demoted == 0:
-            return False
-        return movement.promote_page(self.system, page, make_room=False)
+        return demoted > 0
 
     def _make_demoter(self, node: NumaNode):
         def run(now_ns: int) -> int:
@@ -255,14 +235,13 @@ class AutoTieringOPM(_HintFaultPolicy):
         demand-path and daemon-path accounting separate.
         """
         system = self.system
-        dest = movement.demotion_destination(system, node)
+        dest = self.demotion_destination(node)
         if dest is None:
             return 0, 0
         store = system.pagestore
         step = store.lru_prev.item
         history = store.hint_history.item
         flags = store.flags.item
-        migrate = system.migrator.migrate_with_retry
         demoted = 0
         scanned = 0
         for kind in (ListKind.INACTIVE, ListKind.ACTIVE):
@@ -282,10 +261,7 @@ class AutoTieringOPM(_HintFaultPolicy):
                     if not dest.can_allocate():
                         visited = i + 1
                         break
-                    page = store.pages[pfn]
-                    if migrate(page, dest).ok:
-                        page.clear(_REFERENCED_ACTIVE)
-                        dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+                    if demote_page(system, store.pages[pfn], dest):
                         demoted += 1
                         if demoted >= target:
                             visited = i + 1

@@ -23,6 +23,7 @@ from repro.mm.numa import NumaNode
 from repro.mm.page import Page
 from repro.mm.system import MemorySystem
 from repro.mm.vmscan import deactivate_excess_active, mark_page_accessed, shrink_inactive_list
+from repro.policies import movement
 from repro.sim.events import Daemon
 
 __all__ = ["PolicyFeatures", "TieringPolicy", "register_policy", "create_policy", "policy_names"]
@@ -110,6 +111,27 @@ class TieringPolicy(abc.ABC):
         hint fault an event.
         """
         return None
+
+    # -- tier movement (DemotionDaemon, KPromoted, the policies' own scans) --
+
+    def demotion_destination(self, node: NumaNode) -> NumaNode | None:
+        """Where ``node`` demotes to: the roomiest node one tier down."""
+        return movement.demotion_destination(self.system, node)
+
+    def promote_page(self, page: Page) -> bool:
+        """Migrate a selected PM page up to DRAM (edge 13), calling
+        :meth:`make_room` when the destination has no free frame."""
+        return movement.promote_page(self.system, page, make_room=self.make_room)
+
+    def make_room(self, dest: NumaNode) -> bool:
+        """Free one frame on the full DRAM node ``dest`` for a promotion.
+
+        Default: demand-demote a cold page — "promotions from the lower
+        tier result in immediate page demotions from the higher tier"
+        (Section III-C).  A policy that promotes only into free DRAM sets
+        ``make_room = None``.
+        """
+        return movement.demand_demote(self.system, dest)
 
     def charge_access(self, page: Page, is_write: bool, lines: int = 1) -> int:
         """Latency of one access touching ``lines`` cache lines.

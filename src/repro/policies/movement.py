@@ -1,15 +1,18 @@
 """Shared tier-movement helpers used by MULTI-CLOCK and the baselines.
 
-Every dynamic policy in the evaluation ultimately promotes pages into the
-roomiest DRAM node and, when DRAM is full, must decide whether to make
-room by demand-demoting cold DRAM pages first.  These helpers implement
-that mechanism once; the *selection* of which pages deserve to move is
-what differentiates the policies.
+Every dynamic policy in the evaluation promotes a page the same way,
+through :func:`promote_page`: into the roomiest DRAM node, preferring
+the owner's socket.  Policies differ in which pages they select and in
+how they make room when that node is full, which each states once as
+its ``make_room`` (see :class:`~repro.policies.base.TieringPolicy`):
+:func:`demand_demote` by default, nothing for AutoTiering-CPM and
+AutoNUMA, history-cold demotion for AutoTiering-OPM.  Every demotion is
+one :func:`repro.mm.vmscan.demote_page` step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.mm.flags import PageFlags
 from repro.mm.hardware import MemoryTier
@@ -18,7 +21,7 @@ from repro.mm.migrate import MigrationOutcome
 from repro.mm.numa import NumaNode
 from repro.mm.page import Page
 from repro.mm.system import MemorySystem
-from repro.mm.vmscan import shrink_inactive_list
+from repro.mm.vmscan import demote_page, shrink_inactive_list
 
 __all__ = [
     "roomiest",
@@ -31,7 +34,6 @@ __all__ = [
 # Flag bits bound once as plain ints (see repro.mm.flags).
 _PINNED = int(PageFlags.LOCKED | PageFlags.UNEVICTABLE)
 _PROMOTE_REFERENCED = int(PageFlags.PROMOTE | PageFlags.REFERENCED)
-_REFERENCED = int(PageFlags.REFERENCED)
 _ACTIVE = int(PageFlags.ACTIVE)
 _MIGRATED = MigrationOutcome.MIGRATED
 
@@ -85,15 +87,18 @@ def promote_page(
     system: MemorySystem,
     page: Page,
     *,
-    make_room: bool = True,
+    make_room: Callable[[NumaNode], bool] | None,
     place: ListKind = ListKind.ACTIVE,
 ) -> bool:
-    """Migrate ``page`` up to DRAM, optionally demand-demoting for room.
+    """Migrate a PM ``page`` up to DRAM; False for a DRAM page.
 
-    ``make_room=False`` is the *conservative* mode (AutoTiering-CPM,
-    which "migrate[s] pages to the best NUMA node" only when space
-    exists); ``make_room=True`` reproduces Section III-C's "promotions
-    from the lower tier result in immediate page demotions".
+    The destination is worked out once.  When it has no free frame,
+    ``make_room(dest)`` is asked to free one there and the promotion
+    fails unless it does; ``make_room=None`` is the *conservative* mode
+    (AutoTiering-CPM, which "migrate[s] pages to the best NUMA node" only
+    when space exists), and :func:`demand_demote` reproduces Section
+    III-C's "promotions from the lower tier result in immediate page
+    demotions".
     """
     store = page._store
     pfn = page.pfn
@@ -102,9 +107,8 @@ def promote_page(
     dest = promotion_destination(system, page)
     if dest is None:
         return False
-    if dest.free < 1:
-        if not make_room or not demand_demote(system, dest, pages=1):
-            return False
+    if dest.free < 1 and (make_room is None or not make_room(dest)):
+        return False
     if system.migrator.migrate_with_retry(page, dest) is not _MIGRATED:
         return False
     flags = store.flags
@@ -114,37 +118,27 @@ def promote_page(
     return True
 
 
-def demand_demote(system: MemorySystem, dram_node: NumaNode, pages: int) -> bool:
-    """Free ``pages`` frames on ``dram_node`` by demoting cold pages down.
+def demand_demote(system: MemorySystem, dram_node: NumaNode) -> bool:
+    """Free one frame on ``dram_node`` by demoting a cold page down.
 
-    First asks the PFRA scan for unreferenced inactive-tail pages; if the
-    scan finds none (everything recently touched), forces the inactive
-    tail out anyway so promotions cannot deadlock against a full tier.
+    First asks the PFRA scan for an unreferenced inactive-tail page; if
+    the scan finds none (everything recently touched), forces the first
+    unpinned inactive-tail page out anyway so promotions cannot deadlock
+    against a full tier.
     """
     dest = demotion_destination(system, dram_node)
     if dest is None or dest.free < 1:
         return False
-    freed = 0
     for is_anon in (True, False):
-        if freed >= pages:
-            break
         result = shrink_inactive_list(
             system, dram_node, is_anon,
-            target_free=pages - freed, budget=64, demote_dest=dest,
-            scanner="demand",
+            target_free=1, budget=64, demote_dest=dest, scanner="demand",
         )
-        freed += result.demoted + result.evicted
-    if freed >= pages:
-        return True
+        if result.demoted + result.evicted:
+            return True
     for is_anon in (True, False):
         inactive = dram_node.lruvec.list_for(ListKind.INACTIVE, is_anon)
         for page in inactive.iter_from_tail():
-            if freed >= pages:
+            if not page.test(_PINNED) and demote_page(system, page, dest):
                 return True
-            if page.test(_PINNED):
-                continue
-            if system.migrator.migrate_with_retry(page, dest).ok:
-                page.clear(_REFERENCED)
-                dest.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
-                freed += 1
-    return freed >= pages
+    return False

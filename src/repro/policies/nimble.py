@@ -23,9 +23,7 @@ from repro.core.demotion import DemotionDaemon
 from repro.mm.flags import PageFlags
 from repro.mm.lruvec import ListKind
 from repro.mm.numa import NumaNode
-from repro.mm.page import Page
 from repro.mm.system import MemorySystem
-from repro.policies import movement
 from repro.policies.base import PolicyFeatures, TieringPolicy, register_policy
 from repro.sim.events import Daemon
 
@@ -70,14 +68,6 @@ class NimblePolicy(TieringPolicy):
         ]
         return promoters + swapd
 
-    # -- movement interface consumed by DemotionDaemon ------------------------
-
-    def demotion_destination(self, node: NumaNode) -> NumaNode | None:
-        return movement.demotion_destination(self.system, node)
-
-    def promote_page(self, page: Page) -> bool:
-        return movement.promote_page(self.system, page, make_room=True)
-
     # -- the recency-only promotion scan ---------------------------------------
 
     def _make_promoter(self, node: NumaNode):
@@ -120,7 +110,7 @@ class NimblePolicy(TieringPolicy):
                 hot = harvested | (store.flags[walk] & _REFERENCED != 0)
                 for pfn in walk[hot].tolist():
                     page = store.pages[pfn]
-                    if movement.promote_page(system, page, make_room=True):
+                    if self.promote_page(page):
                         system.stats.inc("nimble.promotions")
                     else:
                         page.set(_REFERENCED)

@@ -9,6 +9,7 @@ import pytest
 from repro.machine import Machine
 from repro.mm.debug import InvariantChecker, InvariantError, check_invariants
 from repro.mm.flags import PageFlags
+from repro.mm.lruvec import ListKind
 from repro.mm.watermarks import PressureLevel
 from repro.run import run_workload
 from repro.sim.config import DaemonConfig, SimulationConfig
@@ -50,6 +51,26 @@ def test_missing_lru_flag_caught(machine):
     page, __ = first_listed_page(machine)
     page.clear(PageFlags.LRU)
     assert "list-structure" in checks_of(check_invariants(machine.system))
+
+
+@pytest.mark.parametrize("kind", list(ListKind))
+def test_flipped_active_flag_caught(machine, kind):
+    """PageActive agrees with the list: set on an active list, clear on
+    an inactive, promote or unevictable one."""
+    node = machine.system.nodes[0]
+    page = node.allocate_page(is_anon=True)
+    if kind is ListKind.ACTIVE:
+        page.set(PageFlags.ACTIVE)
+    elif kind is ListKind.UNEVICTABLE:
+        page.set(PageFlags.UNEVICTABLE)
+    elif kind is ListKind.PROMOTE:
+        page.set(PageFlags.PROMOTE)
+    node.lruvec.list_of(page, kind).add_head(page)
+    assert check_invariants(machine.system) == []
+    page.flags ^= PageFlags.ACTIVE
+    violations = check_invariants(machine.system)
+    assert checks_of(violations) == {"active-flag"}
+    assert f"pfn={page.pfn} on node0:{page.lru.name}" in violations[0].detail
 
 
 def test_broken_back_link_caught(machine):

@@ -10,6 +10,7 @@ from repro.mm.lruvec import ListKind
 from repro.mm.vmscan import (
     ScanResult,
     deactivate_excess_active,
+    demote_page,
     mark_page_accessed,
     shrink_inactive_list,
 )
@@ -154,6 +155,35 @@ def test_shrink_inactive_demotes_when_dest_given(system):
     assert page.node_id == pm.node_id
     assert page.lru.kind is ListKind.INACTIVE
     assert page.mapped  # demotion keeps the mapping
+
+
+def test_demote_page_drops_recency_and_joins_inactive_head(system):
+    """An active page (OPM demotes those too) lands unreferenced at the
+    head of the destination's inactive list of its family."""
+    dram, pm = system.nodes[0], system.nodes[1]
+    process = system.create_process()
+    process.mmap_anon(0, 16)
+    resident_page(system, pm, process, 0)
+    page = resident_page(system, dram, process, 1, kind=ListKind.ACTIVE)
+    page.set(PageFlags.REFERENCED)
+    assert demote_page(system, page, pm)
+    assert page.node_id == pm.node_id
+    assert page.lru is pm.lruvec.list_for(ListKind.INACTIVE, True)
+    assert page.lru.head is page
+    assert not page.test(PageFlags.REFERENCED | PageFlags.ACTIVE)
+    assert system.stats.get("migrate.demotions") == 1
+
+
+def test_demote_page_leaves_a_locked_page_in_place(system):
+    dram, pm = system.nodes[0], system.nodes[1]
+    process = system.create_process()
+    process.mmap_anon(0, 16)
+    page = resident_page(system, dram, process, 0)
+    page.set(PageFlags.LOCKED | PageFlags.REFERENCED)
+    assert not demote_page(system, page, pm)
+    assert page.node_id == dram.node_id
+    assert page.lru is dram.lruvec.list_for(ListKind.INACTIVE, True)
+    assert page.test(PageFlags.REFERENCED)
 
 
 def test_shrink_inactive_referenced_pages_climb(system):

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.machine import Machine
+from repro.mm.flags import PageFlags
 from repro.mm.hardware import MemoryTier
 from repro.mm.lruvec import ListKind
 from repro.mm.page_table import UNMAPPED
+from repro.policies import movement
 from repro.policies.autotiering import HISTORY_BITS, HintFaultScanner
 from repro.sim.config import DaemonConfig, SimulationConfig
 
@@ -184,6 +186,72 @@ def test_opm_history_shift_and_set():
 def test_autonuma_is_cpm_like_without_history():
     machine = make_machine("autonuma")
     assert machine.policy.track_history is False
-    assert machine.policy.make_room_on_promote is False
+    assert machine.policy.make_room is None
     names = {d.name for d in machine.scheduler.daemons}
     assert names == {"hint-scanner"}
+
+
+def fill_dram(machine, process, *, leave_free=0, history=0):
+    """Map DRAM pages with ``history`` until ``leave_free`` frames remain."""
+    dram = machine.system.nodes[0]
+    vpage = 0
+    while dram.free > leave_free:
+        page = dram.allocate_page(is_anon=True)
+        machine.system.pagestore.hint_history[page.pfn] = history
+        process.page_table.map(vpage, page)
+        dram.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+        vpage += 1
+    return dram
+
+
+def poisoned_pm_page(machine, process, vpage=400):
+    node = machine.system.nodes[1]
+    page = node.allocate_page(is_anon=True)
+    process.page_table.map(vpage, page)
+    node.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
+    process.page_table.poison(vpage)
+    return page
+
+
+def test_opm_locked_page_with_dram_room_demotes_nothing():
+    """Room is made only when the destination is full: a PM page that
+    cannot migrate must not cost a cold DRAM page its frame."""
+    machine = make_machine("autotiering-opm", dram=16, pm=256)
+    process = machine.create_process()
+    process.mmap_anon(0, 512)
+    dram = fill_dram(machine, process, leave_free=3)
+    page = poisoned_pm_page(machine, process)
+    page.set(PageFlags.LOCKED)
+    machine.system.touch(process, 400)
+    assert machine.system.tier_of(page) is MemoryTier.PM
+    assert machine.stats.get("opm.cold_demotions") == 0
+    assert machine.stats.get("migrate.demotions") == 0
+    assert machine.stats.get("hint.promotions") == 0
+    assert dram.free == 3
+
+
+@pytest.mark.parametrize("policy", ["autotiering-cpm", "autotiering-opm"])
+@pytest.mark.parametrize("leave_free, history", [(3, 0), (0, 0), (0, 0b0101)])
+def test_one_promotion_destination_per_hint_fault_promotion(
+    monkeypatch, policy, leave_free, history
+):
+    """Each PM hint-fault promotion attempt works out its destination
+    once: with DRAM room, with DRAM full and cold pages to demote (OPM
+    makes room), and with DRAM full of warm pages."""
+    machine = make_machine(policy, dram=16, pm=256)
+    process = machine.create_process()
+    process.mmap_anon(0, 512)
+    fill_dram(machine, process, leave_free=leave_free, history=history)
+    page = poisoned_pm_page(machine, process)
+    calls = []
+    destination = movement.promotion_destination
+
+    def counted(system, page=None):
+        calls.append(page.pfn)
+        return destination(system, page)
+
+    monkeypatch.setattr(movement, "promotion_destination", counted)
+    machine.system.touch(process, 400)
+    assert calls == [page.pfn]
+    promoted = leave_free > 0 or (policy == "autotiering-opm" and history == 0)
+    assert machine.stats.get("hint.promotions") == int(promoted)

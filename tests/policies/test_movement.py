@@ -85,14 +85,14 @@ def test_promote_page_refuses_dram_resident():
     machine.touch(process, 0)
     page = machine.system.pagestore.pages[process.page_table.pfn(0)]
     assert machine.system.tier_of(page) is MemoryTier.DRAM
-    assert not movement.promote_page(machine.system, page)
+    assert not movement.promote_page(machine.system, page, make_room=None)
 
 
 def test_promote_page_places_on_requested_list():
     machine = Machine(SINGLE, "static")
     page = make_pm_page(machine)
     assert movement.promote_page(
-        machine.system, page, place=ListKind.INACTIVE
+        machine.system, page, make_room=None, place=ListKind.INACTIVE
     )
     assert page.lru.kind is ListKind.INACTIVE
     assert not page.test(PageFlags.ACTIVE)
@@ -105,8 +105,11 @@ def test_conservative_promotion_fails_without_room():
         filler = dram.allocate_page(is_anon=True)
         dram.lruvec.list_of(filler, ListKind.INACTIVE).add_head(filler)
     page = make_pm_page(machine)
-    assert not movement.promote_page(machine.system, page, make_room=False)
-    assert movement.promote_page(machine.system, page, make_room=True)
+    assert not movement.promote_page(machine.system, page, make_room=None)
+    assert movement.promote_page(
+        machine.system, page,
+        make_room=lambda dest: movement.demand_demote(machine.system, dest),
+    )
 
 
 def test_demand_demote_fails_when_pm_full():
@@ -116,7 +119,7 @@ def test_demand_demote_fails_when_pm_full():
             filler = node.allocate_page(is_anon=True)
             node.lruvec.list_of(filler, ListKind.INACTIVE).add_head(filler)
     dram = machine.system.dram_nodes()[0]
-    assert not movement.demand_demote(machine.system, dram, pages=1)
+    assert not movement.demand_demote(machine.system, dram)
 
 
 def test_demand_demote_skips_locked_pages():
@@ -128,6 +131,6 @@ def test_demand_demote_skips_locked_pages():
         page.set(PageFlags.LOCKED)
         dram.lruvec.list_of(page, ListKind.INACTIVE).add_head(page)
         pages.append(page)
-    assert not movement.demand_demote(machine.system, dram, pages=1)
+    assert not movement.demand_demote(machine.system, dram)
     pages[0].clear(PageFlags.LOCKED)
-    assert movement.demand_demote(machine.system, dram, pages=1)
+    assert movement.demand_demote(machine.system, dram)

@@ -77,6 +77,16 @@ def decode(byte: int, n_groups: int) -> tuple[int, ListKind, bool, int, bool, in
             pin == 1, (byte >> 5) % (n_groups + 1))
 
 
+def link(lst, page, *, head: bool = True) -> None:
+    """Add ``page`` to ``lst``, carrying ``ACTIVE`` exactly when ``lst``
+    is an active list, as the kernel keeps ``PageActive``."""
+    if lst.kind is ListKind.ACTIVE:
+        page.set(PageFlags.ACTIVE)
+    else:
+        page.clear(PageFlags.ACTIVE)
+    (lst.add_head if head else lst.add_tail)(page)
+
+
 def build(runs, n_groups: int, swap_pages: int):
     """A machine whose lists hold ``runs``: each ``(count, pattern)``
     adds ``count`` pages, cycling through the pattern's bytes."""
@@ -106,7 +116,7 @@ def build(runs, n_groups: int, swap_pages: int):
             next_vpage[owner] += 1
             if owner:
                 memcg.commit_charge(page, process)
-            node.lruvec.list_for(kind, anon).add_head(page)
+            link(node.lruvec.list_for(kind, anon), page)
             if pin:
                 page.set(PageFlags(pin))
             if dirty:
@@ -228,8 +238,7 @@ def step(system, n_groups: int, op: str, x: int, fresh: list[int]) -> int | None
         fresh[owner] += 1
         if owner:
             memcg.commit_charge(page, owners[owner])
-        target_list = node.lruvec.list_for(kind, anon)
-        (target_list.add_head if op == "head" else target_list.add_tail)(page)
+        link(node.lruvec.list_for(kind, anon), page, head=op == "head")
         return None
     if op == "shrink":
         shrink_inactive_list(system, node, anon, target_free=(x >> 2) % 8 + 1,
@@ -244,7 +253,7 @@ def step(system, n_groups: int, op: str, x: int, fresh: list[int]) -> int | None
     if op == "remove":
         lst.remove(page)
         other = ListKind.ACTIVE if lst.kind is ListKind.INACTIVE else ListKind.INACTIVE
-        system.nodes[page.node_id].lruvec.list_of(page, other).add_head(page)
+        link(system.nodes[page.node_id].lruvec.list_of(page, other), page)
     elif op == "rotate":
         lst.rotate_to_head(page)
     elif op == "access":
